@@ -19,13 +19,15 @@
 //!   finish in tolerable wall-clock); δ is auto-scaled per
 //!   `clamped_delta` so the processing bound stays honest, and the row
 //!   records the scaled value;
-//! * n = 1024, f = 341 — behind `--max-n 1024`, for hosts with ≥ 256
+//! * n = 1024, f = 341 — behind `--max-n 1024`, for hosts with ≥ 48
 //!   GiB of RAM. The limit is protocol state, not the simulator: each
-//!   node's msgd-broadcast keeps one triplet (three `ArrivalLog`s of
-//!   `n` 72-byte slots) per concurrent broadcaster, and during the
-//!   relay storm all `n` instances are live at once — `n³ · 216 B`
-//!   system-wide, measured exactly at n = 256 (3.6 GiB) and
-//!   extrapolating to ~232 GiB at n = 1024.
+//!   node's msgd-broadcast keeps one triplet (three `StampLog`s of `n`
+//!   8-byte stamps, plus their occupancy bitsets) per concurrent
+//!   broadcaster, and during the relay storm all `n` instances are live
+//!   at once — `n³ · 24 B` of stamps system-wide; with bitsets and
+//!   allocator overhead 0.59 GiB was measured at n = 256 and 4.1 GiB
+//!   at n = 512 (`docs/PERF.md`), which extrapolates to ~33 GiB at
+//!   n = 1024.
 //!
 //! Runs terminate early once every node has decided (plus a 4d drain),
 //! capped at the Δ_agr + 30d battery horizon. Output is a JSON fragment

@@ -177,6 +177,80 @@ struct PendingCheck {
 /// value-minting storm cannot balloon the arena between cleanup cadences.
 const INTERN_SWEEP_BASE: usize = 1024;
 
+/// Key-probe budget of one [`Engine::on_wave_ref`] plan, per arrival: a
+/// wave whose keys repeat needs about one probe per arrival plus one scan
+/// per distinct key; past this many (plus [`WAVE_PROBE_SLACK`]) the wave
+/// is key-minting spam and is dispatched per message.
+const WAVE_PROBE_FACTOR: usize = 4;
+
+/// Flat allowance on top of [`WAVE_PROBE_FACTOR`], so short waves of
+/// all-distinct keys still plan.
+const WAVE_PROBE_SLACK: usize = 64;
+
+/// End-of-chain marker in the per-entry `next` links of a wave plan.
+const NO_NEXT: u32 = u32::MAX;
+
+/// One dispatch unit of a planned wave: a same-key `Bcast` group (its
+/// entries chained through the plan's `next` links in arrival order), or
+/// a lone entry dispatched per message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WaveUnit {
+    /// First entry (carries the key).
+    head: u32,
+    /// Last entry so far (where the next arrival links in).
+    tail: u32,
+    /// Number of entries.
+    len: u32,
+}
+
+impl WaveUnit {
+    fn single(entry: u32) -> Self {
+        WaveUnit {
+            head: entry,
+            tail: entry,
+            len: 1,
+        }
+    }
+}
+
+/// Whether two `Bcast` messages name the same triplet stage. Values
+/// compare by content — equal payloads behind distinct `Arc`s are one key.
+fn same_bcast_key<V: Value>(a: &Msg<V>, b: &Msg<V>) -> bool {
+    match (a, b) {
+        (
+            Msg::Bcast {
+                kind: k1,
+                general: g1,
+                broadcaster: b1,
+                value: v1,
+                round: r1,
+            },
+            Msg::Bcast {
+                kind: k2,
+                general: g2,
+                broadcaster: b2,
+                value: v2,
+                round: r2,
+            },
+        ) => k1 == k2 && g1 == g2 && b1 == b2 && r1 == r2 && (Arc::ptr_eq(v1, v2) || **v1 == **v2),
+        _ => false,
+    }
+}
+
+/// How an engine's `Bcast` arrivals were dispatched — the counter that
+/// shows whether the echo storm actually lands as waves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchStats {
+    /// Same-key groups (≥ 2 arrivals) dispatched as one wave pass.
+    pub wave_groups: u64,
+    /// `Bcast` arrivals covered by those groups.
+    pub wave_arrivals: u64,
+    /// `Bcast` arrivals dispatched one at a time.
+    pub single_arrivals: u64,
+    /// Key comparisons spent grouping waves.
+    pub key_probes: u64,
+}
+
 /// The complete protocol state of one node.
 ///
 /// Every entry point fills a caller-owned [`Outbox`]; each call clears
@@ -213,6 +287,7 @@ pub struct Engine<V: Value> {
     last_cleanup: Option<LocalTime>,
     /// Occupancy threshold for the forced off-cadence sweep.
     sweep_high_water: usize,
+    stats: DispatchStats,
 }
 
 impl<V: Value> Engine<V> {
@@ -228,7 +303,14 @@ impl<V: Value> Engine<V> {
             general_ctl: GeneralControl::default(),
             last_cleanup: None,
             sweep_high_water: INTERN_SWEEP_BASE,
+            stats: DispatchStats::default(),
         }
+    }
+
+    /// How `Bcast` arrivals have been dispatched since construction.
+    #[must_use]
+    pub fn dispatch_stats(&self) -> DispatchStats {
+        self.stats
     }
 
     /// This node's identity.
@@ -388,9 +470,12 @@ impl<V: Value> Engine<V> {
     }
 
     /// One message's dispatch, sans the per-call output reset — shared by
-    /// [`Engine::on_message_ref`] and the singleton/fallback arm of
-    /// [`Engine::on_wave_ref`].
+    /// [`Engine::on_message_ref`] and the singleton/barrier/fallback arms
+    /// of [`Engine::on_wave_ref`].
     fn handle_message(&mut self, now: LocalTime, sender: NodeId, msg: &Msg<V>, ob: &mut Outbox<V>) {
+        if matches!(msg, Msg::Bcast { .. }) {
+            self.stats.single_arrivals += 1;
+        }
         let n = self.params.n();
         // The membership is fixed and globally known: claims naming ids
         // outside `0..n` can only be transient residue or adversary
@@ -470,27 +555,34 @@ impl<V: Value> Engine<V> {
     }
 
     /// Coalesced dispatch of one delivery wave: every `(sender, message)`
-    /// pair arrived at the same local instant, in slice order.
+    /// pair arrived at the same local instant.
     ///
-    /// Maximal contiguous runs of `Bcast` messages sharing `(kind,
-    /// general, broadcaster, value, round)` — the msgd echo storm, where
-    /// all `n` peers relay the same triplet at once — are dispatched as
-    /// **one** wave through the agreement layer: one membership/validity
-    /// check, one intern probe, one bulk [`ArrivalLog`] record pass and
-    /// two quorum evaluations, instead of the full per-message walk `n`
-    /// times. Everything else (mixed keys, `Ia`/`Initiator` traffic,
-    /// singleton runs) falls back to the per-message path, which remains
-    /// the golden model: the outputs accumulated across the wave are
-    /// bit-identical to draining `n` separate
-    /// [`Engine::on_message_ref`] calls in the same order (pinned by the
-    /// `wave_equivalence` proptests).
+    /// Simultaneous arrivals have no protocol-defined order, so the wave
+    /// is dispatched **stably key-major**: each maximal `Bcast`-only
+    /// segment is grouped by `(kind, general, broadcaster, round, value)`
+    /// — keys in first-appearance order, arrivals in slice order within a
+    /// key — and `Ia`/`Initiator` entries stay barriers at their
+    /// position. Every group of ≥ 2 (the msgd echo storm: all `n` peers
+    /// relaying the same triplet at once, interleaved sender-major with
+    /// the other `n − 1` triplets) goes through the agreement layer as
+    /// **one** wave: one membership/validity check, one intern probe, one
+    /// bulk record pass and two quorum evaluations. The outputs are
+    /// bit-identical to [`Engine::on_message_ref`] over that grouped
+    /// permutation of the wave, and the same multiset as over the slice
+    /// order — unless one instant completes several decidable chains, in
+    /// which case which one block S sees first is the schedule's choice
+    /// and both picks are legal (pinned by the `wave_equivalence`
+    /// proptests).
+    ///
+    /// Grouping costs O(1) expected per arrival (a sender's burst repeats
+    /// its predecessor's key sequence, so the next key is probed first)
+    /// and is bounded: a wave that mints keys faster than four probes per
+    /// arrival is dispatched per message in slice order instead.
     ///
     /// The slice element is anything that borrows to a message —
     /// `&Msg<V>` for borrowed waves, `Arc<Msg<V>>` for a simulator's
     /// pooled batch — so callers never copy or re-collect a wave to
     /// dispatch it.
-    ///
-    /// [`ArrivalLog`]: crate::store::ArrivalLog
     pub fn on_wave_ref<W: std::borrow::Borrow<Msg<V>>>(
         &mut self,
         now: LocalTime,
@@ -498,61 +590,107 @@ impl<V: Value> Engine<V> {
         ob: &mut Outbox<V>,
     ) {
         ob.begin();
-        let mut i = 0;
-        while i < wave.len() {
-            let msg = wave[i].1.borrow();
-            let run_len = if let Msg::Bcast {
-                kind,
-                general,
-                broadcaster,
-                value,
-                round,
-            } = msg
-            {
-                let mut j = i + 1;
-                while j < wave.len() {
-                    match wave[j].1.borrow() {
-                        Msg::Bcast {
-                            kind: k2,
-                            general: g2,
-                            broadcaster: b2,
-                            value: v2,
-                            round: r2,
-                        } if k2 == kind
-                            && g2 == general
-                            && b2 == broadcaster
-                            && r2 == round
-                            && (Arc::ptr_eq(v2, value) || **v2 == **value) =>
-                        {
-                            j += 1;
-                        }
-                        _ => break,
-                    }
+        let mut units = std::mem::take(&mut ob.wave_units);
+        let mut next = std::mem::take(&mut ob.wave_next);
+        if self.plan_wave(wave, &mut units, &mut next) {
+            for unit in &units {
+                if unit.len == 1 {
+                    let (sender, msg) = &wave[unit.head as usize];
+                    self.handle_message(now, *sender, msg.borrow(), ob);
+                } else {
+                    self.handle_bcast_group(now, wave, *unit, &next, ob);
                 }
-                j - i
-            } else {
-                1
-            };
-            if run_len >= 2 {
-                self.handle_bcast_run(now, &wave[i..i + run_len], ob);
-            } else {
-                self.handle_message(now, wave[i].0, msg, ob);
             }
-            i += run_len;
+        } else {
+            for (sender, msg) in wave {
+                self.handle_message(now, *sender, msg.borrow(), ob);
+            }
         }
+        units.clear();
+        next.clear();
+        ob.wave_units = units;
+        ob.wave_next = next;
     }
 
-    /// One same-key `Bcast` run (length ≥ 2) from [`Engine::on_wave_ref`]:
+    /// Builds the dispatch plan of one wave into `units` (dispatch order)
+    /// and `next` (per entry: the next entry of the same unit). Returns
+    /// `false` — plan unusable — once the probe budget is spent.
+    ///
+    /// A `Bcast` entry first tries the unit *after* the one its
+    /// predecessor joined: every sender emits its relays in the same
+    /// order, so a sender's burst repeats its predecessor's key sequence
+    /// and the successor probe hits. A miss scans the segment's other
+    /// units from there (a skipped key is found one step on); only a new
+    /// key scans them all, which the budget of `WAVE_PROBE_FACTOR` probes
+    /// per arrival absorbs for any wave whose keys repeat and refuses for
+    /// key-minting spam.
+    fn plan_wave<W: std::borrow::Borrow<Msg<V>>>(
+        &mut self,
+        wave: &[(NodeId, W)],
+        units: &mut Vec<WaveUnit>,
+        next: &mut Vec<u32>,
+    ) -> bool {
+        let Ok(len) = u32::try_from(wave.len()) else {
+            return false;
+        };
+        let budget = WAVE_PROBE_FACTOR * wave.len() + WAVE_PROBE_SLACK;
+        let mut probes = 0usize;
+        // First unit of the current `Bcast`-only segment, and the unit the
+        // previous entry joined (`None` at a segment start).
+        let mut seg = 0usize;
+        let mut prev: Option<usize> = None;
+        next.resize(wave.len(), NO_NEXT);
+        for i in 0..len {
+            let msg = wave[i as usize].1.borrow();
+            if !matches!(msg, Msg::Bcast { .. }) {
+                units.push(WaveUnit::single(i));
+                seg = units.len();
+                prev = None;
+                continue;
+            }
+            let start = prev.map_or(seg, |p| p + 1);
+            let hit = (start..units.len()).chain(seg..start).find(|&u| {
+                probes += 1;
+                same_bcast_key(wave[units[u].head as usize].1.borrow(), msg)
+            });
+            if probes > budget {
+                self.stats.key_probes += probes as u64;
+                return false;
+            }
+            let joined = match hit {
+                Some(u) => {
+                    let unit = &mut units[u];
+                    next[unit.tail as usize] = i;
+                    unit.tail = i;
+                    unit.len += 1;
+                    u
+                }
+                None => {
+                    units.push(WaveUnit::single(i));
+                    units.len() - 1
+                }
+            };
+            prev = Some(joined);
+        }
+        self.stats.key_probes += probes as u64;
+        true
+    }
+
+    /// One same-key `Bcast` group (≥ 2 arrivals) of a planned wave:
     /// shared checks once, then a single wave pass through the agreement
     /// instance. Check order mirrors the per-message path exactly —
     /// sender membership (per message), cleanup on the first message that
-    /// passes it, then the round/broadcaster validity shared by the run.
-    fn handle_bcast_run<W: std::borrow::Borrow<Msg<V>>>(
+    /// passes it, then the round/broadcaster validity shared by the group.
+    fn handle_bcast_group<W: std::borrow::Borrow<Msg<V>>>(
         &mut self,
         now: LocalTime,
-        run: &[(NodeId, W)],
+        wave: &[(NodeId, W)],
+        unit: WaveUnit,
+        next: &[u32],
         ob: &mut Outbox<V>,
     ) {
+        self.stats.wave_groups += 1;
+        self.stats.wave_arrivals += u64::from(unit.len);
         let n = self.params.n();
         let Msg::Bcast {
             kind,
@@ -560,48 +698,50 @@ impl<V: Value> Engine<V> {
             broadcaster,
             value,
             round,
-        } = run[0].1.borrow()
+        } = wave[unit.head as usize].1.borrow()
         else {
-            unreachable!("handle_bcast_run only receives Bcast runs");
+            unreachable!("only Bcast entries form groups");
         };
         if general.index() >= n {
-            return; // every message of the run fails the membership check
+            return; // every message of the group fails the membership check
         }
         let mut senders = std::mem::take(&mut ob.wave);
-        senders.extend(run.iter().map(|(s, _)| *s).filter(|s| s.index() < n));
-        if senders.is_empty() {
-            ob.wave = senders;
-            return;
+        let mut i = unit.head;
+        while i != NO_NEXT {
+            let sender = wave[i as usize].0;
+            if sender.index() < n {
+                senders.push(sender);
+            }
+            i = next[i as usize];
         }
-        self.cleanup_if_due(now);
-        if *round == 0 || *round > self.params.max_round() || broadcaster.index() >= n {
-            senders.clear();
-            ob.wave = senders;
-            return;
+        if !senders.is_empty() {
+            self.cleanup_if_due(now);
+            if *round != 0 && *round <= self.params.max_round() && broadcaster.index() < n {
+                let id = self.interner.intern_shared(value);
+                let me = self.me;
+                let params = self.params;
+                let agr = self
+                    .agr
+                    .get_or_insert_with(*general, || InternedAgreement::new(me, *general, params));
+                agr.on_bcast_wave(
+                    now,
+                    &senders,
+                    *kind,
+                    *broadcaster,
+                    id,
+                    *round,
+                    &self.interner,
+                    &mut ob.msgd,
+                    &mut ob.agr,
+                );
+                self.absorb_agr(now, *general, ob);
+                if self.interner.occupancy() > self.sweep_high_water {
+                    self.sweep_interner();
+                }
+            }
         }
-        let id = self.interner.intern_shared(value);
-        let me = self.me;
-        let params = self.params;
-        let agr = self
-            .agr
-            .get_or_insert_with(*general, || InternedAgreement::new(me, *general, params));
-        agr.on_bcast_wave(
-            now,
-            &senders,
-            *kind,
-            *broadcaster,
-            id,
-            *round,
-            &self.interner,
-            &mut ob.msgd,
-            &mut ob.agr,
-        );
-        self.absorb_agr(now, *general, ob);
         senders.clear();
         ob.wave = senders;
-        if self.interner.occupancy() > self.sweep_high_water {
-            self.sweep_interner();
-        }
     }
 
     /// Periodic / scheduled tick: deadline blocks (T/U), post-return

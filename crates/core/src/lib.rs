@@ -64,7 +64,7 @@ pub mod store;
 
 pub use agreement::{AgrAction, Agreement, InternedAgreement};
 pub use corrupt::{Entropy, ScrambleConfig};
-pub use engine::{Engine, Event, InitiateError, Output};
+pub use engine::{DispatchStats, Engine, Event, InitiateError, Output};
 pub use initiator_accept::{IaAction, InitiatorAccept, InternedInitiatorAccept, OwnProgress};
 pub use intern::{ValueId, ValueIdMap, ValueInterner};
 pub use message::{BcastKind, IaKind, Msg};

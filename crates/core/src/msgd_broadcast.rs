@@ -30,7 +30,7 @@ use ssbyz_types::{DenseNodeMap, LocalTime, NodeId, Value};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::BcastKind;
 use crate::params::Params;
-use crate::store::ArrivalLog;
+use crate::store::StampLog;
 
 /// Actions produced by the primitive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,9 +64,9 @@ pub enum MsgdAction<V> {
 struct TripletState {
     /// Arrival of `(init, p, m, k)` from `p` itself.
     init_from_p: Option<LocalTime>,
-    echo: ArrivalLog,
-    init_prime: ArrivalLog,
-    echo_prime: ArrivalLog,
+    echo: StampLog,
+    init_prime: StampLog,
+    echo_prime: StampLog,
     /// "Nodes send specific messages only once."
     sent: [bool; 4],
     accepted_at: Option<LocalTime>,
@@ -659,7 +659,7 @@ impl InternedMsgdBroadcast {
     /// evaluated alone — firing, in block order, any condition already
     /// true at wave start (e.g. a stale latch left by a transient fault),
     /// exactly as the per-message path's first step would. The remaining
-    /// arrivals then land in one bulk [`ArrivalLog::record_wave`] pass
+    /// arrivals then land in one bulk [`StampLog::record_wave`] pass
     /// and a single final evaluation fires whatever the accumulated
     /// counts newly crossed. Within a single-kind wave every later
     /// crossing lives in one deadline block whose emission order equals

@@ -35,7 +35,7 @@
 use ssbyz_types::NodeId;
 
 use crate::agreement::AgrAction;
-use crate::engine::Output;
+use crate::engine::{Output, WaveUnit};
 use crate::initiator_accept::IaAction;
 use crate::intern::ValueId;
 use crate::msgd_broadcast::MsgdAction;
@@ -73,8 +73,12 @@ pub struct Outbox<V> {
     /// Scratch list of live Generals for `on_tick`.
     pub(crate) generals: Vec<NodeId>,
     /// Scratch list of wave senders for `on_wave_ref` (the valid senders
-    /// of one same-key run, collected before the bulk record).
+    /// of one same-key group, collected before the bulk record).
     pub(crate) wave: Vec<NodeId>,
+    /// The dispatch plan of one `on_wave_ref` call, in dispatch order.
+    pub(crate) wave_units: Vec<WaveUnit>,
+    /// Per wave entry: the next entry of the same unit.
+    pub(crate) wave_next: Vec<u32>,
 }
 
 impl<V> Outbox<V> {
@@ -89,6 +93,8 @@ impl<V> Outbox<V> {
             msgd: Vec::new(),
             generals: Vec::new(),
             wave: Vec::new(),
+            wave_units: Vec::new(),
+            wave_next: Vec::new(),
         }
     }
 
@@ -106,6 +112,10 @@ impl<V> Outbox<V> {
             "generals scratch leaked between calls"
         );
         debug_assert!(self.wave.is_empty(), "wave scratch leaked between calls");
+        debug_assert!(
+            self.wave_units.is_empty() && self.wave_next.is_empty(),
+            "wave plan leaked between calls"
+        );
     }
 
     /// The outputs produced by the most recent engine call.
@@ -147,11 +157,11 @@ impl<V> Outbox<V> {
     }
 
     /// Current buffer capacities as
-    /// `[outputs, ia, agr, msgd, generals, wave]` — used by the reuse
-    /// regression tests to assert that capacity plateaus instead of
-    /// growing without bound.
+    /// `[outputs, ia, agr, msgd, generals, wave, wave_units, wave_next]`
+    /// — used by the reuse regression tests to assert that capacity
+    /// plateaus instead of growing without bound.
     #[must_use]
-    pub fn capacities(&self) -> [usize; 6] {
+    pub fn capacities(&self) -> [usize; 8] {
         [
             self.out.capacity(),
             self.ia.capacity(),
@@ -159,6 +169,8 @@ impl<V> Outbox<V> {
             self.msgd.capacity(),
             self.generals.capacity(),
             self.wave.capacity(),
+            self.wave_units.capacity(),
+            self.wave_next.capacity(),
         ]
     }
 }

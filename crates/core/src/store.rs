@@ -8,8 +8,9 @@
 //! containers here implement exactly that discipline:
 //!
 //! * [`ArrivalLog`] — per-sender message-arrival times with sliding-window
-//!   quorum queries (used by the `Initiator-Accept` interval tests and the
-//!   cumulative `msgd-broadcast` counts).
+//!   quorum queries (used by the `Initiator-Accept` interval tests).
+//! * [`StampLog`] — one latest-arrival stamp per sender, for the
+//!   cumulative (untimed) `msgd-broadcast` counts.
 //! * [`TimedVar`] — a variable with a change history, answering *"what was
 //!   the value at τq − d?"* (needed by line K1 of `Initiator-Accept`).
 
@@ -217,25 +218,6 @@ impl ArrivalLog {
         self.occupied.insert(sender);
     }
 
-    /// Bulk [`ArrivalLog::record`]: logs one same-instant arrival per
-    /// listed sender. Exactly equivalent to calling `record(now, s)` for
-    /// each sender in order (same duplicate collapsing — a sender listed
-    /// twice records once), but the occupancy bitset is updated in a
-    /// single pass after the slot writes instead of per arrival. This is
-    /// the echo-wave fast path: a coalesced wave hands the whole
-    /// same-(broadcaster, round, kind) sender set to the log at once.
-    pub fn record_wave(&mut self, now: LocalTime, senders: &[NodeId]) {
-        for &s in senders {
-            let slot = self.slot_mut(s);
-            if !slot.contains(now) {
-                slot.push(now);
-            }
-        }
-        for &s in senders {
-            self.occupied.insert(s);
-        }
-    }
-
     /// Drops arrivals older than `retention` and arrivals stamped in the
     /// future of `now` (bogus state from a transient fault).
     pub fn prune(&mut self, now: LocalTime, retention: Duration) {
@@ -261,8 +243,8 @@ impl ArrivalLog {
     }
 
     /// Number of distinct senders with any retained arrival (used for the
-    /// cumulative, untimed counts of `msgd-broadcast` and block N). O(1):
-    /// the count is maintained incrementally on record/prune.
+    /// cumulative, untimed counts of block N). O(1): the count is
+    /// maintained incrementally on record/prune.
     #[must_use]
     pub fn distinct_total(&self) -> usize {
         self.occupied.count()
@@ -499,6 +481,93 @@ impl PartialEq for ArrivalLog {
 }
 
 impl Eq for ArrivalLog {}
+
+/// Latest-arrival stamp per authenticated sender: the log behind the
+/// **cumulative** `msgd-broadcast` counts (paper Fig. 3 asks only "how
+/// many distinct senders so far", then lets the evidence decay).
+///
+/// One [`LocalTime`] per sender plus the occupancy [`NodeBitSet`] — 8
+/// bytes per sender where [`ArrivalLog`] keeps an 8-deep history for the
+/// `Initiator-Accept` window queries this log never answers. A newer
+/// record overwrites the sender's stamp. On a monotone clock
+/// [`StampLog::distinct_total`] and [`StampLog::is_empty`] equal
+/// [`ArrivalLog`]'s after any `record`/`record_wave`/`prune`
+/// interleaving; when stamps go backwards (`inject_raw`, a clock jump)
+/// the membership is a subset of [`ArrivalLog`]'s, and no sender outlives
+/// the prune retention past its last stamp (`store_equivalence.rs`).
+///
+/// # Example
+///
+/// ```
+/// use ssbyz_core::store::StampLog;
+/// use ssbyz_types::{Duration, LocalTime, NodeId};
+///
+/// let mut log = StampLog::new();
+/// let t0 = LocalTime::from_nanos(1_000);
+/// log.record(t0, NodeId::new(1));
+/// log.record(t0 + Duration::from_nanos(5), NodeId::new(1)); // resend
+/// log.record(t0 + Duration::from_nanos(5), NodeId::new(2));
+/// assert_eq!(log.distinct_total(), 2);
+/// log.prune(t0 + Duration::from_nanos(50), Duration::from_nanos(10));
+/// assert!(log.is_empty());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct StampLog {
+    /// Latest stamp per sender index; meaningful only where `occupied`.
+    stamps: Vec<LocalTime>,
+    occupied: NodeBitSet,
+}
+
+impl StampLog {
+    /// Creates an empty log.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records an arrival from `sender` at local time `now`.
+    pub fn record(&mut self, now: LocalTime, sender: NodeId) {
+        if sender.index() >= self.stamps.len() {
+            self.stamps.resize(sender.index() + 1, LocalTime::ZERO);
+        }
+        self.stamps[sender.index()] = now;
+        self.occupied.insert(sender);
+    }
+
+    /// Bulk [`StampLog::record`]: one same-instant arrival per listed
+    /// sender (the echo-wave path).
+    pub fn record_wave(&mut self, now: LocalTime, senders: &[NodeId]) {
+        for &s in senders {
+            self.record(now, s);
+        }
+    }
+
+    /// Drops senders whose stamp is older than `retention` or lies in the
+    /// future of `now` (bogus state from a transient fault).
+    pub fn prune(&mut self, now: LocalTime, retention: Duration) {
+        let stamps = &self.stamps;
+        self.occupied
+            .retain(|s| in_window(stamps[s.index()], now, retention));
+    }
+
+    /// Number of distinct senders with a retained arrival. O(1).
+    #[must_use]
+    pub fn distinct_total(&self) -> usize {
+        self.occupied.count()
+    }
+
+    /// Whether the log holds no arrivals at all.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.occupied.is_empty()
+    }
+
+    /// Inserts a raw (possibly bogus) arrival — used only by the
+    /// state-corruption harness to model transient faults.
+    pub fn inject_raw(&mut self, sender: NodeId, t: LocalTime) {
+        self.record(t, sender);
+    }
+}
 
 fn in_window(t: LocalTime, now: LocalTime, window: Duration) -> bool {
     !t.is_after(now) && now.since(t) <= window

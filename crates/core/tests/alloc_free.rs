@@ -324,10 +324,12 @@ fn accepted_broadcast_allocations_are_bounded() {
 }
 
 /// The coalesced wave path: after warm-up, a full-membership duplicate
-/// echo wave through `Engine::on_wave_ref` — one intern probe, one bulk
-/// arrival record, one evaluation pass — performs **zero** heap
-/// allocations, with the wave scratch pooled inside the outbox
-/// (`capacities()[5]`) exactly like the dispatch arenas.
+/// echo storm through `Engine::on_wave_ref` — three triplets relayed by
+/// all seven senders, sender-major, so the grouping pass does real work
+/// — performs **zero** heap allocations: one intern probe, one bulk
+/// arrival record and one evaluation pass per key, with the sender
+/// scratch and the wave plan pooled inside the outbox
+/// (`capacities()[5..8]`) exactly like the dispatch arenas.
 #[test]
 fn coalesced_echo_wave_is_allocation_free() {
     let p = params(7, 2);
@@ -339,29 +341,37 @@ fn coalesced_echo_wave_is_allocation_free() {
     // layer's cost, not the engine's).
     let value = Arc::new(9u64);
     let wave: Vec<(NodeId, Arc<Msg<u64>>)> = (0..7)
-        .map(|s| {
-            (
-                NodeId::new(s),
-                Arc::new(Msg::Bcast {
-                    kind: BcastKind::Echo,
-                    general: NodeId::new(1),
-                    broadcaster: NodeId::new(2),
-                    value: Arc::clone(&value),
-                    round: 1,
-                }),
-            )
+        .flat_map(|s| {
+            let value = Arc::clone(&value);
+            (2..5).map(move |b| {
+                (
+                    NodeId::new(s),
+                    Arc::new(Msg::Bcast {
+                        kind: BcastKind::Echo,
+                        general: NodeId::new(1),
+                        broadcaster: NodeId::new(b),
+                        value: Arc::clone(&value),
+                        round: 1,
+                    }),
+                )
+            })
         })
         .collect();
-    // Warm-up: triplet state, arrival slots, outbox arenas and the wave
+    // Warm-up: triplet state, arrival stamps, outbox arenas and the wave
     // scratch all reach steady-state capacity.
     for _ in 0..1_000u64 {
         t += 10_000;
         engine.on_wave_ref(LocalTime::from_nanos(t), &wave, &mut ob);
     }
+    assert_eq!(
+        engine.dispatch_stats().wave_groups,
+        3_000,
+        "every key of every wave must form a group"
+    );
     let caps = ob.capacities();
     assert!(
-        caps[5] >= 7,
-        "the wave scratch must be pooled in the outbox: {caps:?}"
+        caps[5] >= 7 && caps[6] >= 3 && caps[7] >= 21,
+        "the sender scratch and the wave plan must be pooled in the outbox: {caps:?}"
     );
     let (allocs, _) = count_allocs(|| {
         for _ in 0..10_000u64 {

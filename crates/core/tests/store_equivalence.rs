@@ -3,10 +3,15 @@
 //! retained `BTreeMap` reference implementation over random
 //! record/prune/query sequences — including out-of-order duplicate
 //! timestamps and local-time wrap-around.
+//!
+//! The latest-stamp [`StampLog`] behind the `msgd-broadcast` triplets is
+//! held to [`ArrivalLog`] in turn: identical cumulative counts on a
+//! monotone clock, and a subset of its membership — never outliving the
+//! retention — when stamps go backwards.
 
 use proptest::prelude::*;
 use ssbyz_core::store::reference::ReferenceArrivalLog;
-use ssbyz_core::store::ArrivalLog;
+use ssbyz_core::store::{ArrivalLog, StampLog};
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 /// Compares every public query surface of the two logs at one instant.
@@ -140,5 +145,99 @@ proptest! {
         dense.prune(LocalTime::from_nanos(now), Duration::from_nanos(20_000));
         reference.prune(LocalTime::from_nanos(now), Duration::from_nanos(20_000));
         assert_logs_agree(&dense, &reference, now, n);
+    }
+
+    /// Monotone clock (what a coherent node has): after any interleaving
+    /// of `record`, `record_wave` (with a repeated sender) and `prune`,
+    /// the one-stamp log counts exactly the senders the 8-deep log counts.
+    #[test]
+    fn stamp_log_counts_match_arrival_log_on_monotone_clock(
+        ops in prop::collection::vec((0u32..8, 0u64..2_000, 0u32..10, 0u32..256), 1..200),
+        retention in 2_000u64..30_000,
+    ) {
+        let mut stamp = StampLog::new();
+        let mut deep = ArrivalLog::new();
+        let mut now = 10_000u64;
+        for (sender, dt, action, mask) in ops {
+            now += dt;
+            let t = LocalTime::from_nanos(now);
+            match action {
+                0..=4 => {
+                    stamp.record(t, NodeId::new(sender));
+                    deep.record(t, NodeId::new(sender));
+                }
+                5..=7 => {
+                    let mut senders: Vec<NodeId> =
+                        (0..8).filter(|s| mask & (1 << s) != 0).map(NodeId::new).collect();
+                    senders.push(NodeId::new(sender)); // possibly listed twice
+                    stamp.record_wave(t, &senders);
+                    for s in &senders {
+                        deep.record(t, *s);
+                    }
+                }
+                _ => {
+                    let r = Duration::from_nanos(retention);
+                    stamp.prune(t, r);
+                    deep.prune(t, r);
+                }
+            }
+            prop_assert_eq!(stamp.distinct_total(), deep.distinct_total(), "at {}", now);
+            prop_assert_eq!(stamp.is_empty(), deep.is_empty(), "at {}", now);
+        }
+    }
+
+    /// Backward stamps (`inject_raw`, a clock that jumps): the one-stamp
+    /// log forgets what the 8-deep log may still hold, never the reverse,
+    /// and a sender that survives a prune has its last stamp inside the
+    /// retention — planted state cannot outlive `msgd_horizon`. One log
+    /// pair per sender, so membership is read off `is_empty`.
+    #[test]
+    fn stamp_log_membership_is_a_subset_under_backward_stamps(
+        ops in prop::collection::vec((0usize..6, 0u64..60_000, 0u64..60_000, 0u32..10), 1..200),
+        horizon in 2_000u64..30_000,
+    ) {
+        let mut stamp: Vec<StampLog> = vec![StampLog::new(); 6];
+        let mut deep: Vec<ArrivalLog> = vec![ArrivalLog::new(); 6];
+        let mut last: Vec<Option<LocalTime>> = vec![None; 6];
+        let base = 1_000_000u64;
+        for (s, clock, raw, action) in ops {
+            // The clock itself is arbitrary: it may run backwards.
+            let now = LocalTime::from_nanos(base + clock);
+            let id = NodeId::new(s as u32);
+            match action {
+                0..=3 => {
+                    stamp[s].record(now, id);
+                    deep[s].record(now, id);
+                    last[s] = Some(now);
+                }
+                4..=6 => {
+                    let t = LocalTime::from_nanos(base + raw);
+                    stamp[s].inject_raw(id, t);
+                    deep[s].inject_raw(id, t);
+                    last[s] = Some(t);
+                }
+                _ => {
+                    let h = Duration::from_nanos(horizon);
+                    for k in 0..6 {
+                        stamp[k].prune(now, h);
+                        deep[k].prune(now, h);
+                        if !stamp[k].is_empty() {
+                            let t = last[k].expect("a member was written");
+                            prop_assert!(
+                                !t.is_after(now) && now.since(t) <= h,
+                                "sender {} outlived the horizon: stamp {:?} at {:?}", k, t, now
+                            );
+                        }
+                    }
+                }
+            }
+            for k in 0..6 {
+                prop_assert!(
+                    stamp[k].is_empty() || !deep[k].is_empty(),
+                    "sender {} is in the stamp log but not in the 8-deep log", k
+                );
+                prop_assert!(stamp[k].distinct_total() <= 1);
+            }
+        }
     }
 }

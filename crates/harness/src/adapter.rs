@@ -123,8 +123,8 @@ impl<V: Value> Process<Msg<V>, NodeEvent<V>> for EngineProcess<V> {
         batch: &[(NodeId, std::sync::Arc<Msg<V>>)],
     ) {
         // A coalesced wave: all same-instant arrivals enter the engine in
-        // one call, which interns each distinct value once and walks the
-        // triplet table once per same-key run instead of once per message.
+        // one call, which groups them by key and walks the triplet table
+        // once per key instead of once per message.
         self.engine.on_wave_ref(ctx.now(), batch, &mut self.outbox);
         self.apply(ctx);
     }

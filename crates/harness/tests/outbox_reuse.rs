@@ -15,7 +15,7 @@ use ssbyz_types::{Duration, NodeId, RealTime};
 /// every handler invocation, so the plateau can be checked post-run.
 struct OutboxSpy {
     inner: EngineProcess<u64>,
-    log: Arc<Mutex<Vec<[usize; 6]>>>,
+    log: Arc<Mutex<Vec<[usize; 8]>>>,
 }
 
 impl OutboxSpy {
@@ -68,7 +68,7 @@ fn outbox_capacity_plateaus_under_byzantine_storm() {
         max_delay: Duration::from_millis(15),
         injection_period: Some(Duration::from_micros(200)),
     };
-    let logs: Vec<Arc<Mutex<Vec<[usize; 6]>>>> =
+    let logs: Vec<Arc<Mutex<Vec<[usize; 8]>>>> =
         (0..4).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
     let mut b = SimBuilder::new(0xB17A)
         .link(LinkConfig::uniform(
@@ -106,7 +106,7 @@ fn outbox_capacity_plateaus_under_byzantine_storm() {
         // Capacity plateau: each buffer may grow a handful of times ever
         // (geometric `Vec` doubling until the workload's high-water mark)
         // — growth events must not scale with the thousands of calls.
-        let mut growth_events = [0usize; 6];
+        let mut growth_events = [0usize; 8];
         let mut prev = trace[0];
         for caps in &trace[1..] {
             for (k, (g, c)) in growth_events.iter_mut().zip(caps).enumerate() {

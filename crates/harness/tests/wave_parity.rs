@@ -344,3 +344,55 @@ fn adversarial_fixed_delay_scenario_is_equivalent_across_wave_modes() {
     assert_eq!(ms_c, ms_p, "adversarial observation multiset diverged");
     assert_eq!(m_c, m_p, "adversarial metrics diverged");
 }
+
+/// The counter that says whether the echo storm lands as waves at all:
+/// on fixed-delay links every sender's relays arrive sender-major — the
+/// same key is never adjacent to itself — so only key-grouped dispatch
+/// forms waves. In a correct-General n=16 run all but the `n²` direct
+/// `init`s (one sender per key by construction) must dispatch grouped.
+#[test]
+fn fixed_delay_bcast_arrivals_dispatch_as_waves() {
+    use ssbyz_harness::EngineProcess;
+
+    let n = 16u32;
+    let cfg = ScenarioConfig::new(n as usize, 5)
+        .with_seed(11)
+        .with_actual_delays(Duration::from_micros(250), Duration::from_micros(250));
+    let mut b = ScenarioBuilder::new(cfg).correct_general(Duration::from_millis(20), 41);
+    for _ in 1..n {
+        b = b.correct();
+    }
+    let mut scenario = b.build();
+    scenario.run_until(RealTime::from_nanos(400_000_000));
+    assert!(
+        scenario
+            .sim()
+            .observations()
+            .iter()
+            .filter(|o| format!("{:?}", o.event).contains("Decided"))
+            .count()
+            == n as usize,
+        "every node must decide"
+    );
+    let (mut waved, mut single) = (0u64, 0u64);
+    for node in (0..n).map(NodeId::new) {
+        let any = scenario
+            .sim_mut()
+            .process_mut(node)
+            .as_any_mut()
+            .expect("engine processes opt into downcasting");
+        let stats = any
+            .downcast_ref::<EngineProcess<u64>>()
+            .expect("every node runs an engine")
+            .engine()
+            .dispatch_stats();
+        assert!(stats.wave_groups > 0, "{node:?} formed no wave: {stats:?}");
+        waved += stats.wave_arrivals;
+        single += stats.single_arrivals;
+    }
+    assert!(
+        waved * 10 >= (waved + single) * 9,
+        "only {waved} of {} Bcast arrivals dispatched as waves",
+        waved + single
+    );
+}

@@ -70,7 +70,7 @@ use crate::network::{LinkBlock, LinkConfig, Partition};
 use crate::process::{Ctx, Effect, Process};
 use crate::sim::{
     EventKind, Metrics, NodeSlot, Observation, RngMode, RngStreams, SimBuilder, Simulation,
-    WaveMode,
+    WaveMode, WaveScratch,
 };
 
 /// Which execution engine a simulation runs on.
@@ -172,8 +172,7 @@ struct Shard<M, O> {
     /// Events processed in the current window (critical-path metric).
     window_events: u64,
     scratch_outbox: Vec<Effect<M, O>>,
-    wave_group: Vec<EventKind<M>>,
-    wave_batch: Vec<(NodeId, Arc<M>)>,
+    wave: WaveScratch<M>,
     bitset_pool: Vec<NodeBitSet>,
     batch_scratch: Vec<(u64, NodeId, Option<NodeBitSet>)>,
 }
@@ -249,8 +248,8 @@ impl<M: Clone + Send + Sync, O: Send> Shard<M, O> {
             self.dispatch(at, kind, net);
             return;
         }
-        debug_assert!(self.wave_group.is_empty());
-        self.wave_group.push(kind);
+        debug_assert!(self.wave.group.is_empty());
+        self.wave.group.push(kind);
         let mut trailing = None;
         while self.wheel.peek_due() == Some(at.as_nanos()) {
             let ev = self.wheel.pop().expect("peeked");
@@ -258,7 +257,7 @@ impl<M: Clone + Send + Sync, O: Send> Shard<M, O> {
             self.window_events += 1;
             match ev.payload {
                 k @ (EventKind::Deliver { .. } | EventKind::BroadcastDeliver { .. }) => {
-                    self.wave_group.push(k);
+                    self.wave.group.push(k);
                 }
                 other => {
                     trailing = Some(other);
@@ -272,36 +271,16 @@ impl<M: Clone + Send + Sync, O: Send> Shard<M, O> {
         }
     }
 
-    /// Destination-major dispatch of one drained wave group (local node
-    /// order ascending — which is ascending global id).
+    /// Destination-major dispatch of the drained wave group over this
+    /// shard's nodes (see [`WaveScratch::dispatch`]).
     fn dispatch_wave(&mut self, at: RealTime, net: &NetView<M>) {
-        for li in 0..self.nodes.len() {
-            let node = NodeId::new(self.first + li as u32);
-            let mut batch = std::mem::take(&mut self.wave_batch);
-            debug_assert!(batch.is_empty());
-            for ev in &self.wave_group {
-                match ev {
-                    EventKind::Deliver { to, from, msg } if *to == node => {
-                        batch.push((*from, Arc::clone(msg)));
-                    }
-                    EventKind::BroadcastDeliver { from, msg, dests } if dests.contains(node) => {
-                        batch.push((*from, Arc::clone(msg)));
-                    }
-                    _ => {}
-                }
-            }
-            if !batch.is_empty() {
-                self.deliver_batch(at, node, &batch, net);
-                batch.clear();
-            }
-            self.wave_batch = batch;
-        }
-        for ev in self.wave_group.drain(..) {
-            if let EventKind::BroadcastDeliver { mut dests, .. } = ev {
-                dests.clear();
-                self.bitset_pool.push(dests);
-            }
-        }
+        let mut wave = std::mem::take(&mut self.wave);
+        let nodes = self.first..self.first + self.nodes.len() as u32;
+        wave.dispatch(nodes, |node, batch| {
+            self.deliver_batch(at, node, batch, net);
+        });
+        wave.recycle(&mut self.bitset_pool);
+        self.wave = wave;
     }
 
     fn dispatch(&mut self, at: RealTime, kind: EventKind<M>, net: &NetView<M>) {
@@ -954,8 +933,7 @@ impl<M: Clone + Send + Sync, O: Send> ShardedSim<M, O> {
                     events_processed: 0,
                     window_events: 0,
                     scratch_outbox: Vec::new(),
-                    wave_group: Vec::new(),
-                    wave_batch: Vec::new(),
+                    wave: WaveScratch::default(),
                     bitset_pool: Vec::new(),
                     batch_scratch: Vec::new(),
                 }

@@ -161,6 +161,99 @@ pub(crate) enum EventKind<M> {
     },
 }
 
+/// Pooled buffers for the destination-major dispatch of one coalesced
+/// instant — the one wave path of both the sequential loop and the
+/// shards.
+pub(crate) struct WaveScratch<M> {
+    /// The contiguous run of same-due delivery entries popped off the
+    /// wheel, in `(due, seq)` order.
+    pub(crate) group: Vec<EventKind<M>>,
+    /// One `(from, payload)` per group entry: the batch of every node
+    /// that is a destination of all of them, built once per instant.
+    shared: Vec<(NodeId, Arc<M>)>,
+    /// The batch of a node that is a destination of only some entries.
+    filtered: Vec<(NodeId, Arc<M>)>,
+    /// The nodes that are a destination of every group entry.
+    common: NodeBitSet,
+}
+
+impl<M> Default for WaveScratch<M> {
+    fn default() -> Self {
+        WaveScratch {
+            group: Vec::new(),
+            shared: Vec::new(),
+            filtered: Vec::new(),
+            common: NodeBitSet::new(),
+        }
+    }
+}
+
+impl<M> WaveScratch<M> {
+    /// Hands each of `nodes` (ascending id) its `(due, seq)`-ordered
+    /// arrivals of the drained group in one `deliver` call. An
+    /// all-broadcast instant is one shared batch — one reference bump per
+    /// payload, not one per delivery; only a node missing from some
+    /// entry's destinations gets a filtered rebuild.
+    pub(crate) fn dispatch(
+        &mut self,
+        nodes: std::ops::Range<u32>,
+        mut deliver: impl FnMut(NodeId, &[(NodeId, Arc<M>)]),
+    ) {
+        debug_assert!(self.shared.is_empty() && self.filtered.is_empty());
+        self.common.clear();
+        for id in nodes.clone() {
+            self.common.insert(NodeId::new(id));
+        }
+        for ev in &self.group {
+            match ev {
+                EventKind::Deliver { to, from, msg } => {
+                    self.shared.push((*from, Arc::clone(msg)));
+                    self.common.retain(|d| d == *to);
+                }
+                EventKind::BroadcastDeliver { from, msg, dests } => {
+                    self.shared.push((*from, Arc::clone(msg)));
+                    self.common.intersect_with(dests);
+                }
+                _ => unreachable!("only delivery entries are drained into a wave group"),
+            }
+        }
+        for id in nodes {
+            let node = NodeId::new(id);
+            if self.common.contains(node) {
+                deliver(node, &self.shared);
+                continue;
+            }
+            for ev in &self.group {
+                match ev {
+                    EventKind::Deliver { to, from, msg } if *to == node => {
+                        self.filtered.push((*from, Arc::clone(msg)));
+                    }
+                    EventKind::BroadcastDeliver { from, msg, dests } if dests.contains(node) => {
+                        self.filtered.push((*from, Arc::clone(msg)));
+                    }
+                    _ => {}
+                }
+            }
+            if !self.filtered.is_empty() {
+                deliver(node, &self.filtered);
+                self.filtered.clear();
+            }
+        }
+        self.shared.clear();
+    }
+
+    /// Empties the dispatched group, recycling its destination bitmaps
+    /// exactly as the per-message `BroadcastDeliver` arm recycles them.
+    pub(crate) fn recycle(&mut self, pool: &mut Vec<NodeBitSet>) {
+        for ev in self.group.drain(..) {
+            if let EventKind::BroadcastDeliver { mut dests, .. } = ev {
+                dests.clear();
+                pool.push(dests);
+            }
+        }
+    }
+}
+
 /// How [`Ctx::broadcast`] fan-out is scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BroadcastMode {
@@ -343,8 +436,7 @@ impl<M, O> SimBuilder<M, O> {
             wave_mode: self.wave_mode,
             batch_scratch: Vec::new(),
             bitset_pool: Vec::new(),
-            wave_group: Vec::new(),
-            wave_batch: Vec::new(),
+            wave: WaveScratch::default(),
         };
         if sim.storm.is_some() && sim.injector.is_some() {
             sim.queue
@@ -438,14 +530,8 @@ pub struct Simulation<M, O> {
     bitset_pool: Vec<NodeBitSet>,
     /// How same-instant deliveries are dispatched.
     pub(crate) wave_mode: WaveMode,
-    /// Pooled drain buffer for one coalesced instant: the contiguous run
-    /// of same-due delivery entries popped off the wheel before
-    /// destination-major dispatch.
-    wave_group: Vec<EventKind<M>>,
-    /// Pooled per-node wave buffer handed to
-    /// [`Process::on_message_batch`] — reference bumps only, reused
-    /// across nodes and instants.
-    wave_batch: Vec<(NodeId, Arc<M>)>,
+    /// Pooled drain and batch buffers of one coalesced instant.
+    wave: WaveScratch<M>,
 }
 
 impl<M: Clone, O> Simulation<M, O> {
@@ -823,15 +909,15 @@ impl<M: Clone, O> Simulation<M, O> {
             self.dispatch(at, kind);
             return;
         }
-        debug_assert!(self.wave_group.is_empty());
-        self.wave_group.push(kind);
+        debug_assert!(self.wave.group.is_empty());
+        self.wave.group.push(kind);
         let mut trailing = None;
         while self.queue.peek_due() == Some(at.as_nanos()) {
             let ev = self.queue.pop().expect("peeked");
             self.events_processed += 1;
             match ev.payload {
                 k @ (EventKind::Deliver { .. } | EventKind::BroadcastDeliver { .. }) => {
-                    self.wave_group.push(k);
+                    self.wave.group.push(k);
                 }
                 other => {
                     trailing = Some(other);
@@ -856,38 +942,14 @@ impl<M: Clone, O> Simulation<M, O> {
         self.link.delay_min == self.link.delay_max && !self.storm.is_some_and(|s| s.active_at(at))
     }
 
-    /// Destination-major dispatch of one drained wave group: nodes in
-    /// ascending id order, each invoked once with its `(due, seq)`-ordered
-    /// arrivals. Bitmaps are recycled exactly as the per-message
-    /// `BroadcastDeliver` arm recycles them.
+    /// Destination-major dispatch of the drained wave group (see
+    /// [`WaveScratch::dispatch`]).
     fn dispatch_wave(&mut self, at: RealTime) {
-        for i in 0..self.nodes.len() {
-            let node = NodeId::new(i as u32);
-            let mut batch = std::mem::take(&mut self.wave_batch);
-            debug_assert!(batch.is_empty());
-            for ev in &self.wave_group {
-                match ev {
-                    EventKind::Deliver { to, from, msg } if *to == node => {
-                        batch.push((*from, Arc::clone(msg)));
-                    }
-                    EventKind::BroadcastDeliver { from, msg, dests } if dests.contains(node) => {
-                        batch.push((*from, Arc::clone(msg)));
-                    }
-                    _ => {}
-                }
-            }
-            if !batch.is_empty() {
-                self.deliver_batch(at, node, &batch);
-                batch.clear();
-            }
-            self.wave_batch = batch;
-        }
-        for ev in self.wave_group.drain(..) {
-            if let EventKind::BroadcastDeliver { mut dests, .. } = ev {
-                dests.clear();
-                self.bitset_pool.push(dests);
-            }
-        }
+        let mut wave = std::mem::take(&mut self.wave);
+        let nodes = 0..self.nodes.len() as u32;
+        wave.dispatch(nodes, |node, batch| self.deliver_batch(at, node, batch));
+        wave.recycle(&mut self.bitset_pool);
+        self.wave = wave;
     }
 
     /// Runs a node's [`Process::on_recover`] hook and applies its effects

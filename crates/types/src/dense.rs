@@ -290,6 +290,32 @@ impl NodeBitSet {
         self.count = 0;
     }
 
+    /// Keeps only the ids for which `keep` returns `true`, visiting them
+    /// in ascending order.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if !keep(NodeId::new((wi * WORD_BITS + bit) as u32)) {
+                    *word &= !(1u64 << bit);
+                    self.count -= 1;
+                }
+            }
+        }
+    }
+
+    /// Keeps only the ids that are also in `other`.
+    pub fn intersect_with(&mut self, other: &NodeBitSet) {
+        let mut count = 0;
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            *word &= other.words.get(wi).copied().unwrap_or(0);
+            count += word.count_ones() as usize;
+        }
+        self.count = count;
+    }
+
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
@@ -407,6 +433,29 @@ mod tests {
         assert_eq!(s.count(), 1);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn bitset_retain_and_intersect() {
+        let mut s = NodeBitSet::new();
+        for i in [1u32, 5, 64, 70, 130] {
+            s.insert(id(i));
+        }
+        let mut seen = Vec::new();
+        s.retain(|x| {
+            seen.push(x);
+            x.index() != 5 && x.index() != 130
+        });
+        assert_eq!(seen, vec![id(1), id(5), id(64), id(70), id(130)]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![id(1), id(64), id(70)]);
+        assert_eq!(s.count(), 3);
+        // `other` is shorter than `s`: ids past its last word drop out.
+        let mut other = NodeBitSet::new();
+        other.insert(id(1));
+        other.insert(id(2));
+        s.intersect_with(&other);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![id(1)]);
+        assert_eq!(s.count(), 1);
     }
 
     #[test]
