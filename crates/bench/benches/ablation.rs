@@ -1,27 +1,34 @@
-//! Ablation benches for the design choices called out in DESIGN.md §7:
+//! Ablation benches for two design choices (`docs/PERF.md` § "Benchmarks"
+//! lists the bench targets; experiment E4, `e4_early_stopping` in
+//! `crates/harness/src/experiments.rs`, measures early stopping end to
+//! end):
 //!
-//! * **block T (early abort) on/off** — protocol-level abort completion
-//!   with a silent General and planted anchors: with T disabled every
-//!   abort waits the full `(2f+1)Φ`;
-//! * **resend de-duplication gap** — message counts per agreement with
-//!   the gap at `0` (paper-literal repetitive sending), `d` (default) and
-//!   `4d`.
+//! * **block T (early abort) on/off** — one `Agreement` state machine
+//!   with a late anchor and no broadcasters, ticked to its abort: with T
+//!   disabled (`Params::without_early_abort`) the abort waits the full
+//!   `(2f+1)Φ`;
+//! * **resend de-duplication gap** — one n = 7 agreement per iteration at
+//!   the default gap `d`, returning the message count. (Only the default
+//!   is benched: `run_correct_general` takes no gap parameter.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssbyz_core::{Agreement, Duration, LocalTime, NodeId, Params};
+use ssbyz_core::{Agreement, Duration, LocalTime, NodeId, Params, ValueInterner};
 use ssbyz_harness::experiments::run_correct_general;
 
 /// Abort latency with vs without block T: drives a single Agreement state
 /// machine to its abort via ticks and reports the local time it took.
 fn abort_latency(params: Params) -> Duration {
     let tau_g = LocalTime::from_nanos(1_000_000_000_000);
-    let mut agr: Agreement<u64> = Agreement::new(NodeId::new(1), NodeId::new(0), params);
+    let mut values = ValueInterner::new();
+    let m = values.intern(&7u64);
+    let mut agr = Agreement::new(NodeId::new(1), NodeId::new(0), params);
     let mut out = Vec::new();
     // A late anchor (outside block R) with no broadcasters.
     agr.on_i_accept(
         tau_g + params.d() * 5u64,
-        7,
+        m,
         tau_g,
+        &values,
         &mut Vec::new(),
         &mut out,
     );

@@ -1,16 +1,14 @@
-//! Hot-path micro-benchmarks for the dense per-node state introduced by
-//! the flat-state overhaul: `ArrivalLog::{record, prune,
-//! distinct_in_window}` and `Engine::on_message` at n ∈ {4, 16, 64},
-//! benchmarked **against the retained `BTreeMap` reference
-//! implementation** so the baseline-vs-dense comparison is reproducible
-//! from one binary. Collected numbers are committed in
+//! Hot-path micro-benchmarks for the dense per-node state:
+//! `ArrivalLog::{record, prune, distinct_in_window}` — against the
+//! retained `BTreeMap` reference log, so the baseline-vs-dense comparison
+//! is reproducible from one binary — and `Engine::on_message` at
+//! n ∈ {4, 16, 64}. Collected numbers are committed in
 //! `BENCH_store_hot_path.json` (regenerate with
 //! `SSBYZ_BENCH_JSON=/tmp/b.json cargo bench --bench store_hot_path`).
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssbyz_core::engine::reference::ReferenceEngine;
 use ssbyz_core::store::reference::ReferenceArrivalLog;
 use ssbyz_core::store::ArrivalLog;
 use ssbyz_core::{Engine, IaKind, Msg, Outbox, Params};
@@ -113,34 +111,6 @@ fn bench_engine_ia_support(c: &mut Criterion) {
     g.finish();
 }
 
-/// The identical support workload against the retained Vec-returning
-/// dispatch (`engine::reference`): fresh output + staging vectors per
-/// call, same underlying state machines.
-fn bench_engine_ia_support_reference(c: &mut Criterion) {
-    let mut g = c.benchmark_group("store_hot_path/engine_ia_support_reference");
-    for n in SIZES {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut engine: ReferenceEngine<u64> =
-                ReferenceEngine::new(NodeId::new(0), params_for(n));
-            let mut t = 1_000_000_000u64;
-            let mut sender = 0u32;
-            let msg = Msg::Ia {
-                kind: IaKind::Support,
-                general: NodeId::new(1),
-                value: Arc::new(7u64),
-            };
-            b.iter(|| {
-                t += 10_000;
-                sender = (sender + 1) % n as u32;
-                let outs =
-                    engine.on_message_ref(LocalTime::from_nanos(t), NodeId::new(sender), &msg);
-                black_box(outs.len())
-            });
-        });
-    }
-    g.finish();
-}
-
 /// Engine message throughput on the msgd-broadcast echo path: the dense
 /// triplet table plus three arrival logs per triplet (pooled outbox).
 fn bench_engine_bcast_echo(c: &mut Criterion) {
@@ -163,35 +133,6 @@ fn bench_engine_bcast_echo(c: &mut Criterion) {
                 sender = (sender + 1) % n as u32;
                 engine.on_message_ref(LocalTime::from_nanos(t), NodeId::new(sender), &msg, &mut ob);
                 black_box(ob.len())
-            });
-        });
-    }
-    g.finish();
-}
-
-/// The identical echo workload against the Vec-returning reference
-/// dispatch.
-fn bench_engine_bcast_echo_reference(c: &mut Criterion) {
-    let mut g = c.benchmark_group("store_hot_path/engine_bcast_echo_reference");
-    for n in SIZES {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut engine: ReferenceEngine<u64> =
-                ReferenceEngine::new(NodeId::new(0), params_for(n));
-            let mut t = 1_000_000_000u64;
-            let mut sender = 0u32;
-            let msg = Msg::Bcast {
-                kind: ssbyz_core::BcastKind::Echo,
-                general: NodeId::new(1),
-                broadcaster: NodeId::new(2),
-                value: Arc::new(7u64),
-                round: 1,
-            };
-            b.iter(|| {
-                t += 10_000;
-                sender = (sender + 1) % n as u32;
-                let outs =
-                    engine.on_message_ref(LocalTime::from_nanos(t), NodeId::new(sender), &msg);
-                black_box(outs.len())
             });
         });
     }
@@ -352,9 +293,7 @@ criterion_group!(
     bench_arrival_log_dense,
     bench_arrival_log_baseline,
     bench_engine_ia_support,
-    bench_engine_ia_support_reference,
     bench_engine_bcast_echo,
-    bench_engine_bcast_echo_reference,
     bench_engine_ia_support_heavy,
     bench_engine_heavy_accept_wave,
     bench_echo_wave_1k

@@ -1,10 +1,9 @@
 //! Multi-sample whole-simulation scale rows: the fault-free
 //! correct-General scenario timed end to end at n = 64, 256 and 512
 //! (n = 1024 gated on host memory, see below), on both engines where
-//! tolerable, mean of ≥ 3 seeds per cell (this folds the
-//! `n64_sample` re-baseline methodology into a JSON-emitting driver —
-//! single-iteration criterion rows swing with container load and are
-//! not trusted for whole-sim numbers).
+//! tolerable, mean of ≥ 3 seeds per cell (single-iteration criterion
+//! rows swing with container load and are not trusted for whole-sim
+//! numbers).
 //!
 //! Cells:
 //!

@@ -1,5 +1,6 @@
-//! Regenerates the paper-reproduction tables E1–E11 (see DESIGN.md §4 and
-//! EXPERIMENTS.md).
+//! Regenerates the paper-reproduction tables E1–E11 (the drivers, and the
+//! paper bound each one measures, are in
+//! `crates/harness/src/experiments.rs`).
 //!
 //! Usage:
 //!

@@ -21,6 +21,12 @@
 //! enforced by the `returned` latch. After returning, the node keeps
 //! relaying `msgd-broadcast` traffic for `3d` and then resets all state of
 //! the execution (Fig. 1 cleanup).
+//!
+//! Values are interned [`ValueId`]s. Where the protocol leaves a choice
+//! open and the outcome must not depend on id assignment — which of two
+//! equally short chains block S decides on, the order buffered triplets
+//! are evaluated in when a late anchor arrives — values are compared in
+//! `V`'s own order through the owner's [`ValueInterner`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,7 +34,7 @@ use ssbyz_types::{DenseNodeMap, Duration, LocalTime, NodeId, Value};
 
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::BcastKind;
-use crate::msgd_broadcast::{InternedMsgdBroadcast, MsgdAction, MsgdBroadcast};
+use crate::msgd_broadcast::{MsgdAction, MsgdBroadcast};
 use crate::params::Params;
 
 /// Actions produced by the agreement layer.
@@ -63,441 +69,10 @@ pub enum AgrAction<V> {
 
 /// The per-General agreement state machine at one node.
 #[derive(Debug, Clone)]
-pub struct Agreement<V: Value> {
-    me: NodeId,
+pub struct Agreement {
     general: NodeId,
     params: Params,
-    msgd: MsgdBroadcast<V>,
-    /// The anchor `τ_G` of the current execution.
-    tau_g: Option<LocalTime>,
-    /// Accepted broadcasts: value → flat round table (index `round − 1`,
-    /// rounds capped at `max_round`) → dense broadcaster map with accept
-    /// times for decay.
-    accepted: BTreeMap<V, Vec<DenseNodeMap<LocalTime>>>,
-    /// Set once one of blocks R/S/T/U executed: `(decision, at)`.
-    returned: Option<(Option<V>, LocalTime)>,
-    /// When the post-return reset is due.
-    reset_due: Option<LocalTime>,
-}
-
-impl<V: Value> Agreement<V> {
-    /// Creates a fresh instance for `general` at node `me`.
-    #[must_use]
-    pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
-        Agreement {
-            me,
-            general,
-            params,
-            msgd: MsgdBroadcast::new(me, general, params),
-            tau_g: None,
-            accepted: BTreeMap::new(),
-            returned: None,
-            reset_due: None,
-        }
-    }
-
-    /// The General of this instance.
-    #[must_use]
-    pub fn general(&self) -> NodeId {
-        self.general
-    }
-
-    /// The node this instance runs at.
-    #[must_use]
-    pub fn node_id(&self) -> NodeId {
-        self.me
-    }
-
-    /// The anchor of the current execution, if set.
-    #[must_use]
-    pub fn tau_g(&self) -> Option<LocalTime> {
-        self.tau_g
-    }
-
-    /// Whether the node has returned (decided or aborted) this execution.
-    #[must_use]
-    pub fn has_returned(&self) -> bool {
-        self.returned.is_some()
-    }
-
-    /// The decision of the current execution, if returned.
-    #[must_use]
-    pub fn decision(&self) -> Option<&Option<V>> {
-        self.returned.as_ref().map(|(d, _)| d)
-    }
-
-    /// Number of broadcasters detected so far ([TPS-4] feeding block T).
-    #[must_use]
-    pub fn broadcaster_count(&self) -> usize {
-        self.msgd.broadcaster_count()
-    }
-
-    /// Read-only access to the embedded `msgd-broadcast` state.
-    #[must_use]
-    pub fn msgd(&self) -> &MsgdBroadcast<V> {
-        &self.msgd
-    }
-
-    /// Mutable access for the corruption harness.
-    #[doc(hidden)]
-    pub fn msgd_mut(&mut self) -> &mut MsgdBroadcast<V> {
-        &mut self.msgd
-    }
-
-    /// Feeds the I-accept `⟨G, m′, τ_G⟩` from `Initiator-Accept`.
-    ///
-    /// `msgd_scratch` is a staging buffer for the embedded primitive's
-    /// actions; it must arrive empty and is always fully drained before
-    /// returning. Pooled callers reuse one buffer across calls
-    /// ([`Outbox`](crate::Outbox) owns it); one-shot callers pass
-    /// `&mut Vec::new()`.
-    pub fn on_i_accept(
-        &mut self,
-        now: LocalTime,
-        value: V,
-        tau_g: LocalTime,
-        msgd_scratch: &mut Vec<MsgdAction<V>>,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        if self.returned.is_some() || self.tau_g.is_some() {
-            // At most one setting of τ_G per execution.
-            return;
-        }
-        self.tau_g = Some(tau_g);
-        // Schedule the phase-boundary checks for blocks T and U.
-        let eps = Duration::from_nanos(1);
-        for r in 1..=self.params.f() as u64 {
-            out.push(AgrAction::WakeAt(
-                tau_g + self.params.phi() * (2 * r + 1) + eps,
-            ));
-        }
-        out.push(AgrAction::WakeAt(tau_g + self.params.delta_agr() + eps));
-        // Block R: fresh I-accept ⇒ decide immediately.
-        if now.since_or_zero(tau_g) <= self.params.d() * 4u64 && !tau_g.is_after(now) {
-            self.decide(now, value, 1, msgd_scratch, out);
-        } else {
-            // Late anchor: evaluate buffered broadcast messages now.
-            self.msgd.on_anchor(now, tau_g, msgd_scratch);
-            self.absorb_msgd(now, msgd_scratch, out);
-        }
-    }
-
-    /// Feeds a `msgd-broadcast` wire message (owned-payload convenience
-    /// wrapper over [`Agreement::on_bcast_ref`] with a one-shot scratch).
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_bcast(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: BcastKind,
-        broadcaster: NodeId,
-        value: V,
-        round: u32,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        self.on_bcast_ref(
-            now,
-            sender,
-            kind,
-            broadcaster,
-            &value,
-            round,
-            &mut Vec::new(),
-            out,
-        );
-    }
-
-    /// By-reference variant of [`Agreement::on_bcast`] for shared
-    /// (`Arc`-delivered) payloads. `msgd_scratch` follows the same
-    /// contract as in [`Agreement::on_i_accept`]: empty in, drained out.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_bcast_ref(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: BcastKind,
-        broadcaster: NodeId,
-        value: &V,
-        round: u32,
-        msgd_scratch: &mut Vec<MsgdAction<V>>,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        self.msgd.on_message_ref(
-            now,
-            sender,
-            kind,
-            broadcaster,
-            value,
-            round,
-            self.tau_g,
-            msgd_scratch,
-        );
-        self.absorb_msgd(now, msgd_scratch, out);
-    }
-
-    /// Converts primitive actions into agreement actions, recording accepts
-    /// and running block S. Drains `macts` completely (so the buffer can
-    /// be reused for the decide relay and by later calls).
-    fn absorb_msgd(
-        &mut self,
-        now: LocalTime,
-        macts: &mut Vec<MsgdAction<V>>,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        let mut try_s = false;
-        for act in macts.drain(..) {
-            match act {
-                MsgdAction::Send {
-                    kind,
-                    broadcaster,
-                    value,
-                    round,
-                } => out.push(AgrAction::SendBcast {
-                    kind,
-                    broadcaster,
-                    value,
-                    round,
-                }),
-                MsgdAction::Accepted {
-                    broadcaster,
-                    value,
-                    round,
-                } => {
-                    self.record_accepted(value, round, broadcaster, now);
-                    try_s = true;
-                }
-                MsgdAction::BroadcasterDetected(_) => {}
-            }
-        }
-        if try_s {
-            self.try_block_s(now, macts, out);
-        }
-    }
-
-    /// Records one accepted broadcast in the flat per-round table.
-    fn record_accepted(&mut self, value: V, round: u32, broadcaster: NodeId, now: LocalTime) {
-        if round == 0 || round > self.params.max_round() {
-            return; // no legitimate chain uses such a round
-        }
-        let rounds = self.accepted.entry(value).or_default();
-        let idx = round as usize - 1;
-        if idx >= rounds.len() {
-            rounds.resize_with(idx + 1, DenseNodeMap::new);
-        }
-        rounds[idx].insert(broadcaster, now);
-    }
-
-    /// Block S: decide once a chain of `r` distinct-broadcaster accepts of
-    /// one value exists within the round-`r` deadline.
-    fn try_block_s(
-        &mut self,
-        now: LocalTime,
-        msgd_scratch: &mut Vec<MsgdAction<V>>,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        if self.returned.is_some() {
-            return;
-        }
-        let Some(tau_g) = self.tau_g else { return };
-        let elapsed = now.since_or_zero(tau_g);
-        let mut decision: Option<(V, u32)> = None;
-        for (value, rounds) in &self.accepted {
-            // Sender sets per round 1..: S requires p_i ≠ G (and the chain
-            // uses each round exactly once with pairwise distinct senders).
-            let mut sets: Vec<Vec<NodeId>> = Vec::new();
-            // Chains are capped at r ≤ f: the S deadline for r = f equals
-            // the U hard stop, and deciders relay at r + 1 ≤ f + 1.
-            for r in 1..=self.params.f() as u32 {
-                let senders: Vec<NodeId> = rounds
-                    .get(r as usize - 1)
-                    .map(|m| m.keys().filter(|p| *p != self.general).collect())
-                    .unwrap_or_default();
-                if senders.is_empty() {
-                    break;
-                }
-                sets.push(senders);
-            }
-            let r = max_prefix_with_distinct_representatives(&sets);
-            if r == 0 {
-                continue;
-            }
-            let r64 = r as u64;
-            if elapsed <= self.params.phi() * (2 * r64 + 1) {
-                let better = match &decision {
-                    Some((_, cur)) => r as u32 + 1 < *cur,
-                    None => true,
-                };
-                if better {
-                    decision = Some((value.clone(), r as u32 + 1));
-                }
-            }
-        }
-        if let Some((value, next_round)) = decision {
-            self.decide(now, value, next_round, msgd_scratch, out);
-        }
-    }
-
-    /// Blocks R3/S3 + return: relay the decision and stop.
-    fn decide(
-        &mut self,
-        now: LocalTime,
-        value: V,
-        relay_round: u32,
-        msgd_scratch: &mut Vec<MsgdAction<V>>,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        let tau_g = self.tau_g.expect("decide requires an anchor");
-        self.msgd
-            .invoke(now, value.clone(), relay_round, msgd_scratch);
-        self.absorb_decide_relay(msgd_scratch, out);
-        self.finish(now, Some(value), tau_g, out);
-    }
-
-    fn absorb_decide_relay(&mut self, macts: &mut Vec<MsgdAction<V>>, out: &mut Vec<AgrAction<V>>) {
-        for act in macts.drain(..) {
-            if let MsgdAction::Send {
-                kind,
-                broadcaster,
-                value,
-                round,
-            } = act
-            {
-                out.push(AgrAction::SendBcast {
-                    kind,
-                    broadcaster,
-                    value,
-                    round,
-                });
-            }
-        }
-    }
-
-    fn finish(
-        &mut self,
-        now: LocalTime,
-        decision: Option<V>,
-        tau_g: LocalTime,
-        out: &mut Vec<AgrAction<V>>,
-    ) {
-        self.returned = Some((decision.clone(), now));
-        let due = now + self.params.d() * 3u64;
-        self.reset_due = Some(due);
-        out.push(AgrAction::WakeAt(due));
-        out.push(AgrAction::Returned { decision, tau_g });
-    }
-
-    /// Periodic/deadline tick: runs blocks T and U and the post-return
-    /// reset.
-    pub fn on_tick(&mut self, now: LocalTime, out: &mut Vec<AgrAction<V>>) {
-        // Post-return reset: 3d after returning, drop all execution state.
-        if let Some(due) = self.reset_due {
-            if now.is_at_or_after(due) {
-                self.reset_execution();
-                out.push(AgrAction::ExecutionReset);
-                return;
-            }
-        }
-        if self.returned.is_some() {
-            return;
-        }
-        let Some(tau_g) = self.tau_g else { return };
-        let elapsed = now.since_or_zero(tau_g);
-        // Block U — hard deadline.
-        if elapsed > self.params.delta_agr() {
-            self.finish(now, None, tau_g, out);
-            return;
-        }
-        // Block T — early abort when broadcaster detection has stalled.
-        if !self.params.early_abort() {
-            return;
-        }
-        let b = self.msgd.broadcaster_count();
-        for r in 1..=self.params.f() as u64 {
-            if elapsed > self.params.phi() * (2 * r + 1) && b + 1 < r as usize {
-                self.finish(now, None, tau_g, out);
-                return;
-            }
-        }
-    }
-
-    /// Decay of agreement-level state (Fig. 1 cleanup: "erase any value or
-    /// message older than (2f + 1)Φ + 3d") plus the primitive's own decay.
-    pub fn cleanup(&mut self, now: LocalTime) {
-        let horizon = self.params.agreement_horizon();
-        for rounds in self.accepted.values_mut() {
-            for senders in rounds.iter_mut() {
-                senders.retain(|_, t| !t.is_after(now) && now.since(*t) <= horizon);
-            }
-            while rounds.last().is_some_and(DenseNodeMap::is_empty) {
-                rounds.pop();
-            }
-        }
-        self.accepted
-            .retain(|_, rounds| rounds.iter().any(|m| !m.is_empty()));
-        // A bogus (future or ancient) anchor with no returned execution
-        // decays too — otherwise a corrupted τ_G could wedge the instance.
-        if let Some(tau_g) = self.tau_g {
-            if self.returned.is_none()
-                && (tau_g.is_after(now) && tau_g.since(now) > horizon
-                    || now.since_or_zero(tau_g) > horizon)
-            {
-                self.reset_execution();
-            }
-        }
-        if let Some((_, at)) = &self.returned {
-            if at.is_after(now) || now.since(*at) > horizon {
-                self.reset_execution();
-            }
-        }
-        self.msgd.cleanup(now);
-    }
-
-    /// Drops every trace of the current execution.
-    fn reset_execution(&mut self) {
-        self.tau_g = None;
-        self.accepted.clear();
-        self.returned = None;
-        self.reset_due = None;
-        self.msgd.reset();
-    }
-
-    /// Corruption hooks for the transient-fault harness.
-    #[doc(hidden)]
-    pub fn corrupt_anchor(&mut self, tau_g: LocalTime) {
-        self.tau_g = Some(tau_g);
-    }
-
-    /// Plants a fake accepted broadcast (transient-fault harness).
-    /// Out-of-range rounds are dropped, as the protocol never reads them.
-    #[doc(hidden)]
-    pub fn corrupt_accepted(&mut self, value: V, round: u32, broadcaster: NodeId, at: LocalTime) {
-        self.record_accepted(value, round, broadcaster, at);
-    }
-
-    /// Plants a fake returned state (transient-fault harness).
-    #[doc(hidden)]
-    pub fn corrupt_returned(&mut self, decision: Option<V>, at: LocalTime) {
-        self.returned = Some((decision, at));
-        self.reset_due = Some(at + self.params.d() * 3u64);
-    }
-}
-
-/// The [`ValueId`](crate::intern::ValueId)-keyed `ss-Byz-Agree` body used
-/// on the engine's delivery path: the accepted-broadcast table is keyed by
-/// dense ids ([`ValueIdMap`](crate::intern::ValueIdMap)) and the embedded
-/// primitive is an [`InternedMsgdBroadcast`]. Line-for-line port of the
-/// value-keyed [`Agreement`] (the golden model); where the golden model's
-/// behaviour depends on `BTreeMap` value order — the block-S tie-break
-/// between equal-length chains, and the buffered-triplet evaluation order
-/// when a late anchor arrives — this port resolves ids through the
-/// engine's interner and applies the same value ordering, so the two
-/// dispatches stay bit-identical.
-#[derive(Debug, Clone)]
-pub struct InternedAgreement {
-    me: NodeId,
-    general: NodeId,
-    params: Params,
-    msgd: InternedMsgdBroadcast,
+    msgd: MsgdBroadcast,
     /// The anchor `τ_G` of the current execution.
     tau_g: Option<LocalTime>,
     /// Accepted broadcasts: value id → flat round table (index
@@ -509,15 +84,14 @@ pub struct InternedAgreement {
     reset_due: Option<LocalTime>,
 }
 
-impl InternedAgreement {
+impl Agreement {
     /// Creates a fresh instance for `general` at node `me`.
     #[must_use]
     pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
-        InternedAgreement {
-            me,
+        Agreement {
             general,
             params,
-            msgd: InternedMsgdBroadcast::new(me, params),
+            msgd: MsgdBroadcast::new(me, params),
             tau_g: None,
             accepted: ValueIdMap::new(),
             returned: None,
@@ -529,12 +103,6 @@ impl InternedAgreement {
     #[must_use]
     pub fn general(&self) -> NodeId {
         self.general
-    }
-
-    /// The node this instance runs at.
-    #[must_use]
-    pub fn node_id(&self) -> NodeId {
-        self.me
     }
 
     /// The anchor of the current execution, if set.
@@ -564,17 +132,23 @@ impl InternedAgreement {
 
     /// Read-only access to the embedded `msgd-broadcast` state.
     #[must_use]
-    pub fn msgd(&self) -> &InternedMsgdBroadcast {
+    pub fn msgd(&self) -> &MsgdBroadcast {
         &self.msgd
     }
 
     /// Mutable access for the corruption harness.
     #[doc(hidden)]
-    pub fn msgd_mut(&mut self) -> &mut InternedMsgdBroadcast {
+    pub fn msgd_mut(&mut self) -> &mut MsgdBroadcast {
         &mut self.msgd
     }
 
     /// Feeds the I-accept `⟨G, m′, τ_G⟩` from `Initiator-Accept`.
+    ///
+    /// `msgd_scratch` is a staging buffer for the embedded primitive's
+    /// actions; it must arrive empty and is always fully drained before
+    /// returning. Pooled callers reuse one buffer across calls
+    /// ([`Outbox`](crate::Outbox) owns it); one-shot callers pass
+    /// `&mut Vec::new()`.
     pub fn on_i_accept<V: Value>(
         &mut self,
         now: LocalTime,
@@ -607,7 +181,9 @@ impl InternedAgreement {
         }
     }
 
-    /// Feeds an interned `msgd-broadcast` wire message.
+    /// Feeds a `msgd-broadcast` wire message. `msgd_scratch` follows the
+    /// same contract as in [`Agreement::on_i_accept`]: empty in, drained
+    /// out.
     #[allow(clippy::too_many_arguments)]
     pub fn on_bcast<V: Value>(
         &mut self,
@@ -634,12 +210,12 @@ impl InternedAgreement {
         self.absorb_msgd(now, interner, msgd_scratch, out);
     }
 
-    /// Feeds one coalesced same-key wave of interned `msgd-broadcast`
+    /// Feeds one coalesced same-key wave of `msgd-broadcast`
     /// messages: all of `senders` claimed `(kind, broadcaster, value,
     /// round)` at the same instant. One primitive pass
-    /// ([`InternedMsgdBroadcast::on_wave`]) plus one absorb replaces the
+    /// ([`MsgdBroadcast::on_wave`]) plus one absorb replaces the
     /// per-arrival loop; the action sequence emitted into `out` is
-    /// bit-identical to calling [`InternedAgreement::on_bcast`] per
+    /// bit-identical to calling [`Agreement::on_bcast`] per
     /// sender in order. (At most one `Accepted` can fire per same-key
     /// wave — the triplet latches — and no send can cross after it, so a
     /// single block-S pass at the end sees exactly the state the
@@ -671,7 +247,8 @@ impl InternedAgreement {
     }
 
     /// Converts primitive actions into agreement actions, recording accepts
-    /// and running block S. Drains `macts` completely.
+    /// and running block S. Drains `macts` completely (so the buffer can
+    /// be reused for the decide relay and by later calls).
     fn absorb_msgd<V: Value>(
         &mut self,
         now: LocalTime,
@@ -723,11 +300,9 @@ impl InternedAgreement {
     }
 
     /// Block S: decide once a chain of `r` distinct-broadcaster accepts of
-    /// one value exists within the round-`r` deadline. The golden model
-    /// scans candidate values in ascending value order and keeps the first
-    /// one whose relay round is strictly smaller — i.e. it minimises
-    /// `(relay round, value)` lexicographically; this port does the same
-    /// through the interner without sorting.
+    /// one value exists within the round-`r` deadline. Among several
+    /// decidable values the smallest `(relay round, value)` wins, values
+    /// compared in `V`'s order through the interner.
     fn try_block_s<V: Value>(
         &mut self,
         now: LocalTime,
@@ -742,7 +317,11 @@ impl InternedAgreement {
         let elapsed = now.since_or_zero(tau_g);
         let mut decision: Option<(ValueId, u32)> = None;
         for (value, rounds) in self.accepted.iter() {
+            // Sender sets per round 1..: S requires p_i ≠ G (and the chain
+            // uses each round exactly once with pairwise distinct senders).
             let mut sets: Vec<Vec<NodeId>> = Vec::new();
+            // Chains are capped at r ≤ f: the S deadline for r = f equals
+            // the U hard stop, and deciders relay at r + 1 ≤ f + 1.
             for r in 1..=self.params.f() as u32 {
                 let senders: Vec<NodeId> = rounds
                     .get(r as usize - 1)
@@ -856,8 +435,8 @@ impl InternedAgreement {
         }
     }
 
-    /// Decay of agreement-level state plus the primitive's own decay —
-    /// identical schedule to the value-keyed model.
+    /// Decay of agreement-level state (Fig. 1 cleanup: "erase any value or
+    /// message older than (2f + 1)Φ + 3d") plus the primitive's own decay.
     pub fn cleanup(&mut self, now: LocalTime) {
         let horizon = self.params.agreement_horizon();
         for rounds in self.accepted.values_mut() {
@@ -870,6 +449,8 @@ impl InternedAgreement {
         }
         self.accepted
             .retain(|_, rounds| rounds.iter().any(|m| !m.is_empty()));
+        // A bogus (future or ancient) anchor with no returned execution
+        // decays too — otherwise a corrupted τ_G could wedge the instance.
         if let Some(tau_g) = self.tau_g {
             if self.returned.is_none()
                 && (tau_g.is_after(now) && tau_g.since(now) > horizon
@@ -915,6 +496,7 @@ impl InternedAgreement {
     }
 
     /// Plants a fake accepted broadcast (transient-fault harness).
+    /// Out-of-range rounds are dropped, as the protocol never reads them.
     #[doc(hidden)]
     pub fn corrupt_accepted(
         &mut self,
@@ -979,6 +561,7 @@ fn augment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::interned;
 
     const D: u64 = 10_000_000;
 
@@ -1002,7 +585,7 @@ mod tests {
         Duration::from_nanos(D)
     }
 
-    fn returns(out: &[AgrAction<u64>]) -> Vec<(Option<u64>, LocalTime)> {
+    fn returns(out: &[AgrAction<ValueId>]) -> Vec<(Option<ValueId>, LocalTime)> {
         out.iter()
             .filter_map(|a| match a {
                 AgrAction::Returned { decision, tau_g } => Some((*decision, *tau_g)),
@@ -1047,53 +630,92 @@ mod tests {
 
     #[test]
     fn block_r_decides_on_fresh_accept() {
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), params4());
+        let (vals, [v7]) = interned([7]);
+        let mut agr = Agreement::new(id(1), id(0), params4());
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 2u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 2u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         let rets = returns(&out);
-        assert_eq!(rets, vec![(Some(7), tau_g)]);
+        assert_eq!(rets, vec![(Some(v7), tau_g)]);
         // The decision was relayed with round 1.
         assert!(out.iter().any(|a| matches!(
             a,
             AgrAction::SendBcast {
                 kind: BcastKind::Init,
                 broadcaster,
-                value: 7,
+                value,
                 round: 1
-            } if *broadcaster == id(1)
+            } if *broadcaster == id(1) && *value == v7
         )));
         assert!(agr.has_returned());
     }
 
     #[test]
     fn block_r_rejects_stale_accept() {
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), params4());
+        let (vals, [v7]) = interned([7]);
+        let mut agr = Agreement::new(id(1), id(0), params4());
         let mut out = Vec::new();
         let tau_g = t(0);
         // I-accept arrives 5d after the anchor: R is skipped.
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         assert!(returns(&out).is_empty());
         assert_eq!(agr.tau_g(), Some(tau_g));
     }
 
     #[test]
     fn second_i_accept_ignored() {
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), params4());
+        let (vals, [v7, v9]) = interned([7, 9]);
+        let mut agr = Agreement::new(id(1), id(0), params4());
         let mut out = Vec::new();
-        agr.on_i_accept(t(0) + d() * 5u64, 7, t(0), &mut Vec::new(), &mut out);
-        agr.on_i_accept(t(1) + d() * 5u64, 9, t(1), &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            t(0),
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
+        agr.on_i_accept(
+            t(1) + d() * 5u64,
+            v9,
+            t(1),
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         assert_eq!(agr.tau_g(), Some(t(0)), "one τ_G per execution");
     }
 
     #[test]
     fn block_s_decides_from_chain() {
+        let (vals, [v7]) = interned([7]);
         // Node 1 got a late anchor, then receives a full echo wave for a
         // round-1 broadcast by node 2 — a chain of length 1.
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), params4());
+        let mut agr = Agreement::new(id(1), id(0), params4());
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         assert!(returns(&out).is_empty());
         for s in [0u32, 2, 3] {
             agr.on_bcast(
@@ -1101,13 +723,15 @@ mod tests {
                 id(s),
                 BcastKind::Echo,
                 id(2),
-                7,
+                v7,
                 1,
+                &vals,
+                &mut Vec::new(),
                 &mut out,
             );
         }
         let rets = returns(&out);
-        assert_eq!(rets, vec![(Some(7), tau_g)]);
+        assert_eq!(rets, vec![(Some(v7), tau_g)]);
         // Relayed at round 2.
         assert!(out.iter().any(|a| matches!(
             a,
@@ -1121,9 +745,17 @@ mod tests {
 
     #[test]
     fn block_s_ignores_chain_with_general_as_broadcaster() {
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), params4());
+        let (vals, [v7]) = interned([7]);
+        let mut agr = Agreement::new(id(1), id(0), params4());
         let mut out = Vec::new();
-        agr.on_i_accept(t(0) + d() * 5u64, 7, t(0), &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            t(0),
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         // Echo wave for a broadcast by the *General* (id 0): p ≠ G fails.
         for s in [1u32, 2, 3] {
             agr.on_bcast(
@@ -1131,8 +763,10 @@ mod tests {
                 id(s),
                 BcastKind::Echo,
                 id(0),
-                7,
+                v7,
                 1,
+                &vals,
+                &mut Vec::new(),
                 &mut out,
             );
         }
@@ -1141,15 +775,33 @@ mod tests {
 
     #[test]
     fn block_s_deadline() {
+        let (vals, [v7]) = interned([7]);
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         // Chain of 1 accepted after the (2·1+1)Φ deadline — via Z path.
         let late = tau_g + p.phi() * 3u64 + d();
         for s in [0u32, 2, 3] {
-            agr.on_bcast(late, id(s), BcastKind::EchoPrime, id(2), 7, 1, &mut out);
+            agr.on_bcast(
+                late,
+                id(s),
+                BcastKind::EchoPrime,
+                id(2),
+                v7,
+                1,
+                &vals,
+                &mut Vec::new(),
+                &mut out,
+            );
         }
         assert!(
             returns(&out).is_empty(),
@@ -1159,11 +811,19 @@ mod tests {
 
     #[test]
     fn block_u_aborts_at_hard_deadline() {
+        let (vals, [v7]) = interned([7]);
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         agr.on_tick(tau_g + p.delta_agr(), &mut out);
         assert!(returns(&out).is_empty(), "not yet: τq = τ_G + Δ_agr");
         agr.on_tick(tau_g + p.delta_agr() + Duration::from_nanos(2), &mut out);
@@ -1172,16 +832,24 @@ mod tests {
 
     #[test]
     fn block_t_early_abort_with_stalled_broadcasters() {
+        let (vals, [v7]) = interned([7]);
         // n=7, f=2 gives Δ_agr = 5Φ; block T can abort at 3Φ < 5Φ... for
         // r = 2: elapsed > 5Φ — equal to U here. Use r such that the early
         // abort genuinely precedes U: need f ≥ 2, check r = 2 at 5Φ vs
         // U at 5Φ. With f=2 T never beats U; with f=3 (n=10) T(r=2) at 5Φ
         // beats U at 7Φ.
         let p = Params::from_d(10, 3, Duration::from_nanos(D), 0).unwrap();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         // No broadcasters at all: abort once elapsed > 5Φ (r = 2,
         // |broadcasters| = 0 < 1).
         agr.on_tick(tau_g + p.phi() * 5u64 + Duration::from_nanos(2), &mut out);
@@ -1190,11 +858,19 @@ mod tests {
 
     #[test]
     fn block_t_held_off_by_broadcasters() {
+        let (vals, [v7]) = interned([7]);
         let p = Params::from_d(10, 3, Duration::from_nanos(D), 0).unwrap();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         // One broadcaster detected: weak quorum (n − 2f = 4) of init′.
         for s in [0u32, 2, 3, 4] {
             agr.on_bcast(
@@ -1202,8 +878,10 @@ mod tests {
                 id(s),
                 BcastKind::InitPrime,
                 id(2),
-                7,
+                v7,
                 1,
+                &vals,
+                &mut Vec::new(),
                 &mut out,
             );
         }
@@ -1217,12 +895,13 @@ mod tests {
 
     #[test]
     fn reset_after_3d() {
+        let (vals, [v7]) = interned([7]);
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
         let tau_g = t(0);
         let decide_at = t(0) + d() * 2u64;
-        agr.on_i_accept(decide_at, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(decide_at, v7, tau_g, &vals, &mut Vec::new(), &mut out);
         assert!(agr.has_returned());
         out.clear();
         agr.on_tick(decide_at + d() * 3u64 - Duration::from_nanos(1), &mut out);
@@ -1235,11 +914,12 @@ mod tests {
 
     #[test]
     fn still_relays_between_return_and_reset() {
+        let (vals, [v7]) = interned([7]);
         // After deciding, the node keeps serving msgd-broadcast for 3d.
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
-        agr.on_i_accept(t(0) + d(), 7, t(0), &mut Vec::new(), &mut out);
+        agr.on_i_accept(t(0) + d(), v7, t(0), &vals, &mut Vec::new(), &mut out);
         assert!(agr.has_returned());
         out.clear();
         // An init from node 2 still gets echoed.
@@ -1248,8 +928,10 @@ mod tests {
             id(2),
             BcastKind::Init,
             id(2),
-            7,
+            v7,
             1,
+            &vals,
+            &mut Vec::new(),
             &mut out,
         );
         assert!(out.iter().any(|a| matches!(
@@ -1266,7 +948,7 @@ mod tests {
     #[test]
     fn cleanup_decays_bogus_anchor() {
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         // Transient fault planted an ancient anchor without a return.
         agr.corrupt_anchor(t(0));
         agr.cleanup(t(0) + p.agreement_horizon() + d());
@@ -1279,16 +961,18 @@ mod tests {
 
     #[test]
     fn cleanup_decays_accepted_records() {
+        let (vals, [v7]) = interned([7]);
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
-        agr.corrupt_accepted(7, 1, id(2), t(0));
+        let mut agr = Agreement::new(id(1), id(0), p);
+        agr.corrupt_accepted(v7, 1, id(2), t(0));
         agr.cleanup(t(0) + p.agreement_horizon() + d());
         let mut out = Vec::new();
         // The stale accept is gone: a late anchor + S re-check won't fire.
         agr.on_i_accept(
             t(0) + p.agreement_horizon() + d() * 7u64,
-            7,
+            v7,
             t(0) + p.agreement_horizon(),
+            &vals,
             &mut Vec::new(),
             &mut out,
         );
@@ -1297,11 +981,19 @@ mod tests {
 
     #[test]
     fn u_abort_with_seven_nodes() {
+        let (vals, [v7]) = interned([7]);
         let p = params7();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+        let mut agr = Agreement::new(id(1), id(0), p);
         let mut out = Vec::new();
         let tau_g = t(0);
-        agr.on_i_accept(t(0) + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+        agr.on_i_accept(
+            t(0) + d() * 5u64,
+            v7,
+            tau_g,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
         // Δ_agr = (2f+1)Φ = 5Φ for f=2.
         agr.on_tick(tau_g + p.phi() * 5u64 + Duration::from_nanos(2), &mut out);
         assert_eq!(returns(&out), vec![(None, tau_g)]);
@@ -1309,9 +1001,10 @@ mod tests {
 
     #[test]
     fn corrupt_returned_resets_on_schedule() {
+        let (_, [v3]) = interned([3]);
         let p = params4();
-        let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
-        agr.corrupt_returned(Some(3), t(0));
+        let mut agr = Agreement::new(id(1), id(0), p);
+        agr.corrupt_returned(Some(v3), t(0));
         let mut out = Vec::new();
         agr.on_tick(t(0) + d() * 3u64, &mut out);
         assert!(!agr.has_returned(), "fake return decays via reset");

@@ -23,25 +23,20 @@
 //!   (`InitiatorAccept::values`, `MsgdBroadcast::triplets`,
 //!   `Agreement::accepted`, the General-side `last_per_value` guard) is a
 //!   flat slot vector indexed by the id, so per-delivery value lookups are
-//!   O(1) array indexings instead of `BTreeMap` walks. Ids are resolved
-//!   back to values only at output emission, and reclaimed by a mark/sweep
-//!   on the cleanup cadence once their state decays.
-//!
-//! The pre-interning, value-keyed `BTreeMap` dispatch survives as
-//! [`reference::ReferenceEngine`], the golden model the equivalence
-//! batteries (`outbox_equivalence.rs`, `intern_equivalence.rs`) check the
-//! interned dispatch against, call by call.
+//!   O(1) array indexings. Ids are resolved back to values only at output
+//!   emission, and reclaimed by a mark/sweep on the cleanup cadence once
+//!   their state decays.
 
 use std::fmt;
 use std::sync::Arc;
 
 use ssbyz_types::{DenseNodeMap, Duration, LocalTime, NodeId, Value};
 
-use crate::agreement::InternedAgreement;
-use crate::initiator_accept::{InternedInitiatorAccept, OwnProgress};
+use crate::agreement::Agreement;
+use crate::initiator_accept::{InitiatorAccept, OwnProgress};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::{BcastKind, IaKind, Msg};
-use crate::msgd_broadcast::InternedMsgdBroadcast;
+use crate::msgd_broadcast::MsgdBroadcast;
 use crate::outbox::Outbox;
 use crate::params::Params;
 
@@ -144,8 +139,7 @@ impl std::error::Error for InitiateError {}
 
 /// State for this node's own role as General: the Sending Validity
 /// Criteria and the ``[IG3]`` failure monitor. All value references are
-/// interned ids — `last_per_value` was the fourth (and easiest to miss)
-/// value-keyed map on the initiate path.
+/// interned ids.
 #[derive(Debug, Clone, Default)]
 struct GeneralControl {
     /// Last initiation of any value (``[IG1]``).
@@ -280,9 +274,9 @@ pub struct Engine<V: Value> {
     /// `ValueId → V` at emission.
     interner: ValueInterner<V>,
     /// Per-General `Initiator-Accept` instances, dense by General id.
-    ia: DenseNodeMap<InternedInitiatorAccept>,
+    ia: DenseNodeMap<InitiatorAccept>,
     /// Per-General agreement instances, dense by General id.
-    agr: DenseNodeMap<InternedAgreement>,
+    agr: DenseNodeMap<Agreement>,
     general_ctl: GeneralControl,
     last_cleanup: Option<LocalTime>,
     /// Occupancy threshold for the forced off-cadence sweep.
@@ -491,11 +485,10 @@ impl<V: Value> Engine<V> {
                     return; // forged initiation — identity is authenticated
                 }
                 let id = self.interner.intern_shared(value);
-                let me = self.me;
                 let params = self.params;
-                let ia = self.ia.get_or_insert_with(*general, || {
-                    InternedInitiatorAccept::new(me, *general, params)
-                });
+                let ia = self
+                    .ia
+                    .get_or_insert_with(*general, || InitiatorAccept::new(*general, params));
                 ia.on_initiator(now, id, &self.interner, &mut ob.ia);
                 self.absorb_ia(now, *general, ob);
             }
@@ -505,11 +498,10 @@ impl<V: Value> Engine<V> {
                 value,
             } => {
                 let id = self.interner.intern_shared(value);
-                let me = self.me;
                 let params = self.params;
-                let ia = self.ia.get_or_insert_with(*general, || {
-                    InternedInitiatorAccept::new(me, *general, params)
-                });
+                let ia = self
+                    .ia
+                    .get_or_insert_with(*general, || InitiatorAccept::new(*general, params));
                 ia.on_message(now, sender, *kind, id, &self.interner, &mut ob.ia);
                 self.absorb_ia(now, *general, ob);
             }
@@ -532,7 +524,7 @@ impl<V: Value> Engine<V> {
                 let params = self.params;
                 let agr = self
                     .agr
-                    .get_or_insert_with(*general, || InternedAgreement::new(me, *general, params));
+                    .get_or_insert_with(*general, || Agreement::new(me, *general, params));
                 agr.on_bcast(
                     now,
                     sender,
@@ -722,7 +714,7 @@ impl<V: Value> Engine<V> {
                 let params = self.params;
                 let agr = self
                     .agr
-                    .get_or_insert_with(*general, || InternedAgreement::new(me, *general, params));
+                    .get_or_insert_with(*general, || Agreement::new(me, *general, params));
                 agr.on_bcast_wave(
                     now,
                     &senders,
@@ -838,9 +830,9 @@ impl<V: Value> Engine<V> {
                     }));
                     let me = self.me;
                     let params = self.params;
-                    let agr = self.agr.get_or_insert_with(general, || {
-                        InternedAgreement::new(me, general, params)
-                    });
+                    let agr = self
+                        .agr
+                        .get_or_insert_with(general, || Agreement::new(me, general, params));
                     agr.on_i_accept(now, value, tau_g, &self.interner, &mut ob.msgd, &mut ob.agr);
                     self.absorb_agr(now, general, ob);
                 }
@@ -966,12 +958,10 @@ impl<V: Value> Engine<V> {
         self.sweep_high_water = (self.interner.occupancy() * 2).max(INTERN_SWEEP_BASE);
     }
 
-    fn ia_entry(&mut self, general: NodeId) -> &mut InternedInitiatorAccept {
-        let me = self.me;
+    fn ia_entry(&mut self, general: NodeId) -> &mut InitiatorAccept {
         let params = self.params;
-        self.ia.get_or_insert_with(general, || {
-            InternedInitiatorAccept::new(me, general, params)
-        })
+        self.ia
+            .get_or_insert_with(general, || InitiatorAccept::new(general, params))
     }
 
     /// Read access to the `Initiator-Accept` instance for `general`, as a
@@ -998,11 +988,10 @@ impl<V: Value> Engine<V> {
     /// state.
     #[doc(hidden)]
     pub fn ia_raw(&mut self, general: NodeId) -> IaCorrupt<'_, V> {
-        let me = self.me;
         let params = self.params;
-        let ia = self.ia.get_or_insert_with(general, || {
-            InternedInitiatorAccept::new(me, general, params)
-        });
+        let ia = self
+            .ia
+            .get_or_insert_with(general, || InitiatorAccept::new(general, params));
         IaCorrupt {
             ia,
             interner: &mut self.interner,
@@ -1016,7 +1005,7 @@ impl<V: Value> Engine<V> {
         let params = self.params;
         let agr = self
             .agr
-            .get_or_insert_with(general, || InternedAgreement::new(me, general, params));
+            .get_or_insert_with(general, || Agreement::new(me, general, params));
         AgrCorrupt {
             agr,
             interner: &mut self.interner,
@@ -1082,12 +1071,12 @@ impl<V: Value> Engine<V> {
     }
 }
 
-/// Read-only view of an interned `Initiator-Accept` instance: the same
-/// introspection surface the value-keyed primitive offers, with `&V`
-/// arguments resolved through the engine's interner.
+/// Read-only view of an `Initiator-Accept` instance: the primitive's
+/// introspection surface, with `&V` arguments resolved through the
+/// engine's interner.
 #[derive(Debug, Clone, Copy)]
 pub struct IaView<'a, V: Value> {
-    ia: &'a InternedInitiatorAccept,
+    ia: &'a InitiatorAccept,
     interner: &'a ValueInterner<V>,
 }
 
@@ -1174,15 +1163,15 @@ impl<'a, V: Value> IaView<'a, V> {
 
     /// The underlying id-keyed instance.
     #[must_use]
-    pub fn raw(&self) -> &'a InternedInitiatorAccept {
+    pub fn raw(&self) -> &'a InitiatorAccept {
         self.ia
     }
 }
 
-/// Read-only view of an interned agreement instance.
+/// Read-only view of an agreement instance.
 #[derive(Debug, Clone, Copy)]
 pub struct AgrView<'a, V: Value> {
-    agr: &'a InternedAgreement,
+    agr: &'a Agreement,
     interner: &'a ValueInterner<V>,
 }
 
@@ -1237,17 +1226,15 @@ impl<'a, V: Value> AgrView<'a, V> {
 
     /// The underlying id-keyed instance.
     #[must_use]
-    pub fn raw(&self) -> &'a InternedAgreement {
+    pub fn raw(&self) -> &'a Agreement {
         self.agr
     }
 }
 
-/// Mutable corruption handle over an interned `Initiator-Accept`
-/// instance: value arguments are interned, then planted as raw state —
-/// the same surface the transient-fault harness used against the
-/// value-keyed primitive.
+/// Mutable corruption handle over an `Initiator-Accept` instance: value
+/// arguments are interned, then planted as raw state.
 pub struct IaCorrupt<'a, V: Value> {
-    ia: &'a mut InternedInitiatorAccept,
+    ia: &'a mut InitiatorAccept,
     interner: &'a mut ValueInterner<V>,
 }
 
@@ -1277,9 +1264,9 @@ impl<'a, V: Value> IaCorrupt<'a, V> {
     }
 }
 
-/// Mutable corruption handle over an interned agreement instance.
+/// Mutable corruption handle over an agreement instance.
 pub struct AgrCorrupt<'a, V: Value> {
-    agr: &'a mut InternedAgreement,
+    agr: &'a mut Agreement,
     interner: &'a mut ValueInterner<V>,
 }
 
@@ -1310,9 +1297,9 @@ impl<'a, V: Value> AgrCorrupt<'a, V> {
     }
 }
 
-/// Mutable corruption handle over interned `msgd-broadcast` state.
+/// Mutable corruption handle over `msgd-broadcast` state.
 pub struct MsgdCorrupt<'a, V: Value> {
-    msgd: &'a mut InternedMsgdBroadcast,
+    msgd: &'a mut MsgdBroadcast,
     interner: &'a mut ValueInterner<V>,
 }
 
@@ -1335,438 +1322,6 @@ impl<'a, V: Value> MsgdCorrupt<'a, V> {
     /// Plants a fake broadcaster entry.
     pub fn corrupt_broadcaster(&mut self, p: NodeId, stamp: LocalTime) {
         self.msgd.corrupt_broadcaster(p, stamp);
-    }
-}
-
-pub mod reference {
-    //! The value-keyed `BTreeMap` engine dispatch, kept as the **golden
-    //! reference model** — mirroring [`crate::store::reference`] and the
-    //! scheduler's `sched::reference`.
-    //!
-    //! [`ReferenceEngine`] owns its own old-style per-General instances
-    //! ([`InitiatorAccept`], [`Agreement`] — the value-keyed primitives)
-    //! and the pre-interning `last_per_value: BTreeMap<V, _>` guard, and
-    //! dispatches through the old Vec-returning plumbing: every call
-    //! returns a fresh `Vec<Output<V>>`. It exists so that
-    //!
-    //! * the equivalence batteries
-    //!   (`crates/core/tests/outbox_equivalence.rs` and
-    //!   `crates/core/tests/intern_equivalence.rs`) can require
-    //!   bit-identical output sequences from the interned pooled dispatch
-    //!   over random message/tick/initiate interleavings, and
-    //! * the `store_hot_path` engine benches can keep a reproducible
-    //!   tree-walking baseline in the same binary.
-    //!
-    //! Not used on any protocol path.
-
-    use std::collections::BTreeMap;
-
-    use super::*;
-    use crate::agreement::{AgrAction, Agreement};
-    use crate::initiator_accept::{IaAction, InitiatorAccept};
-
-    /// Value-keyed General-side state (the pre-interning layout). Keys
-    /// are the shared wire handles; `Arc<V>` orders and compares through
-    /// `V`, so the tree walk is byte-for-byte the old one.
-    #[derive(Debug, Clone)]
-    struct RefGeneralControl<V> {
-        last_initiation: Option<LocalTime>,
-        last_per_value: BTreeMap<Arc<V>, LocalTime>,
-        failed_at: Option<LocalTime>,
-        pending_checks: Vec<RefPendingCheck<V>>,
-    }
-
-    impl<V: Value> Default for RefGeneralControl<V> {
-        fn default() -> Self {
-            RefGeneralControl {
-                last_initiation: None,
-                last_per_value: BTreeMap::new(),
-                failed_at: None,
-                pending_checks: Vec::new(),
-            }
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct RefPendingCheck<V> {
-        value: Arc<V>,
-        invoked_at: LocalTime,
-        approve_ok: bool,
-        ready_ok: bool,
-        accept_ok: bool,
-    }
-
-    /// The value-keyed, Vec-returning engine: one node's complete
-    /// protocol state behind the pre-interning API.
-    #[derive(Debug, Clone)]
-    pub struct ReferenceEngine<V: Value> {
-        me: NodeId,
-        params: Params,
-        ia: DenseNodeMap<InitiatorAccept<Arc<V>>>,
-        agr: DenseNodeMap<Agreement<Arc<V>>>,
-        general_ctl: RefGeneralControl<V>,
-        last_cleanup: Option<LocalTime>,
-    }
-
-    impl<V: Value> ReferenceEngine<V> {
-        /// Creates a node engine with entirely fresh state.
-        #[must_use]
-        pub fn new(me: NodeId, params: Params) -> Self {
-            ReferenceEngine {
-                me,
-                params,
-                ia: DenseNodeMap::with_capacity(params.n()),
-                agr: DenseNodeMap::with_capacity(params.n()),
-                general_ctl: RefGeneralControl::default(),
-                last_cleanup: None,
-            }
-        }
-
-        /// This node's identity.
-        #[must_use]
-        pub fn id(&self) -> NodeId {
-            self.me
-        }
-
-        /// The protocol constants in force.
-        #[must_use]
-        pub fn params(&self) -> &Params {
-            &self.params
-        }
-
-        /// Read access to the value-keyed `Initiator-Accept` instance
-        /// (keyed by the shared wire handles).
-        #[must_use]
-        pub fn ia(&self, general: NodeId) -> Option<&InitiatorAccept<Arc<V>>> {
-            self.ia.get(general)
-        }
-
-        /// Read access to the value-keyed agreement instance.
-        #[must_use]
-        pub fn agreement(&self, general: NodeId) -> Option<&Agreement<Arc<V>>> {
-            self.agr.get(general)
-        }
-
-        /// Pre-interning [`Engine::initiate`]: outputs returned by value.
-        ///
-        /// # Errors
-        ///
-        /// Returns an [`InitiateError`] when ``[IG1]``–``[IG3]`` would be
-        /// violated, exactly as the interned engine does.
-        pub fn initiate(
-            &mut self,
-            now: LocalTime,
-            value: V,
-        ) -> Result<Vec<Output<V>>, InitiateError> {
-            let value = Arc::new(value);
-            let p = self.params;
-            if let Some(failed) = self.general_ctl.failed_at {
-                let elapsed = now.since_or_zero(failed);
-                if failed.is_after(now) || elapsed < p.delta_reset() {
-                    return Err(InitiateError::BackingOff {
-                        wait: p.delta_reset().saturating_sub(elapsed),
-                    });
-                }
-            }
-            if let Some(last) = self.general_ctl.last_initiation {
-                let elapsed = now.since_or_zero(last);
-                if last.is_after(now) || elapsed < p.delta_0() {
-                    return Err(InitiateError::TooSoon {
-                        wait: p.delta_0().saturating_sub(elapsed),
-                    });
-                }
-            }
-            if let Some(last) = self.general_ctl.last_per_value.get(&value) {
-                let elapsed = now.since_or_zero(*last);
-                if last.is_after(now) || elapsed < p.delta_v() {
-                    return Err(InitiateError::SameValueTooSoon {
-                        wait: p.delta_v().saturating_sub(elapsed),
-                    });
-                }
-            }
-            let me = self.me;
-            self.ia_entry(me).clear_messages_before_initiation();
-            self.general_ctl.last_initiation = Some(now);
-            self.general_ctl.last_per_value.insert(value.clone(), now);
-            self.general_ctl.pending_checks.push(RefPendingCheck {
-                value: value.clone(),
-                invoked_at: now,
-                approve_ok: false,
-                ready_ok: false,
-                accept_ok: false,
-            });
-            let d = p.d();
-            Ok(vec![
-                Output::Broadcast(Msg::Initiator {
-                    general: self.me,
-                    value,
-                }),
-                Output::WakeAt(now + d * 2u64 + Duration::from_nanos(1)),
-                Output::WakeAt(now + d * 3u64 + Duration::from_nanos(1)),
-                Output::WakeAt(now + d * 4u64 + Duration::from_nanos(1)),
-            ])
-        }
-
-        /// Pre-interning [`Engine::on_message`].
-        pub fn on_message(
-            &mut self,
-            now: LocalTime,
-            sender: NodeId,
-            msg: Msg<V>,
-        ) -> Vec<Output<V>> {
-            self.on_message_ref(now, sender, &msg)
-        }
-
-        /// Pre-interning [`Engine::on_message_ref`]: allocates a fresh
-        /// output vector (and internal staging vectors) per call, and pays
-        /// a `BTreeMap<V, _>` walk for every per-value lookup.
-        pub fn on_message_ref(
-            &mut self,
-            now: LocalTime,
-            sender: NodeId,
-            msg: &Msg<V>,
-        ) -> Vec<Output<V>> {
-            let mut out = Vec::new();
-            let n = self.params.n();
-            if sender.index() >= n || msg.general().index() >= n {
-                return out;
-            }
-            self.cleanup_if_due(now);
-            match msg {
-                Msg::Initiator { general, value } => {
-                    if sender != *general {
-                        return out;
-                    }
-                    let mut ia_out = Vec::new();
-                    self.ia_entry(*general)
-                        .on_initiator_ref(now, value, &mut ia_out);
-                    self.absorb_ia(now, *general, ia_out, &mut out);
-                }
-                Msg::Ia {
-                    kind,
-                    general,
-                    value,
-                } => {
-                    let mut ia_out = Vec::new();
-                    self.ia_entry(*general)
-                        .on_message_ref(now, sender, *kind, value, &mut ia_out);
-                    self.absorb_ia(now, *general, ia_out, &mut out);
-                }
-                Msg::Bcast {
-                    kind,
-                    general,
-                    broadcaster,
-                    value,
-                    round,
-                } => {
-                    if *round == 0 || *round > self.params.max_round() || broadcaster.index() >= n {
-                        return out;
-                    }
-                    let mut agr_out = Vec::new();
-                    self.agr_entry(*general).on_bcast_ref(
-                        now,
-                        sender,
-                        *kind,
-                        *broadcaster,
-                        value,
-                        *round,
-                        &mut Vec::new(),
-                        &mut agr_out,
-                    );
-                    self.absorb_agr(now, *general, agr_out, &mut out);
-                }
-            }
-            out
-        }
-
-        /// Pre-interning [`Engine::on_tick`].
-        pub fn on_tick(&mut self, now: LocalTime) -> Vec<Output<V>> {
-            let mut out = Vec::new();
-            self.cleanup_if_due(now);
-            let generals: Vec<NodeId> = self.agr.keys().collect();
-            for g in generals {
-                let mut agr_out = Vec::new();
-                if let Some(agr) = self.agr.get_mut(g) {
-                    agr.on_tick(now, &mut agr_out);
-                }
-                self.absorb_agr(now, g, agr_out, &mut out);
-            }
-            self.check_own_initiations(now, &mut out);
-            out
-        }
-
-        fn check_own_initiations(&mut self, now: LocalTime, out: &mut Vec<Output<V>>) {
-            let d = self.params.d();
-            let me = self.me;
-            let checks = std::mem::take(&mut self.general_ctl.pending_checks);
-            let mut keep = Vec::new();
-            for mut check in checks {
-                if check.invoked_at.is_after(now) {
-                    continue; // corrupted stamp — drop
-                }
-                let elapsed = now.since(check.invoked_at);
-                let prog = self
-                    .ia
-                    .get(me)
-                    .map(|ia| ia.own_progress(&check.value))
-                    .unwrap_or_default();
-                let ok_since =
-                    |t: Option<LocalTime>| t.is_some_and(|t| t.is_at_or_after(check.invoked_at));
-                check.approve_ok |= ok_since(prog.approve_sent);
-                check.ready_ok |= ok_since(prog.ready_sent);
-                check.accept_ok |= ok_since(prog.accepted_at);
-                if check.accept_ok && check.ready_ok && check.approve_ok {
-                    continue; // all stages satisfied — done
-                }
-                let failed = (elapsed > d * 2u64 && !check.approve_ok)
-                    || (elapsed > d * 3u64 && !check.ready_ok)
-                    || (elapsed > d * 4u64 && !check.accept_ok);
-                if failed {
-                    self.general_ctl.failed_at = Some(now);
-                    out.push(Output::Event(Event::InitiationFailed {
-                        value: check.value,
-                        at: now,
-                    }));
-                } else if elapsed <= d * 4u64 {
-                    keep.push(check);
-                }
-            }
-            self.general_ctl.pending_checks = keep;
-        }
-
-        fn absorb_ia(
-            &mut self,
-            now: LocalTime,
-            general: NodeId,
-            ia_out: Vec<IaAction<Arc<V>>>,
-            out: &mut Vec<Output<V>>,
-        ) {
-            for act in ia_out {
-                match act {
-                    IaAction::Send { kind, value } => out.push(Output::Broadcast(Msg::Ia {
-                        kind,
-                        general,
-                        value,
-                    })),
-                    IaAction::Accepted { value, tau_g } => {
-                        out.push(Output::Event(Event::IAccepted {
-                            general,
-                            value: value.clone(),
-                            tau_g,
-                        }));
-                        let mut agr_out = Vec::new();
-                        self.agr_entry(general).on_i_accept(
-                            now,
-                            value,
-                            tau_g,
-                            &mut Vec::new(),
-                            &mut agr_out,
-                        );
-                        self.absorb_agr(now, general, agr_out, out);
-                    }
-                }
-            }
-        }
-
-        fn absorb_agr(
-            &mut self,
-            now: LocalTime,
-            general: NodeId,
-            agr_out: Vec<AgrAction<Arc<V>>>,
-            out: &mut Vec<Output<V>>,
-        ) {
-            for act in agr_out {
-                match act {
-                    AgrAction::SendBcast {
-                        kind,
-                        broadcaster,
-                        value,
-                        round,
-                    } => out.push(Output::Broadcast(Msg::Bcast {
-                        kind,
-                        general,
-                        broadcaster,
-                        value,
-                        round,
-                    })),
-                    AgrAction::WakeAt(t) => out.push(Output::WakeAt(t)),
-                    AgrAction::Returned { decision, tau_g } => {
-                        let event = match decision {
-                            Some(value) => Event::Decided {
-                                general,
-                                value,
-                                tau_g,
-                                at: now,
-                            },
-                            None => Event::Aborted {
-                                general,
-                                tau_g,
-                                at: now,
-                            },
-                        };
-                        out.push(Output::Event(event));
-                    }
-                    AgrAction::ExecutionReset => {
-                        if let Some(ia) = self.ia.get_mut(general) {
-                            ia.reset_for_next_execution(now);
-                        }
-                    }
-                }
-            }
-        }
-
-        fn cleanup_if_due(&mut self, now: LocalTime) {
-            let cadence = self.params.d();
-            if let Some(last) = self.last_cleanup {
-                if !last.is_after(now) && now.since(last) < cadence {
-                    return;
-                }
-            }
-            self.last_cleanup = Some(now);
-            for ia in self.ia.values_mut() {
-                ia.cleanup(now);
-            }
-            for agr in self.agr.values_mut() {
-                agr.cleanup(now);
-            }
-            let p = self.params;
-            if let Some(t) = self.general_ctl.last_initiation {
-                if t.is_after(now) || now.since(t) > p.delta_0() {
-                    self.general_ctl.last_initiation = None;
-                }
-            }
-            self.general_ctl
-                .last_per_value
-                .retain(|_, t| !t.is_after(now) && now.since(*t) <= p.delta_v());
-            if let Some(t) = self.general_ctl.failed_at {
-                if t.is_after(now) || now.since(t) > p.delta_reset() {
-                    self.general_ctl.failed_at = None;
-                }
-            }
-            self.general_ctl
-                .pending_checks
-                .retain(|c| !c.invoked_at.is_after(now) && now.since(c.invoked_at) <= p.d() * 8u64);
-            self.agr.retain(|_, a| {
-                a.tau_g().is_some()
-                    || a.has_returned()
-                    || a.broadcaster_count() > 0
-                    || a.msgd().triplet_count() > 0
-            });
-        }
-
-        fn ia_entry(&mut self, general: NodeId) -> &mut InitiatorAccept<Arc<V>> {
-            let me = self.me;
-            let params = self.params;
-            self.ia
-                .get_or_insert_with(general, || InitiatorAccept::new(me, general, params))
-        }
-
-        fn agr_entry(&mut self, general: NodeId) -> &mut Agreement<Arc<V>> {
-            let me = self.me;
-            let params = self.params;
-            self.agr
-                .get_or_insert_with(general, || Agreement::new(me, general, params))
-        }
     }
 }
 
@@ -2119,24 +1674,29 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_matches_interned_on_clean_run() {
-        // Smoke-level equivalence (the full batteries live in
-        // crates/core/tests/{outbox,intern}_equivalence.rs): a support
-        // wave produces identical outputs from both dispatchers.
+    fn support_wave_transcript() {
+        // What the value-keyed dispatch answered at f9d72a3, written out
+        // (the generated batteries live in
+        // crates/core/tests/engine_transcripts.rs): duplicates are silent,
+        // the weak quorum only records, the strong quorum sends `approve`.
         let p = params4();
-        let mut interned: Engine<u64> = Engine::new(id(1), p);
-        let mut golden = reference::ReferenceEngine::new(id(1), p);
-        let mut ob = Outbox::new();
-        for (i, s) in [0u32, 0, 2, 2, 3].iter().enumerate() {
-            let msg = Msg::Ia {
-                kind: IaKind::Support,
-                general: id(0),
-                value: Arc::new(7),
-            };
-            let now = t(i as u64);
-            interned.on_message_ref(now, id(*s), &msg, &mut ob);
-            let want = golden.on_message_ref(now, id(*s), &msg);
-            assert_eq!(ob.outputs(), want.as_slice(), "delivery {i}");
+        let mut e: Engine<u64> = Engine::new(id(1), p);
+        let msg = Msg::Ia {
+            kind: IaKind::Support,
+            general: id(0),
+            value: Arc::new(7),
+        };
+        let approve = Output::Broadcast(Msg::Ia {
+            kind: IaKind::Approve,
+            general: id(0),
+            value: Arc::new(7),
+        });
+        let want = [vec![], vec![], vec![], vec![], vec![approve]];
+        for (i, (s, want)) in [0u32, 0, 2, 2, 3].into_iter().zip(want).enumerate() {
+            let got = call_msg(&mut e, t(i as u64), id(s), &msg);
+            assert_eq!(got, want, "delivery {i}");
         }
+        // L2 tracked the shortest suffix holding a weak quorum: {2@t(3), 3@t(4)}.
+        assert_eq!(e.ia(id(0)).unwrap().i_value(&7), Some(t(3) - d() * 2u64));
     }
 }

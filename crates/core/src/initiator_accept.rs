@@ -18,9 +18,10 @@
 //!   the primitive self-stabilizing.
 //!
 //! The implementation is a pure state machine: callers feed `(local time,
-//! sender, message)` and collect [`IaAction`]s.
-
-use std::collections::BTreeMap;
+//! sender, message)` and collect [`IaAction`]s. Values are interned
+//! [`ValueId`]s — the [`Engine`](crate::Engine) owns the
+//! [`ValueInterner`], interns each wire value once at its boundary and
+//! resolves ids back to values only when it emits outputs.
 
 use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
@@ -112,52 +113,52 @@ impl ValueState {
     }
 }
 
-/// One instance of the `Initiator-Accept` primitive: node `me`'s view of
+/// One instance of the `Initiator-Accept` primitive: this node's view of
 /// General `general`.
+///
+/// Per-value state lives in dense [`ValueIdMap`] slots, so the
+/// per-delivery value lookup is an array index. The entry points that may
+/// create state borrow the owner's interner read-only: bounding the
+/// tracked values needs the values' *order* for its eviction tie-break.
 ///
 /// # Example
 ///
-/// Drive a 4-node instance to an I-accept by hand:
+/// Block K by hand, at one node of a 4-node system:
 ///
 /// ```
-/// use ssbyz_core::{InitiatorAccept, IaAction, IaKind, Params};
+/// use ssbyz_core::{IaAction, IaKind, InitiatorAccept, Params, ValueInterner};
 /// use ssbyz_types::{Duration, LocalTime, NodeId};
 ///
 /// let params = Params::from_d(4, 1, Duration::from_millis(10), 0)?;
 /// let g = NodeId::new(0);
-/// let mut ia = InitiatorAccept::<u64>::new(NodeId::new(1), g, params);
+/// let mut values = ValueInterner::new();
+/// let m = values.intern(&7u64);
+/// let mut ia = InitiatorAccept::new(g, params);
 /// let t0 = LocalTime::from_nanos(1_000_000_000);
 /// let mut out = Vec::new();
-/// ia.on_initiator(t0, 7, &mut out); // Block K fires → support sent
+/// ia.on_initiator(t0, m, &values, &mut out); // Block K fires → support sent
 /// assert!(matches!(out[0], IaAction::Send { kind: IaKind::Support, .. }));
 /// # Ok::<(), ssbyz_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct InitiatorAccept<V: Value> {
-    me: NodeId,
+pub struct InitiatorAccept {
     general: NodeId,
     params: Params,
-    values: BTreeMap<V, ValueState>,
+    values: ValueIdMap<ValueState>,
     /// `last(G)` with change history.
     last_g: TimedVar<LocalTime>,
     /// Times at which *this node* sent `(support, G, ·)` — line K1 window.
     own_support_times: Vec<LocalTime>,
 }
 
-/// Cap on concurrently tracked values per General. A Byzantine General can
-/// mint arbitrarily many values; tracked state is bounded by evicting the
-/// least-recently-touched value.
-pub const MAX_TRACKED_VALUES: usize = 256;
-
-impl<V: Value> InitiatorAccept<V> {
+impl InitiatorAccept {
     /// Creates a fresh instance (all variables ⊥, no messages).
     #[must_use]
-    pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
+    pub fn new(general: NodeId, params: Params) -> Self {
         InitiatorAccept {
-            me,
             general,
             params,
-            values: BTreeMap::new(),
+            values: ValueIdMap::new(),
             last_g: TimedVar::new(),
             own_support_times: Vec::new(),
         }
@@ -169,22 +170,15 @@ impl<V: Value> InitiatorAccept<V> {
         self.general
     }
 
-    /// The node this instance runs at.
-    #[must_use]
-    pub fn node_id(&self) -> NodeId {
-        self.me
-    }
-
     /// Block K: the primitive is explicitly invoked by an authenticated
     /// `(Initiator, G, m)` message from the General.
-    pub fn on_initiator(&mut self, now: LocalTime, value: V, out: &mut Vec<IaAction<V>>) {
-        self.on_initiator_ref(now, &value, out);
-    }
-
-    /// By-reference variant of [`InitiatorAccept::on_initiator`] — the hot
-    /// path for shared (`Arc`-delivered) payloads: the value is cloned only
-    /// when the guards pass and state must actually be created.
-    pub fn on_initiator_ref(&mut self, now: LocalTime, value: &V, out: &mut Vec<IaAction<V>>) {
+    pub fn on_initiator<V: Value>(
+        &mut self,
+        now: LocalTime,
+        value: ValueId,
+        interner: &ValueInterner<V>,
+        out: &mut Vec<IaAction<ValueId>>,
+    ) {
         if self.is_ignoring(value, now) {
             return;
         }
@@ -208,36 +202,24 @@ impl<V: Value> InitiatorAccept<V> {
         }
         // K2 — record time (d before now: the message took up to d to
         // arrive), support the value, stamp last(G, m).
-        let st = self.state_mut(now, value);
+        let st = self.state_mut(now, value, interner);
         st.i_value = Some(now - d);
         st.last_gm.set(now, now);
         st.touched = Some(now);
-        self.send(now, IaKind::Support, value.clone(), out);
+        self.send(now, IaKind::Support, value, out);
         self.evaluate(now, value, out);
     }
 
     /// Feeds a stage message from an authenticated `sender`; runs blocks
     /// L/M/N for the value.
-    pub fn on_message(
+    pub fn on_message<V: Value>(
         &mut self,
         now: LocalTime,
         sender: NodeId,
         kind: IaKind,
-        value: V,
-        out: &mut Vec<IaAction<V>>,
-    ) {
-        self.on_message_ref(now, sender, kind, &value, out);
-    }
-
-    /// By-reference variant of [`InitiatorAccept::on_message`]: duplicate
-    /// and suppressed deliveries never clone the payload.
-    pub fn on_message_ref(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: IaKind,
-        value: &V,
-        out: &mut Vec<IaAction<V>>,
+        value: ValueId,
+        interner: &ValueInterner<V>,
+        out: &mut Vec<IaAction<ValueId>>,
     ) {
         if sender.index() >= self.params.n() {
             return; // sender outside the fixed membership
@@ -245,16 +227,15 @@ impl<V: Value> InitiatorAccept<V> {
         if self.is_ignoring(value, now) {
             return;
         }
-        let st = self.state_mut(now, value);
+        let st = self.state_mut(now, value, interner);
         st.log_mut(kind).record(now, sender);
         st.touched = Some(now);
         self.evaluate(now, value, out);
     }
 
     /// Runs lines L1–N4 for `value` against the current logs. Safe to call
-    /// at any time; also invoked on periodic ticks so stalled resends
-    /// recover after a network storm.
-    pub fn evaluate(&mut self, now: LocalTime, value: &V, out: &mut Vec<IaAction<V>>) {
+    /// at any time.
+    pub fn evaluate(&mut self, now: LocalTime, value: ValueId, out: &mut Vec<IaAction<ValueId>>) {
         let d = self.params.d();
         let weak = self.params.weak_quorum();
         let strong = self.params.quorum();
@@ -262,9 +243,14 @@ impl<V: Value> InitiatorAccept<V> {
             return;
         };
 
-        // L1/L2 — shortest suffix window of ≤ 4d holding a weak quorum of
-        // supports; record max(i_value, t_k − 2d).
-        if let Some(tk) = st.support.kth_latest_in_window(now, d * 4u64, weak) {
+        // L1–L4 — one fused pass over the support log: the shortest
+        // suffix window of ≤ 4d holding a weak quorum (L2 records
+        // max(i_value, t_k − 2d)) and the 2d count that L3 holds against
+        // the strong quorum.
+        let (tk, support_2d) =
+            st.support
+                .kth_latest_with_inner_count(now, d * 4u64, weak, d * 2u64);
+        if let Some(tk) = tk {
             let candidate = tk - d * 2u64;
             st.i_value = Some(match st.i_value {
                 Some(cur) if cur.is_after(candidate) => cur,
@@ -272,20 +258,22 @@ impl<V: Value> InitiatorAccept<V> {
             });
             st.last_gm.set(now, now);
         }
-        // L3/L4 — strong quorum of supports within 2d ⇒ approve.
         let mut send_approve = false;
-        if st.support.distinct_in_window(now, d * 2u64) >= strong {
+        if support_2d >= strong {
             send_approve = true;
             st.last_gm.set(now, now);
         }
-        // M1/M2 — weak quorum of approves within 5d ⇒ arm ready flag.
-        if st.approve.distinct_in_window(now, d * 5u64) >= weak {
+        // M1–M4 — one fused pass over the approve log: weak quorum within
+        // 5d arms the ready flag, strong quorum within 3d sends ready.
+        let (approve_5d, approve_3d) =
+            st.approve
+                .distinct_in_nested_windows(now, d * 5u64, d * 3u64);
+        if approve_5d >= weak {
             st.ready_at = Some(now);
             st.last_gm.set(now, now);
         }
-        // M3/M4 — strong quorum of approves within 3d ⇒ send ready.
         let mut send_ready = false;
-        if st.approve.distinct_in_window(now, d * 3u64) >= strong {
+        if approve_3d >= strong {
             send_ready = true;
             st.last_gm.set(now, now);
         }
@@ -295,12 +283,12 @@ impl<V: Value> InitiatorAccept<V> {
             st.last_gm.set(now, now);
         }
         // N3/N4 — armed + strong quorum of readys ⇒ I-accept.
-        let mut accept: Option<(V, LocalTime)> = None;
+        let mut accept: Option<LocalTime> = None;
         let mut flush_wave = false;
         if st.accepted_at.is_none() && st.ready_at.is_some() && st.ready.distinct_total() >= strong
         {
             if let Some(tau_g) = st.i_value {
-                accept = Some((value.clone(), tau_g));
+                accept = Some(tau_g);
             } else {
                 // Stabilization guard: a ready quorum without a recorded
                 // i_value can only be transient-fault residue (the paper's
@@ -312,10 +300,10 @@ impl<V: Value> InitiatorAccept<V> {
         }
 
         if send_approve {
-            self.send(now, IaKind::Approve, value.clone(), out);
+            self.send(now, IaKind::Approve, value, out);
         }
         if send_ready {
-            self.send(now, IaKind::Ready, value.clone(), out);
+            self.send(now, IaKind::Ready, value, out);
         }
         if flush_wave {
             let st = self.values.get_mut(value).expect("state exists");
@@ -325,8 +313,8 @@ impl<V: Value> InitiatorAccept<V> {
             st.ready_at = None;
             st.ignore_until = Some(now + d * 3u64);
         }
-        if let Some((v, tau_g)) = accept {
-            self.do_accept(now, &v, tau_g, out);
+        if let Some(tau_g) = accept {
+            self.do_accept(now, value, tau_g, out);
         }
     }
 
@@ -334,9 +322,9 @@ impl<V: Value> InitiatorAccept<V> {
     fn do_accept(
         &mut self,
         now: LocalTime,
-        value: &V,
+        value: ValueId,
         tau_g: LocalTime,
-        out: &mut Vec<IaAction<V>>,
+        out: &mut Vec<IaAction<ValueId>>,
     ) {
         let d = self.params.d();
         // i_values[G, ∗] := ⊥ for every value.
@@ -351,49 +339,59 @@ impl<V: Value> InitiatorAccept<V> {
         st.accepted_at = Some(now);
         st.last_gm.set(now, now);
         self.last_g.set(now, now);
-        out.push(IaAction::Accepted {
-            value: value.clone(),
-            tau_g,
-        });
+        out.push(IaAction::Accepted { value, tau_g });
     }
 
     /// Whether `(G, m)` messages are currently being ignored (3d after an
     /// I-accept of `m`).
     #[must_use]
-    pub fn is_ignoring(&self, value: &V, now: LocalTime) -> bool {
+    pub fn is_ignoring(&self, value: ValueId, now: LocalTime) -> bool {
         self.values
             .get(value)
             .and_then(|st| st.ignore_until)
             .is_some_and(|until| until.is_after(now))
     }
 
-    fn state_mut(&mut self, now: LocalTime, value: &V) -> &mut ValueState {
-        if !self.values.contains_key(value) {
+    fn state_mut<V: Value>(
+        &mut self,
+        now: LocalTime,
+        value: ValueId,
+        interner: &ValueInterner<V>,
+    ) -> &mut ValueState {
+        if !self.values.contains(value) {
             if self.values.len() >= MAX_TRACKED_VALUES {
                 // Evict the least-recently-touched value to bound memory
-                // under a value-minting Byzantine General.
-                if let Some(evict) = self
-                    .values
-                    .iter()
-                    .max_by_key(|(_, st)| {
-                        st.touched
-                            .map_or(u64::MAX, |t| now.since_or_zero(t).as_nanos())
-                    })
-                    .map(|(v, _)| v.clone())
-                {
-                    self.values.remove(&evict);
+                // under a value-minting Byzantine General; among equally
+                // old ones, the largest value in `V`'s order (ids are
+                // arrival-order artefacts, so the tie-break resolves
+                // through the interner).
+                let age = |st: &ValueState| {
+                    st.touched
+                        .map_or(u64::MAX, |t| now.since_or_zero(t).as_nanos())
+                };
+                let evict = self.values.iter().max_by(|(a, sa), (b, sb)| {
+                    age(sa)
+                        .cmp(&age(sb))
+                        .then_with(|| interner.resolve(*a).cmp(interner.resolve(*b)))
+                });
+                if let Some((v, _)) = evict {
+                    self.values.remove(v);
                 }
             }
-            // The only place the hot path clones the payload: first sight
-            // of a value.
-            self.values.insert(value.clone(), ValueState::default());
+            self.values.insert(value, ValueState::default());
         }
         self.values.get_mut(value).expect("just ensured present")
     }
 
-    fn send(&mut self, now: LocalTime, kind: IaKind, value: V, out: &mut Vec<IaAction<V>>) {
+    fn send(
+        &mut self,
+        now: LocalTime,
+        kind: IaKind,
+        value: ValueId,
+        out: &mut Vec<IaAction<ValueId>>,
+    ) {
         let gap = self.params.resend_gap();
-        let st = self.state_mut(now, &value);
+        let st = self.values.get_mut(value).expect("send requires state");
         let slot = &mut st.sent[kind as usize];
         if slot.is_some_and(|last| !last.is_after(now) && now.since(last) < gap) {
             return;
@@ -469,464 +467,6 @@ impl<V: Value> InitiatorAccept<V> {
     /// **keeps** the `last(G)` / `last(G, m)` guards, which enforce the
     /// initiation-spacing rules across executions and expire on their own
     /// schedule.
-    pub fn reset_for_next_execution(&mut self, _now: LocalTime) {
-        for st in self.values.values_mut() {
-            st.i_value = None;
-            st.ready_at = None;
-            st.support.clear();
-            st.approve.clear();
-            st.ready.clear();
-            st.ignore_until = None;
-            st.sent = [None; 3];
-            st.accepted_at = None;
-        }
-        self.own_support_times.clear();
-        self.values.retain(|_, st| !st.is_dormant());
-    }
-
-    /// The General clears all messages of previous invocations of its own
-    /// primitive before initiating (paper §4). Guards are kept.
-    pub fn clear_messages_before_initiation(&mut self) {
-        for st in self.values.values_mut() {
-            st.support.clear();
-            st.approve.clear();
-            st.ready.clear();
-            st.ready_at = None;
-        }
-    }
-
-    /// The current `i_values[G, m]` entry.
-    #[must_use]
-    pub fn i_value(&self, value: &V) -> Option<LocalTime> {
-        self.values.get(value).and_then(|st| st.i_value)
-    }
-
-    /// Whether any `i_values[G, ·]` entry is set.
-    #[must_use]
-    pub fn any_i_value(&self) -> bool {
-        self.values.values().any(|st| st.i_value.is_some())
-    }
-
-    /// Whether the `ready(G, m)` flag is armed.
-    #[must_use]
-    pub fn is_ready(&self, value: &V) -> bool {
-        self.values
-            .get(value)
-            .is_some_and(|st| st.ready_at.is_some())
-    }
-
-    /// The `last(G)` guard.
-    #[must_use]
-    pub fn last_g(&self) -> Option<LocalTime> {
-        self.last_g.get().copied()
-    }
-
-    /// The `last(G, m)` guard.
-    #[must_use]
-    pub fn last_gm(&self, value: &V) -> Option<LocalTime> {
-        self.values
-            .get(value)
-            .and_then(|st| st.last_gm.get().copied())
-    }
-
-    /// This node's own sending progress for `value` (``[IG3]`` detection).
-    #[must_use]
-    pub fn own_progress(&self, value: &V) -> OwnProgress {
-        let Some(st) = self.values.get(value) else {
-            return OwnProgress::default();
-        };
-        OwnProgress {
-            approve_sent: st.sent[IaKind::Approve as usize],
-            ready_sent: st.sent[IaKind::Ready as usize],
-            accepted_at: st.accepted_at,
-        }
-    }
-
-    /// Number of distinct senders whose `kind` message for `value` is in
-    /// `[now − window, now]` (test/introspection helper).
-    #[must_use]
-    pub fn count_in_window(
-        &self,
-        now: LocalTime,
-        kind: IaKind,
-        value: &V,
-        window: Duration,
-    ) -> usize {
-        self.values
-            .get(value)
-            .map_or(0, |st| st.log(kind).distinct_in_window(now, window))
-    }
-
-    /// Raw corruption hooks for the transient-fault harness.
-    pub fn corrupt_i_value(&mut self, value: V, stamp: LocalTime) {
-        self.values.entry(value).or_default().i_value = Some(stamp);
-    }
-
-    /// Corrupts the `ready` flag (transient-fault harness).
-    pub fn corrupt_ready(&mut self, value: V, stamp: LocalTime) {
-        self.values.entry(value).or_default().ready_at = Some(stamp);
-    }
-
-    /// Corrupts the guards (transient-fault harness).
-    pub fn corrupt_guards(&mut self, value: V, last_g: LocalTime, last_gm: LocalTime) {
-        self.last_g.inject_raw(last_g, Some(last_g));
-        self.values
-            .entry(value)
-            .or_default()
-            .last_gm
-            .inject_raw(last_gm, Some(last_gm));
-    }
-
-    /// Injects a bogus arrival (transient-fault harness).
-    pub fn corrupt_log(&mut self, kind: IaKind, value: V, sender: NodeId, stamp: LocalTime) {
-        self.values
-            .entry(value)
-            .or_default()
-            .log_mut(kind)
-            .inject_raw(sender, stamp);
-    }
-}
-
-/// The [`ValueId`](crate::intern::ValueId)-keyed `Initiator-Accept` used
-/// on the engine's delivery path: per-value state lives in dense
-/// [`ValueIdMap`](crate::intern::ValueIdMap) slots, so the per-delivery
-/// value lookup is an array index instead of the `BTreeMap` walk the
-/// value-keyed [`InitiatorAccept`] (the golden model) performs.
-///
-/// The state machine is a line-for-line port of [`InitiatorAccept`]; the
-/// equivalence battery (`crates/core/tests/intern_equivalence.rs`)
-/// requires the interned engine to stay bit-identical to the value-keyed
-/// dispatch. The interner itself is owned by the
-/// [`Engine`](crate::Engine), which interns each wire value once at the
-/// boundary and resolves ids back to values only at output emission; the
-/// few methods here that need value *ordering* (the eviction tie-break)
-/// borrow it read-only.
-#[derive(Debug, Clone)]
-pub struct InternedInitiatorAccept {
-    me: NodeId,
-    general: NodeId,
-    params: Params,
-    values: ValueIdMap<ValueState>,
-    /// `last(G)` with change history.
-    last_g: TimedVar<LocalTime>,
-    /// Times at which *this node* sent `(support, G, ·)` — line K1 window.
-    own_support_times: Vec<LocalTime>,
-}
-
-impl InternedInitiatorAccept {
-    /// Creates a fresh instance (all variables ⊥, no messages).
-    #[must_use]
-    pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
-        InternedInitiatorAccept {
-            me,
-            general,
-            params,
-            values: ValueIdMap::new(),
-            last_g: TimedVar::new(),
-            own_support_times: Vec::new(),
-        }
-    }
-
-    /// The General this instance tracks.
-    #[must_use]
-    pub fn general(&self) -> NodeId {
-        self.general
-    }
-
-    /// The node this instance runs at.
-    #[must_use]
-    pub fn node_id(&self) -> NodeId {
-        self.me
-    }
-
-    /// Block K, on an interned `(Initiator, G, m)` from the General.
-    pub fn on_initiator<V: Value>(
-        &mut self,
-        now: LocalTime,
-        value: ValueId,
-        interner: &ValueInterner<V>,
-        out: &mut Vec<IaAction<ValueId>>,
-    ) {
-        if self.is_ignoring(value, now) {
-            return;
-        }
-        let d = self.params.d();
-        // K1 — all four guards.
-        let other_i_value = self
-            .values
-            .iter()
-            .any(|(v, st)| v != value && st.i_value.is_some());
-        let last_g_set = self.last_g.get().is_some();
-        let recent_own_support = self
-            .own_support_times
-            .iter()
-            .any(|t| !t.is_after(now) && now.since(*t) <= d);
-        let last_gm_set_d_ago = self
-            .values
-            .get(value)
-            .is_some_and(|st| st.last_gm.at(now - d).is_some());
-        if other_i_value || last_g_set || recent_own_support || last_gm_set_d_ago {
-            return;
-        }
-        // K2 — record time (d before now), support the value, stamp
-        // last(G, m).
-        let st = self.state_mut(now, value, interner);
-        st.i_value = Some(now - d);
-        st.last_gm.set(now, now);
-        st.touched = Some(now);
-        self.send(now, IaKind::Support, value, out);
-        self.evaluate(now, value, out);
-    }
-
-    /// Feeds an interned stage message from an authenticated `sender`.
-    pub fn on_message<V: Value>(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: IaKind,
-        value: ValueId,
-        interner: &ValueInterner<V>,
-        out: &mut Vec<IaAction<ValueId>>,
-    ) {
-        if sender.index() >= self.params.n() {
-            return; // sender outside the fixed membership
-        }
-        if self.is_ignoring(value, now) {
-            return;
-        }
-        let st = self.state_mut(now, value, interner);
-        st.log_mut(kind).record(now, sender);
-        st.touched = Some(now);
-        self.evaluate(now, value, out);
-    }
-
-    /// Runs lines L1–N4 for `value` against the current logs.
-    pub fn evaluate(&mut self, now: LocalTime, value: ValueId, out: &mut Vec<IaAction<ValueId>>) {
-        let d = self.params.d();
-        let weak = self.params.weak_quorum();
-        let strong = self.params.quorum();
-        let Some(st) = self.values.get_mut(value) else {
-            return;
-        };
-
-        // L1–L4 — one fused pass over the support log: the shortest
-        // suffix window of ≤ 4d holding a weak quorum (record
-        // max(i_value, t_k − 2d)) and the strong-quorum 2d count. The
-        // value-keyed golden model issues these as two separate scans;
-        // the fused query returns bit-identical answers.
-        let (tk, support_2d) =
-            st.support
-                .kth_latest_with_inner_count(now, d * 4u64, weak, d * 2u64);
-        if let Some(tk) = tk {
-            let candidate = tk - d * 2u64;
-            st.i_value = Some(match st.i_value {
-                Some(cur) if cur.is_after(candidate) => cur,
-                _ => candidate,
-            });
-            st.last_gm.set(now, now);
-        }
-        let mut send_approve = false;
-        if support_2d >= strong {
-            send_approve = true;
-            st.last_gm.set(now, now);
-        }
-        // M1–M4 — one fused pass over the approve log: weak quorum within
-        // 5d arms the ready flag, strong quorum within 3d sends ready.
-        let (approve_5d, approve_3d) =
-            st.approve
-                .distinct_in_nested_windows(now, d * 5u64, d * 3u64);
-        if approve_5d >= weak {
-            st.ready_at = Some(now);
-            st.last_gm.set(now, now);
-        }
-        let mut send_ready = false;
-        if approve_3d >= strong {
-            send_ready = true;
-            st.last_gm.set(now, now);
-        }
-        // N1/N2 — untimed: armed + weak quorum of readys ⇒ amplify.
-        if st.ready_at.is_some() && st.ready.distinct_total() >= weak {
-            send_ready = true;
-            st.last_gm.set(now, now);
-        }
-        // N3/N4 — armed + strong quorum of readys ⇒ I-accept.
-        let mut accept: Option<LocalTime> = None;
-        let mut flush_wave = false;
-        if st.accepted_at.is_none() && st.ready_at.is_some() && st.ready.distinct_total() >= strong
-        {
-            if let Some(tau_g) = st.i_value {
-                accept = Some(tau_g);
-            } else {
-                // Stabilization guard: flush the bogus wave rather than
-                // accept an undefined anchor.
-                flush_wave = true;
-            }
-        }
-
-        if send_approve {
-            self.send(now, IaKind::Approve, value, out);
-        }
-        if send_ready {
-            self.send(now, IaKind::Ready, value, out);
-        }
-        if flush_wave {
-            let st = self.values.get_mut(value).expect("state exists");
-            st.support.clear();
-            st.approve.clear();
-            st.ready.clear();
-            st.ready_at = None;
-            st.ignore_until = Some(now + d * 3u64);
-        }
-        if let Some(tau_g) = accept {
-            self.do_accept(now, value, tau_g, out);
-        }
-    }
-
-    /// Line N4 body.
-    fn do_accept(
-        &mut self,
-        now: LocalTime,
-        value: ValueId,
-        tau_g: LocalTime,
-        out: &mut Vec<IaAction<ValueId>>,
-    ) {
-        let d = self.params.d();
-        // i_values[G, ∗] := ⊥ for every value.
-        for st in self.values.values_mut() {
-            st.i_value = None;
-        }
-        let st = self.values.get_mut(value).expect("state exists");
-        st.support.clear();
-        st.approve.clear();
-        st.ready.clear();
-        st.ignore_until = Some(now + d * 3u64);
-        st.accepted_at = Some(now);
-        st.last_gm.set(now, now);
-        self.last_g.set(now, now);
-        out.push(IaAction::Accepted { value, tau_g });
-    }
-
-    /// Whether `(G, m)` messages are currently being ignored.
-    #[must_use]
-    pub fn is_ignoring(&self, value: ValueId, now: LocalTime) -> bool {
-        self.values
-            .get(value)
-            .and_then(|st| st.ignore_until)
-            .is_some_and(|until| until.is_after(now))
-    }
-
-    fn state_mut<V: Value>(
-        &mut self,
-        now: LocalTime,
-        value: ValueId,
-        interner: &ValueInterner<V>,
-    ) -> &mut ValueState {
-        if !self.values.contains(value) {
-            if self.values.len() >= MAX_TRACKED_VALUES {
-                // Evict the least-recently-touched value. The golden model
-                // scans its `BTreeMap` in ascending value order and
-                // `max_by_key` keeps the *last* maximum, i.e. the largest
-                // value among the equally-oldest — replicate that
-                // tie-break through the interner so the two dispatches
-                // never diverge.
-                let mut evict: Option<(u64, ValueId)> = None;
-                for (v, st) in self.values.iter() {
-                    let age = st
-                        .touched
-                        .map_or(u64::MAX, |t| now.since_or_zero(t).as_nanos());
-                    let better = match evict {
-                        None => true,
-                        Some((best_age, best_v)) => {
-                            age > best_age
-                                || (age == best_age
-                                    && interner.resolve(v) > interner.resolve(best_v))
-                        }
-                    };
-                    if better {
-                        evict = Some((age, v));
-                    }
-                }
-                if let Some((_, v)) = evict {
-                    self.values.remove(v);
-                }
-            }
-            self.values.insert(value, ValueState::default());
-        }
-        self.values.get_mut(value).expect("just ensured present")
-    }
-
-    fn send(
-        &mut self,
-        now: LocalTime,
-        kind: IaKind,
-        value: ValueId,
-        out: &mut Vec<IaAction<ValueId>>,
-    ) {
-        let gap = self.params.resend_gap();
-        let st = self.values.get_mut(value).expect("send requires state");
-        let slot = &mut st.sent[kind as usize];
-        if slot.is_some_and(|last| !last.is_after(now) && now.since(last) < gap) {
-            return;
-        }
-        *slot = Some(now);
-        if kind == IaKind::Support {
-            self.own_support_times.push(now);
-        }
-        out.push(IaAction::Send { kind, value });
-    }
-
-    /// Fig. 2 cleanup — identical decay schedule to the value-keyed model.
-    pub fn cleanup(&mut self, now: LocalTime) {
-        let p = self.params;
-        let d = p.d();
-        let rmv = p.delta_rmv();
-        let expired = |t: Option<LocalTime>, horizon: Duration| {
-            t.is_some_and(|t| t.is_after(now) || now.since(t) > horizon)
-        };
-        for st in self.values.values_mut() {
-            st.support.prune(now, rmv);
-            st.approve.prune(now, rmv);
-            st.ready.prune(now, rmv);
-            if expired(st.i_value, rmv) {
-                st.i_value = None;
-            }
-            if expired(st.ready_at, rmv) {
-                st.ready_at = None;
-            }
-            if let Some(until) = st.ignore_until {
-                if !until.is_after(now) || until.since(now) > d * 3u64 {
-                    st.ignore_until = None;
-                }
-            }
-            for slot in &mut st.sent {
-                if expired(*slot, rmv) {
-                    *slot = None;
-                }
-            }
-            if expired(st.accepted_at, rmv) {
-                st.accepted_at = None;
-            }
-            let gm_expiry = p.last_gm_expiry();
-            if expired(st.last_gm.get().copied(), gm_expiry) {
-                st.last_gm.clear(now);
-            }
-            st.last_gm.prune(now, gm_expiry + d * 2u64);
-            st.last_gm.compact_history(now, d * 2u64);
-            if expired(st.touched, rmv * 2u64 + d * 16u64) {
-                st.touched = None;
-            }
-        }
-        self.values.retain(|_, st| !st.is_dormant());
-        if expired(self.last_g.get().copied(), p.last_g_expiry()) {
-            self.last_g.clear(now);
-        }
-        self.last_g.prune(now, p.last_g_expiry() + d * 2u64);
-        self.last_g.compact_history(now, d * 2u64);
-        self.own_support_times
-            .retain(|t| !t.is_after(now) && now.since(*t) <= d * 2u64);
-    }
-
-    /// Reset after the surrounding agreement returned; guards are kept.
     pub fn reset_for_next_execution(&mut self, _now: LocalTime) {
         for st in self.values.values_mut() {
             st.i_value = None;
@@ -1061,9 +601,15 @@ impl InternedInitiatorAccept {
     }
 }
 
+/// Cap on concurrently tracked values per General. A Byzantine General can
+/// mint arbitrarily many values; tracked state is bounded by evicting the
+/// least-recently-touched value.
+pub const MAX_TRACKED_VALUES: usize = 256;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::interned;
 
     const D: u64 = 10_000_000; // 10ms in ns
 
@@ -1085,11 +631,11 @@ mod tests {
         NodeId::new(n)
     }
 
-    fn ia4() -> InitiatorAccept<u64> {
-        InitiatorAccept::new(id(1), id(0), params4())
+    fn ia4() -> InitiatorAccept {
+        InitiatorAccept::new(id(0), params4())
     }
 
-    fn sends(out: &[IaAction<u64>]) -> Vec<(IaKind, u64)> {
+    fn sends(out: &[IaAction<ValueId>]) -> Vec<(IaKind, ValueId)> {
         out.iter()
             .filter_map(|a| match a {
                 IaAction::Send { kind, value } => Some((*kind, *value)),
@@ -1098,7 +644,7 @@ mod tests {
             .collect()
     }
 
-    fn accepts(out: &[IaAction<u64>]) -> Vec<(u64, LocalTime)> {
+    fn accepts(out: &[IaAction<ValueId>]) -> Vec<(ValueId, LocalTime)> {
         out.iter()
             .filter_map(|a| match a {
                 IaAction::Accepted { value, tau_g } => Some((*value, *tau_g)),
@@ -1109,16 +655,22 @@ mod tests {
 
     /// Drives a fresh instance through a clean accept: all 4 nodes support,
     /// approve, ready within d of each other.
-    fn run_clean_accept(ia: &mut InitiatorAccept<u64>, start: LocalTime) -> Vec<IaAction<u64>> {
+    fn run_clean_accept(
+        ia: &mut InitiatorAccept,
+        vals: &ValueInterner<u64>,
+        v7: ValueId,
+        start: LocalTime,
+    ) -> Vec<IaAction<ValueId>> {
         let mut out = Vec::new();
         let d = Duration::from_nanos(D);
-        ia.on_initiator(start, 7, &mut out);
+        ia.on_initiator(start, v7, vals, &mut out);
         for (i, node) in [0u32, 1, 2, 3].iter().enumerate() {
             ia.on_message(
                 start + d / 2 + Duration::from_nanos(i as u64),
                 id(*node),
                 IaKind::Support,
-                7,
+                v7,
+                vals,
                 &mut out,
             );
         }
@@ -1127,7 +679,8 @@ mod tests {
                 start + d + Duration::from_nanos(i as u64),
                 id(*node),
                 IaKind::Approve,
-                7,
+                v7,
+                vals,
                 &mut out,
             );
         }
@@ -1136,7 +689,8 @@ mod tests {
                 start + d * 2u64 + Duration::from_nanos(i as u64),
                 id(*node),
                 IaKind::Ready,
-                7,
+                v7,
+                vals,
                 &mut out,
             );
         }
@@ -1145,215 +699,237 @@ mod tests {
 
     #[test]
     fn block_k_sends_support_and_records_estimate() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_initiator(t(0), 7, &mut out);
-        assert_eq!(sends(&out), vec![(IaKind::Support, 7)]);
+        ia.on_initiator(t(0), v7, &vals, &mut out);
+        assert_eq!(sends(&out), vec![(IaKind::Support, v7)]);
         // K2: i_value := τq − d.
-        assert_eq!(ia.i_value(&7), Some(t(0) - Duration::from_nanos(D)));
-        assert_eq!(ia.last_gm(&7), Some(t(0)));
+        assert_eq!(ia.i_value(v7), Some(t(0) - Duration::from_nanos(D)));
+        assert_eq!(ia.last_gm(v7), Some(t(0)));
     }
 
     #[test]
     fn block_k_blocked_by_other_i_value() {
+        let (vals, [v7, v9]) = interned([7, 9]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.corrupt_i_value(9, t(0));
-        ia.on_initiator(t(10), 7, &mut out);
+        ia.corrupt_i_value(v9, t(0));
+        ia.on_initiator(t(10), v7, &vals, &mut out);
         assert!(out.is_empty(), "K1 must fail while i_values[G, 9] is set");
     }
 
     #[test]
     fn block_k_blocked_by_last_g() {
+        let (vals, [v7, v8]) = interned([7, 8]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.corrupt_guards(7, t(0), t(0));
+        ia.corrupt_guards(v7, t(0), t(0));
         // last(G) set blocks; note last(G, m) at τq − d also blocks.
-        ia.on_initiator(t(10), 8, &mut out);
+        ia.on_initiator(t(10), v8, &vals, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn block_k_blocked_by_recent_own_support() {
+        let (vals, [v7, v8]) = interned([7, 8]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_initiator(t(0), 7, &mut out);
+        ia.on_initiator(t(0), v7, &vals, &mut out);
         out.clear();
         // A different value right away: own support within d blocks K.
         // (last(G, m') for m'=8 is ⊥, i_values[7] is set → double block.)
-        ia.on_initiator(t(1), 8, &mut out);
+        ia.on_initiator(t(1), v8, &vals, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn block_k_blocked_by_last_gm_d_ago() {
+        let (vals, [v7]) = interned([7]);
         // K1's fourth guard checks the *historical* value of last(G, m)
         // at τq − d, not a sliding window.
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
         // Weak quorum of supports at t(0) sets last(G, 7) at t(0).
-        ia.on_message(t(0), id(2), IaKind::Support, 7, &mut out);
-        ia.on_message(t(0), id(3), IaKind::Support, 7, &mut out);
-        assert_eq!(ia.last_gm(&7), Some(t(0)));
+        ia.on_message(t(0), id(2), IaKind::Support, v7, &vals, &mut out);
+        ia.on_message(t(0), id(3), IaKind::Support, v7, &vals, &mut out);
+        assert_eq!(ia.last_gm(v7), Some(t(0)));
         out.clear();
         // Invocation at t(0) + 2d: at τq − d = t(0) + d the guard was set
         // → K blocked.
-        ia.on_initiator(t(0) + d * 2u64, 7, &mut out);
+        ia.on_initiator(t(0) + d * 2u64, v7, &vals, &mut out);
         assert!(out.is_empty(), "last(G, m) was set at τq − d → blocked");
         // Invocation at t(0) + d/2: at τq − d = t(0) − d/2 the guard was
         // still ⊥ → K succeeds (the paper checks the state d ago, so a
         // very recent set does not block).
-        ia.on_initiator(t(0) + d / 2, 7, &mut out);
-        assert_eq!(sends(&out), vec![(IaKind::Support, 7)]);
+        ia.on_initiator(t(0) + d / 2, v7, &vals, &mut out);
+        assert_eq!(sends(&out), vec![(IaKind::Support, v7)]);
     }
 
     #[test]
     fn l2_records_weak_quorum_window() {
+        let (vals, [v7]) = interned([7]);
         // weak quorum for n=4, f=1 is 2.
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
-        ia.on_message(t(0), id(2), IaKind::Support, 7, &mut out);
-        assert_eq!(ia.i_value(&7), None, "one support is not enough");
-        ia.on_message(t(100), id(3), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(2), IaKind::Support, v7, &vals, &mut out);
+        assert_eq!(ia.i_value(v7), None, "one support is not enough");
+        ia.on_message(t(100), id(3), IaKind::Support, v7, &vals, &mut out);
         // Shortest suffix containing both: ends now, starts at t(0).
         // i_value = t(0) − 2d (the k-th latest arrival minus 2d).
-        assert_eq!(ia.i_value(&7), Some(t(0) - d * 2u64));
+        assert_eq!(ia.i_value(v7), Some(t(0) - d * 2u64));
     }
 
     #[test]
     fn l2_takes_max_of_existing() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
-        ia.on_initiator(t(0), 7, &mut out); // i_value = t(0) − d
-        ia.on_message(t(1), id(2), IaKind::Support, 7, &mut out);
-        ia.on_message(t(2), id(3), IaKind::Support, 7, &mut out);
+        ia.on_initiator(t(0), v7, &vals, &mut out); // i_value = t(0) − d
+        ia.on_message(t(1), id(2), IaKind::Support, v7, &vals, &mut out);
+        ia.on_message(t(2), id(3), IaKind::Support, v7, &vals, &mut out);
         // Candidate from L2 is t(1) − 2d < t(0) − d → keep the larger.
-        assert_eq!(ia.i_value(&7), Some(t(0) - d));
+        assert_eq!(ia.i_value(v7), Some(t(0) - d));
     }
 
     #[test]
     fn l4_needs_strong_quorum_within_2d() {
+        let (vals, [v7, v8]) = interned([7, 8]);
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
-        ia.on_message(t(0), id(0), IaKind::Support, 7, &mut out);
-        ia.on_message(t(1), id(2), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(0), IaKind::Support, v7, &vals, &mut out);
+        ia.on_message(t(1), id(2), IaKind::Support, v7, &vals, &mut out);
         assert!(sends(&out).iter().all(|(k, _)| *k != IaKind::Approve));
-        ia.on_message(t(2), id(3), IaKind::Support, 7, &mut out);
+        ia.on_message(t(2), id(3), IaKind::Support, v7, &vals, &mut out);
         assert!(
-            sends(&out).contains(&(IaKind::Approve, 7)),
+            sends(&out).contains(&(IaKind::Approve, v7)),
             "3 supports within 2d ⇒ approve"
         );
         // Supports spread beyond 2d never fire L4:
         let mut ia2 = ia4();
         let mut out2 = Vec::new();
-        ia2.on_message(t(0), id(0), IaKind::Support, 8, &mut out2);
-        ia2.on_message(t(0) + d, id(2), IaKind::Support, 8, &mut out2);
-        ia2.on_message(t(0) + d * 3u64, id(3), IaKind::Support, 8, &mut out2);
+        ia2.on_message(t(0), id(0), IaKind::Support, v8, &vals, &mut out2);
+        ia2.on_message(t(0) + d, id(2), IaKind::Support, v8, &vals, &mut out2);
+        ia2.on_message(
+            t(0) + d * 3u64,
+            id(3),
+            IaKind::Support,
+            v8,
+            &vals,
+            &mut out2,
+        );
         assert!(sends(&out2).iter().all(|(k, _)| *k != IaKind::Approve));
     }
 
     #[test]
     fn m_blocks_arm_and_send_ready() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_message(t(0), id(0), IaKind::Approve, 7, &mut out);
-        assert!(!ia.is_ready(&7));
-        ia.on_message(t(1), id(2), IaKind::Approve, 7, &mut out);
-        assert!(ia.is_ready(&7), "weak quorum of approves arms ready");
+        ia.on_message(t(0), id(0), IaKind::Approve, v7, &vals, &mut out);
+        assert!(!ia.is_ready(v7));
+        ia.on_message(t(1), id(2), IaKind::Approve, v7, &vals, &mut out);
+        assert!(ia.is_ready(v7), "weak quorum of approves arms ready");
         assert!(sends(&out).iter().all(|(k, _)| *k != IaKind::Ready));
-        ia.on_message(t(2), id(3), IaKind::Approve, 7, &mut out);
+        ia.on_message(t(2), id(3), IaKind::Approve, v7, &vals, &mut out);
         assert!(
-            sends(&out).contains(&(IaKind::Ready, 7)),
+            sends(&out).contains(&(IaKind::Ready, v7)),
             "strong quorum of approves ⇒ ready message"
         );
     }
 
     #[test]
     fn n2_requires_armed_flag() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let mut out = Vec::new();
         // Weak quorum of ready messages without the armed flag: nothing.
-        ia.on_message(t(0), id(0), IaKind::Ready, 7, &mut out);
-        ia.on_message(t(1), id(2), IaKind::Ready, 7, &mut out);
+        ia.on_message(t(0), id(0), IaKind::Ready, v7, &vals, &mut out);
+        ia.on_message(t(1), id(2), IaKind::Ready, v7, &vals, &mut out);
         assert!(out.is_empty());
         // Arm via approves, then a single further ready event triggers N2.
-        ia.on_message(t(2), id(0), IaKind::Approve, 7, &mut out);
-        ia.on_message(t(3), id(2), IaKind::Approve, 7, &mut out);
-        assert!(ia.is_ready(&7));
+        ia.on_message(t(2), id(0), IaKind::Approve, v7, &vals, &mut out);
+        ia.on_message(t(3), id(2), IaKind::Approve, v7, &vals, &mut out);
+        assert!(ia.is_ready(v7));
         assert!(
-            sends(&out).contains(&(IaKind::Ready, 7)),
+            sends(&out).contains(&(IaKind::Ready, v7)),
             "N2 amplifies once armed"
         );
     }
 
     #[test]
     fn full_wave_accepts_with_recorded_anchor() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
-        let out = run_clean_accept(&mut ia, t(0));
+        let out = run_clean_accept(&mut ia, &vals, v7, t(0));
         let acc = accepts(&out);
         assert_eq!(acc.len(), 1);
         let (v, tau_g) = acc[0];
-        assert_eq!(v, 7);
+        assert_eq!(v, v7);
         // Anchor is the K2 recording: t(0) − d.
         assert_eq!(tau_g, t(0) - Duration::from_nanos(D));
         // i_values cleared by N4.
         assert!(!ia.any_i_value());
         // Guards set.
         assert!(ia.last_g().is_some());
-        assert!(ia.last_gm(&7).is_some());
+        assert!(ia.last_gm(v7).is_some());
     }
 
     #[test]
     fn accept_fires_once() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
-        let out = run_clean_accept(&mut ia, t(0));
+        let out = run_clean_accept(&mut ia, &vals, v7, t(0));
         assert_eq!(accepts(&out).len(), 1);
         // More ready messages (replays) must not re-accept: messages are
         // ignored for 3d and the latch is set.
         let mut out2 = Vec::new();
         for node in [0u32, 2, 3] {
-            ia.on_message(t(30), id(node), IaKind::Ready, 7, &mut out2);
+            ia.on_message(t(30), id(node), IaKind::Ready, v7, &vals, &mut out2);
         }
         assert!(accepts(&out2).is_empty());
     }
 
     #[test]
     fn ready_quorum_without_i_value_flushes() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let mut out = Vec::new();
         // Arm ready via corruption, feed a strong quorum of readys, but no
         // i_value exists → the wave is flushed, no accept.
-        ia.corrupt_ready(7, t(0));
+        ia.corrupt_ready(v7, t(0));
         for (i, node) in [0u32, 2, 3].iter().enumerate() {
-            ia.on_message(t(i as u64), id(*node), IaKind::Ready, 7, &mut out);
+            ia.on_message(t(i as u64), id(*node), IaKind::Ready, v7, &vals, &mut out);
         }
         assert!(accepts(&out).is_empty());
-        assert!(!ia.is_ready(&7), "flush clears the armed flag");
-        assert!(ia.is_ignoring(&7, t(5)));
+        assert!(!ia.is_ready(v7), "flush clears the armed flag");
+        assert!(ia.is_ignoring(v7, t(5)));
     }
 
     #[test]
     fn ignore_window_drops_messages() {
+        let (vals, [v7, v8]) = interned([7, 8]);
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
-        run_clean_accept(&mut ia, t(0));
+        run_clean_accept(&mut ia, &vals, v7, t(0));
         let accept_time = t(2 * D + 3);
-        assert!(ia.is_ignoring(&7, accept_time + d));
-        assert!(!ia.is_ignoring(&7, accept_time + d * 4u64));
+        assert!(ia.is_ignoring(v7, accept_time + d));
+        assert!(!ia.is_ignoring(v7, accept_time + d * 4u64));
         // Different values are not ignored.
-        assert!(!ia.is_ignoring(&8, accept_time + d));
+        assert!(!ia.is_ignoring(v8, accept_time + d));
     }
 
     #[test]
     fn resend_gap_suppresses_duplicates() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let mut out = Vec::new();
         for node in [0u32, 2, 3] {
-            ia.on_message(t(0), id(node), IaKind::Support, 7, &mut out);
+            ia.on_message(t(0), id(node), IaKind::Support, v7, &vals, &mut out);
         }
         let approves = sends(&out)
             .iter()
@@ -1366,18 +942,20 @@ mod tests {
             t(0) + Duration::from_nanos(D) + Duration::from_nanos(1),
             id(0),
             IaKind::Support,
-            7,
+            v7,
+            &vals,
             &mut out,
         );
         // The 2d window still holds a strong quorum (all arrived ≤ 2d ago).
-        assert!(sends(&out).contains(&(IaKind::Approve, 7)));
+        assert!(sends(&out).contains(&(IaKind::Approve, v7)));
     }
 
     #[test]
     fn cleanup_decays_guards_on_schedule() {
+        let (vals, [v7]) = interned([7]);
         let p = params4();
         let mut ia = ia4();
-        run_clean_accept(&mut ia, t(0));
+        run_clean_accept(&mut ia, &vals, v7, t(0));
         assert!(ia.last_g().is_some());
         // last(G) expires after Δ0 − 6d.
         let set_at = ia.last_g().unwrap();
@@ -1386,33 +964,35 @@ mod tests {
         ia.cleanup(set_at + p.last_g_expiry() + Duration::from_nanos(1));
         assert!(ia.last_g().is_none());
         // last(G, m) expires after 2Δ_rmv + 9d (later).
-        assert!(ia.last_gm(&7).is_some());
-        let gm_at = ia.last_gm(&7).unwrap();
+        assert!(ia.last_gm(v7).is_some());
+        let gm_at = ia.last_gm(v7).unwrap();
         ia.cleanup(gm_at + p.last_gm_expiry() + Duration::from_nanos(1));
-        assert!(ia.last_gm(&7).is_none());
+        assert!(ia.last_gm(v7).is_none());
     }
 
     #[test]
     fn cleanup_drops_future_residue() {
+        let (_, [v7, v8, v9]) = interned([7, 8, 9]);
         let mut ia = ia4();
-        ia.corrupt_i_value(7, t(1_000_000));
-        ia.corrupt_ready(8, t(2_000_000));
-        ia.corrupt_guards(9, t(3_000_000), t(3_000_000));
+        ia.corrupt_i_value(v7, t(1_000_000));
+        ia.corrupt_ready(v8, t(2_000_000));
+        ia.corrupt_guards(v9, t(3_000_000), t(3_000_000));
         ia.cleanup(t(0));
-        assert_eq!(ia.i_value(&7), None);
-        assert!(!ia.is_ready(&8));
+        assert_eq!(ia.i_value(v7), None);
+        assert!(!ia.is_ready(v8));
         assert!(ia.last_g().is_none());
-        assert!(ia.last_gm(&9).is_none());
+        assert!(ia.last_gm(v9).is_none());
     }
 
     #[test]
     fn cleanup_decays_messages_after_rmv() {
+        let (vals, [v7]) = interned([7]);
         let p = params4();
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_message(t(0), id(2), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(2), IaKind::Support, v7, &vals, &mut out);
         assert_eq!(
-            ia.count_in_window(t(1), IaKind::Support, &7, p.delta_rmv()),
+            ia.count_in_window(t(1), IaKind::Support, v7, p.delta_rmv()),
             1
         );
         ia.cleanup(t(0) + p.delta_rmv() + Duration::from_nanos(1));
@@ -1420,7 +1000,7 @@ mod tests {
             ia.count_in_window(
                 t(0) + p.delta_rmv() + Duration::from_nanos(1),
                 IaKind::Support,
-                &7,
+                v7,
                 p.delta_rmv()
             ),
             0
@@ -1429,78 +1009,107 @@ mod tests {
 
     #[test]
     fn reset_keeps_guards() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
-        run_clean_accept(&mut ia, t(0));
+        run_clean_accept(&mut ia, &vals, v7, t(0));
         let lg = ia.last_g();
-        let lgm = ia.last_gm(&7);
+        let lgm = ia.last_gm(v7);
         assert!(lg.is_some() && lgm.is_some());
         ia.reset_for_next_execution(t(100));
         assert_eq!(ia.last_g(), lg, "last(G) survives the reset");
-        assert_eq!(ia.last_gm(&7), lgm, "last(G, m) survives the reset");
+        assert_eq!(ia.last_gm(v7), lgm, "last(G, m) survives the reset");
         assert!(!ia.any_i_value());
-        assert!(!ia.is_ready(&7));
+        assert!(!ia.is_ready(v7));
     }
 
     #[test]
     fn second_value_blocked_while_first_pending() {
+        let (vals, [v7, v8]) = interned([7, 8]);
         // A two-faced General sends 7 then 8 immediately: K for 8 must be
         // blocked (i_values[7] set + own support sent recently).
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_initiator(t(0), 7, &mut out);
+        ia.on_initiator(t(0), v7, &vals, &mut out);
         out.clear();
-        ia.on_initiator(t(1), 8, &mut out);
+        ia.on_initiator(t(1), v8, &vals, &mut out);
         assert!(sends(&out).is_empty());
     }
 
     #[test]
     fn seven_node_quorums() {
+        let (vals, [v7]) = interned([7]);
         // n=7, f=2: weak=3, strong=5.
         let p = params7();
-        let mut ia: InitiatorAccept<u64> = InitiatorAccept::new(id(1), id(0), p);
+        let mut ia: InitiatorAccept = InitiatorAccept::new(id(0), p);
         let mut out = Vec::new();
         for node in [0u32, 2, 3] {
-            ia.on_message(t(0), id(node), IaKind::Support, 7, &mut out);
+            ia.on_message(t(0), id(node), IaKind::Support, v7, &vals, &mut out);
         }
-        assert!(ia.i_value(&7).is_some(), "weak quorum (3) records");
+        assert!(ia.i_value(v7).is_some(), "weak quorum (3) records");
         assert!(sends(&out).iter().all(|(k, _)| *k != IaKind::Approve));
         for node in [4u32, 5] {
-            ia.on_message(t(1), id(node), IaKind::Support, 7, &mut out);
+            ia.on_message(t(1), id(node), IaKind::Support, v7, &vals, &mut out);
         }
-        assert!(sends(&out).contains(&(IaKind::Approve, 7)));
+        assert!(sends(&out).contains(&(IaKind::Approve, v7)));
     }
 
     #[test]
     fn out_of_membership_sender_rejected() {
+        let (vals, [v7]) = interned([7]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_message(t(0), id(1_000_000), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(1_000_000), IaKind::Support, v7, &vals, &mut out);
         assert!(out.is_empty());
         assert_eq!(
-            ia.count_in_window(t(1), IaKind::Support, &7, Duration::from_secs(100)),
+            ia.count_in_window(t(1), IaKind::Support, v7, Duration::from_secs(100)),
             0
         );
     }
 
     #[test]
     fn value_cap_evicts_oldest() {
+        let mut vals = ValueInterner::new();
         let mut ia = ia4();
         let mut out = Vec::new();
         for v in 0..(MAX_TRACKED_VALUES as u64 + 10) {
-            ia.on_message(t(v), id(2), IaKind::Support, v, &mut out);
+            let m = vals.intern(&v);
+            ia.on_message(t(v), id(2), IaKind::Support, m, &vals, &mut out);
         }
-        // Bounded:
-        assert!(ia.count_in_window(t(0), IaKind::Support, &0, Duration::from_secs(100)) == 0);
+        // Bounded, and the least recently touched value went first:
+        assert_eq!(ia.tracked_values(), MAX_TRACKED_VALUES);
+        let v0 = vals.lookup(&0).expect("still interned");
+        assert!(ia.count_in_window(t(0), IaKind::Support, v0, Duration::from_secs(100)) == 0);
+    }
+
+    #[test]
+    fn value_cap_tie_break_evicts_largest_value() {
+        // Interned in descending order, so id order and value order disagree.
+        let mut vals = ValueInterner::new();
+        let mut ia = ia4();
+        let mut out = Vec::new();
+        let cap = MAX_TRACKED_VALUES as u64;
+        for v in (0..=cap).rev() {
+            // All touched at the same instant; value 0 arrives at a full table.
+            let m = vals.intern(&v);
+            ia.on_message(t(0), id(2), IaKind::Support, m, &vals, &mut out);
+        }
+        let tracked = |v: u64| {
+            let m = vals.lookup(&v).expect("interned above");
+            ia.count_in_window(t(0), IaKind::Support, m, Duration::from_nanos(D)) == 1
+        };
+        assert!(!tracked(cap), "the largest of the equally old values goes");
+        assert!(tracked(cap - 1) && tracked(1) && tracked(0));
     }
 
     #[test]
     fn own_progress_reports_sends() {
+        let (vals, [v7, v99]) = interned([7, 99]);
         let mut ia = ia4();
-        run_clean_accept(&mut ia, t(0));
-        let prog = ia.own_progress(&7);
+        run_clean_accept(&mut ia, &vals, v7, t(0));
+        let prog = ia.own_progress(v7);
         assert!(prog.approve_sent.is_some());
         assert!(prog.ready_sent.is_some());
         assert!(prog.accepted_at.is_some());
-        assert_eq!(ia.own_progress(&99), OwnProgress::default());
+        assert_eq!(ia.own_progress(v99), OwnProgress::default());
     }
 }

@@ -478,8 +478,8 @@ impl<V: Value> Default for ValueInterner<V> {
 /// the id — the per-value analogue of
 /// [`DenseNodeMap`](ssbyz_types::DenseNodeMap). Iteration order is
 /// ascending id (arena slot order), **not** value order; call sites whose
-/// output order must match the value-keyed golden model resolve and order
-/// explicitly.
+/// output order must not depend on id assignment resolve and order by
+/// value explicitly.
 ///
 /// # Example
 ///
@@ -635,6 +635,15 @@ impl<T: fmt::Debug> fmt::Debug for ValueIdMap<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
+}
+
+/// Test support for the primitives' unit tests: interns `values` in
+/// order, the way an engine does at its boundary.
+#[cfg(test)]
+pub(crate) fn interned<const N: usize>(values: [u64; N]) -> (ValueInterner<u64>, [ValueId; N]) {
+    let mut table = ValueInterner::new();
+    let ids = values.map(|v| table.intern(&v));
+    (table, ids)
 }
 
 #[cfg(test)]

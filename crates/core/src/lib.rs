@@ -20,7 +20,9 @@
 //!   early stopping, Agreement/Validity/Termination + Timeliness (Fig. 1).
 //! * [`Engine`] — one node's multiplexer over per-General instances, with
 //!   the General-side Sending Validity Criteria ``[IG1]``–``[IG3]`` and the
-//!   periodic state decay that makes everything self-stabilizing.
+//!   periodic state decay that makes everything self-stabilizing. It owns
+//!   the [`ValueInterner`]: the primitives speak dense [`ValueId`]s, and
+//!   values reappear only in the engine's [`Output`]s.
 //!
 //! Everything is **sans-io**: no clocks, no sockets, no RNG. Feed local
 //! times and messages in, get [`Output`]s back. Deterministic simulation
@@ -62,13 +64,13 @@ pub mod pipeline;
 pub mod proposer;
 pub mod store;
 
-pub use agreement::{AgrAction, Agreement, InternedAgreement};
+pub use agreement::{AgrAction, Agreement};
 pub use corrupt::{Entropy, ScrambleConfig};
 pub use engine::{DispatchStats, Engine, Event, InitiateError, Output};
-pub use initiator_accept::{IaAction, InitiatorAccept, InternedInitiatorAccept, OwnProgress};
+pub use initiator_accept::{IaAction, InitiatorAccept, OwnProgress};
 pub use intern::{ValueId, ValueIdMap, ValueInterner};
 pub use message::{BcastKind, IaKind, Msg};
-pub use msgd_broadcast::{InternedMsgdBroadcast, MsgdAction, MsgdBroadcast};
+pub use msgd_broadcast::{MsgdAction, MsgdBroadcast};
 pub use outbox::Outbox;
 pub use params::Params;
 pub use pipeline::{

@@ -25,12 +25,6 @@
 //! * One outbox serves one engine at a time but is not tied to it; the
 //!   scratch buffers are always empty between calls, so an outbox may be
 //!   shared across engines (e.g. a thread driving several nodes).
-//!
-//! The pre-outbox Vec-returning dispatch is retained verbatim as
-//! [`engine::reference::ReferenceEngine`](crate::engine::reference::ReferenceEngine)
-//! — the golden model for the equivalence battery in
-//! `crates/core/tests/outbox_equivalence.rs` and the baseline side of the
-//! `store_hot_path` engine benches.
 
 use ssbyz_types::NodeId;
 

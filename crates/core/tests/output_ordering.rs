@@ -5,7 +5,7 @@
 //! (ia-accept event → agreement wake-ups → decide relay → post-return
 //! wake-up → returned event; per-General agreement actions in ascending
 //! General id, then the node's own ``[IG3]`` failures). Harnesses and the
-//! golden-model equivalence battery rely on that order being stable —
+//! recorded transcripts (`engine_transcripts.rs`) rely on that order —
 //! these tests make it impossible for an outbox/dispatch refactor to
 //! silently reorder emissions.
 

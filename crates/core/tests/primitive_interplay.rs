@@ -5,7 +5,7 @@
 
 use ssbyz_core::{
     AgrAction, Agreement, BcastKind, Duration, IaAction, IaKind, InitiatorAccept, LocalTime,
-    MsgdAction, MsgdBroadcast, NodeId, Params,
+    MsgdAction, MsgdBroadcast, NodeId, Params, ValueId, ValueInterner,
 };
 
 const D: u64 = 10_000_000;
@@ -26,19 +26,26 @@ fn id(n: u32) -> NodeId {
     NodeId::new(n)
 }
 
+/// The value `7`, interned the way an engine does at its boundary.
+fn seven() -> (ValueInterner<u64>, ValueId) {
+    let mut vals = ValueInterner::new();
+    let v7 = vals.intern(&7);
+    (vals, v7)
+}
+
 /// A tiny synchronous "network" over four InitiatorAccept instances:
 /// deliver every send to every instance at `now + step`.
 struct IaNet {
-    nodes: Vec<InitiatorAccept<u64>>,
-    accepted: Vec<Option<(u64, LocalTime)>>,
+    nodes: Vec<InitiatorAccept>,
+    vals: ValueInterner<u64>,
+    accepted: Vec<Option<(ValueId, LocalTime)>>,
 }
 
 impl IaNet {
     fn new(params: Params) -> Self {
         IaNet {
-            nodes: (0..4)
-                .map(|i| InitiatorAccept::new(id(i), id(0), params))
-                .collect(),
+            nodes: vec![InitiatorAccept::new(id(0), params); 4],
+            vals: ValueInterner::new(),
             accepted: vec![None; 4],
         }
     }
@@ -48,13 +55,13 @@ impl IaNet {
     fn deliver_wave(
         &mut self,
         now: LocalTime,
-        wave: Vec<(u32, IaKind, u64)>,
-    ) -> Vec<(u32, IaKind, u64)> {
+        wave: Vec<(u32, IaKind, ValueId)>,
+    ) -> Vec<(u32, IaKind, ValueId)> {
         let mut next = Vec::new();
         for (sender, kind, value) in wave {
             for (i, node) in self.nodes.iter_mut().enumerate() {
                 let mut out = Vec::new();
-                node.on_message(now, id(sender), kind, value, &mut out);
+                node.on_message(now, id(sender), kind, value, &self.vals, &mut out);
                 for act in out {
                     match act {
                         IaAction::Send { kind, value } => next.push((i as u32, kind, value)),
@@ -70,11 +77,12 @@ impl IaNet {
         next
     }
 
-    fn invoke_all(&mut self, now: LocalTime, value: u64) -> Vec<(u32, IaKind, u64)> {
+    fn invoke_all(&mut self, now: LocalTime, value: u64) -> Vec<(u32, IaKind, ValueId)> {
+        let value = self.vals.intern(&value);
         let mut wave = Vec::new();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let mut out = Vec::new();
-            node.on_initiator(now, value, &mut out);
+            node.on_initiator(now, value, &self.vals, &mut out);
             for act in out {
                 if let IaAction::Send { kind, value } = act {
                     wave.push((i as u32, kind, value));
@@ -109,7 +117,8 @@ fn ia_lockstep_anchors_agree() {
             assert!(a.since_or_zero(*b) <= d() || b.since_or_zero(*a) <= d());
         }
     }
-    assert!(net.accepted.iter().all(|a| a.unwrap().0 == 7));
+    let v7 = net.vals.lookup(&7);
+    assert!(net.accepted.iter().all(|a| a.map(|(v, _)| v) == v7));
 }
 
 /// Replaying the whole accepted wave immediately afterwards produces no
@@ -143,9 +152,10 @@ fn ia_replay_cannot_double_accept() {
 #[test]
 fn msgd_relay_via_echo_prime() {
     let p = params4();
+    let (_, v7) = seven();
     let anchor = t(0);
-    let mut a: MsgdBroadcast<u64> = MsgdBroadcast::new(id(1), id(0), p);
-    let mut b: MsgdBroadcast<u64> = MsgdBroadcast::new(id(2), id(0), p);
+    let mut a = MsgdBroadcast::new(id(1), p);
+    let mut b = MsgdBroadcast::new(id(2), p);
     let mut out_a = Vec::new();
     // A sees a strong quorum of echoes (from 0, 2, 3).
     for s in [0u32, 2, 3] {
@@ -154,7 +164,7 @@ fn msgd_relay_via_echo_prime() {
             id(s),
             BcastKind::Echo,
             id(3),
-            7,
+            v7,
             1,
             Some(anchor),
             &mut out_a,
@@ -172,7 +182,7 @@ fn msgd_relay_via_echo_prime() {
             id(s),
             BcastKind::InitPrime,
             id(3),
-            7,
+            v7,
             1,
             Some(anchor),
             &mut out_b,
@@ -193,7 +203,7 @@ fn msgd_relay_via_echo_prime() {
             id(s),
             BcastKind::EchoPrime,
             id(3),
-            7,
+            v7,
             1,
             Some(anchor),
             &mut out_b,
@@ -212,7 +222,8 @@ fn msgd_relay_via_echo_prime() {
 #[test]
 fn msgd_single_forger_cannot_accept() {
     let p = params4();
-    let mut m: MsgdBroadcast<u64> = MsgdBroadcast::new(id(1), id(0), p);
+    let (_, v7) = seven();
+    let mut m = MsgdBroadcast::new(id(1), p);
     let mut out = Vec::new();
     for i in 0..50u64 {
         for kind in [BcastKind::Echo, BcastKind::InitPrime, BcastKind::EchoPrime] {
@@ -221,7 +232,7 @@ fn msgd_single_forger_cannot_accept() {
                 id(3), // a single Byzantine sender
                 kind,
                 id(2),
-                7,
+                v7,
                 1,
                 Some(t(0)),
                 &mut out,
@@ -240,12 +251,20 @@ fn msgd_single_forger_cannot_accept() {
 #[test]
 fn decider_relay_enables_chain_decision() {
     let p = params4();
+    let (vals, v7) = seven();
     let tau_g = t(0);
     // Node 1 decided via block R and invoked msgd-broadcast(1, 7, 1);
     // nodes 0, 2, 3 echo its init. Node 2 has a *late* anchor (R missed).
-    let mut late: Agreement<u64> = Agreement::new(id(2), id(0), p);
+    let mut late = Agreement::new(id(2), id(0), p);
     let mut out = Vec::new();
-    late.on_i_accept(tau_g + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+    late.on_i_accept(
+        tau_g + d() * 5u64,
+        v7,
+        tau_g,
+        &vals,
+        &mut Vec::new(),
+        &mut out,
+    );
     assert!(!late.has_returned());
     // The decider's init arrives (from node 1, broadcaster 1, round 1).
     late.on_bcast(
@@ -253,8 +272,10 @@ fn decider_relay_enables_chain_decision() {
         id(1),
         BcastKind::Init,
         id(1),
-        7,
+        v7,
         1,
+        &vals,
+        &mut Vec::new(),
         &mut out,
     );
     // Echoes from everyone (node 2's own echo comes back too).
@@ -264,13 +285,15 @@ fn decider_relay_enables_chain_decision() {
             id(s),
             BcastKind::Echo,
             id(1),
-            7,
+            v7,
             1,
+            &vals,
+            &mut Vec::new(),
             &mut out,
         );
     }
     assert!(late.has_returned(), "chain of length 1 decides");
-    assert_eq!(late.decision(), Some(&Some(7)));
+    assert_eq!(late.decision(), Some(&Some(v7)));
     // And it relayed at round 2.
     assert!(out.iter().any(|a| matches!(
         a,
@@ -288,20 +311,48 @@ fn decider_relay_enables_chain_decision() {
 #[test]
 fn duplicate_broadcaster_does_not_lengthen_chain() {
     let p = Params::from_d(7, 2, Duration::from_nanos(D), 0).unwrap();
+    let (vals, v7) = seven();
     let tau_g = t(0);
-    let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+    let mut agr = Agreement::new(id(1), id(0), p);
     let mut out = Vec::new();
-    agr.on_i_accept(tau_g + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+    agr.on_i_accept(
+        tau_g + d() * 5u64,
+        v7,
+        tau_g,
+        &vals,
+        &mut Vec::new(),
+        &mut out,
+    );
     // Work at elapsed 4Φ: past the r = 1 chain deadline (3Φ), within the
     // r = 2 deadline (5Φ). The round-1 accept must therefore arrive via
     // the *untimed* Z path (echo′ quorum).
     let now = tau_g + p.phi() * 4u64;
     for s in [0u32, 2, 3, 4, 5] {
-        agr.on_bcast(now, id(s), BcastKind::EchoPrime, id(3), 7, 1, &mut out);
+        agr.on_bcast(
+            now,
+            id(s),
+            BcastKind::EchoPrime,
+            id(3),
+            v7,
+            1,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
     }
     // Round-2 accept by the SAME broadcaster 3 (echo path, within 5Φ).
     for s in [0u32, 2, 3, 4, 5] {
-        agr.on_bcast(now, id(s), BcastKind::Echo, id(3), 7, 2, &mut out);
+        agr.on_bcast(
+            now,
+            id(s),
+            BcastKind::Echo,
+            id(3),
+            v7,
+            2,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
     }
     assert!(
         !agr.has_returned(),
@@ -309,8 +360,53 @@ fn duplicate_broadcaster_does_not_lengthen_chain() {
     );
     // A round-2 accept from a different broadcaster completes the chain.
     for s in [0u32, 2, 3, 4, 5] {
-        agr.on_bcast(now, id(s), BcastKind::Echo, id(4), 7, 2, &mut out);
+        agr.on_bcast(
+            now,
+            id(s),
+            BcastKind::Echo,
+            id(4),
+            v7,
+            2,
+            &vals,
+            &mut Vec::new(),
+            &mut out,
+        );
     }
     assert!(agr.has_returned(), "distinct broadcasters decide");
-    assert_eq!(agr.decision(), Some(&Some(7)));
+    assert_eq!(agr.decision(), Some(&Some(v7)));
+}
+
+/// Block S facing two equally short decidable chains: the smaller *value*
+/// wins, whatever order the ids were assigned in.
+#[test]
+fn equal_chains_decide_the_smaller_value() {
+    let p = params4();
+    let mut vals = ValueInterner::new();
+    let v9 = vals.intern(&9u64);
+    let v7 = vals.intern(&7u64); // id order ≠ value order
+    let tau_g = t(0);
+    let now = tau_g + d() * 6u64;
+    let mut agr = Agreement::new(id(1), id(0), p);
+    let mut out = Vec::new();
+    // Echo quorums for (2, 9, 1) and (3, 7, 1) are logged before the
+    // anchor exists...
+    for (broadcaster, value) in [(2, v9), (3, v7)] {
+        for s in [0u32, 2, 3] {
+            agr.on_bcast(
+                now,
+                id(s),
+                BcastKind::Echo,
+                id(broadcaster),
+                value,
+                1,
+                &vals,
+                &mut Vec::new(),
+                &mut out,
+            );
+        }
+    }
+    assert!(out.is_empty(), "no anchor yet: messages are only logged");
+    // ...so a late anchor accepts both at once and block S must choose.
+    agr.on_i_accept(now, v9, tau_g, &vals, &mut Vec::new(), &mut out);
+    assert_eq!(agr.decision(), Some(&Some(v7)));
 }

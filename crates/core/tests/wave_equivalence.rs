@@ -23,8 +23,8 @@
 //! out-of-membership senders, interleaved non-Bcast traffic,
 //! hash-colliding values and sender-major bursts (the shape `n`
 //! concurrent relays produce). The per-message dispatch is the
-//! specification (itself pinned against the Vec-returning golden model in
-//! `outbox_equivalence.rs`). Each case runs many waves against the same
+//! specification (itself pinned by the recorded transcripts in
+//! `engine_transcripts.rs`). Each case runs many waves against the same
 //! engine pair with ticks in between, so state divergence in one wave
 //! would surface in every later one.
 

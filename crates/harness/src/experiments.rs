@@ -1,9 +1,10 @@
-//! Drivers for the reproduction experiments E1–E11 (see DESIGN.md §4).
+//! Drivers for the reproduction experiments E1–E11. Each driver's doc
+//! comment names the paper bound it measures; `docs/ROBUSTNESS.md` covers
+//! the fault-campaign side.
 //!
 //! Each driver runs seeded scenarios and returns plain row structs; the
-//! `experiments` binary in `ssbyz-bench` renders them as the tables of
-//! EXPERIMENTS.md, and the integration tests assert the paper's bounds on
-//! them.
+//! `experiments` binary in `ssbyz-bench` renders them as tables, and the
+//! integration tests assert the paper's bounds on them.
 
 use ssbyz_baseline::run_baseline;
 use ssbyz_types::{Duration, NodeId, RealTime};

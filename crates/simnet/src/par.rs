@@ -856,8 +856,9 @@ enum State<M, O> {
 ///
 /// Built via [`SimBuilder::build_sharded`] (which forces
 /// [`RngMode::PerNode`]); behaviourally a drop-in for [`Simulation`] on
-/// the post-storm harness surface. See the [module docs](self) for the
-/// execution model and the determinism argument.
+/// the post-storm harness surface. The module docs at the top of
+/// `crates/simnet/src/par.rs` give the execution model and the
+/// determinism argument.
 pub struct ShardedSim<M, O> {
     threads: usize,
     /// Real time until which execution stays on the sequential engine

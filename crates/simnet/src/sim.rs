@@ -59,7 +59,7 @@ pub struct Metrics {
 /// every draw is attributed to a node — routing draws to the sender,
 /// handler draws to the handling node — so the sequence each node sees
 /// depends only on that node's own event order. That is the keying the
-/// sharded simulator ([`crate::par`]) relies on: draws derive from
+/// sharded simulator ([`crate::ShardedSim`]) relies on: draws derive from
 /// stable ids, never from cross-node interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RngMode {
