@@ -32,41 +32,39 @@ fn main() {
         }
         i += 1;
     }
-    let all = which == "all";
-    if all || which == "e1" {
-        e1(seeds);
+    let selected: Vec<_> = TABLES
+        .iter()
+        .filter(|(name, ..)| which == "all" || which == *name)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = TABLES.iter().map(|(name, ..)| *name).collect();
+        eprintln!(
+            "unknown table {which:?}; valid names: all, {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
-    if all || which == "e2" {
-        e2(seeds);
-    }
-    if all || which == "e3" {
-        e3(seeds);
-    }
-    if all || which == "e4" {
-        e4(seeds);
-    }
-    if all || which == "e5" {
-        e5(seeds);
-    }
-    if all || which == "e6" {
-        e6(seeds.min(5));
-    }
-    if all || which == "e7" {
-        e7(seeds);
-    }
-    if all || which == "e8" {
-        e8(seeds);
-    }
-    if all || which == "e9" {
-        e9(seeds.min(3));
-    }
-    if all || which == "e10" {
-        e10();
-    }
-    if all || which == "e11" {
-        e11(seeds.min(3));
+    for (_, max_seeds, table) in selected {
+        table(seeds.min(*max_seeds));
     }
 }
+
+/// A table's name, the most seeds its runtime allows, and its driver.
+type Table = (&'static str, u64, fn(u64));
+
+const TABLES: [Table; 11] = [
+    ("e1", u64::MAX, e1),
+    ("e2", u64::MAX, e2),
+    ("e3", u64::MAX, e3),
+    ("e4", u64::MAX, e4),
+    ("e5", u64::MAX, e5),
+    ("e6", 5, e6),
+    ("e7", u64::MAX, e7),
+    ("e8", u64::MAX, e8),
+    ("e9", 3, e9),
+    ("e10", u64::MAX, |_| e10()),
+    ("e11", 3, e11),
+];
 
 fn e1(seeds: u64) {
     println!("\n## E1 — Validity + Timeliness-2 (correct General)\n");

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssbyz_adversary::{QuorumStalker, RngEntropy};
 use ssbyz_core::corrupt::ScrambleConfig;
-use ssbyz_simnet::{Partition, SimMode};
+use ssbyz_simnet::Partition;
 use ssbyz_types::{Duration, NodeId, RealTime};
 
 use crate::adapter::{EngineProcess, TOKEN_WAKE};
@@ -295,8 +295,6 @@ pub struct BurstReport {
 pub struct StabilizationReport {
     /// Campaign family name.
     pub family: &'static str,
-    /// Simulation engine the cell ran on.
-    pub sim_mode: SimMode,
     /// Membership size.
     pub n: usize,
     /// Fault budget.
@@ -521,8 +519,7 @@ pub fn campaign_settle(params: &ssbyz_core::Params) -> Duration {
 }
 
 /// One campaign cell, fully specified: membership, fault family, burst
-/// count, simulation engine and an optional δ override (see
-/// [`clamped_delta`]).
+/// count and an optional δ override (see [`clamped_delta`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignSpec {
     /// Membership size.
@@ -535,15 +532,13 @@ pub struct CampaignSpec {
     pub family: CampaignFamily,
     /// Number of bursts.
     pub bursts: usize,
-    /// Simulation engine to run on.
-    pub sim_mode: SimMode,
     /// Overrides the assumed network bound δ (`None` keeps the
     /// [`ScenarioConfig`] default).
     pub delta: Option<Duration>,
 }
 
 impl CampaignSpec {
-    /// A sequential-engine cell with the default δ.
+    /// A cell with the default δ.
     #[must_use]
     pub fn new(n: usize, f: usize, seed: u64, family: CampaignFamily, bursts: usize) -> Self {
         CampaignSpec {
@@ -552,28 +547,24 @@ impl CampaignSpec {
             seed,
             family,
             bursts,
-            sim_mode: SimMode::Sequential,
             delta: None,
         }
     }
 }
 
-/// The assumed network bound δ, kept honest for `n` nodes on `workers`
-/// execution lanes. δ's companion π (the processing bound) budgets each
-/// node one message-handling step per millisecond, but a node touches
-/// `O(n)` messages per protocol step — so past roughly `64 × workers`
-/// nodes the default δ = 9 ms would silently promise more processing
-/// than the lanes can model. Returns the scaled δ and whether scaling
-/// kicked in (callers should surface a warning when it did).
+/// The assumed network bound δ, kept honest for `n` nodes. δ's
+/// companion π (the processing bound) budgets each node one
+/// message-handling step per millisecond, but a node touches `O(n)`
+/// messages per protocol step — so past roughly 64 nodes the default
+/// δ = 9 ms would silently promise more processing than the model
+/// grants. Returns δ scaled by `ceil(n / 64)` and whether scaling kicked
+/// in (callers should surface a warning when it did). A property of the
+/// simulated system only: it does not depend on how the simulator runs.
 #[must_use]
-pub fn clamped_delta(n: usize, workers: usize) -> (Duration, bool) {
+pub fn clamped_delta(n: usize) -> (Duration, bool) {
     let base = ScenarioConfig::new(4, 1).delta;
-    let capacity = workers.max(1) * 64;
-    if n <= capacity {
-        return (base, false);
-    }
-    let factor = n.div_ceil(capacity) as u32;
-    (base * factor, true)
+    let factor = n.div_ceil(64) as u32;
+    (base * factor, factor > 1)
 }
 
 /// Runs one campaign cell: `bursts` fault bursts of `family` against an
@@ -595,8 +586,8 @@ pub fn run_campaign(
     run_campaign_spec(&CampaignSpec::new(n, f, seed, family, bursts))
 }
 
-/// [`run_campaign`] with the engine and δ picked by a [`CampaignSpec`] —
-/// the sharded engine carries the same campaign to `n = 256` and beyond.
+/// [`run_campaign`] with δ picked by a [`CampaignSpec`], which is what
+/// carries the same campaign to `n = 256`.
 ///
 /// # Panics
 ///
@@ -645,9 +636,7 @@ pub fn run_campaign_spec(spec: &CampaignSpec) -> StabilizationReport {
         initiations.push(probe_offsets[k]);
     }
     let stalker = family == CampaignFamily::AdaptiveStorm;
-    let mut b = ScenarioBuilder::new(cfg)
-        .sim_mode(spec.sim_mode)
-        .correct_with_initiations(initiations);
+    let mut b = ScenarioBuilder::new(cfg).correct_with_initiations(initiations);
     for i in 1..n {
         if stalker && i == n - 1 {
             b = b.byzantine(Box::new(QuorumStalker::new(
@@ -661,7 +650,7 @@ pub fn run_campaign_spec(spec: &CampaignSpec) -> StabilizationReport {
     }
     let mut sc = b.build();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_FA17);
-    let clock0 = sc.sim().clock(NodeId::new(0));
+    let clock0 = *sc.sim().clock(NodeId::new(0));
     let base_local = clock0.local_at(RealTime::ZERO);
     let correct = sc.correct().to_vec();
 
@@ -708,7 +697,6 @@ pub fn run_campaign_spec(spec: &CampaignSpec) -> StabilizationReport {
     }
     StabilizationReport {
         family: family.name(),
-        sim_mode: spec.sim_mode,
         n,
         f,
         seed,
@@ -867,31 +855,22 @@ mod tests {
         assert!(report.settle < report.delta_stb);
     }
 
+    /// δ is a property of the simulated system: it scales with the
+    /// membership in steps of 64 nodes and with nothing else.
+    #[test]
+    fn clamped_delta_scales_with_membership_only() {
+        let base = ScenarioConfig::new(4, 1).delta;
+        assert_eq!(clamped_delta(7), (base, false));
+        assert_eq!(clamped_delta(64), (base, false));
+        assert_eq!(clamped_delta(65), (base * 2u32, true));
+        assert_eq!(clamped_delta(256), (base * 4u32, true));
+    }
+
     #[test]
     fn campaign_is_deterministic() {
         let a = run_campaign(4, 1, 3, CampaignFamily::RepeatedScrambles, 1);
         let b = run_campaign(4, 1, 3, CampaignFamily::RepeatedScrambles, 1);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    /// A whole campaign cell on the sharded engine — mid-run crashes,
-    /// partitions, scrambles, planted timers and all — is bit-identical
-    /// across worker-thread counts.
-    #[test]
-    fn sharded_campaign_is_thread_count_invariant() {
-        let mk = |threads: usize| {
-            let mut spec = CampaignSpec::new(7, 2, 5, CampaignFamily::RepeatedScrambles, 1);
-            spec.sim_mode = SimMode::Sharded(threads);
-            run_campaign_spec(&spec)
-        };
-        let a = mk(1);
-        let b = mk(4);
-        assert_eq!(
-            format!("{:?}", a.bursts),
-            format!("{:?}", b.bursts),
-            "sharded campaign diverged between 1 and 4 workers"
-        );
-        assert!(a.stabilized(), "violations: {:?}", a.violations());
     }
 
     /// Distinct fault families must leave distinct fingerprints under a

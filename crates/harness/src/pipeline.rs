@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssbyz_core::{PipeEvent, PipeOutput, PipelineConfig, SlotMsg, SlotPipeline};
-use ssbyz_simnet::{AnySim, Ctx, DriftClock, LinkConfig, Process, SimBuilder, SimMode, WaveMode};
+use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, Process, SimBuilder, Simulation, WaveMode};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
 use crate::scenario::{ScenarioConfig, Val};
@@ -208,7 +208,7 @@ impl Process<PipelineMsg, PipelineObs> for PipelineProcess {
 /// workload), drifting clocks, jittered or fixed links — the pipeline
 /// analogue of [`crate::ScenarioBuilder`].
 pub struct PipelineScenario {
-    sim: AnySim<PipelineMsg, PipelineObs>,
+    sim: Simulation<PipelineMsg, PipelineObs>,
     n: usize,
 }
 
@@ -222,21 +222,6 @@ impl PipelineScenario {
         pipe_cfg: &PipelineConfig,
         workload: Workload,
         wave_mode: WaveMode,
-    ) -> Self {
-        Self::with_mode(cfg, pipe_cfg, workload, wave_mode, SimMode::Sequential)
-    }
-
-    /// Like [`PipelineScenario::new`], but selecting the simulation
-    /// engine — the sharded engine carries the same cluster to
-    /// membership sizes the sequential wheel cannot reach in reasonable
-    /// wall-clock.
-    #[must_use]
-    pub fn with_mode(
-        cfg: &ScenarioConfig,
-        pipe_cfg: &PipelineConfig,
-        workload: Workload,
-        wave_mode: WaveMode,
-        sim_mode: SimMode,
     ) -> Self {
         let params = cfg.params().expect("valid scenario config");
         // Same clock derivation as ScenarioBuilder: a dedicated RNG so
@@ -260,19 +245,19 @@ impl PipelineScenario {
             builder = builder.node(Box::new(process), clock);
         }
         PipelineScenario {
-            sim: builder.build_mode(sim_mode),
+            sim: builder.build(),
             n: cfg.n,
         }
     }
 
     /// Read access to the underlying simulation.
     #[must_use]
-    pub fn sim(&self) -> &AnySim<PipelineMsg, PipelineObs> {
+    pub fn sim(&self) -> &Simulation<PipelineMsg, PipelineObs> {
         &self.sim
     }
 
     /// Mutable access (fault injection, link blocks, crash control).
-    pub fn sim_mut(&mut self) -> &mut AnySim<PipelineMsg, PipelineObs> {
+    pub fn sim_mut(&mut self) -> &mut Simulation<PipelineMsg, PipelineObs> {
         &mut self.sim
     }
 

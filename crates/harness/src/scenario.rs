@@ -12,8 +12,7 @@ use ssbyz_adversary::{u64_corruptor, u64_injector, RngEntropy};
 use ssbyz_core::corrupt::ScrambleConfig;
 use ssbyz_core::{Engine, Event, Msg, Params};
 use ssbyz_simnet::{
-    AnySim, BroadcastMode, DriftClock, LinkConfig, Metrics, Process, RngMode, SimBuilder, SimMode,
-    StormConfig, WaveMode,
+    DriftClock, LinkConfig, Metrics, Process, SimBuilder, Simulation, StormConfig, WaveMode,
 };
 use ssbyz_types::{ConfigError, Duration, LocalTime, NodeId, RealTime};
 
@@ -119,10 +118,7 @@ pub struct ScenarioBuilder {
     storm: Option<StormConfig>,
     ideal_clocks: bool,
     boot_readings: Option<Vec<LocalTime>>,
-    broadcast_mode: BroadcastMode,
     wave_mode: WaveMode,
-    sim_mode: SimMode,
-    rng_mode: RngMode,
 }
 
 impl ScenarioBuilder {
@@ -142,20 +138,8 @@ impl ScenarioBuilder {
             storm: None,
             ideal_clocks: false,
             boot_readings: None,
-            broadcast_mode: BroadcastMode::default(),
             wave_mode: WaveMode::default(),
-            sim_mode: SimMode::Sequential,
-            rng_mode: RngMode::Global,
         }
-    }
-
-    /// Selects the simulator's broadcast fan-out scheduling mode — the
-    /// A/B parity tests run the same scenario batched and per-destination
-    /// and require identical results.
-    #[must_use]
-    pub fn broadcast_mode(mut self, mode: BroadcastMode) -> Self {
-        self.broadcast_mode = mode;
-        self
     }
 
     /// Selects the simulator's receiver-side wave coalescing mode — the
@@ -164,25 +148,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn wave_mode(mut self, mode: WaveMode) -> Self {
         self.wave_mode = mode;
-        self
-    }
-
-    /// Selects the simulation engine: the sequential wheel (default) or
-    /// the sharded conservative-lookahead engine with a worker-thread
-    /// count. Sharded runs always use per-node RNG streams.
-    #[must_use]
-    pub fn sim_mode(mut self, mode: SimMode) -> Self {
-        self.sim_mode = mode;
-        self
-    }
-
-    /// Selects the RNG stream layout for *sequential* runs.
-    /// [`RngMode::PerNode`] makes a sequential run comparable to a
-    /// sharded one draw-for-draw; the default keeps the original global
-    /// stream so existing fixed-seed traces are untouched.
-    #[must_use]
-    pub fn rng_mode(mut self, mode: RngMode) -> Self {
-        self.rng_mode = mode;
         self
     }
 
@@ -286,9 +251,7 @@ impl ScenarioBuilder {
                 self.cfg.actual_min,
                 self.cfg.actual_max,
             ))
-            .broadcast_mode(self.broadcast_mode)
             .wave_mode(self.wave_mode)
-            .rng_mode(self.rng_mode)
             .tagger(Msg::tag);
         if let Some(storm) = self.storm {
             builder = builder
@@ -339,7 +302,7 @@ impl ScenarioBuilder {
             builder = builder.node(process, clock);
         }
         RunningScenario {
-            sim: builder.build_mode(self.sim_mode),
+            sim: builder.build(),
             params: self.params,
             correct,
         }
@@ -443,10 +406,9 @@ impl ScenarioResult {
     }
 }
 
-/// A scenario wired into a live simulation (either engine, behind
-/// [`AnySim`]).
+/// A scenario wired into a live simulation.
 pub struct RunningScenario {
-    sim: AnySim<ScenarioMsg, NodeEvent<Val>>,
+    sim: Simulation<ScenarioMsg, NodeEvent<Val>>,
     params: Params,
     correct: Vec<NodeId>,
 }
@@ -466,13 +428,13 @@ impl RunningScenario {
 
     /// Mutable access to the underlying simulation (storm control, link
     /// blocks, down-time injection, external messages).
-    pub fn sim_mut(&mut self) -> &mut AnySim<ScenarioMsg, NodeEvent<Val>> {
+    pub fn sim_mut(&mut self) -> &mut Simulation<ScenarioMsg, NodeEvent<Val>> {
         &mut self.sim
     }
 
     /// Read access to the underlying simulation.
     #[must_use]
-    pub fn sim(&self) -> &AnySim<ScenarioMsg, NodeEvent<Val>> {
+    pub fn sim(&self) -> &Simulation<ScenarioMsg, NodeEvent<Val>> {
         &self.sim
     }
 

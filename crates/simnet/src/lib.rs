@@ -24,7 +24,6 @@
 
 mod clock;
 mod network;
-mod par;
 mod process;
 mod sim;
 
@@ -36,9 +35,5 @@ pub use ssbyz_sched as sched;
 
 pub use clock::{DriftClock, PPM};
 pub use network::{LinkBlock, LinkConfig, Partition, StormConfig};
-pub use par::{AnySim, ShardedSim, SimMode};
 pub use process::{Ctx, Process};
-pub use sim::{
-    stream_seed, BroadcastMode, Corruptor, Injector, Metrics, Observation, RngMode, SimBuilder,
-    Simulation, WaveMode,
-};
+pub use sim::{Corruptor, Injector, Metrics, Observation, SimBuilder, Simulation, WaveMode};

@@ -104,8 +104,7 @@ impl StormConfig {
 /// delivers to itself — a node always hears its own broadcasts).
 ///
 /// Partitions are installed on the simulation as a whole
-/// (`Simulation::set_partition`) or scheduled from a fault controller via
-/// `Effect::SetPartition`, and lifted by installing `None`.
+/// (`Simulation::set_partition`) and lifted by installing `None`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Partition {
     groups: Vec<NodeBitSet>,

@@ -5,8 +5,6 @@ use std::sync::Arc;
 
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
-use crate::network::Partition;
-
 /// Everything a process may do during one event handler invocation.
 ///
 /// A process only ever sees **local time**; the simulator translates to and
@@ -24,39 +22,12 @@ pub struct Ctx<'a, M, O> {
 /// handler returns.
 #[derive(Debug)]
 pub(crate) enum Effect<M, O> {
-    Send {
-        to: NodeId,
-        msg: M,
-    },
-    Broadcast {
-        msg: M,
-    },
-    TimerAtLocal {
-        at: LocalTime,
-        token: u64,
-    },
-    TimerAfter {
-        after: Duration,
-        token: u64,
-    },
-    CancelTimer {
-        token: u64,
-    },
+    Send { to: NodeId, msg: M },
+    Broadcast { msg: M },
+    TimerAtLocal { at: LocalTime, token: u64 },
+    TimerAfter { after: Duration, token: u64 },
+    CancelTimer { token: u64 },
     Observe(O),
-    /// Fault injection: crash a node for a real-time span (controller
-    /// power — ordinary protocol processes have no business issuing it).
-    CrashNode {
-        node: NodeId,
-        down_for: Duration,
-    },
-    /// Fault injection: bring a crashed node back up immediately.
-    RecoverNode {
-        node: NodeId,
-    },
-    /// Fault injection: install (`Some`) or heal (`None`) a partition.
-    SetPartition {
-        partition: Option<Partition>,
-    },
 }
 
 impl<'a, M, O> Ctx<'a, M, O> {
@@ -120,33 +91,6 @@ impl<'a, M, O> Ctx<'a, M, O> {
         self.outbox.push(Effect::Observe(obs));
     }
 
-    /// Fault controller power: marks `node` crashed for a real-time span.
-    /// The simulator swallows its deliveries, drops its timers at fire
-    /// time, and invokes [`Process::on_recover`] when the span elapses.
-    /// Meant for fault-injection driver processes, not protocol nodes.
-    pub fn crash_node(&mut self, node: NodeId, down_for: Duration) {
-        self.outbox.push(Effect::CrashNode { node, down_for });
-    }
-
-    /// Fault controller power: recovers a crashed node immediately
-    /// (fires its [`Process::on_recover`] hook).
-    pub fn recover_node(&mut self, node: NodeId) {
-        self.outbox.push(Effect::RecoverNode { node });
-    }
-
-    /// Fault controller power: installs a network [`Partition`]. Replaces
-    /// any partition currently in force.
-    pub fn set_partition(&mut self, partition: Partition) {
-        self.outbox.push(Effect::SetPartition {
-            partition: Some(partition),
-        });
-    }
-
-    /// Fault controller power: heals the current partition, if any.
-    pub fn heal_partition(&mut self) {
-        self.outbox.push(Effect::SetPartition { partition: None });
-    }
-
     /// Deterministic per-simulation entropy (used by Byzantine strategies).
     pub fn rand_u64(&mut self) -> u64 {
         (self.rng_words)()
@@ -191,10 +135,9 @@ pub trait Process<M, O>: Send {
     /// the whole wave into one triplet-table pass).
     ///
     /// Determinism contract: a handler reachable from this path must not
-    /// draw `rand_u64`/`rand_below` or issue fault-controller powers —
-    /// the simulator's coalescing gate assumes delivery handlers leave
-    /// the seeded RNG stream untouched (timers are where the adversary
-    /// strategies draw).
+    /// draw `rand_u64`/`rand_below` — the simulator's coalescing gate
+    /// assumes delivery handlers leave the seeded RNG stream untouched
+    /// (timers are where the adversary strategies draw).
     fn on_message_batch(&mut self, ctx: &mut Ctx<'_, M, O>, batch: &[(NodeId, Arc<M>)]) {
         for (from, msg) in batch {
             self.on_message(ctx, *from, msg);

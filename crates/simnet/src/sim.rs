@@ -1,4 +1,14 @@
-//! The deterministic discrete-event simulation core.
+//! The deterministic discrete-event simulation core: one engine.
+//!
+//! A [`Simulation`] is one timer wheel holding every pending event in
+//! `(due, seq)` order, one seeded RNG stream drawn in event-processing
+//! order, and one run loop. Every handler invocation goes through one
+//! helper that builds the node's [`Ctx`] and applies the effects it
+//! queued; [`Ctx::broadcast`] fan-out is batched into one wheel entry per
+//! same-due destination set, and same-instant deliveries on a draw-free
+//! instant are handed to each node as one wave ([`WaveMode`], the only
+//! simulator option). `crates/harness/tests/recorded_traces.rs` pins the
+//! resulting fixed-seed traces.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,78 +58,6 @@ pub struct Metrics {
     pub per_tag: BTreeMap<&'static str, u64>,
 }
 
-/// Which RNG stream layout the simulation draws from.
-///
-/// [`RngMode::Global`] (the default) is the original behaviour: one
-/// seeded stream consumed in event-processing order. Every draw then
-/// depends on the global interleaving of events, which is fine for a
-/// single wheel but unshardable. [`RngMode::PerNode`] gives each node
-/// its own stream (derived from the seed and the node's stable id via
-/// [`stream_seed`]) plus one auxiliary stream for storm injection:
-/// every draw is attributed to a node — routing draws to the sender,
-/// handler draws to the handling node — so the sequence each node sees
-/// depends only on that node's own event order. That is the keying the
-/// sharded simulator ([`crate::ShardedSim`]) relies on: draws derive from
-/// stable ids, never from cross-node interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RngMode {
-    /// One global stream in event-processing order (the original route).
-    #[default]
-    Global,
-    /// One independent stream per node, plus an auxiliary stream for
-    /// storm injection. Required by (and forced on by) the sharded
-    /// simulator.
-    PerNode,
-}
-
-/// Derives the seed of an independent per-lane RNG stream from the
-/// simulation seed and a stable lane id (splitmix64 finalizer — the
-/// same mixer the offline `rand` shim builds on). Lane 0 is the
-/// auxiliary stream; node `i` uses lane `i + 1`.
-#[must_use]
-pub fn stream_seed(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The concrete stream set behind an [`RngMode`].
-pub(crate) enum RngStreams {
-    Global(StdRng),
-    PerNode { nodes: Vec<StdRng>, aux: StdRng },
-}
-
-impl RngStreams {
-    pub(crate) fn new(mode: RngMode, seed: u64, n: usize) -> Self {
-        match mode {
-            RngMode::Global => RngStreams::Global(StdRng::seed_from_u64(seed)),
-            RngMode::PerNode => RngStreams::PerNode {
-                nodes: (0..n)
-                    .map(|i| StdRng::seed_from_u64(stream_seed(seed, i as u64 + 1)))
-                    .collect(),
-                aux: StdRng::seed_from_u64(stream_seed(seed, 0)),
-            },
-        }
-    }
-
-    /// The stream a draw attributed to `node` comes from.
-    pub(crate) fn stream(&mut self, node: NodeId) -> &mut StdRng {
-        match self {
-            RngStreams::Global(r) => r,
-            RngStreams::PerNode { nodes, .. } => &mut nodes[node.index()],
-        }
-    }
-
-    /// The stream non-node draws (storm injection) come from.
-    pub(crate) fn aux(&mut self) -> &mut StdRng {
-        match self {
-            RngStreams::Global(r) => r,
-            RngStreams::PerNode { aux, .. } => aux,
-        }
-    }
-}
-
 /// Corruptor hook: may rewrite a storm-hit message (or eat it).
 pub type Corruptor<M> = Box<dyn FnMut(M, &mut StdRng) -> Option<M> + Send>;
 
@@ -129,7 +67,7 @@ pub type Corruptor<M> = Box<dyn FnMut(M, &mut StdRng) -> Option<M> + Send>;
 /// a transient fault can leave in flight.
 pub type Injector<M> = Box<dyn FnMut(&mut StdRng, usize) -> (NodeId, NodeId, M) + Send>;
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     /// Delivery of a (possibly broadcast-shared) payload to one node.
     Deliver {
         to: NodeId,
@@ -162,12 +100,11 @@ pub(crate) enum EventKind<M> {
 }
 
 /// Pooled buffers for the destination-major dispatch of one coalesced
-/// instant — the one wave path of both the sequential loop and the
-/// shards.
-pub(crate) struct WaveScratch<M> {
+/// instant.
+struct WaveScratch<M> {
     /// The contiguous run of same-due delivery entries popped off the
     /// wheel, in `(due, seq)` order.
-    pub(crate) group: Vec<EventKind<M>>,
+    group: Vec<EventKind<M>>,
     /// One `(from, payload)` per group entry: the batch of every node
     /// that is a destination of all of them, built once per instant.
     shared: Vec<(NodeId, Arc<M>)>,
@@ -189,19 +126,15 @@ impl<M> Default for WaveScratch<M> {
 }
 
 impl<M> WaveScratch<M> {
-    /// Hands each of `nodes` (ascending id) its `(due, seq)`-ordered
+    /// Hands each of the `n` nodes (ascending id) its `(due, seq)`-ordered
     /// arrivals of the drained group in one `deliver` call. An
     /// all-broadcast instant is one shared batch — one reference bump per
     /// payload, not one per delivery; only a node missing from some
     /// entry's destinations gets a filtered rebuild.
-    pub(crate) fn dispatch(
-        &mut self,
-        nodes: std::ops::Range<u32>,
-        mut deliver: impl FnMut(NodeId, &[(NodeId, Arc<M>)]),
-    ) {
+    fn dispatch(&mut self, n: u32, mut deliver: impl FnMut(NodeId, &[(NodeId, Arc<M>)])) {
         debug_assert!(self.shared.is_empty() && self.filtered.is_empty());
         self.common.clear();
-        for id in nodes.clone() {
+        for id in 0..n {
             self.common.insert(NodeId::new(id));
         }
         for ev in &self.group {
@@ -217,7 +150,7 @@ impl<M> WaveScratch<M> {
                 _ => unreachable!("only delivery entries are drained into a wave group"),
             }
         }
-        for id in nodes {
+        for id in 0..n {
             let node = NodeId::new(id);
             if self.common.contains(node) {
                 deliver(node, &self.shared);
@@ -244,7 +177,7 @@ impl<M> WaveScratch<M> {
 
     /// Empties the dispatched group, recycling its destination bitmaps
     /// exactly as the per-message `BroadcastDeliver` arm recycles them.
-    pub(crate) fn recycle(&mut self, pool: &mut Vec<NodeBitSet>) {
+    fn recycle(&mut self, pool: &mut Vec<NodeBitSet>) {
         for ev in self.group.drain(..) {
             if let EventKind::BroadcastDeliver { mut dests, .. } = ev {
                 dests.clear();
@@ -252,19 +185,6 @@ impl<M> WaveScratch<M> {
             }
         }
     }
-}
-
-/// How [`Ctx::broadcast`] fan-out is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BroadcastMode {
-    /// One wheel entry per same-due destination batch (the default).
-    #[default]
-    Batched,
-    /// The pre-batch path: one wheel entry per destination. Retained as
-    /// the reference route for the A/B parity tests — both modes must
-    /// produce identical observation streams and metrics from the same
-    /// seed.
-    PerDestination,
 }
 
 /// How same-instant deliveries are dispatched to a node.
@@ -293,15 +213,15 @@ pub enum WaveMode {
     PerMessage,
 }
 
-pub(crate) struct NodeSlot<M, O> {
-    pub(crate) process: Box<dyn Process<M, O>>,
-    pub(crate) clock: DriftClock,
+struct NodeSlot<M, O> {
+    process: Box<dyn Process<M, O>>,
+    clock: DriftClock,
     /// Down (crashed / storm-disabled) until this real time.
-    pub(crate) down_until: Option<RealTime>,
+    down_until: Option<RealTime>,
     /// Pending timers keyed by `(token, real-due ns)`: the handle lets a
     /// reschedule cancel the wheel entry outright instead of leaving
     /// stale garbage, and makes identical re-requests no-ops.
-    pub(crate) timers: BTreeMap<(u64, u64), TimerHandle>,
+    timers: BTreeMap<(u64, u64), TimerHandle>,
 }
 
 /// Builder for a [`Simulation`].
@@ -312,9 +232,7 @@ pub struct SimBuilder<M, O> {
     corruptor: Option<Corruptor<M>>,
     injector: Option<Injector<M>>,
     tagger: Option<fn(&M) -> &'static str>,
-    mode: BroadcastMode,
     wave_mode: WaveMode,
-    rng_mode: RngMode,
     nodes: Vec<NodeSlot<M, O>>,
 }
 
@@ -329,26 +247,9 @@ impl<M, O> SimBuilder<M, O> {
             corruptor: None,
             injector: None,
             tagger: None,
-            mode: BroadcastMode::default(),
             wave_mode: WaveMode::default(),
-            rng_mode: RngMode::default(),
             nodes: Vec::new(),
         }
-    }
-
-    /// Selects the RNG stream layout (defaults to [`RngMode::Global`]).
-    #[must_use]
-    pub fn rng_mode(mut self, mode: RngMode) -> Self {
-        self.rng_mode = mode;
-        self
-    }
-
-    /// Selects the broadcast fan-out scheduling mode (defaults to
-    /// [`BroadcastMode::Batched`]).
-    #[must_use]
-    pub fn broadcast_mode(mut self, mode: BroadcastMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Selects how same-instant deliveries are dispatched (defaults to
@@ -413,7 +314,6 @@ impl<M, O> SimBuilder<M, O> {
         // δ/d horizon): most deliveries then land within the first
         // levels, where insert and cancel are single bucket pushes.
         let queue = TimerWheel::for_span_hint(self.link.delay_max.as_nanos());
-        let n = self.nodes.len();
         let mut sim = Simulation {
             now: RealTime::ZERO,
             queue,
@@ -423,7 +323,7 @@ impl<M, O> SimBuilder<M, O> {
             blocks: Vec::new(),
             partition: None,
             delay_inflation: None,
-            rngs: RngStreams::new(self.rng_mode, self.seed, n),
+            rng: StdRng::seed_from_u64(self.seed),
             corruptor: self.corruptor,
             injector: self.injector,
             tagger: self.tagger,
@@ -432,7 +332,6 @@ impl<M, O> SimBuilder<M, O> {
             started: false,
             events_processed: 0,
             scratch_outbox: Vec::new(),
-            mode: self.mode,
             wave_mode: self.wave_mode,
             batch_scratch: Vec::new(),
             bitset_pool: Vec::new(),
@@ -491,34 +390,34 @@ impl<M, O> SimBuilder<M, O> {
 /// assert_eq!(sim.observations().len(), 2); // both nodes got the broadcast
 /// ```
 pub struct Simulation<M, O> {
-    pub(crate) now: RealTime,
+    now: RealTime,
     /// The hierarchical timer wheel holding every pending event
     /// (deliveries, timers, storm injections) in `(due, seq)` order.
-    pub(crate) queue: TimerWheel<EventKind<M>>,
-    pub(crate) nodes: Vec<NodeSlot<M, O>>,
-    pub(crate) link: LinkConfig,
-    pub(crate) storm: Option<StormConfig>,
-    pub(crate) blocks: Vec<LinkBlock>,
+    queue: TimerWheel<EventKind<M>>,
+    nodes: Vec<NodeSlot<M, O>>,
+    link: LinkConfig,
+    storm: Option<StormConfig>,
+    blocks: Vec<LinkBlock>,
     /// The partition currently in force, if any (fault injection).
-    pub(crate) partition: Option<Partition>,
+    partition: Option<Partition>,
     /// Link-delay inflation `(num, den, until)`: sampled delays are scaled
     /// by `num/den` while `now < until` (fault injection). Applied after
     /// the RNG draw so the draw sequence — and thus every downstream
     /// random choice — is identical with and without the fault.
-    pub(crate) delay_inflation: Option<(u64, u64, RealTime)>,
-    pub(crate) rngs: RngStreams,
+    delay_inflation: Option<(u64, u64, RealTime)>,
+    /// The one seeded stream every random choice draws from, in
+    /// event-processing order.
+    rng: StdRng,
     corruptor: Option<Corruptor<M>>,
     injector: Option<Injector<M>>,
-    pub(crate) tagger: Option<fn(&M) -> &'static str>,
-    pub(crate) observations: Vec<Observation<O>>,
-    pub(crate) metrics: Metrics,
+    tagger: Option<fn(&M) -> &'static str>,
+    observations: Vec<Observation<O>>,
+    metrics: Metrics,
     started: bool,
-    pub(crate) events_processed: u64,
+    events_processed: u64,
     /// Reused per-handler effect buffer: every dispatch borrows this Vec
     /// instead of allocating a fresh outbox per event.
     scratch_outbox: Vec<Effect<M, O>>,
-    /// How broadcast fan-out is scheduled.
-    mode: BroadcastMode,
     /// Reused open-batch buffer for one `route_broadcast` call: one entry
     /// per run of equal-due destinations. The bitmap is created lazily on
     /// the second destination of a run — a singleton run costs no bitset
@@ -529,7 +428,7 @@ pub struct Simulation<M, O> {
     /// allocates no fresh bitsets.
     bitset_pool: Vec<NodeBitSet>,
     /// How same-instant deliveries are dispatched.
-    pub(crate) wave_mode: WaveMode,
+    wave_mode: WaveMode,
     /// Pooled drain and batch buffers of one coalesced instant.
     wave: WaveScratch<M>,
 }
@@ -739,38 +638,45 @@ impl<M: Clone, O> Simulation<M, O> {
     }
 
     /// Runs every node's [`Process::on_start`] hook if that has not
-    /// happened yet (the sharded simulator calls this before taking the
-    /// wheel apart, so both modes share the exact start-up trace).
-    pub(crate) fn ensure_started(&mut self) {
-        self.start_if_needed();
-    }
-
+    /// happened yet.
     fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            let node = NodeId::new(i as u32);
-            let mut outbox = std::mem::take(&mut self.scratch_outbox);
-            {
-                let n = self.nodes.len();
-                let local = self.nodes[i].clock.local_at(self.now);
-                let slot = &mut self.nodes[i];
-                let rng = self.rngs.stream(node);
-                let mut words = move || rng.next_u64();
-                let mut ctx = Ctx {
-                    me: node,
-                    n,
-                    now_local: local,
-                    outbox: &mut outbox,
-                    rng_words: &mut words,
-                };
-                slot.process.on_start(&mut ctx);
-            }
-            self.apply_effects(node, &mut outbox);
-            self.scratch_outbox = outbox;
+            self.run_handler(NodeId::new(i as u32), self.now, |p, ctx| p.on_start(ctx));
         }
+    }
+
+    /// Runs one handler of `node` at real time `at` and applies the
+    /// effects it queued. Every handler invocation goes through here:
+    /// the [`Ctx`] reads the node's own clock, draws from the one seeded
+    /// stream, and borrows the pooled effect buffer instead of
+    /// allocating an outbox per event.
+    fn run_handler(
+        &mut self,
+        node: NodeId,
+        at: RealTime,
+        handler: impl FnOnce(&mut dyn Process<M, O>, &mut Ctx<'_, M, O>),
+    ) {
+        let mut outbox = std::mem::take(&mut self.scratch_outbox);
+        {
+            let n = self.nodes.len();
+            let slot = &mut self.nodes[node.index()];
+            let rng = &mut self.rng;
+            let mut words = move || rng.next_u64();
+            let mut ctx = Ctx {
+                me: node,
+                n,
+                now_local: slot.clock.local_at(at),
+                outbox: &mut outbox,
+                rng_words: &mut words,
+            };
+            handler(&mut *slot.process, &mut ctx);
+        }
+        self.apply_effects(node, &mut outbox);
+        self.scratch_outbox = outbox;
     }
 
     fn push(&mut self, at: RealTime, kind: EventKind<M>) {
@@ -826,25 +732,8 @@ impl<M: Clone, O> Simulation<M, O> {
             self.metrics.swallowed += 1;
             return;
         }
-        let mut outbox = std::mem::take(&mut self.scratch_outbox);
-        {
-            let n = self.nodes.len();
-            let local = self.nodes[to.index()].clock.local_at(at);
-            let slot = &mut self.nodes[to.index()];
-            let rng = self.rngs.stream(to);
-            let mut words = move || rng.next_u64();
-            let mut ctx = Ctx {
-                me: to,
-                n,
-                now_local: local,
-                outbox: &mut outbox,
-                rng_words: &mut words,
-            };
-            slot.process.on_message(&mut ctx, from, msg);
-        }
         self.metrics.delivered += 1;
-        self.apply_effects(to, &mut outbox);
-        self.scratch_outbox = outbox;
+        self.run_handler(to, at, |p, ctx| p.on_message(ctx, from, msg));
     }
 
     /// Delivers one coalesced same-instant wave to one (live) node: a
@@ -857,25 +746,8 @@ impl<M: Clone, O> Simulation<M, O> {
             self.metrics.swallowed += batch.len() as u64;
             return;
         }
-        let mut outbox = std::mem::take(&mut self.scratch_outbox);
-        {
-            let n = self.nodes.len();
-            let local = self.nodes[to.index()].clock.local_at(at);
-            let slot = &mut self.nodes[to.index()];
-            let rng = self.rngs.stream(to);
-            let mut words = move || rng.next_u64();
-            let mut ctx = Ctx {
-                me: to,
-                n,
-                now_local: local,
-                outbox: &mut outbox,
-                rng_words: &mut words,
-            };
-            slot.process.on_message_batch(&mut ctx, batch);
-        }
         self.metrics.delivered += batch.len() as u64;
-        self.apply_effects(to, &mut outbox);
-        self.scratch_outbox = outbox;
+        self.run_handler(to, at, |p, ctx| p.on_message_batch(ctx, batch));
     }
 
     /// Dispatch entry for the run loop: coalesces the contiguous run of
@@ -946,33 +818,15 @@ impl<M: Clone, O> Simulation<M, O> {
     /// [`WaveScratch::dispatch`]).
     fn dispatch_wave(&mut self, at: RealTime) {
         let mut wave = std::mem::take(&mut self.wave);
-        let nodes = 0..self.nodes.len() as u32;
-        wave.dispatch(nodes, |node, batch| self.deliver_batch(at, node, batch));
+        let n = self.nodes.len() as u32;
+        wave.dispatch(n, |node, batch| self.deliver_batch(at, node, batch));
         wave.recycle(&mut self.bitset_pool);
         self.wave = wave;
     }
 
-    /// Runs a node's [`Process::on_recover`] hook and applies its effects
-    /// (same scratch-outbox pattern as delivery dispatch).
+    /// Runs a node's [`Process::on_recover`] hook and applies its effects.
     fn run_recover(&mut self, node: NodeId) {
-        let mut outbox = std::mem::take(&mut self.scratch_outbox);
-        {
-            let n = self.nodes.len();
-            let local = self.nodes[node.index()].clock.local_at(self.now);
-            let slot = &mut self.nodes[node.index()];
-            let rng = self.rngs.stream(node);
-            let mut words = move || rng.next_u64();
-            let mut ctx = Ctx {
-                me: node,
-                n,
-                now_local: local,
-                outbox: &mut outbox,
-                rng_words: &mut words,
-            };
-            slot.process.on_recover(&mut ctx);
-        }
-        self.apply_effects(node, &mut outbox);
-        self.scratch_outbox = outbox;
+        self.run_handler(node, self.now, |p, ctx| p.on_recover(ctx));
     }
 
     fn dispatch(&mut self, at: RealTime, kind: EventKind<M>) {
@@ -1007,24 +861,7 @@ impl<M: Clone, O> Simulation<M, O> {
                 if self.is_down(node, at) {
                     return;
                 }
-                let mut outbox = std::mem::take(&mut self.scratch_outbox);
-                {
-                    let n = self.nodes.len();
-                    let local = self.nodes[node.index()].clock.local_at(at);
-                    let slot = &mut self.nodes[node.index()];
-                    let rng = self.rngs.stream(node);
-                    let mut words = move || rng.next_u64();
-                    let mut ctx = Ctx {
-                        me: node,
-                        n,
-                        now_local: local,
-                        outbox: &mut outbox,
-                        rng_words: &mut words,
-                    };
-                    slot.process.on_timer(&mut ctx, token);
-                }
-                self.apply_effects(node, &mut outbox);
-                self.scratch_outbox = outbox;
+                self.run_handler(node, at, |p, ctx| p.on_timer(ctx, token));
             }
             EventKind::Injection => {
                 let Some(storm) = self.storm else { return };
@@ -1035,10 +872,7 @@ impl<M: Clone, O> Simulation<M, O> {
                     (self.injector.as_mut(), storm.injection_period)
                 {
                     let n = self.nodes.len();
-                    // Injection draws come from the auxiliary stream (the
-                    // global stream in `RngMode::Global`): they belong to
-                    // the network fault model, not to any node.
-                    let (from, to, msg) = injector(self.rngs.aux(), n);
+                    let (from, to, msg) = injector(&mut self.rng, n);
                     self.metrics.injected += 1;
                     self.push(
                         at,
@@ -1050,7 +884,7 @@ impl<M: Clone, O> Simulation<M, O> {
                     );
                     // Jittered re-arm (±50%).
                     let base = period.as_nanos().max(1);
-                    let jitter = self.rngs.aux().gen_range(base / 2..=base + base / 2);
+                    let jitter = self.rng.gen_range(base / 2..=base + base / 2);
                     self.push(at + Duration::from_nanos(jitter), EventKind::Injection);
                 }
             }
@@ -1072,7 +906,7 @@ impl<M: Clone, O> Simulation<M, O> {
     fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect<M, O>>) {
         for e in effects.drain(..) {
             match e {
-                Effect::Send { to, msg } => self.route(node, to, Arc::new(msg)),
+                Effect::Send { to, msg } => self.route(node, to, msg),
                 Effect::Broadcast { msg } => self.route_broadcast(node, msg),
                 Effect::TimerAtLocal { at, token } => {
                     let clock = self.nodes[node.index()].clock;
@@ -1096,15 +930,6 @@ impl<M: Clone, O> Simulation<M, O> {
                         event: obs,
                     });
                 }
-                Effect::CrashNode { node, down_for } => {
-                    self.crash_node(node, down_for);
-                }
-                Effect::RecoverNode { node } => {
-                    self.recover_node(node);
-                }
-                Effect::SetPartition { partition } => {
-                    self.set_partition(partition);
-                }
             }
         }
     }
@@ -1122,13 +947,9 @@ impl<M: Clone, O> Simulation<M, O> {
     /// interleaving of all pushed entries matches the per-destination
     /// path entry for entry. Within a batch, expiry delivers in ascending
     /// destination id — the order equal-due per-destination entries
-    /// popped in. `BroadcastMode::PerDestination` keeps the old route as
-    /// the reference for the A/B parity tests.
+    /// popped in. `tests/fanout_equivalence.rs` checks all of this against
+    /// processes that fan out with one [`Ctx::send`] per destination.
     fn route_broadcast(&mut self, from: NodeId, msg: M) {
-        if self.mode == BroadcastMode::PerDestination {
-            self.route_broadcast_per_dest(from, msg);
-            return;
-        }
         let shared = Arc::new(msg);
         let mut batches = std::mem::take(&mut self.batch_scratch);
         debug_assert!(batches.is_empty());
@@ -1155,38 +976,25 @@ impl<M: Clone, O> Simulation<M, O> {
             }
             let storm_active = self.storm.is_some_and(|s| s.active_at(self.now));
             if !storm_active {
-                let due =
-                    self.now + self.sample_delay(from, self.link.delay_min, self.link.delay_max);
+                let due = self.now + self.sample_delay(self.link.delay_min, self.link.delay_max);
                 Self::batch_insert(&mut batches, &mut self.bitset_pool, due, to);
                 continue;
             }
             let storm = self.storm.expect("checked");
-            if storm.drop_den > 0
-                && self
-                    .rngs
-                    .stream(from)
-                    .gen_ratio(storm.drop_num, storm.drop_den)
-            {
+            if storm.drop_den > 0 && self.rng.gen_ratio(storm.drop_num, storm.drop_den) {
                 self.metrics.dropped += 1;
                 continue;
             }
             // A corrupted destination is peeled out of its batch before
             // its copy is mutated. Broadcast corruption always operates
-            // on a deep clone: the batch holds the shared `Arc`, so the
-            // per-destination path's `Arc::try_unwrap` could never win
-            // here either — every other destination keeps the pristine
-            // payload. (Unicast sends in `route` keep the real
-            // try-unwrap, where the delivery can be the sole holder.)
+            // on a deep clone: the batch holds the shared `Arc`, so every
+            // other destination keeps the pristine payload. (A unicast in
+            // `route` owns its message and is corrupted in place.)
             let mut private: Option<Arc<M>> = None;
-            if storm.corrupt_den > 0
-                && self
-                    .rngs
-                    .stream(from)
-                    .gen_ratio(storm.corrupt_num, storm.corrupt_den)
-            {
+            if storm.corrupt_den > 0 && self.rng.gen_ratio(storm.corrupt_num, storm.corrupt_den) {
                 if let Some(corruptor) = self.corruptor.as_mut() {
                     let owned = (*shared).clone();
-                    match corruptor(owned, self.rngs.stream(from)) {
+                    match corruptor(owned, &mut self.rng) {
                         Some(m) => {
                             self.metrics.corrupted += 1;
                             private = Some(Arc::new(m));
@@ -1202,14 +1010,9 @@ impl<M: Clone, O> Simulation<M, O> {
                     continue;
                 }
             }
-            if storm.dup_den > 0
-                && self
-                    .rngs
-                    .stream(from)
-                    .gen_ratio(storm.dup_num, storm.dup_den)
-            {
+            if storm.dup_den > 0 && self.rng.gen_ratio(storm.dup_num, storm.dup_den) {
                 self.metrics.duplicated += 1;
-                let at = self.now + self.sample_delay(from, Duration::ZERO, storm.max_delay);
+                let at = self.now + self.sample_delay(Duration::ZERO, storm.max_delay);
                 let payload = private.clone().unwrap_or_else(|| Arc::clone(&shared));
                 // Preserve the per-destination (due, seq) interleaving:
                 // everything batched so far must sit before this push.
@@ -1223,7 +1026,7 @@ impl<M: Clone, O> Simulation<M, O> {
                     },
                 );
             }
-            let due = self.now + self.sample_delay(from, Duration::ZERO, storm.max_delay);
+            let due = self.now + self.sample_delay(Duration::ZERO, storm.max_delay);
             match private {
                 Some(p) => {
                     self.flush_batches(from, &shared, &mut batches);
@@ -1234,14 +1037,6 @@ impl<M: Clone, O> Simulation<M, O> {
         }
         self.flush_batches(from, &shared, &mut batches);
         self.batch_scratch = batches;
-    }
-
-    /// The retained pre-batch fan-out: one queue entry per destination.
-    fn route_broadcast_per_dest(&mut self, from: NodeId, msg: M) {
-        let shared = Arc::new(msg);
-        for i in 0..self.nodes.len() {
-            self.route(from, NodeId::new(i as u32), Arc::clone(&shared));
-        }
     }
 
     /// Adds `to` to the most recent open batch when the due matches,
@@ -1299,7 +1094,7 @@ impl<M: Clone, O> Simulation<M, O> {
         }
     }
 
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Arc<M>) {
+    fn route(&mut self, from: NodeId, to: NodeId, msg: M) {
         if to.index() >= self.nodes.len() {
             self.metrics.blocked += 1;
             return; // destination outside the membership — drop
@@ -1322,68 +1117,49 @@ impl<M: Clone, O> Simulation<M, O> {
             self.metrics.blocked += 1;
             return;
         }
-        let storm_active = self.storm.is_some_and(|s| s.active_at(self.now));
-        let mut payload = msg;
-        let delay = if storm_active {
-            let storm = self.storm.expect("checked");
-            if storm.drop_den > 0
-                && self
-                    .rngs
-                    .stream(from)
-                    .gen_ratio(storm.drop_num, storm.drop_den)
-            {
+        let storm = self.storm.filter(|s| s.active_at(self.now));
+        let mut msg = msg;
+        if let Some(storm) = storm {
+            if storm.drop_den > 0 && self.rng.gen_ratio(storm.drop_num, storm.drop_den) {
                 self.metrics.dropped += 1;
                 return;
             }
-            if storm.corrupt_den > 0
-                && self
-                    .rngs
-                    .stream(from)
-                    .gen_ratio(storm.corrupt_num, storm.corrupt_den)
-            {
-                if let Some(corruptor) = self.corruptor.as_mut() {
-                    // Corruption is the one storm path that needs an owned
-                    // message: unwrap the Arc when this delivery is its
-                    // only holder, deep-clone otherwise (rare — only when
-                    // corruption hits a broadcast copy).
-                    let owned = Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone());
-                    match corruptor(owned, self.rngs.stream(from)) {
-                        Some(m) => {
-                            self.metrics.corrupted += 1;
-                            payload = Arc::new(m);
-                        }
-                        None => {
-                            self.metrics.dropped += 1;
-                            return;
-                        }
+            if storm.corrupt_den > 0 && self.rng.gen_ratio(storm.corrupt_num, storm.corrupt_den) {
+                // No corruptor installed: corruption degenerates to loss.
+                let rewritten = match self.corruptor.as_mut() {
+                    Some(corruptor) => corruptor(msg, &mut self.rng),
+                    None => None,
+                };
+                match rewritten {
+                    Some(m) => {
+                        self.metrics.corrupted += 1;
+                        msg = m;
                     }
-                } else {
-                    // No corruptor installed: corruption degenerates to loss.
-                    self.metrics.dropped += 1;
-                    return;
+                    None => {
+                        self.metrics.dropped += 1;
+                        return;
+                    }
                 }
             }
-            if storm.dup_den > 0
-                && self
-                    .rngs
-                    .stream(from)
-                    .gen_ratio(storm.dup_num, storm.dup_den)
-            {
-                self.metrics.duplicated += 1;
-                let d = self.sample_delay(from, Duration::ZERO, storm.max_delay);
-                let at = self.now + d;
-                self.push(
-                    at,
-                    EventKind::Deliver {
-                        to,
-                        from,
-                        msg: Arc::clone(&payload),
-                    },
-                );
+        }
+        let payload = Arc::new(msg);
+        let delay = match storm {
+            Some(storm) => {
+                if storm.dup_den > 0 && self.rng.gen_ratio(storm.dup_num, storm.dup_den) {
+                    self.metrics.duplicated += 1;
+                    let at = self.now + self.sample_delay(Duration::ZERO, storm.max_delay);
+                    self.push(
+                        at,
+                        EventKind::Deliver {
+                            to,
+                            from,
+                            msg: Arc::clone(&payload),
+                        },
+                    );
+                }
+                self.sample_delay(Duration::ZERO, storm.max_delay)
             }
-            self.sample_delay(from, Duration::ZERO, storm.max_delay)
-        } else {
-            self.sample_delay(from, self.link.delay_min, self.link.delay_max)
+            None => self.sample_delay(self.link.delay_min, self.link.delay_max),
         };
         let at = self.now + delay;
         self.push(
@@ -1396,16 +1172,14 @@ impl<M: Clone, O> Simulation<M, O> {
         );
     }
 
-    /// Samples a link delay for a message sent by `from` — jitter draws
-    /// are attributed to the sender's stream, which in `RngMode::Global`
-    /// is the one global stream (byte-identical to the pre-stream code).
-    fn sample_delay(&mut self, from: NodeId, min: Duration, max: Duration) -> Duration {
+    /// Samples a link delay in `[min, max]` (no draw when they are equal).
+    fn sample_delay(&mut self, min: Duration, max: Duration) -> Duration {
         let raw = if min == max {
             min
         } else {
             let lo = min.as_nanos();
             let hi = max.as_nanos();
-            Duration::from_nanos(self.rngs.stream(from).gen_range(lo..=hi))
+            Duration::from_nanos(self.rng.gen_range(lo..=hi))
         };
         // Delay-inflation fault: scale after the draw so the random
         // sequence is unchanged by the fault being active.
@@ -1816,5 +1590,59 @@ mod tests {
             .build();
         sim.run_until(RealTime::from_nanos(1_000_000));
         assert_eq!(sim.metrics().blocked, 1);
+    }
+
+    /// Relays each payload below 3 one hop on, and arms a timer one link
+    /// delay out that broadcasts a marker — so on fixed links the timer
+    /// falls due at the same instant as the relays, between them in
+    /// `(due, seq)` order.
+    struct RelayWithEcho(Duration);
+    impl Process<u32, u32> for RelayWithEcho {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32, u32>) {
+            if ctx.me() == NodeId::new(0) {
+                ctx.broadcast(0);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, u32>, _from: NodeId, msg: &u32) {
+            ctx.observe(*msg);
+            if *msg < 3 {
+                ctx.broadcast(msg + 1);
+                ctx.set_timer_after(self.0, u64::from(*msg));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, u32>, token: u64) {
+            ctx.broadcast(100 + token as u32);
+        }
+    }
+
+    /// A timer due at the same instant as a run of deliveries keeps its
+    /// `(due, seq)` place: the wave drain stops at it, so every node sees
+    /// what per-message dispatch shows it.
+    #[test]
+    fn same_instant_timer_keeps_its_place_inside_a_wave() {
+        let link = Duration::from_millis(1);
+        let run = |mode| {
+            let mut b = SimBuilder::new(5)
+                .link(LinkConfig::fixed(link))
+                .wave_mode(mode);
+            for _ in 0..3 {
+                b = b.node(Box::new(RelayWithEcho(link)), DriftClock::ideal());
+            }
+            let mut sim: Simulation<u32, u32> = b.build();
+            sim.run_until(RealTime::from_nanos(20_000_000));
+            let per_node: Vec<Vec<(RealTime, u32)>> = (0..3)
+                .map(|i| {
+                    sim.observations()
+                        .iter()
+                        .filter(|o| o.node == NodeId::new(i))
+                        .map(|o| (o.real, o.event))
+                        .collect()
+                })
+                .collect();
+            (per_node, sim.metrics().clone())
+        };
+        let coalesced = run(WaveMode::Coalesced);
+        assert!(coalesced.0[2].iter().any(|(_, m)| *m >= 100));
+        assert_eq!(coalesced, run(WaveMode::PerMessage));
     }
 }

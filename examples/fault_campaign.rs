@@ -4,9 +4,9 @@
 //! agreement that must pass the full property battery. Measures
 //! time-to-stabilize, disruption decay and containment radius per burst
 //! and writes `BENCH_stabilization.json` (deterministic per seed, byte
-//! identical across re-runs). The `n = 256` cell runs on the sharded
-//! engine; its assumed δ is auto-scaled when the membership outgrows
-//! the processing bound the default δ models (and says so).
+//! identical across re-runs). The `n = 256` cell's assumed δ is scaled
+//! because the membership outgrows the processing bound the default δ
+//! models (the run says so); it takes minutes, the rest seconds.
 //!
 //! ```text
 //! cargo run --release --example fault_campaign            # full grid
@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 use ssbyz::harness::faults::{
     clamped_delta, run_campaign_spec, CampaignFamily, CampaignSpec, StabilizationReport,
 };
-use ssbyz::simnet::SimMode;
 use ssbyz::Duration;
 
 const SEED: u64 = 1;
@@ -27,19 +26,11 @@ fn fmt_opt(d: Option<Duration>) -> String {
     d.map_or_else(|| "null".into(), |d| d.as_nanos().to_string())
 }
 
-fn engine_name(mode: SimMode) -> String {
-    match mode {
-        SimMode::Sequential => "sequential".into(),
-        SimMode::Sharded(t) => format!("sharded-{t}"),
-    }
-}
-
 fn render_row(out: &mut String, report: &StabilizationReport) {
     let _ = write!(
         out,
-        "    {{\n      \"family\": \"{}\",\n      \"engine\": \"{}\",\n      \"n\": {},\n      \"f\": {},\n      \"seed\": {},\n      \"d_ns\": {},\n      \"delta_agr_ns\": {},\n      \"delta_stb_ns\": {},\n      \"settle_ns\": {},\n      \"max_stabilization_ns\": {},\n      \"max_containment\": {},\n      \"stabilized\": {},\n      \"bursts\": [\n",
+        "    {{\n      \"family\": \"{}\",\n      \"n\": {},\n      \"f\": {},\n      \"seed\": {},\n      \"d_ns\": {},\n      \"delta_agr_ns\": {},\n      \"delta_stb_ns\": {},\n      \"settle_ns\": {},\n      \"max_stabilization_ns\": {},\n      \"max_containment\": {},\n      \"stabilized\": {},\n      \"bursts\": [\n",
         report.family,
-        engine_name(report.sim_mode),
         report.n,
         report.f,
         report.seed,
@@ -80,26 +71,13 @@ fn render_row(out: &mut String, report: &StabilizationReport) {
     let _ = write!(out, "      ]\n    }}");
 }
 
-/// Builds the cell spec, clamping δ when `n` outgrows what the engine's
-/// execution lanes can honestly process under the default bound.
-fn spec_for(
-    n: usize,
-    f: usize,
-    family: CampaignFamily,
-    bursts: usize,
-    mode: SimMode,
-) -> CampaignSpec {
-    let workers = match mode {
-        SimMode::Sequential => 1,
-        SimMode::Sharded(t) => t.max(1),
-    };
-    let (delta, scaled) = clamped_delta(n, workers);
+/// Builds the cell spec, scaling δ when `n` outgrows what the default
+/// bound's processing budget can honestly model.
+fn spec_for(n: usize, f: usize, family: CampaignFamily, bursts: usize) -> CampaignSpec {
+    let (delta, scaled) = clamped_delta(n);
     let mut spec = CampaignSpec::new(n, f, SEED, family, bursts);
-    spec.sim_mode = mode;
     if scaled {
-        eprintln!(
-            "  note: n={n} on {workers} lane(s) outgrows the default δ's processing bound; scaling δ to {delta}"
-        );
+        eprintln!("  note: n={n} outgrows the default δ's processing bound; scaling δ to {delta}");
         spec.delta = Some(delta);
     }
     spec
@@ -108,9 +86,8 @@ fn spec_for(
 fn run_cell(spec: &CampaignSpec) -> StabilizationReport {
     let report = run_campaign_spec(spec);
     println!(
-        "  {:<20} {:<12} n={:<4} f={:<3} bursts={}  stabilize≤{:<12} containment≤{}  {}",
+        "  {:<20} n={:<4} f={:<3} bursts={}  stabilize≤{:<12} containment≤{}  {}",
         report.family,
-        engine_name(report.sim_mode),
         report.n,
         report.f,
         report.bursts.len(),
@@ -131,30 +108,13 @@ fn main() {
 
     if smoke {
         // CI smoke: one crash-churn burst and one mid-run scramble burst
-        // at n = 7, plus one sharded crash-churn burst at n = 256, must
-        // all stabilize with zero safety violations.
+        // at n = 7, plus one crash-churn burst at n = 64 (the largest
+        // membership the default δ covers), must all stabilize with zero
+        // safety violations.
         println!("fault-campaign smoke (seed={SEED}):");
-        let churn = run_cell(&spec_for(
-            7,
-            2,
-            CampaignFamily::CrashChurn,
-            1,
-            SimMode::Sequential,
-        ));
-        let scramble = run_cell(&spec_for(
-            7,
-            2,
-            CampaignFamily::RepeatedScrambles,
-            1,
-            SimMode::Sequential,
-        ));
-        let big = run_cell(&spec_for(
-            256,
-            85,
-            CampaignFamily::CrashChurn,
-            1,
-            SimMode::Sharded(4),
-        ));
+        let churn = run_cell(&spec_for(7, 2, CampaignFamily::CrashChurn, 1));
+        let scramble = run_cell(&spec_for(7, 2, CampaignFamily::RepeatedScrambles, 1));
+        let big = run_cell(&spec_for(64, 21, CampaignFamily::CrashChurn, 1));
         for report in [&churn, &scramble, &big] {
             assert!(
                 report.stabilized(),
@@ -176,18 +136,12 @@ fn main() {
     let mut rows: Vec<StabilizationReport> = Vec::new();
     for (n, f) in [(7usize, 2usize), (16, 5), (64, 21)] {
         for family in CampaignFamily::ALL {
-            rows.push(run_cell(&spec_for(n, f, family, 2, SimMode::Sequential)));
+            rows.push(run_cell(&spec_for(n, f, family, 2)));
         }
     }
-    // The n = 256 whole-sim cell rides the sharded engine — out of reach
-    // for the sequential wheel in reasonable wall-clock.
-    rows.push(run_cell(&spec_for(
-        256,
-        85,
-        CampaignFamily::CrashChurn,
-        1,
-        SimMode::Sharded(4),
-    )));
+    // The n = 256 whole-sim cell: one burst under the scaled δ, minutes
+    // of wall-clock where the rest of the grid takes seconds.
+    rows.push(run_cell(&spec_for(256, 85, CampaignFamily::CrashChurn, 1)));
 
     let stabilized = rows.iter().filter(|r| r.stabilized()).count();
     println!("\n{stabilized}/{} cells stabilized", rows.len());
