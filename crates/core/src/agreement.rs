@@ -423,9 +423,6 @@ impl Agreement {
             return;
         }
         // Block T — early abort when broadcaster detection has stalled.
-        if !self.params.early_abort() {
-            return;
-        }
         let b = self.msgd.broadcaster_count();
         for r in 1..=self.params.f() as u64 {
             if elapsed > self.params.phi() * (2 * r + 1) && b + 1 < r as usize {

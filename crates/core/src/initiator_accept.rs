@@ -390,7 +390,10 @@ impl InitiatorAccept {
         value: ValueId,
         out: &mut Vec<IaAction<ValueId>>,
     ) {
-        let gap = self.params.resend_gap();
+        // The paper permits repeated sending ("we ignore possible
+        // optimizations that can save such repetitive sending"); resends
+        // of the same stage message within `d` are such a saving.
+        let gap = self.params.d();
         let st = self.values.get_mut(value).expect("send requires state");
         let slot = &mut st.sent[kind as usize];
         if slot.is_some_and(|last| !last.is_after(now) && now.since(last) < gap) {

@@ -15,7 +15,6 @@ use ssbyz_types::{NodeId, Value};
 
 /// Message kinds of the `Initiator-Accept` primitive (paper Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IaKind {
     /// `(support, G, m)` — first response to the General's initiation.
     Support,
@@ -43,7 +42,6 @@ impl fmt::Display for IaKind {
 
 /// Message kinds of the `msgd-broadcast` primitive (paper Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BcastKind {
     /// `(init, p, m, k)` — sent by the broadcaster itself (block V).
     Init,
@@ -84,7 +82,6 @@ impl fmt::Display for BcastKind {
 /// [`Msg`], but can never forge the transport-level sender identity
 /// (paper §2, authenticated channels).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Msg<V> {
     /// `(Initiator, G, m)` — the General `G` initiates agreement on `m`.
     /// Only honored when the transport sender *is* `G`.

@@ -29,7 +29,6 @@ pub const PPM: u64 = 1_000_000;
 /// # Ok::<(), ssbyz_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Params {
     n: usize,
     f: usize,
@@ -43,8 +42,6 @@ pub struct Params {
     delta_node: Duration,
     delta_reset: Duration,
     delta_stb: Duration,
-    early_abort: bool,
-    resend_gap: Duration,
 }
 
 impl Params {
@@ -130,8 +127,6 @@ impl Params {
             delta_node,
             delta_reset,
             delta_stb,
-            early_abort: true,
-            resend_gap: d,
         })
     }
 
@@ -253,40 +248,6 @@ impl Params {
         self.delta_rmv * 2u64 + self.d * 9u64
     }
 
-    /// **Ablation knob**: disables the early-abort block T of
-    /// `ss-Byz-Agree`, forcing every abort to wait for the hard `(2f+1)Φ`
-    /// deadline (block U). Used by the `ablation` bench to quantify the
-    /// paper's `O(f′)` early-stopping claim. On by default.
-    #[must_use]
-    pub fn without_early_abort(mut self) -> Self {
-        self.early_abort = false;
-        self
-    }
-
-    /// Whether block T (early abort) is enabled.
-    #[must_use]
-    pub const fn early_abort(&self) -> bool {
-        self.early_abort
-    }
-
-    /// **Ablation knob**: sets the minimum gap between resends of the same
-    /// `Initiator-Accept` stage message. The paper explicitly permits
-    /// repeated sending ("we ignore possible optimizations that can save
-    /// such repetitive sending of messages"); the default de-duplication
-    /// gap of `d` is such an optimization, and the `ablation` bench
-    /// measures its message-count effect.
-    #[must_use]
-    pub fn with_resend_gap(mut self, gap: Duration) -> Self {
-        self.resend_gap = gap;
-        self
-    }
-
-    /// The resend de-duplication gap.
-    #[must_use]
-    pub const fn resend_gap(&self) -> Duration {
-        self.resend_gap
-    }
-
     /// The maximum `msgd-broadcast` round number a node will entertain:
     /// deciders at round `r ≤ f` relay with round `r + 1`, so `f + 1` caps
     /// every legitimate round.
@@ -378,16 +339,6 @@ mod tests {
         assert_eq!(params.delta_stb(), params.delta_reset() * 2u64);
         assert_eq!(params.msgd_horizon(), params.phi() * 7u64);
         assert_eq!(params.agreement_horizon(), params.delta_agr() + d * 3u64);
-    }
-
-    #[test]
-    fn ablation_knobs() {
-        let params = p(7, 2);
-        assert!(params.early_abort());
-        assert_eq!(params.resend_gap(), params.d());
-        let ablated = params.without_early_abort().with_resend_gap(Duration::ZERO);
-        assert!(!ablated.early_abort());
-        assert_eq!(ablated.resend_gap(), Duration::ZERO);
     }
 
     #[test]

@@ -576,9 +576,8 @@ fn in_window(t: LocalTime, now: LocalTime, window: Duration) -> bool {
 pub mod reference {
     //! The `BTreeMap`-backed arrival log the dense implementation
     //! replaced. Kept as the **golden reference model** for equivalence
-    //! tests (`crates/core/tests/store_equivalence.rs`) and as the
-    //! baseline side of the `store_hot_path` criterion bench — not used on
-    //! any protocol path.
+    //! tests (`crates/core/tests/store_equivalence.rs`) — not used on any
+    //! protocol path.
 
     use std::collections::{BTreeMap, VecDeque};
 

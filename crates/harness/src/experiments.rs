@@ -2,9 +2,9 @@
 //! comment names the paper bound it measures; `docs/ROBUSTNESS.md` covers
 //! the fault-campaign side.
 //!
-//! Each driver runs seeded scenarios and returns plain row structs; the
-//! `experiments` binary in `ssbyz-bench` renders them as tables, and the
-//! integration tests assert the paper's bounds on them.
+//! Each driver runs seeded scenarios and returns plain row structs;
+//! `examples/experiments.rs` renders them as tables, and the integration
+//! tests assert the paper's bounds on them.
 
 use ssbyz_baseline::run_baseline;
 use ssbyz_types::{Duration, NodeId, RealTime};
@@ -31,40 +31,12 @@ pub fn run_correct_general(
     actual_max: Duration,
     value: u64,
 ) -> (ScenarioResult, RealTime) {
-    run_correct_general_waved(
-        n,
-        f,
-        seed,
-        actual_min,
-        actual_max,
-        value,
-        ssbyz_simnet::WaveMode::default(),
-    )
-}
-
-/// [`run_correct_general`] with an explicit simulator wave-coalescing
-/// mode — the A/B lever for the `echo_wave` benches and parity tests.
-/// With `actual_min == actual_max` (a fixed-delay network) the coalesced
-/// mode merges every same-instant delivery into one engine wave; the
-/// per-message mode replays the pre-coalescing route.
-#[must_use]
-pub fn run_correct_general_waved(
-    n: usize,
-    f: usize,
-    seed: u64,
-    actual_min: Duration,
-    actual_max: Duration,
-    value: u64,
-    wave_mode: ssbyz_simnet::WaveMode,
-) -> (ScenarioResult, RealTime) {
     let cfg = ScenarioConfig::new(n, f)
         .with_seed(seed)
         .with_actual_delays(actual_min, actual_max);
     let params = cfg.params().expect("valid");
     let initiate_off = params.d() * 4u64;
-    let mut b = ScenarioBuilder::new(cfg)
-        .wave_mode(wave_mode)
-        .correct_general(initiate_off, value);
+    let mut b = ScenarioBuilder::new(cfg).correct_general(initiate_off, value);
     for _ in 1..n {
         b = b.correct();
     }

@@ -13,13 +13,19 @@ use ssbyz_types::{Duration, NodeId, RealTime};
 
 const TOTAL: usize = 24;
 
-fn scenario(seed: u64, mode: WaveMode) -> PipelineScenario {
+/// An n=7, f=2 cluster with node 0 proposing `workload` through a
+/// `window`-slot pipeline.
+fn stream(seed: u64, mode: WaveMode, window: u64, workload: Workload) -> PipelineScenario {
     let cfg = ScenarioConfig::new(7, 2).with_seed(seed);
     let params = cfg.params().unwrap();
-    let pipe_cfg = PipelineConfig::new(NodeId::new(0), &params).with_window(4);
+    let pipe_cfg = PipelineConfig::new(NodeId::new(0), &params).with_window(window);
+    PipelineScenario::new(&cfg, &pipe_cfg, workload, mode)
+}
+
+fn scenario(seed: u64, mode: WaveMode) -> PipelineScenario {
     // ~2.4s of client load: 24 values in batches of 3 every 100ms.
     let workload = Workload::steady(TOTAL, 3, Duration::from_millis(100));
-    PipelineScenario::new(&cfg, &pipe_cfg, workload, mode)
+    stream(seed, mode, 4, workload)
 }
 
 fn correct(n: u32) -> Vec<NodeId> {
@@ -41,6 +47,22 @@ fn continuous_stream_commits_everywhere_in_order() {
         }
     }
     assert!(s.prefix_violations(&correct(7)).is_empty());
+}
+
+/// Saturating stream: 12 values arrive in batches of 8 every 10 ms —
+/// faster than the 8-slot window drains, so the proposer's queue backs
+/// up behind it — and still every node commits the whole stream, in
+/// both wave modes.
+#[test]
+fn saturating_stream_commits_everywhere_in_both_wave_modes() {
+    for mode in [WaveMode::Coalesced, WaveMode::PerMessage] {
+        let workload = Workload::steady(12, 8, Duration::from_millis(10));
+        let mut s = stream(1, mode, 8, workload);
+        s.run_until(RealTime::from_nanos(8_000_000_000));
+        for (i, log) in s.committed_logs().iter().enumerate() {
+            assert_eq!(log.len(), 12, "{mode:?}: node {i} must commit all 12");
+        }
+    }
 }
 
 /// A follower crashes mid-stream and recovers: it must rejoin via

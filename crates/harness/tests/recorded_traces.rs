@@ -391,7 +391,7 @@ fn pipeline_crash_recover_stream() {
 }
 
 /// One burst of every campaign family: the fold is over the per-burst
-/// measurements the campaign reports, which is what `BENCH_stabilization`
+/// measurements the campaign reports, which is what `CAMPAIGN_stabilization`
 /// rows and the `sim-n31-faults` workload are made of.
 #[test]
 fn campaign_bursts() {

@@ -266,7 +266,13 @@ impl<V: Value> Cluster<V> {
     ) -> Result<(), ClusterError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.decisions().len() >= count {
+            let decided = self
+                .events
+                .lock()
+                .iter()
+                .filter(|e| matches!(e.event, Event::Decided { .. }))
+                .count();
+            if decided >= count {
                 return Ok(());
             }
             if self.threads.iter().any(JoinHandle::is_finished) {
@@ -292,6 +298,11 @@ impl<V: Value> Cluster<V> {
     }
 }
 
+/// Furthest-future due time the router will schedule, relative to now.
+/// Deliveries beyond it (clock skew, arithmetic overflow upstream) are
+/// clamped: they arrive late rather than never.
+const MAX_DELAY_HORIZON_NS: u64 = 60 * 1_000_000_000;
+
 /// The delay router: deliveries wait on the shared timer wheel until
 /// their injected link delay elapses, then are handed to the destination
 /// node thread. A broadcast arrives as one channel message and is fanned
@@ -306,11 +317,6 @@ impl<V: Value> Cluster<V> {
 /// command, so the one-shot cluster (`Msg<V>` / `NodeCmd`) and the
 /// pipeline cluster (`SlotMsg<V>` / its own command enum) share the
 /// whole delay model.
-/// Furthest-future due time the router will schedule, relative to now.
-/// Deliveries beyond it (clock skew, arithmetic overflow upstream) are
-/// clamped: they arrive late rather than never.
-const MAX_DELAY_HORIZON_NS: u64 = 60 * 1_000_000_000;
-
 pub(crate) fn router_loop<M, C, F>(
     rx: Receiver<RouterMsg<M>>,
     cmd_txs: Vec<Sender<C>>,

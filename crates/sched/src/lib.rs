@@ -18,7 +18,7 @@
 //! so simulation traces are bit-identical to the heap scheduler they
 //! replace; `crates/simnet/tests/sched_equivalence.rs` proves this
 //! against [`reference::ReferenceQueue`], the retained heap
-//! implementation that doubles as the bench baseline.
+//! implementation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

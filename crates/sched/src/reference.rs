@@ -2,14 +2,11 @@
 //!
 //! This is (modulo the handle surface) the event queue that
 //! `ssbyz-simnet` and the `ssbyz-runtime` router used before the timer
-//! wheel: a min-heap on `(due, seq)`. It exists for two jobs, mirroring
-//! `ssbyz_core::store::reference`:
-//!
-//! * **golden model** — the equivalence property tests drive random
-//!   insert/cancel/advance interleavings through both queues and require
-//!   identical `(due, seq, payload)` pop streams;
-//! * **bench baseline** — `sched_hot_path` measures the wheel against
-//!   this heap on the same workload.
+//! wheel: a min-heap on `(due, seq)`. Like
+//! `ssbyz_core::store::reference`, it exists as the golden model: the
+//! equivalence property tests drive random insert/cancel/advance
+//! interleavings through both queues and require identical
+//! `(due, seq, payload)` pop streams.
 //!
 //! Cancellation is deliberately the *old* lazy scheme: a tombstone set,
 //! with dead entries filtered at pop. That keeps the model honest about

@@ -22,7 +22,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(phi.as_nanos(), 80_000_000);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Duration(u64);
 
 impl Duration {

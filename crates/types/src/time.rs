@@ -12,7 +12,6 @@ use crate::Duration;
 /// and property checkers can phrase the paper's `rt(τ)` bounds ("the
 /// real-time when the timer of node p reads τ", paper §2).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RealTime(u64);
 
 impl RealTime {
@@ -127,7 +126,6 @@ impl fmt::Display for RealTime {
 /// assert!(now.since(tau_g) <= Duration::from_nanos(64));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalTime(u64);
 
 impl LocalTime {

@@ -1,18 +1,40 @@
 //! Regenerates the paper-reproduction tables E1–E11 (the drivers, and the
 //! paper bound each one measures, are in
-//! `crates/harness/src/experiments.rs`).
-//!
-//! Usage:
+//! `crates/harness/src/experiments.rs`). Simulated time only: the output
+//! is deterministic per seed count.
 //!
 //! ```text
-//! experiments [all|e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11] [--seeds N]
+//! cargo run --release --example experiments -- [all|e1|…|e11] [--seeds N]
 //! ```
 
-use ssbyz_adversary::{SpamGeneral, StaggeredGeneral, TwoFacedGeneral};
-use ssbyz_bench::{header, in_d, row};
-use ssbyz_harness::experiments as ex;
-use ssbyz_pulse::run_pulse;
-use ssbyz_types::{Duration, NodeId};
+use ssbyz::adversary::{SpamGeneral, StaggeredGeneral, TwoFacedGeneral};
+use ssbyz::harness::experiments as ex;
+use ssbyz::pulse::run_pulse;
+use ssbyz::{Duration, NodeId};
+
+/// Formats a duration as a multiple of `d` plus absolute value.
+fn in_d(x: Duration, d: Duration) -> String {
+    if d.is_zero() {
+        return format!("{x}");
+    }
+    let ratio = x.as_nanos() as f64 / d.as_nanos() as f64;
+    format!("{ratio:.2}d ({x})")
+}
+
+/// Renders one markdown table row.
+fn row(cells: &[String]) -> String {
+    format!("| {} |", cells.join(" | "))
+}
+
+/// Renders a markdown header + separator.
+fn header(cells: &[&str]) -> String {
+    let head = format!("| {} |", cells.join(" | "));
+    let sep = format!(
+        "|{}|",
+        cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+    );
+    format!("{head}\n{sep}")
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

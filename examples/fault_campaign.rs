@@ -3,7 +3,7 @@
 //! bracketed by a companion agreement the burst disrupts and a probe
 //! agreement that must pass the full property battery. Measures
 //! time-to-stabilize, disruption decay and containment radius per burst
-//! and writes `BENCH_stabilization.json` (deterministic per seed, byte
+//! and writes `CAMPAIGN_stabilization.json` (deterministic per seed, byte
 //! identical across re-runs). The `n = 256` cell's assumed δ is scaled
 //! because the membership outgrows the processing bound the default δ
 //! models (the run says so); it takes minutes, the rest seconds.
@@ -161,6 +161,6 @@ fn main() {
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_stabilization.json", &out).expect("write BENCH_stabilization.json");
-    println!("wrote BENCH_stabilization.json");
+    std::fs::write("CAMPAIGN_stabilization.json", &out).expect("write CAMPAIGN_stabilization.json");
+    println!("wrote CAMPAIGN_stabilization.json");
 }

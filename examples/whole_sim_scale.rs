@@ -1,8 +1,8 @@
 //! Multi-sample whole-simulation scale rows: the fault-free
 //! correct-General scenario timed end to end at n = 64, 256 and 512
 //! (n = 1024 gated on host memory, see below), mean and min of ≥ 3
-//! seeds per cell (single-iteration criterion rows swing with container
-//! load and are not trusted for whole-sim numbers).
+//! seeds per cell (single runs swing with container load and are not
+//! trusted for whole-sim numbers).
 //!
 //! Cells:
 //!
@@ -25,17 +25,16 @@
 //!
 //! Runs terminate early once every node has decided (plus a 4d drain),
 //! capped at the Δ_agr + 30d battery horizon. Output is a JSON fragment
-//! on stdout; the committed numbers live in `BENCH_store_hot_path.json`
-//! under `whole_sim_scale`.
+//! on stdout; the recorded numbers are in `docs/PERF.md` §
+//! Whole-simulation scale.
 //!
 //! ```text
-//! cargo run --release -p ssbyz-bench --example whole_sim_scale \
-//!     [-- --seeds N] [--max-n 1024]
+//! cargo run --release --example whole_sim_scale [-- --seeds N] [--max-n 1024]
 //! ```
 
-use ssbyz_harness::faults::clamped_delta;
-use ssbyz_harness::{ScenarioBuilder, ScenarioConfig};
-use ssbyz_types::{Duration, NodeId, RealTime};
+use ssbyz::harness::faults::clamped_delta;
+use ssbyz::harness::{ScenarioBuilder, ScenarioConfig};
+use ssbyz::{Duration, NodeId, RealTime};
 use std::time::Instant;
 
 struct Cell {
