@@ -405,42 +405,6 @@ impl<V: Value> Engine<V> {
         Ok(())
     }
 
-    /// How long an [`Engine::initiate`] of `value` at `now` would be
-    /// refused for, or `None` if it would be admitted immediately.
-    ///
-    /// A side-effect-free dry run of the `[IG1]`/`[IG2]`/`[IG3]` Sending
-    /// Validity guards: nothing is interned, no timer state moves. The
-    /// result is the *maximum* of the individual remaining waits, so a
-    /// caller sleeping that long will not wake into a different guard's
-    /// refusal (e.g. [`crate::Proposer::pump`] scheduling its next
-    /// attempt after a successful initiation, where `[IG2]` for a
-    /// just-sent duplicate value outlasts the flat `[IG1]` window).
-    pub fn initiation_wait(&self, now: LocalTime, value: &V) -> Option<Duration> {
-        let p = self.params;
-        let mut wait = Duration::ZERO;
-        if let Some(failed) = self.general_ctl.failed_at {
-            let elapsed = now.since_or_zero(failed);
-            if failed.is_after(now) || elapsed < p.delta_reset() {
-                wait = wait.max(p.delta_reset().saturating_sub(elapsed));
-            }
-        }
-        if let Some(last) = self.general_ctl.last_initiation {
-            let elapsed = now.since_or_zero(last);
-            if last.is_after(now) || elapsed < p.delta_0() {
-                wait = wait.max(p.delta_0().saturating_sub(elapsed));
-            }
-        }
-        if let Some(id) = self.interner.lookup(value) {
-            if let Some(last) = self.general_ctl.last_per_value.get(id) {
-                let elapsed = now.since_or_zero(*last);
-                if last.is_after(now) || elapsed < p.delta_v() {
-                    wait = wait.max(p.delta_v().saturating_sub(elapsed));
-                }
-            }
-        }
-        (wait > Duration::ZERO).then_some(wait)
-    }
-
     /// Feeds an authenticated wire message (owned-payload convenience
     /// wrapper over [`Engine::on_message_ref`]).
     pub fn on_message(&mut self, now: LocalTime, sender: NodeId, msg: Msg<V>, ob: &mut Outbox<V>) {

@@ -23,11 +23,14 @@
 //!   periodic state decay that makes everything self-stabilizing. It owns
 //!   the [`ValueInterner`]: the primitives speak dense [`ValueId`]s, and
 //!   values reappear only in the engine's [`Output`]s.
+//! * [`SlotPipeline`] — many one-shot executions over numbered slots,
+//!   committed in order to a replicated [`DecisionLog`].
 //!
 //! Everything is **sans-io**: no clocks, no sockets, no RNG. Feed local
-//! times and messages in, get [`Output`]s back. Deterministic simulation
-//! lives in `ssbyz-simnet`; a threaded wall-clock runtime in
-//! `ssbyz-runtime`.
+//! times and messages in, get [`Output`]s back. [`SansIo`] is the one
+//! seam both machines present to a host: the deterministic simulator
+//! adapter in `ssbyz-harness` and the threaded wall-clock runtime in
+//! `ssbyz-runtime` each drive it with one loop.
 //!
 //! ## Quickstart
 //!
@@ -54,6 +57,7 @@
 pub mod agreement;
 pub mod corrupt;
 pub mod engine;
+pub mod host;
 pub mod initiator_accept;
 pub mod intern;
 pub mod message;
@@ -61,12 +65,12 @@ pub mod msgd_broadcast;
 pub mod outbox;
 pub mod params;
 pub mod pipeline;
-pub mod proposer;
 pub mod store;
 
 pub use agreement::{AgrAction, Agreement};
 pub use corrupt::{Entropy, ScrambleConfig};
 pub use engine::{DispatchStats, Engine, Event, InitiateError, Output};
+pub use host::{Effect, SansIo};
 pub use initiator_accept::{IaAction, InitiatorAccept, OwnProgress};
 pub use intern::{ValueId, ValueIdMap, ValueInterner};
 pub use message::{BcastKind, IaKind, Msg};
@@ -76,7 +80,6 @@ pub use params::Params;
 pub use pipeline::{
     DecisionLog, PipeEvent, PipeOutput, PipelineConfig, SlotMsg, SlotPipeline, CATCHUP_BATCH,
 };
-pub use proposer::Proposer;
 
 // Re-export the substrate types for one-import ergonomics.
 pub use ssbyz_types::{ConfigError, Duration, LocalTime, NodeId, RealTime, Value};

@@ -3,7 +3,8 @@
 //! The glue between the sans-io protocol engine (`ssbyz-core`), the
 //! deterministic simulator (`ssbyz-simnet`) and the adversary library:
 //!
-//! * [`EngineProcess`] runs an engine inside the simulator;
+//! * [`EngineProcess`] and [`PipelineProcess`] run an engine or a slot
+//!   pipeline inside the simulator, through one driver;
 //! * [`ScenarioBuilder`] wires correct / scrambled / Byzantine nodes with
 //!   drifting clocks, storms and planned initiations;
 //! * [`checks`] states the paper's properties (Agreement, Validity,
@@ -31,10 +32,7 @@ pub use faults::{
     run_campaign, BurstReport, CampaignFamily, Fault, FaultSchedule, StabilizationReport,
     TimedFault,
 };
-pub use pipeline::{
-    PipelineProcess, PipelineScenario, Workload, PIPE_TOKEN_TICK, PIPE_TOKEN_WAKE,
-    PIPE_TOKEN_WORKLOAD,
-};
+pub use pipeline::{PipelineProcess, PipelineScenario, Workload, PIPE_TOKEN_WORKLOAD};
 pub use scenario::{
     DecisionRecord, IaRecord, RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val,
 };

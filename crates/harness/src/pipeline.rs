@@ -2,18 +2,22 @@
 //! simulator, driven by a continuous client [`Workload`], with per-node
 //! committed-log extraction for replicated-state-machine checks.
 //!
-//! This is [`crate::adapter::EngineProcess`] ported to the slot
-//! multiplexer: deliveries and timers become pipeline calls, pipeline
-//! outputs become sends, timers and observations. Same-instant waves
-//! enter through [`SlotPipeline::on_wave`], so receiver-side coalescing
-//! reaches the per-slot engines' triplet-table batch path unchanged.
+//! [`PipelineProcess`] is the same simulator [`Driver`] as
+//! [`EngineProcess`], around a [`SlotPipeline`] instead of an engine:
+//! same tick and wake timers, same wave dispatch (through
+//! [`SlotPipeline::on_wave`], so receiver-side coalescing reaches the
+//! per-slot engines' triplet-table batch path unchanged), plus the
+//! workload's own timer.
+//!
+//! [`EngineProcess`]: crate::EngineProcess
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssbyz_core::{PipeEvent, PipeOutput, PipelineConfig, SlotMsg, SlotPipeline};
-use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, Process, SimBuilder, Simulation, WaveMode};
+use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, SimBuilder, Simulation, WaveMode};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
+use crate::adapter::{Client, Driver};
 use crate::scenario::{ScenarioConfig, Val};
 
 /// The pipeline scenarios' concrete message type.
@@ -21,11 +25,9 @@ pub type PipelineMsg = SlotMsg<Val>;
 /// The pipeline scenarios' concrete observation type.
 pub type PipelineObs = PipeEvent<Val>;
 
-/// Timer token: periodic pipeline tick.
-pub const PIPE_TOKEN_TICK: u64 = 0;
-/// Timer token: precise pipeline wake-up (engine deadlines, retries).
-pub const PIPE_TOKEN_WAKE: u64 = 1;
-/// Timer token: the workload driver's next enqueue batch.
+/// Timer token: the workload driver's next enqueue batch (the driver's
+/// own tick and wake timers are [`crate::TOKEN_TICK`] and
+/// [`crate::TOKEN_WAKE`]).
 pub const PIPE_TOKEN_WORKLOAD: u64 = 2;
 
 /// A continuous client-load generator: starting at local offset
@@ -61,145 +63,80 @@ impl Workload {
     }
 }
 
-/// Runs a [`SlotPipeline`] inside the simulator.
-pub struct PipelineProcess {
-    pipe: SlotPipeline<Val>,
-    tick: Duration,
+/// Runs a [`SlotPipeline`] inside the simulator: the [`Driver`], plus
+/// the client workload's batch timer ([`PIPE_TOKEN_WORKLOAD`]).
+pub type PipelineProcess = Driver<SlotPipeline<Val>, Stream>;
+
+/// A [`PipelineProcess`]'s client: the installed workload, if any, and
+/// how many of its values were issued.
+pub struct Stream {
     workload: Option<Workload>,
     issued: usize,
-    /// Caller-owned output buffer reused across every pipeline call.
-    out: Vec<PipeOutput<Val>>,
 }
 
 impl PipelineProcess {
     /// Wraps `pipe`, ticking every `tick` local-time units.
     #[must_use]
     pub fn new(pipe: SlotPipeline<Val>, tick: Duration) -> Self {
-        assert!(!tick.is_zero(), "tick period must be positive");
-        PipelineProcess {
-            pipe,
-            tick,
+        let stream = Stream {
             workload: None,
             issued: 0,
-            out: Vec::new(),
-        }
+        };
+        Driver::with_client(pipe, tick, stream)
     }
 
     /// Installs the client-load driver (meaningful on the proposer; a
     /// non-proposer pipeline queues but never opens slots).
     #[must_use]
     pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.workload = Some(workload);
+        self.client.workload = Some(workload);
         self
     }
 
     /// Read access to the wrapped pipeline (log inspection).
     #[must_use]
     pub fn pipeline(&self) -> &SlotPipeline<Val> {
-        &self.pipe
-    }
-
-    /// Drains the output buffer of the call that just ran into
-    /// simulator effects.
-    fn apply(&mut self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>) {
-        for o in self.out.drain(..) {
-            match o {
-                PipeOutput::Broadcast(msg) => ctx.broadcast(msg),
-                PipeOutput::Send(to, msg) => ctx.send(to, msg),
-                PipeOutput::WakeAt(t) => ctx.set_timer_at(t, PIPE_TOKEN_WAKE),
-                PipeOutput::Event(e) => ctx.observe(e),
-            }
-        }
-    }
-
-    /// Issues the next workload batch; returns whether more remain.
-    fn issue_batch(&mut self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>) -> bool {
-        let Some(w) = self.workload else {
-            return false;
-        };
-        let remaining = w.total.saturating_sub(self.issued);
-        if remaining == 0 {
-            return false;
-        }
-        for i in 0..w.batch.min(remaining) {
-            self.pipe.enqueue(w.base + (self.issued + i) as Val);
-        }
-        self.issued += w.batch.min(remaining);
-        self.pipe.pump(ctx.now(), &mut self.out);
-        self.apply(ctx);
-        self.issued < w.total
+        &self.machine
     }
 }
 
-impl Process<PipelineMsg, PipelineObs> for PipelineProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>) {
-        ctx.set_timer_after(self.tick, PIPE_TOKEN_TICK);
+impl Client<SlotPipeline<Val>> for Stream {
+    type Obs = PipelineObs;
+
+    fn start(&self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>) {
         if let Some(w) = self.workload {
             ctx.set_timer_after(w.start, PIPE_TOKEN_WORKLOAD);
         }
     }
 
-    fn on_message(
+    /// Issues the next workload batch; asks again while values remain.
+    fn fire(
         &mut self,
+        pipe: &mut SlotPipeline<Val>,
+        out: &mut Vec<PipeOutput<Val>>,
         ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>,
-        from: NodeId,
-        msg: &PipelineMsg,
-    ) {
-        let now = ctx.now();
-        self.pipe.on_message(now, from, msg, &mut self.out);
-        self.apply(ctx);
-    }
-
-    fn on_message_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>,
-        batch: &[(NodeId, std::sync::Arc<PipelineMsg>)],
-    ) {
-        // A coalesced wave: same-slot runs reach each engine's
-        // triplet-table batch path in one call.
-        let now = ctx.now();
-        self.pipe.on_wave(now, batch, &mut self.out);
-        self.apply(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>, token: u64) {
-        match token {
-            PIPE_TOKEN_TICK => {
-                self.pipe.on_tick(ctx.now(), &mut self.out);
-                self.apply(ctx);
-                ctx.set_timer_after(self.tick, PIPE_TOKEN_TICK);
-            }
-            PIPE_TOKEN_WAKE => {
-                self.pipe.on_tick(ctx.now(), &mut self.out);
-                self.apply(ctx);
-            }
-            PIPE_TOKEN_WORKLOAD if self.issue_batch(ctx) => {
-                let period = self.workload.expect("issued from a workload").period;
-                ctx.set_timer_after(period, PIPE_TOKEN_WORKLOAD);
-            }
-            _ => {}
+        token: u64,
+    ) -> Option<Duration> {
+        let w = self.workload.filter(|_| token == PIPE_TOKEN_WORKLOAD)?;
+        let remaining = w.total.saturating_sub(self.issued);
+        if remaining == 0 {
+            return None;
         }
-    }
-
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>) {
-        // The self-re-arming tick chain may have died during the
-        // outage: cancel any survivor, catch up once, re-arm. The
-        // workload chain gets the same treatment so a recovering
-        // proposer resumes serving its stream.
-        ctx.cancel_timer(PIPE_TOKEN_TICK);
-        self.pipe.on_tick(ctx.now(), &mut self.out);
-        self.apply(ctx);
-        ctx.set_timer_after(self.tick, PIPE_TOKEN_TICK);
-        if let Some(w) = self.workload {
-            if self.issued < w.total {
-                ctx.cancel_timer(PIPE_TOKEN_WORKLOAD);
-                ctx.set_timer_after(w.period, PIPE_TOKEN_WORKLOAD);
-            }
+        for i in 0..w.batch.min(remaining) {
+            pipe.enqueue(w.base + (self.issued + i) as Val);
         }
+        self.issued += w.batch.min(remaining);
+        pipe.pump(ctx.now(), out);
+        (self.issued < w.total).then_some(w.period)
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+    /// The workload chain gets the tick chain's treatment, so a
+    /// recovering proposer resumes serving its stream.
+    fn recover(&self, ctx: &mut Ctx<'_, PipelineMsg, PipelineObs>) {
+        if let Some(w) = self.workload.filter(|w| self.issued < w.total) {
+            ctx.cancel_timer(PIPE_TOKEN_WORKLOAD);
+            ctx.set_timer_after(w.period, PIPE_TOKEN_WORKLOAD);
+        }
     }
 }
 

@@ -1,22 +1,16 @@
 //! Threaded wall-clock execution of the slot pipeline: a
 //! [`PipelineCluster`] serves a continuous stream of client values, one
-//! [`SlotPipeline`] per node thread, commits applied in slot order to
-//! each node's replicated decision log.
+//! [`SlotPipeline`] per node thread on the host loop [`Cluster`] runs
+//! too, commits applied in slot order to each node's decision log.
 //!
-//! The cluster is generic over the message plane via the
-//! [`Transport`] seam from `ssbyz-wire`:
+//! The message plane is any [`Transport`] of [`SlotMsg`]: the default
+//! [`InProcessTransport`] (the golden model — [`Cluster`]'s delay
+//! router) or, via [`PipelineCluster::spawn_tcp`], a [`TcpTransport`]
+//! of authenticated frames on a loopback mesh driven by one
+//! readiness-loop reactor. Only the sending handle differs, which is
+//! what lets the equivalence battery pin the two to bit-identical logs.
 //!
-//! * [`InProcessTransport`] (the default) is the golden model — the
-//!   crossbeam-channel delay router shared with the one-shot
-//!   [`crate::Cluster`], same wheel, same per-destination jitter,
-//!   instantiated over [`SlotMsg`] payloads;
-//! * [`TcpTransport`] (via [`PipelineCluster::spawn_tcp`]) runs the
-//!   same node threads over authenticated, length-prefixed frames on a
-//!   loopback TCP mesh driven by a single readiness-loop reactor.
-//!
-//! The node event loop is identical under both — only the sending
-//! handle differs — which is what lets the equivalence battery pin the
-//! two transports to bit-identical decision logs.
+//! [`Cluster`]: crate::Cluster
 //!
 //! ```no_run
 //! use ssbyz_core::{Params, PipelineConfig};
@@ -36,23 +30,13 @@
 //! ```
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::Duration as StdDuration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use ssbyz_core::{LocalTime, Params, PipeEvent, PipeOutput, PipelineConfig, SlotMsg, SlotPipeline};
+use ssbyz_core::{LocalTime, Params, PipeEvent, PipelineConfig, SlotMsg, SlotPipeline};
 use ssbyz_types::{NodeId, Value};
-use ssbyz_wire::{TcpTransport, Transport, TransportTx, WireConfig, WireValue};
+use ssbyz_wire::{TcpTransport, Transport, WireConfig, WireValue};
 
-use crate::{router_loop, ClusterError, RouterDest, RouterMsg, RuntimeConfig};
-
-/// Commands accepted by a pipeline node thread.
-enum PipeCmd<V> {
-    Deliver { from: NodeId, msg: Arc<SlotMsg<V>> },
-    Submit(V),
-    Shutdown,
-}
+use crate::{ClusterError, Cmd, Host, Hosted, InProcessTransport, RuntimeConfig};
 
 /// One slot commit observed on the cluster: `node` applied `value` at
 /// `slot` in its replicated log, `elapsed` after cluster start.
@@ -65,87 +49,30 @@ pub struct CommitRecord<V> {
     /// The decided value (shared wire handle, no deep copy).
     pub value: Arc<V>,
     /// Wall-clock time since cluster start.
-    pub elapsed: std::time::Duration,
+    pub elapsed: StdDuration,
 }
 
-/// The in-process message plane: the crossbeam delay router behind the
-/// [`Transport`] seam. This is the golden model the TCP reactor is
-/// pinned against — one router thread, a shared timer wheel, an
-/// independently sampled link delay per destination.
-pub struct InProcessTransport<V: Value> {
-    router_tx: Sender<RouterMsg<SlotMsg<V>>>,
-    thread: JoinHandle<()>,
-}
+impl<V: Value> Hosted for SlotPipeline<V> {
+    type Cmd = V;
+    type Record = CommitRecord<V>;
 
-impl<V: Value> InProcessTransport<V> {
-    /// Spawns the router thread. Matured deliveries for node `i` are
-    /// wrapped by `wrap` and pushed into `delivery[i]`.
-    #[must_use]
-    pub fn start<C, F>(cfg: RuntimeConfig, delivery: Vec<Sender<C>>, wrap: F) -> Self
-    where
-        C: Send + 'static,
-        F: Fn(NodeId, Arc<SlotMsg<V>>) -> C + Send + 'static,
-    {
-        let (router_tx, router_rx) = unbounded::<RouterMsg<SlotMsg<V>>>();
-        let thread = std::thread::spawn(move || {
-            router_loop(router_rx, delivery, cfg, wrap);
-        });
-        InProcessTransport { router_tx, thread }
+    fn command(&mut self, now: LocalTime, value: V, buf: &mut Self::Buf) {
+        self.enqueue(value);
+        self.pump(now, buf);
     }
-}
 
-impl<V: Value> Transport<V> for InProcessTransport<V> {
-    type Tx = InProcessTx<V>;
-
-    fn tx(&self) -> InProcessTx<V> {
-        InProcessTx {
-            tx: self.router_tx.clone(),
+    /// Per-slot protocol events and catch-up adoptions are interior
+    /// progress; the committed prefix is the API.
+    fn record(node: NodeId, event: PipeEvent<V>, elapsed: StdDuration) -> Option<Self::Record> {
+        match event {
+            PipeEvent::Committed { slot, value } => Some(CommitRecord {
+                node,
+                slot,
+                value,
+                elapsed,
+            }),
+            _ => None,
         }
-    }
-
-    fn shutdown(self) {
-        // Dropping the last sender disconnects the router's receive
-        // side; the loop returns on its own. Node threads are already
-        // joined by the time the cluster calls this, so their `Tx`
-        // clones are gone.
-        drop(self.router_tx);
-        let _ = self.thread.join();
-    }
-}
-
-/// Sending handle for [`InProcessTransport`]; one clone per node
-/// thread.
-pub struct InProcessTx<V: Value> {
-    tx: Sender<RouterMsg<SlotMsg<V>>>,
-}
-
-impl<V: Value> Clone for InProcessTx<V> {
-    fn clone(&self) -> Self {
-        InProcessTx {
-            tx: self.tx.clone(),
-        }
-    }
-}
-
-impl<V: Value> TransportTx<V> for InProcessTx<V> {
-    fn broadcast(&self, from: NodeId, msg: SlotMsg<V>) {
-        // One channel send per broadcast carrying one Arc; the router
-        // samples the per-destination link delays when it fans out.
-        let _ = self.tx.send(RouterMsg {
-            due: Instant::now(),
-            from,
-            dest: RouterDest::All,
-            msg: Arc::new(msg),
-        });
-    }
-
-    fn unicast(&self, from: NodeId, to: NodeId, msg: SlotMsg<V>) {
-        let _ = self.tx.send(RouterMsg {
-            due: Instant::now(),
-            from,
-            dest: RouterDest::One(to),
-            msg: Arc::new(msg),
-        });
     }
 }
 
@@ -153,14 +80,9 @@ impl<V: Value> TransportTx<V> for InProcessTx<V> {
 /// generic over its message plane (`T`). `spawn` keeps the in-process
 /// router; [`PipelineCluster::spawn_tcp`] runs the same node threads
 /// over the authenticated TCP reactor.
-pub struct PipelineCluster<V: Value, T: Transport<V> = InProcessTransport<V>> {
-    cmd_txs: Vec<Sender<PipeCmd<V>>>,
-    commits: Arc<Mutex<Vec<CommitRecord<V>>>>,
-    /// Node threads only; transport threads are owned by `transport`.
-    threads: Vec<JoinHandle<()>>,
-    transport: T,
+pub struct PipelineCluster<V: Value, T: Transport<SlotMsg<V>> = InProcessTransport<SlotMsg<V>>> {
+    host: Host<SlotPipeline<V>, T>,
     proposer: NodeId,
-    n: usize,
 }
 
 impl<V: Value> PipelineCluster<V> {
@@ -169,15 +91,11 @@ impl<V: Value> PipelineCluster<V> {
     /// window, retry and catch-up policy cluster-wide).
     #[must_use]
     pub fn spawn(params: Params, pipe_cfg: PipelineConfig, cfg: RuntimeConfig) -> Self {
-        let spawned: Result<Self, std::convert::Infallible> =
-            Self::spawn_with(params, pipe_cfg, cfg.tick.into(), |delivery| {
-                Ok(InProcessTransport::start(cfg, delivery, |from, msg| {
-                    PipeCmd::Deliver { from, msg }
-                }))
-            });
-        match spawned {
-            Ok(cluster) => cluster,
-            Err(never) => match never {},
+        PipelineCluster {
+            proposer: pipe_cfg.proposer,
+            host: Host::in_process(params.n(), cfg, |id| {
+                SlotPipeline::new(id, params, pipe_cfg.clone())
+            }),
         }
     }
 }
@@ -199,74 +117,30 @@ impl<V: Value + WireValue> PipelineCluster<V, TcpTransport<V>> {
         wire: WireConfig,
     ) -> std::io::Result<Self> {
         let n = params.n();
-        Self::spawn_with(params, pipe_cfg, tick.into(), |delivery| {
-            TcpTransport::start(n, wire, delivery, |from, msg| PipeCmd::Deliver {
-                from,
-                msg,
-            })
+        Ok(PipelineCluster {
+            proposer: pipe_cfg.proposer,
+            host: Host::spawn(
+                n,
+                tick,
+                |id| SlotPipeline::new(id, params, pipe_cfg.clone()),
+                |delivery| TcpTransport::start(n, wire, delivery, Cmd::Deliver),
+            )?,
         })
     }
 }
 
-impl<V: Value, T: Transport<V>> PipelineCluster<V, T> {
-    /// Shared spawn plumbing: builds the per-node command channels,
-    /// starts the transport over them, then the node threads with the
-    /// transport's sending handles.
-    fn spawn_with<E>(
-        params: Params,
-        pipe_cfg: PipelineConfig,
-        tick: std::time::Duration,
-        make_transport: impl FnOnce(Vec<Sender<PipeCmd<V>>>) -> Result<T, E>,
-    ) -> Result<Self, E> {
-        let n = params.n();
-        let proposer = pipe_cfg.proposer;
-        let start = Instant::now();
-        let commits: Arc<Mutex<Vec<CommitRecord<V>>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut cmd_txs = Vec::with_capacity(n);
-        let mut cmd_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Unbounded on purpose: the TCP reactor delivers into these
-            // channels from its single thread, so one slow node on a
-            // bounded channel would block the reactor and freeze every
-            // link in the mesh. Depth is bounded in practice by the
-            // engines' timing windows — stale traffic ages out instead
-            // of accumulating.
-            let (tx, rx) = unbounded::<PipeCmd<V>>();
-            cmd_txs.push(tx);
-            cmd_rxs.push(rx);
-        }
-        let transport = make_transport(cmd_txs.clone())?;
-        let mut threads = Vec::new();
-        for (i, rx) in cmd_rxs.into_iter().enumerate() {
-            let id = NodeId::new(i as u32);
-            let tx = transport.tx();
-            let commits = Arc::clone(&commits);
-            let pipe_cfg_i = pipe_cfg.clone();
-            threads.push(std::thread::spawn(move || {
-                pipe_node_loop(id, params, pipe_cfg_i, tick, rx, tx, commits, start);
-            }));
-        }
-        Ok(PipelineCluster {
-            cmd_txs,
-            commits,
-            threads,
-            transport,
-            proposer,
-            n,
-        })
-    }
-
+impl<V: Value, T: Transport<SlotMsg<V>>> PipelineCluster<V, T> {
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.host.cmd_txs.len()
     }
 
     /// The running transport instance (reactor statistics, raw-byte
     /// injection hooks on the TCP plane).
     #[must_use]
     pub fn transport(&self) -> &T {
-        &self.transport
+        &self.host.transport
     }
 
     /// Enqueues `value` on the proposer's stream; it will be batched
@@ -274,41 +148,34 @@ impl<V: Value, T: Transport<V>> PipelineCluster<V, T> {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Shutdown`] if the proposer thread has exited
-    /// (previously a stringly-typed error callers could not match on).
+    /// [`ClusterError::Shutdown`] if the proposer thread has exited.
     pub fn submit(&self, value: V) -> Result<(), ClusterError> {
-        self.cmd_txs[self.proposer.index()]
-            .send(PipeCmd::Submit(value))
-            .map_err(|_| ClusterError::Shutdown)
+        self.host.command(self.proposer, value)
     }
 
     /// Injects a raw slot message with a forged sender (adversary
-    /// testing). On the in-process plane this bypasses link delay; on
-    /// the TCP plane it is stamped with the *claimed sender's own*
-    /// link keys — an insider Byzantine node, which may say anything
-    /// but can never forge another node's MAC.
+    /// testing). On the in-process plane it is one unicast with a
+    /// sampled link delay; on the TCP plane it is stamped with the
+    /// *claimed sender's own* link keys — an insider Byzantine node,
+    /// which may say anything but can never forge another node's MAC.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Shutdown`] if the cluster is no longer live.
     pub fn inject(&self, from: NodeId, to: NodeId, msg: SlotMsg<V>) -> Result<(), ClusterError> {
-        if self.threads.iter().any(JoinHandle::is_finished) {
-            return Err(ClusterError::Shutdown);
-        }
-        self.transport.tx().unicast(from, to, msg);
-        Ok(())
+        self.host.inject(from, to, msg)
     }
 
     /// Snapshot of all commit records so far, in observation order.
     #[must_use]
     pub fn commits(&self) -> Vec<CommitRecord<V>> {
-        self.commits.lock().clone()
+        self.host.records.lock().clone()
     }
 
     /// Per-node committed logs, each in slot order.
     #[must_use]
     pub fn committed_logs(&self) -> Vec<Vec<(u64, Arc<V>)>> {
-        let mut logs: Vec<Vec<(u64, Arc<V>)>> = vec![Vec::new(); self.n];
+        let mut logs: Vec<Vec<(u64, Arc<V>)>> = vec![Vec::new(); self.n()];
         for c in self.commits() {
             logs[c.node.index()].push((c.slot, c.value));
         }
@@ -321,120 +188,16 @@ impl<V: Value, T: Transport<V>> PipelineCluster<V, T> {
     /// # Errors
     ///
     /// [`ClusterError::Shutdown`] as soon as any node thread has exited
-    /// (the count can no longer be reached — previously this blocked
-    /// for the full timeout and then reported a misleading plain
-    /// `false`); [`ClusterError::Timeout`] if the deadline passes
-    /// first.
-    pub fn wait_for_commits(
-        &self,
-        count: usize,
-        timeout: std::time::Duration,
-    ) -> Result<(), ClusterError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.commits.lock().len() >= count {
-                return Ok(());
-            }
-            if self.threads.iter().any(JoinHandle::is_finished) {
-                return Err(ClusterError::Shutdown);
-            }
-            if Instant::now() >= deadline {
-                return Err(ClusterError::Timeout);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+    /// (the count can no longer be reached); [`ClusterError::Timeout`]
+    /// if the deadline passes first.
+    pub fn wait_for_commits(&self, count: usize, timeout: StdDuration) -> Result<(), ClusterError> {
+        self.host
+            .wait_for(timeout, |commits| commits.len() >= count)
     }
 
-    /// Stops all threads and joins them: node threads first (their
-    /// transport handles drop with them), then the transport's I/O
-    /// machinery.
+    /// Stops all threads and joins them, the transport's last.
     pub fn shutdown(self) {
-        let PipelineCluster {
-            cmd_txs,
-            threads,
-            transport,
-            ..
-        } = self;
-        for tx in &cmd_txs {
-            let _ = tx.send(PipeCmd::Shutdown);
-        }
-        drop(cmd_txs);
-        for t in threads {
-            let _ = t.join();
-        }
-        transport.shutdown();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pipe_node_loop<V: Value, Tx: TransportTx<V>>(
-    id: NodeId,
-    params: Params,
-    pipe_cfg: PipelineConfig,
-    tick: std::time::Duration,
-    rx: Receiver<PipeCmd<V>>,
-    tx: Tx,
-    commits: Arc<Mutex<Vec<CommitRecord<V>>>>,
-    start: Instant,
-) {
-    let mut pipe: SlotPipeline<V> = SlotPipeline::new(id, params, pipe_cfg);
-    // Caller-owned output buffer reused across every pipeline call.
-    let mut out: Vec<PipeOutput<V>> = Vec::new();
-
-    let now_local = |start: Instant| {
-        LocalTime::from_nanos(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    };
-    let mut next_tick = Instant::now() + tick;
-    loop {
-        let timeout = next_tick.saturating_duration_since(Instant::now());
-        let cmd = rx.recv_timeout(timeout);
-        let now = now_local(start);
-        match cmd {
-            Ok(PipeCmd::Deliver { from, msg }) => {
-                pipe.on_message(now, from, &msg, &mut out);
-            }
-            Ok(PipeCmd::Submit(value)) => {
-                pipe.enqueue(value);
-                pipe.pump(now, &mut out);
-            }
-            Ok(PipeCmd::Shutdown) => return,
-            Err(RecvTimeoutError::Timeout) => {
-                next_tick = Instant::now() + tick;
-                pipe.on_tick(now, &mut out);
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        for o in out.drain(..) {
-            match o {
-                PipeOutput::Broadcast(msg) => {
-                    tx.broadcast(id, msg);
-                }
-                PipeOutput::Send(to, msg) => {
-                    // Catch-up traffic is unicast: log-served replies go
-                    // straight to the lagging peer.
-                    tx.unicast(id, to, msg);
-                }
-                PipeOutput::WakeAt(at) => {
-                    // Honor the precise wake-up by shortening the tick.
-                    let wait = at.since_or_zero(now);
-                    let due = Instant::now() + std::time::Duration::from(wait);
-                    if due < next_tick {
-                        next_tick = due;
-                    }
-                }
-                PipeOutput::Event(PipeEvent::Committed { slot, value }) => {
-                    commits.lock().push(CommitRecord {
-                        node: id,
-                        slot,
-                        value,
-                        elapsed: start.elapsed(),
-                    });
-                }
-                // Per-slot protocol events and catch-up adoptions are
-                // interior progress; the committed prefix is the API.
-                PipeOutput::Event(_) => {}
-            }
-        }
+        self.host.shutdown();
     }
 }
 

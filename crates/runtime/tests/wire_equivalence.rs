@@ -37,7 +37,9 @@ fn log_bytes<V: Value + WireValue>(log: &[(u64, Arc<V>)]) -> Vec<u8> {
 
 /// Drives `STREAM` submissions through `cluster` and returns the
 /// per-node committed logs.
-fn drive<T: Transport<u64>>(cluster: &PipelineCluster<u64, T>) -> Vec<Vec<(u64, Arc<u64>)>> {
+fn drive<T: Transport<SlotMsg<u64>>>(
+    cluster: &PipelineCluster<u64, T>,
+) -> Vec<Vec<(u64, Arc<u64>)>> {
     std::thread::sleep(std::time::Duration::from_millis(30));
     for v in 0..STREAM {
         cluster.submit(7_000 + v).unwrap();
@@ -143,7 +145,7 @@ fn explicit_transport_construction_matches_spawn() {
     // message through a bare InProcessTransport and observe delivery.
     let (tx0, rx0) = crossbeam_channel::unbounded();
     let (tx1, rx1) = crossbeam_channel::unbounded();
-    let transport: InProcessTransport<u64> = InProcessTransport::start(
+    let transport: InProcessTransport<SlotMsg<u64>> = InProcessTransport::start(
         RuntimeConfig::default(),
         vec![tx0, tx1],
         |from, msg: Arc<SlotMsg<u64>>| (from, msg),

@@ -15,9 +15,9 @@
 //!   non-blocking `std::net` TCP: one I/O thread for the whole cluster
 //!   mesh instead of threads per link, with an optional byte-level
 //!   corruption adversary for the acceptance battery;
-//! * [`transport`] — the [`Transport`] seam `ssbyz-runtime`'s
-//!   `PipelineCluster` plugs into, keeping its in-process channel
-//!   router as the golden model next to [`TcpTransport`].
+//! * [`transport`] — the payload-generic [`Transport`] seam both of
+//!   `ssbyz-runtime`'s clusters plug into, keeping its in-process
+//!   channel router as the golden model next to [`TcpTransport`].
 //!
 //! See `docs/WIRE.md` for the frame layout, the MAC construction, and
 //! the reactor design rationale.

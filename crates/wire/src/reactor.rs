@@ -198,7 +198,7 @@ impl<V> Clone for TcpTx<V> {
     }
 }
 
-impl<V: Value + WireValue> TransportTx<V> for TcpTx<V> {
+impl<V: Value + WireValue> TransportTx<SlotMsg<V>> for TcpTx<V> {
     fn broadcast(&self, from: NodeId, msg: SlotMsg<V>) {
         let _ = self.0.send(ReactorCmd::Broadcast { from, msg });
     }
@@ -286,7 +286,7 @@ impl<V: Value + WireValue> TcpTransport<V> {
     }
 }
 
-impl<V: Value + WireValue> Transport<V> for TcpTransport<V> {
+impl<V: Value + WireValue> Transport<SlotMsg<V>> for TcpTransport<V> {
     type Tx = TcpTx<V>;
 
     fn tx(&self) -> TcpTx<V> {

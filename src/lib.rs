@@ -11,14 +11,14 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `ssbyz-core` | `Initiator-Accept`, `msgd-broadcast`, `ss-Byz-Agree`, the per-node [`Engine`] |
+//! | [`core`] | `ssbyz-core` | `Initiator-Accept`, `msgd-broadcast`, `ss-Byz-Agree`, the per-node [`Engine`], the slot pipeline, and the `SansIo` seam both present to a host |
 //! | [`simnet`] | `ssbyz-simnet` | deterministic simulator: drifting clocks, bounded-delay links, fault storms |
 //! | [`adversary`] | `ssbyz-adversary` | Byzantine strategies & transient-fault tooling |
 //! | [`baseline`] | `ssbyz-baseline` | time-driven lock-step comparator (TPS-87 style) |
 //! | [`pulse`] | `ssbyz-pulse` | pulse synchronization built atop the agreement |
-//! | [`runtime`] | `ssbyz-runtime` | threaded wall-clock cluster |
-//! | [`wire`] | `ssbyz-wire` | authenticated binary codec, MAC'd framing, TCP readiness-loop reactor |
-//! | [`harness`] | `ssbyz-harness` | scenarios, property checkers, experiment drivers |
+//! | [`runtime`] | `ssbyz-runtime` | one threaded wall-clock host for both machines: `Cluster` (engines) and `PipelineCluster` (slot pipelines) |
+//! | [`wire`] | `ssbyz-wire` | authenticated binary codec, MAC'd framing, TCP readiness-loop reactor, the payload-generic `Transport` seam |
+//! | [`harness`] | `ssbyz-harness` | the one simulator driver for both machines, scenarios, property checkers, experiment drivers |
 //!
 //! ## Quickstart (deterministic simulation)
 //!
