@@ -13,8 +13,9 @@
 //!   recovering — nodes; the engine of the fault campaign's
 //!   adaptive-storm family).
 //! * **Transient faults** — message [`u64_corruptor`]s and spurious
-//!   [`u64_injector`]s for the simulator's storm phase, plus
-//!   [`RngEntropy`] to drive the core crate's engine-state scrambler.
+//!   [`u64_injector`]s for the simulator's storm phase. (The core
+//!   crate's engine-state scramble takes any `FnMut() -> u64` as its
+//!   entropy, so an RNG needs no adapter.)
 //!
 //! All strategies are deterministic given the simulation seed.
 
@@ -27,4 +28,4 @@ mod storm;
 
 pub use generals::{PartialGeneral, SilentNode, SpamGeneral, StaggeredGeneral, TwoFacedGeneral};
 pub use nodes::{EchoForger, GarbageNode, IaForger, QuorumStalker};
-pub use storm::{u64_corruptor, u64_injector, RngEntropy};
+pub use storm::{u64_corruptor, u64_injector};

@@ -1,23 +1,13 @@
-//! Transient-fault tooling: message corruptors, spurious-traffic
-//! generators and engine-state scramblers backed by `rand`.
+//! Transient-fault tooling: message corruptors and spurious-traffic
+//! generators backed by `rand`.
 
 use rand::rngs::StdRng;
 use rand::RngCore;
 use std::sync::Arc;
 
-use ssbyz_core::corrupt::Entropy;
 use ssbyz_core::{BcastKind, IaKind, Msg};
 use ssbyz_simnet::{Corruptor, Injector};
 use ssbyz_types::NodeId;
-
-/// Adapts a [`StdRng`] to the core crate's [`Entropy`] trait.
-pub struct RngEntropy<'a>(pub &'a mut StdRng);
-
-impl Entropy for RngEntropy<'_> {
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
-    }
-}
 
 /// Builds a storm corruptor for `Msg<u64>`: rewrites fields (values,
 /// claimed generals, rounds, stage kinds) at random, occasionally eating
@@ -159,14 +149,5 @@ mod tests {
             assert!(to.index() < 5);
             assert!(msg.general().index() < 5);
         }
-    }
-
-    #[test]
-    fn rng_entropy_adapts() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut e = RngEntropy(&mut rng);
-        let a = e.next_u64();
-        let b = e.next_u64();
-        assert_ne!(a, b);
     }
 }

@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ssbyz_types::{DenseNodeMap, Duration, LocalTime, NodeId, Value};
 
+use crate::corrupt::{Entropy, Garbage};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::BcastKind;
 use crate::msgd_broadcast::{MsgdAction, MsgdBroadcast};
@@ -134,12 +135,6 @@ impl Agreement {
     #[must_use]
     pub fn msgd(&self) -> &MsgdBroadcast {
         &self.msgd
-    }
-
-    /// Mutable access for the corruption harness.
-    #[doc(hidden)]
-    pub fn msgd_mut(&mut self) -> &mut MsgdBroadcast {
-        &mut self.msgd
     }
 
     /// Feeds the I-accept `⟨G, m′, τ_G⟩` from `Initiator-Accept`.
@@ -464,6 +459,45 @@ impl Agreement {
         self.msgd.cleanup(now);
     }
 
+    /// Plants transient-fault residue for one fabricated value: a
+    /// coin-flipped anchor and returned state, up to `f + 1` fake accepts,
+    /// then the embedded primitive's own residue. Every stamp lies within
+    /// `2Δ_rmv` of the scramble's `now`, which [`Agreement::cleanup`]
+    /// above must expire. Returns whether anything was planted.
+    pub(crate) fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>) -> bool {
+        let (n, f) = (self.params.n(), self.params.f() as u64);
+        let v = g.value();
+        let mut planted = false;
+        if g.chance(1, 2) {
+            self.tau_g = Some(g.stamp());
+            planted = true;
+        }
+        if g.chance(1, 3) {
+            let at = g.stamp();
+            let decision = g.chance(1, 2).then(|| {
+                let dv = g.value();
+                g.intern(&dv)
+            });
+            self.returned = Some((decision, at));
+            self.reset_due = Some(at + self.params.d() * 3u64);
+            planted = true;
+        }
+        let accepts = g.below(f + 2);
+        for _ in 0..accepts {
+            let round = g.below(f + 1) as u32 + 1;
+            let broadcaster = g.node(n);
+            let at = g.stamp();
+            self.record_accepted(g.intern(&v), round, broadcaster, at);
+        }
+        let msgd_planted = self.msgd.plant(g, &v);
+        planted || accepts > 0 || msgd_planted
+    }
+
+    /// Sets the anchor `τ_G`, as a late I-accept would.
+    pub(crate) fn corrupt_anchor(&mut self, tau_g: LocalTime) {
+        self.tau_g = Some(tau_g);
+    }
+
     /// Drops every trace of the current execution.
     fn reset_execution(&mut self) {
         self.tau_g = None;
@@ -484,32 +518,6 @@ impl Agreement {
             interner.mark(*id);
         }
         self.msgd.mark_live(interner);
-    }
-
-    /// Corruption hooks for the transient-fault harness.
-    #[doc(hidden)]
-    pub fn corrupt_anchor(&mut self, tau_g: LocalTime) {
-        self.tau_g = Some(tau_g);
-    }
-
-    /// Plants a fake accepted broadcast (transient-fault harness).
-    /// Out-of-range rounds are dropped, as the protocol never reads them.
-    #[doc(hidden)]
-    pub fn corrupt_accepted(
-        &mut self,
-        value: ValueId,
-        round: u32,
-        broadcaster: NodeId,
-        at: LocalTime,
-    ) {
-        self.record_accepted(value, round, broadcaster, at);
-    }
-
-    /// Plants a fake returned state (transient-fault harness).
-    #[doc(hidden)]
-    pub fn corrupt_returned(&mut self, decision: Option<ValueId>, at: LocalTime) {
-        self.returned = Some((decision, at));
-        self.reset_due = Some(at + self.params.d() * 3u64);
     }
 }
 
@@ -558,6 +566,7 @@ fn augment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corrupt::xorshift;
     use crate::intern::interned;
 
     const D: u64 = 10_000_000;
@@ -961,7 +970,7 @@ mod tests {
         let (vals, [v7]) = interned([7]);
         let p = params4();
         let mut agr = Agreement::new(id(1), id(0), p);
-        agr.corrupt_accepted(v7, 1, id(2), t(0));
+        agr.record_accepted(v7, 1, id(2), t(0));
         agr.cleanup(t(0) + p.agreement_horizon() + d());
         let mut out = Vec::new();
         // The stale accept is gone: a late anchor + S re-check won't fire.
@@ -974,6 +983,33 @@ mod tests {
             &mut out,
         );
         assert!(returns(&out).is_empty());
+    }
+
+    #[test]
+    fn planted_residue_expires_in_one_cleanup() {
+        // Every planted stamp lies before now + 2Δ_rmv; one cleanup past
+        // that plus the longer of the agreement and msgd horizons leaves
+        // the instance dormant.
+        let p = params7();
+        let now = t(0);
+        let (mut vals, mut e) = (ValueInterner::new(), xorshift(5));
+        let mut gen = |e: &mut dyn Entropy| e.next_u64() % 8;
+        let mut g = Garbage::new(now, p.delta_rmv(), &mut e, &mut gen, &mut vals);
+        let mut agr = Agreement::new(id(1), id(0), p);
+        for _ in 0..16 {
+            agr.plant(&mut g);
+        }
+        assert!(agr.tau_g().is_some() && agr.has_returned() && !agr.accepted.is_empty());
+        assert!(agr.msgd.triplet_count() > 0 && agr.broadcaster_count() > 0);
+        let horizon = p.agreement_horizon().max(p.msgd_horizon());
+        agr.cleanup(now + p.delta_rmv() * 2u64 + horizon);
+        assert_eq!(
+            (agr.tau_g(), agr.returned, agr.reset_due),
+            (None, None, None)
+        );
+        assert!(agr.accepted.is_empty());
+        assert_eq!(agr.msgd.triplet_count(), 0);
+        assert_eq!(agr.broadcaster_count(), 0);
     }
 
     #[test]
@@ -1001,7 +1037,8 @@ mod tests {
         let (_, [v3]) = interned([3]);
         let p = params4();
         let mut agr = Agreement::new(id(1), id(0), p);
-        agr.corrupt_returned(Some(v3), t(0));
+        agr.returned = Some((Some(v3), t(0)));
+        agr.reset_due = Some(t(0) + d() * 3u64);
         let mut out = Vec::new();
         agr.on_tick(t(0) + d() * 3u64, &mut out);
         assert!(!agr.has_returned(), "fake return decays via reset");

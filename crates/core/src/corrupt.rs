@@ -3,9 +3,16 @@
 //! The paper's fault model allows a transient failure to leave every node
 //! in an **arbitrary state**: any variable may hold any value, including
 //! timestamps in the future, fabricated quorum evidence, fake anchors and
-//! phantom pending decisions. [`Engine::scramble`] produces exactly such a
-//! state, driven by a caller-supplied [`Entropy`] source so the core crate
-//! stays free of RNG dependencies.
+//! phantom pending decisions. [`Engine::scramble`](crate::Engine::scramble)
+//! produces exactly such a state, driven by a caller-supplied [`Entropy`]
+//! source so the core crate stays free of RNG dependencies.
+//!
+//! Each primitive plants its own residue — `InitiatorAccept::plant`,
+//! `Agreement::plant` and `MsgdBroadcast::plant`, each written beside the
+//! `cleanup` that must expire it — drawing from one shared `Garbage`
+//! source; the engine adds the interner junk and the General-side guards.
+//! Each primitive's unit tests pin that one cleanup past the latest
+//! planted stamp plus its longest horizon leaves it dormant.
 //!
 //! The convergence experiments (E6) start every node from a scrambled
 //! engine plus a scrambled clock and a network storm, and measure how long
@@ -14,10 +21,10 @@
 
 use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
-use crate::engine::Engine;
-use crate::message::{BcastKind, IaKind};
+use crate::intern::{ValueId, ValueInterner};
 
-/// A deterministic entropy source (adapters live in `ssbyz-adversary`).
+/// A deterministic entropy source. Any `FnMut() -> u64` is one, so a
+/// caller holding an RNG passes `&mut || rng.next_u64()`.
 pub trait Entropy {
     /// The next raw 64-bit word.
     fn next_u64(&mut self) -> u64;
@@ -40,192 +47,81 @@ impl<F: FnMut() -> u64> Entropy for F {
     }
 }
 
-/// Scramble intensity knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ScrambleConfig {
-    /// How many Generals' instances to corrupt (clamped to `n`).
-    pub generals: usize,
-    /// How many bogus values per corrupted instance.
-    pub values_per_general: usize,
-    /// Whether to plant fake anchors / returned states in agreements.
-    pub corrupt_agreements: bool,
-    /// Whether to plant fake quorum evidence in message logs.
-    pub corrupt_logs: bool,
-    /// How many unreferenced junk values to plant in the value interner
-    /// (a transient fault may bloat the table with ids nothing points
-    /// at; the next mark/sweep must reclaim them), plus one bogus
-    /// `[IG2]` stamp and one phantom `[IG3]` monitor per pair of junk
-    /// values.
-    pub interner_junk: usize,
-    /// Whether the *driver* should also scramble scheduler state (eat or
-    /// fabricate pending wake-ups). The engine itself holds no timers —
-    /// this knob is consumed by the harness fault injector, which owns
-    /// the timer wheel; it lives here so one config describes the whole
-    /// scramble.
-    pub scramble_timers: bool,
+/// The source one scramble plants from: entropy, fabricated values, the
+/// engine's interner and the stamp range `[now − 2Δ_rmv, now + 2Δ_rmv)` —
+/// both "plausible" and "clearly wrong" stamps, so the decay rules are
+/// exercised in full.
+pub(crate) struct Garbage<'a, V> {
+    now: LocalTime,
+    rmv: Duration,
+    entropy: &'a mut dyn Entropy,
+    gen_value: &'a mut dyn FnMut(&mut dyn Entropy) -> V,
+    interner: &'a mut ValueInterner<V>,
 }
 
-impl Default for ScrambleConfig {
-    fn default() -> Self {
-        ScrambleConfig {
-            generals: 3,
-            values_per_general: 3,
-            corrupt_agreements: true,
-            corrupt_logs: true,
-            interner_junk: 8,
-            scramble_timers: true,
+impl<'a, V: Value> Garbage<'a, V> {
+    pub(crate) fn new(
+        now: LocalTime,
+        rmv: Duration,
+        entropy: &'a mut dyn Entropy,
+        gen_value: &'a mut dyn FnMut(&mut dyn Entropy) -> V,
+        interner: &'a mut ValueInterner<V>,
+    ) -> Self {
+        Garbage {
+            now,
+            rmv,
+            entropy,
+            gen_value,
+            interner,
         }
+    }
+
+    /// A planted timestamp.
+    pub(crate) fn stamp(&mut self) -> LocalTime {
+        let span = self.rmv * 4u64;
+        let off = Duration::from_nanos(self.entropy.below(span.as_nanos().max(1)));
+        (self.now - self.rmv * 2u64) + off
+    }
+
+    /// A fabricated value (not yet interned).
+    pub(crate) fn value(&mut self) -> V {
+        (self.gen_value)(&mut *self.entropy)
+    }
+
+    /// Interns a fabricated value, at the moment it is first planted.
+    pub(crate) fn intern(&mut self, value: &V) -> ValueId {
+        self.interner.intern(value)
+    }
+
+    /// A uniform member of `0..n`.
+    pub(crate) fn node(&mut self, n: usize) -> NodeId {
+        NodeId::new(self.entropy.below(n as u64) as u32)
     }
 }
 
-impl<V: Value> Engine<V> {
-    /// Overwrites protocol state with adversarially random garbage, as a
-    /// transient fault would. `now` is the node's (already arbitrary)
-    /// current local time; planted timestamps range over
-    /// `[now − 2Δ_rmv, now + 2Δ_rmv]` — both "plausible" and "clearly
-    /// wrong" stamps, so the decay rules are exercised in full.
-    ///
-    /// `gen_value` fabricates arbitrary values of the payload type.
-    pub fn scramble(
-        &mut self,
-        now: LocalTime,
-        cfg: &ScrambleConfig,
-        entropy: &mut dyn Entropy,
-        gen_value: &mut dyn FnMut(&mut dyn Entropy) -> V,
-    ) {
-        let n = self.params().n();
-        let f = self.params().f();
-        let rmv = self.params().delta_rmv();
-        let span = rmv * 4u64;
-        let stamp = |e: &mut dyn Entropy| -> LocalTime {
-            let off = Duration::from_nanos(e.below(span.as_nanos().max(1)));
-            (now - rmv * 2u64) + off
-        };
-        let generals = cfg.generals.min(n);
-        for _ in 0..generals {
-            let g = NodeId::new(entropy.below(n as u64) as u32);
-            // --- Initiator-Accept corruption ---
-            for _ in 0..cfg.values_per_general {
-                let v = gen_value(entropy);
-                let mut ia = self.ia_raw(g);
-                if entropy.chance(1, 2) {
-                    let s = stamp(entropy);
-                    ia.corrupt_i_value(v.clone(), s);
-                }
-                if entropy.chance(1, 2) {
-                    let s = stamp(entropy);
-                    ia.corrupt_ready(v.clone(), s);
-                }
-                if entropy.chance(1, 2) {
-                    let (a, b) = (stamp(entropy), stamp(entropy));
-                    ia.corrupt_guards(v.clone(), a, b);
-                }
-                if cfg.corrupt_logs {
-                    for kind in IaKind::ALL {
-                        let count = entropy.below(n as u64 + 1);
-                        for _ in 0..count {
-                            let sender = NodeId::new(entropy.below(n as u64) as u32);
-                            let s = stamp(entropy);
-                            self.ia_raw(g).corrupt_log(kind, v.clone(), sender, s);
-                        }
-                    }
-                }
-            }
-            // --- Agreement / msgd-broadcast corruption ---
-            if cfg.corrupt_agreements {
-                let v = gen_value(entropy);
-                if entropy.chance(1, 2) {
-                    let s = stamp(entropy);
-                    self.agreement_raw(g).corrupt_anchor(s);
-                }
-                if entropy.chance(1, 3) {
-                    let s = stamp(entropy);
-                    let decided = entropy.chance(1, 2);
-                    let dv = if decided {
-                        Some(gen_value(entropy))
-                    } else {
-                        None
-                    };
-                    self.agreement_raw(g).corrupt_returned(dv, s);
-                }
-                let fake_accepts = entropy.below(f as u64 + 2);
-                for _ in 0..fake_accepts {
-                    let round = entropy.below(f as u64 + 1) as u32 + 1;
-                    let p = NodeId::new(entropy.below(n as u64) as u32);
-                    let s = stamp(entropy);
-                    self.agreement_raw(g)
-                        .corrupt_accepted(v.clone(), round, p, s);
-                }
-                if cfg.corrupt_logs {
-                    let triplets = entropy.below(4);
-                    for _ in 0..triplets {
-                        let p = NodeId::new(entropy.below(n as u64) as u32);
-                        let round = entropy.below(f as u64 + 1) as u32 + 1;
-                        let kind = BcastKind::ALL[entropy.below(4) as usize];
-                        let sender = NodeId::new(entropy.below(n as u64) as u32);
-                        let s = stamp(entropy);
-                        self.agreement_raw(g).msgd_mut().corrupt_triplet(
-                            p,
-                            round,
-                            v.clone(),
-                            kind,
-                            sender,
-                            s,
-                        );
-                    }
-                    if entropy.chance(1, 2) {
-                        let p = NodeId::new(entropy.below(n as u64) as u32);
-                        let s = stamp(entropy);
-                        self.agreement_raw(g).msgd_mut().corrupt_broadcaster(p, s);
-                    }
-                }
-            }
-        }
-        // --- Interned-era state corruption ---
-        for i in 0..cfg.interner_junk {
-            let v = gen_value(entropy);
-            if i % 2 == 0 {
-                // Junk id nothing references: sweep fodder.
-                let _ = self.corrupt_intern_junk(v);
-            } else if entropy.chance(1, 2) {
-                // Bogus [IG2] stamp (possibly future-dated).
-                let s = stamp(entropy);
-                self.corrupt_last_per_value(v, s);
-            } else {
-                // Phantom [IG3] monitor for a never-initiated value.
-                let s = stamp(entropy);
-                self.corrupt_pending_check(v, s);
-            }
-        }
-        // --- General-role corruption ---
-        let li = if entropy.chance(1, 2) {
-            Some(stamp(entropy))
-        } else {
-            None
-        };
-        let fa = if entropy.chance(1, 4) {
-            Some(stamp(entropy))
-        } else {
-            None
-        };
-        self.corrupt_general_ctl(li, fa);
+impl<V> Entropy for Garbage<'_, V> {
+    fn next_u64(&mut self) -> u64 {
+        self.entropy.next_u64()
+    }
+}
+
+/// A xorshift64 entropy stream for the scramble tests.
+#[cfg(test)]
+pub(crate) fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed.max(1);
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::params::Params;
-
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut s = seed.max(1);
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        }
-    }
 
     #[test]
     fn entropy_helpers() {
@@ -245,12 +141,10 @@ mod tests {
         let mut engine: Engine<u64> = Engine::new(NodeId::new(0), params);
         let mut e = xorshift(7);
         let now = LocalTime::from_nanos(123_456_789_000);
-        let cfg = ScrambleConfig {
-            generals: 4,
-            values_per_general: 4,
-            ..ScrambleConfig::default()
-        };
-        engine.scramble(now, &cfg, &mut e, &mut |e| e.next_u64() % 8);
+        // Twice: more intensity than one scramble.
+        for _ in 0..2 {
+            engine.scramble(now, &mut e, &mut |e| e.next_u64() % 8);
+        }
         // Some instance must exist now.
         let any = (0..4).any(|i| engine.ia(NodeId::new(i)).is_some())
             || (0..4).any(|i| engine.agreement(NodeId::new(i)).is_some());
@@ -264,9 +158,7 @@ mod tests {
         let build = |seed| {
             let mut engine: Engine<u64> = Engine::new(NodeId::new(1), params);
             let mut e = xorshift(seed);
-            engine.scramble(now, &ScrambleConfig::default(), &mut e, &mut |e| {
-                e.next_u64() % 4
-            });
+            engine.scramble(now, &mut e, &mut |e| e.next_u64() % 4);
             format!("{engine:?}")
         };
         assert_eq!(build(9), build(9));
@@ -279,11 +171,10 @@ mod tests {
         let mut engine: Engine<u64> = Engine::new(NodeId::new(0), params);
         let mut e = xorshift(3);
         let now = LocalTime::from_nanos(50_000_000_000);
-        let cfg = ScrambleConfig {
-            interner_junk: 16,
-            ..ScrambleConfig::default()
-        };
-        engine.scramble(now, &cfg, &mut e, &mut |e| e.next_u64());
+        // Twice: twice the junk and guards of one scramble.
+        for _ in 0..2 {
+            engine.scramble(now, &mut e, &mut |e| e.next_u64());
+        }
         assert!(
             engine.interner().occupancy() > 0,
             "junk must land in the interner"
@@ -310,9 +201,7 @@ mod tests {
         let mut engine: Engine<u64> = Engine::new(NodeId::new(2), params);
         let mut e = xorshift(99);
         let now = LocalTime::from_nanos(77_000_000_000);
-        engine.scramble(now, &ScrambleConfig::default(), &mut e, &mut |e| {
-            e.next_u64() % 4
-        });
+        engine.scramble(now, &mut e, &mut |e| e.next_u64() % 4);
         let later = now + Duration::from_millis(1);
         let mut ob = crate::Outbox::new();
         engine.on_tick(later, &mut ob);

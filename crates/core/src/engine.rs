@@ -33,10 +33,10 @@ use std::sync::Arc;
 use ssbyz_types::{DenseNodeMap, Duration, LocalTime, NodeId, Value};
 
 use crate::agreement::Agreement;
+use crate::corrupt::{Entropy, Garbage};
 use crate::initiator_accept::{InitiatorAccept, OwnProgress};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
-use crate::message::{BcastKind, IaKind, Msg};
-use crate::msgd_broadcast::MsgdBroadcast;
+use crate::message::{IaKind, Msg};
 use crate::outbox::Outbox;
 use crate::params::Params;
 
@@ -165,6 +165,15 @@ struct PendingCheck {
     ready_ok: bool,
     accept_ok: bool,
 }
+
+/// How many Generals' instances (drawn with repetition) one
+/// [`Engine::scramble`] plants residue in.
+const SCRAMBLED_GENERALS: usize = 3;
+
+/// How many fabricated values one [`Engine::scramble`] leaves at the
+/// engine level: even draws are interner junk, odd ones bogus `[IG2]`
+/// stamps or phantom `[IG3]` monitors.
+const SCRAMBLED_JUNK: usize = 8;
 
 /// Baseline interner occupancy above which the engine forces an
 /// off-cadence mark/sweep (doubling thereafter), so a line-rate
@@ -898,10 +907,76 @@ impl<V: Value> Engine<V> {
         self.sweep_interner();
     }
 
+    /// Overwrites protocol state with adversarially random garbage, as a
+    /// transient fault would. `now` is the node's (already arbitrary)
+    /// current local time; every planted stamp lies in
+    /// `[now − 2Δ_rmv, now + 2Δ_rmv)`, so the cleanup above expires it
+    /// all within `2Δ_rmv` plus the longest decay horizon.
+    ///
+    /// Per drawn General, its `Initiator-Accept` instance plants residue,
+    /// then its agreement instance (with the embedded `msgd-broadcast`
+    /// state); then come interner junk, bogus `[IG2]` stamps, phantom
+    /// `[IG3]` monitors and the General's own `[IG1]`/backoff guards.
+    /// `gen_value` fabricates values of the payload type. A heavier fault
+    /// is two scrambles.
+    pub fn scramble(
+        &mut self,
+        now: LocalTime,
+        entropy: &mut dyn Entropy,
+        gen_value: &mut dyn FnMut(&mut dyn Entropy) -> V,
+    ) {
+        let (me, params) = (self.me, self.params);
+        let mut g = Garbage::new(
+            now,
+            params.delta_rmv(),
+            entropy,
+            gen_value,
+            &mut self.interner,
+        );
+        for _ in 0..SCRAMBLED_GENERALS {
+            let general = g.node(params.n());
+            self.ia
+                .get_or_insert_with(general, || InitiatorAccept::new(general, params))
+                .plant(&mut g);
+            // An agreement instance nothing was planted in stays absent.
+            let existed = self.agr.contains(general);
+            let agr = self
+                .agr
+                .get_or_insert_with(general, || Agreement::new(me, general, params));
+            if !agr.plant(&mut g) && !existed {
+                self.agr.remove(general);
+            }
+        }
+        let ctl = &mut self.general_ctl;
+        for i in 0..SCRAMBLED_JUNK {
+            let v = g.value();
+            if i % 2 == 0 {
+                // Junk id nothing references: sweep fodder.
+                g.intern(&v);
+            } else if g.chance(1, 2) {
+                // Bogus [IG2] stamp (possibly future-dated).
+                let at = g.stamp();
+                ctl.last_per_value.insert(g.intern(&v), at);
+            } else {
+                // Phantom [IG3] monitor for a never-initiated value.
+                let invoked_at = g.stamp();
+                ctl.pending_checks.push(PendingCheck {
+                    value: g.intern(&v),
+                    invoked_at,
+                    approve_ok: false,
+                    ready_ok: false,
+                    accept_ok: false,
+                });
+            }
+        }
+        ctl.last_initiation = g.chance(1, 2).then(|| g.stamp());
+        ctl.failed_at = g.chance(1, 4).then(|| g.stamp());
+    }
+
     /// Mark/sweep over the interner: every id still referenced by live
     /// protocol state (per-value IA states, triplet tables, accepted
     /// tables, pending decisions, the `[IG2]`/`[IG3]` guards) is marked;
-    /// everything else is reclaimed onto the generation-counted free-list.
+    /// everything else is reclaimed onto the interner's free-list.
     /// Allocation-free in steady state: the mark bits, the free-list and
     /// the rebuilt bucket array all reuse their capacity.
     fn sweep_interner(&mut self) {
@@ -947,91 +1022,15 @@ impl<V: Value> Engine<V> {
         })
     }
 
-    /// Mutable corruption handle for the transient-fault harness
-    /// (`ssbyz-adversary`): interns value arguments, then plants raw
-    /// state.
+    /// Plants the anchor `τ_G = tau_g` in `general`'s agreement instance,
+    /// as a late I-accept would, for tests that need an execution running
+    /// without its `Initiator-Accept` wave.
     #[doc(hidden)]
-    pub fn ia_raw(&mut self, general: NodeId) -> IaCorrupt<'_, V> {
-        let params = self.params;
-        let ia = self
-            .ia
-            .get_or_insert_with(general, || InitiatorAccept::new(general, params));
-        IaCorrupt {
-            ia,
-            interner: &mut self.interner,
-        }
-    }
-
-    /// Mutable corruption handle for the transient-fault harness.
-    #[doc(hidden)]
-    pub fn agreement_raw(&mut self, general: NodeId) -> AgrCorrupt<'_, V> {
-        let me = self.me;
-        let params = self.params;
-        let agr = self
-            .agr
-            .get_or_insert_with(general, || Agreement::new(me, general, params));
-        AgrCorrupt {
-            agr,
-            interner: &mut self.interner,
-        }
-    }
-
-    /// Plants a bogus General-side state (corruption harness).
-    #[doc(hidden)]
-    pub fn corrupt_general_ctl(
-        &mut self,
-        last_initiation: Option<LocalTime>,
-        failed_at: Option<LocalTime>,
-    ) {
-        self.general_ctl.last_initiation = last_initiation;
-        self.general_ctl.failed_at = failed_at;
-    }
-
-    /// Plants an unreferenced junk value in the interner (corruption
-    /// harness): a transient fault may leave the value table holding ids
-    /// nothing points at. The next mark/sweep must reclaim them — the
-    /// stabilization suite pins that down.
-    #[doc(hidden)]
-    pub fn corrupt_intern_junk(&mut self, value: V) -> ValueId {
-        self.interner.intern(&value)
-    }
-
-    /// Plants a bogus `[IG2]` per-value initiation stamp (corruption
-    /// harness): the value is interned and recorded as initiated at `at`.
-    /// Future stamps are dropped at the next cleanup; past ones decay
-    /// after `Δ_v`.
-    #[doc(hidden)]
-    pub fn corrupt_last_per_value(&mut self, value: V, at: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.general_ctl.last_per_value.insert(id, at);
-    }
-
-    /// Plants a phantom `[IG3]` progress monitor (corruption harness): a
-    /// pending check for a value this node never initiated. Stale checks
-    /// decay after `8d`; an un-completed one that survives to its deadline
-    /// sets `failed_at`, exercising the `Δ_reset` backoff.
-    #[doc(hidden)]
-    pub fn corrupt_pending_check(&mut self, value: V, invoked_at: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.general_ctl.pending_checks.push(PendingCheck {
-            value: id,
-            invoked_at,
-            approve_ok: false,
-            ready_ok: false,
-            accept_ok: false,
-        });
-    }
-
-    /// Wipes all protocol state (but not identity/params). Used by tests
-    /// to model a node reboot; self-stabilization must work *without* this
-    /// being called, via decay alone.
-    pub fn hard_reset(&mut self) {
-        self.ia.clear();
-        self.agr.clear();
-        self.general_ctl = GeneralControl::default();
-        self.last_cleanup = None;
-        self.interner.clear();
-        self.sweep_high_water = INTERN_SWEEP_BASE;
+    pub fn plant_anchor(&mut self, general: NodeId, tau_g: LocalTime) {
+        let (me, params) = (self.me, self.params);
+        self.agr
+            .get_or_insert_with(general, || Agreement::new(me, general, params))
+            .corrupt_anchor(tau_g);
     }
 }
 
@@ -1192,100 +1191,6 @@ impl<'a, V: Value> AgrView<'a, V> {
     #[must_use]
     pub fn raw(&self) -> &'a Agreement {
         self.agr
-    }
-}
-
-/// Mutable corruption handle over an `Initiator-Accept` instance: value
-/// arguments are interned, then planted as raw state.
-pub struct IaCorrupt<'a, V: Value> {
-    ia: &'a mut InitiatorAccept,
-    interner: &'a mut ValueInterner<V>,
-}
-
-impl<'a, V: Value> IaCorrupt<'a, V> {
-    /// Plants a bogus `i_values[G, m]` entry.
-    pub fn corrupt_i_value(&mut self, value: V, stamp: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.ia.corrupt_i_value(id, stamp);
-    }
-
-    /// Plants a bogus armed `ready(G, m)` flag.
-    pub fn corrupt_ready(&mut self, value: V, stamp: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.ia.corrupt_ready(id, stamp);
-    }
-
-    /// Plants bogus `last(G)` / `last(G, m)` guards.
-    pub fn corrupt_guards(&mut self, value: V, last_g: LocalTime, last_gm: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.ia.corrupt_guards(id, last_g, last_gm);
-    }
-
-    /// Injects a bogus arrival.
-    pub fn corrupt_log(&mut self, kind: IaKind, value: V, sender: NodeId, stamp: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.ia.corrupt_log(kind, id, sender, stamp);
-    }
-}
-
-/// Mutable corruption handle over an agreement instance.
-pub struct AgrCorrupt<'a, V: Value> {
-    agr: &'a mut Agreement,
-    interner: &'a mut ValueInterner<V>,
-}
-
-impl<'a, V: Value> AgrCorrupt<'a, V> {
-    /// Plants a bogus anchor.
-    pub fn corrupt_anchor(&mut self, tau_g: LocalTime) {
-        self.agr.corrupt_anchor(tau_g);
-    }
-
-    /// Plants a fake returned state.
-    pub fn corrupt_returned(&mut self, decision: Option<V>, at: LocalTime) {
-        let decision = decision.map(|v| self.interner.intern(&v));
-        self.agr.corrupt_returned(decision, at);
-    }
-
-    /// Plants a fake accepted broadcast.
-    pub fn corrupt_accepted(&mut self, value: V, round: u32, broadcaster: NodeId, at: LocalTime) {
-        let id = self.interner.intern(&value);
-        self.agr.corrupt_accepted(id, round, broadcaster, at);
-    }
-
-    /// Corruption handle for the embedded `msgd-broadcast` state.
-    pub fn msgd_mut(&mut self) -> MsgdCorrupt<'_, V> {
-        MsgdCorrupt {
-            msgd: self.agr.msgd_mut(),
-            interner: self.interner,
-        }
-    }
-}
-
-/// Mutable corruption handle over `msgd-broadcast` state.
-pub struct MsgdCorrupt<'a, V: Value> {
-    msgd: &'a mut MsgdBroadcast,
-    interner: &'a mut ValueInterner<V>,
-}
-
-impl<'a, V: Value> MsgdCorrupt<'a, V> {
-    /// Plants bogus triplet evidence. Out-of-range rounds are ignored.
-    pub fn corrupt_triplet(
-        &mut self,
-        broadcaster: NodeId,
-        round: u32,
-        value: V,
-        kind: BcastKind,
-        sender: NodeId,
-        stamp: LocalTime,
-    ) {
-        let id = self.interner.intern(&value);
-        self.msgd
-            .corrupt_triplet(broadcaster, round, id, kind, sender, stamp);
-    }
-
-    /// Plants a fake broadcaster entry.
-    pub fn corrupt_broadcaster(&mut self, p: NodeId, stamp: LocalTime) {
-        self.msgd.corrupt_broadcaster(p, stamp);
     }
 }
 
@@ -1551,23 +1456,12 @@ mod tests {
     fn tick_aborts_at_hard_deadline() {
         let p = params4();
         let mut e: Engine<u64> = Engine::new(id(1), p);
-        // Plant an anchor via corruption to simulate a late I-accept.
-        e.agreement_raw(id(0)).corrupt_anchor(t(0));
+        // Plant an anchor to simulate a late I-accept.
+        e.plant_anchor(id(0), t(0));
         let out = call_tick(&mut e, t(0) + p.delta_agr() + Duration::from_nanos(2));
         assert!(out
             .iter()
             .any(|o| matches!(o, Output::Event(Event::Aborted { .. }))));
-    }
-
-    #[test]
-    fn hard_reset_wipes_state() {
-        let p = params4();
-        let mut e: Engine<u64> = Engine::new(id(0), p);
-        call_initiate(&mut e, t(0), 7).unwrap();
-        e.hard_reset();
-        assert!(e.ia(id(0)).is_none());
-        assert_eq!(e.interner().occupancy(), 0);
-        assert!(call_initiate(&mut e, t(1), 7).is_ok(), "guards wiped");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
+use crate::corrupt::{Entropy, Garbage};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::IaKind;
 use crate::params::Params;
@@ -465,6 +466,51 @@ impl InitiatorAccept {
             .retain(|t| !t.is_after(now) && now.since(*t) <= d * 2u64);
     }
 
+    /// Plants transient-fault residue: for each of [`PLANTED_VALUES`]
+    /// fabricated values, coin-flipped `i_values`, `ready` and
+    /// `last(G)`/`last(G, m)` stamps, then up to `n` bogus arrivals per
+    /// stage log. Every stamp lies within `2Δ_rmv` of the scramble's
+    /// `now`, which [`InitiatorAccept::cleanup`] above must expire.
+    pub(crate) fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>) {
+        let n = self.params.n();
+        for _ in 0..PLANTED_VALUES {
+            let v = g.value();
+            if g.chance(1, 2) {
+                let stamp = g.stamp();
+                self.raw_state(g.intern(&v)).i_value = Some(stamp);
+            }
+            if g.chance(1, 2) {
+                let stamp = g.stamp();
+                self.raw_state(g.intern(&v)).ready_at = Some(stamp);
+            }
+            if g.chance(1, 2) {
+                let (last_g, last_gm) = (g.stamp(), g.stamp());
+                self.corrupt_guards(g.intern(&v), last_g, last_gm);
+            }
+            for kind in IaKind::ALL {
+                for _ in 0..g.below(n as u64 + 1) {
+                    let sender = g.node(n);
+                    let stamp = g.stamp();
+                    self.raw_state(g.intern(&v))
+                        .log_mut(kind)
+                        .inject_raw(sender, stamp);
+                }
+            }
+        }
+    }
+
+    /// The state of `value`, created past the tracked-value cap.
+    fn raw_state(&mut self, value: ValueId) -> &mut ValueState {
+        self.values.get_or_insert_with(value, Default::default)
+    }
+
+    fn corrupt_guards(&mut self, value: ValueId, last_g: LocalTime, last_gm: LocalTime) {
+        self.last_g.inject_raw(last_g, Some(last_g));
+        self.raw_state(value)
+            .last_gm
+            .inject_raw(last_gm, Some(last_gm));
+    }
+
     /// Reset after the surrounding agreement returned (3d grace included
     /// by the caller): clears logs, estimates and the accept latch but
     /// **keeps** the `last(G)` / `last(G, m)` guards, which enforce the
@@ -571,38 +617,10 @@ impl InitiatorAccept {
     pub fn tracked_values(&self) -> usize {
         self.values.len()
     }
-
-    /// Raw corruption hooks for the transient-fault harness.
-    pub fn corrupt_i_value(&mut self, value: ValueId, stamp: LocalTime) {
-        self.values
-            .get_or_insert_with(value, Default::default)
-            .i_value = Some(stamp);
-    }
-
-    /// Corrupts the `ready` flag (transient-fault harness).
-    pub fn corrupt_ready(&mut self, value: ValueId, stamp: LocalTime) {
-        self.values
-            .get_or_insert_with(value, Default::default)
-            .ready_at = Some(stamp);
-    }
-
-    /// Corrupts the guards (transient-fault harness).
-    pub fn corrupt_guards(&mut self, value: ValueId, last_g: LocalTime, last_gm: LocalTime) {
-        self.last_g.inject_raw(last_g, Some(last_g));
-        self.values
-            .get_or_insert_with(value, Default::default)
-            .last_gm
-            .inject_raw(last_gm, Some(last_gm));
-    }
-
-    /// Injects a bogus arrival (transient-fault harness).
-    pub fn corrupt_log(&mut self, kind: IaKind, value: ValueId, sender: NodeId, stamp: LocalTime) {
-        self.values
-            .get_or_insert_with(value, Default::default)
-            .log_mut(kind)
-            .inject_raw(sender, stamp);
-    }
 }
+
+/// How many fabricated values one [`InitiatorAccept::plant`] draws.
+const PLANTED_VALUES: usize = 3;
 
 /// Cap on concurrently tracked values per General. A Byzantine General can
 /// mint arbitrarily many values; tracked state is bounded by evicting the
@@ -612,6 +630,7 @@ pub const MAX_TRACKED_VALUES: usize = 256;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corrupt::xorshift;
     use crate::intern::interned;
 
     const D: u64 = 10_000_000; // 10ms in ns
@@ -717,7 +736,7 @@ mod tests {
         let (vals, [v7, v9]) = interned([7, 9]);
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.corrupt_i_value(v9, t(0));
+        ia.raw_state(v9).i_value = Some(t(0));
         ia.on_initiator(t(10), v7, &vals, &mut out);
         assert!(out.is_empty(), "K1 must fail while i_values[G, 9] is set");
     }
@@ -904,7 +923,7 @@ mod tests {
         let mut out = Vec::new();
         // Arm ready via corruption, feed a strong quorum of readys, but no
         // i_value exists → the wave is flushed, no accept.
-        ia.corrupt_ready(v7, t(0));
+        ia.raw_state(v7).ready_at = Some(t(0));
         for (i, node) in [0u32, 2, 3].iter().enumerate() {
             ia.on_message(t(i as u64), id(*node), IaKind::Ready, v7, &vals, &mut out);
         }
@@ -977,14 +996,47 @@ mod tests {
     fn cleanup_drops_future_residue() {
         let (_, [v7, v8, v9]) = interned([7, 8, 9]);
         let mut ia = ia4();
-        ia.corrupt_i_value(v7, t(1_000_000));
-        ia.corrupt_ready(v8, t(2_000_000));
+        ia.raw_state(v7).i_value = Some(t(1_000_000));
+        ia.raw_state(v8).ready_at = Some(t(2_000_000));
         ia.corrupt_guards(v9, t(3_000_000), t(3_000_000));
         ia.cleanup(t(0));
         assert_eq!(ia.i_value(v7), None);
         assert!(!ia.is_ready(v8));
         assert!(ia.last_g().is_none());
         assert!(ia.last_gm(v9).is_none());
+    }
+
+    #[test]
+    fn planted_residue_expires_in_one_cleanup() {
+        // Every planted stamp lies before now + 2Δ_rmv, and last(G, m) has
+        // the longest horizon: one cleanup past both leaves every field
+        // decayed. What a value keeps is the record of its guard's expiry,
+        // which line K1's look-back reads for one more horizon.
+        let p = params4();
+        let now = t(0);
+        let (mut vals, mut e) = (ValueInterner::new(), xorshift(11));
+        let mut gen = |e: &mut dyn Entropy| e.next_u64() % 8;
+        let mut g = Garbage::new(now, p.delta_rmv(), &mut e, &mut gen, &mut vals);
+        let mut ia = ia4();
+        for _ in 0..16 {
+            ia.plant(&mut g);
+        }
+        let planted = |f: &dyn Fn(&ValueState) -> bool| ia.values.values().any(f);
+        assert!(ia.last_g().is_some() && planted(&|st| st.last_gm.get().is_some()));
+        assert!(planted(&|st| st.i_value.is_some()) && planted(&|st| st.ready_at.is_some()));
+        assert!(IaKind::ALL
+            .iter()
+            .all(|&k| planted(&|st| !st.log(k).is_empty())));
+        ia.cleanup(now + p.delta_rmv() * 2u64 + p.last_gm_expiry());
+        assert!(ia.last_g().is_none());
+        for st in ia.values.values() {
+            assert!(st.last_gm.get().is_none(), "{st:?}");
+            let rest = ValueState {
+                last_gm: TimedVar::new(),
+                ..st.clone()
+            };
+            assert!(rest.is_dormant(), "{st:?}");
+        }
     }
 
     #[test]

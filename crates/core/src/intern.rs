@@ -27,10 +27,11 @@
 //! mark/sweep on its cleanup cadence — [`ValueInterner::begin_sweep`],
 //! [`ValueInterner::mark`] for every id still referenced by live protocol
 //! state, [`ValueInterner::finish_sweep`] — and reclaimed slots go on a
-//! **generation-counted free-list**: reusing a slot bumps its generation,
-//! so a (buggy) stale id can be detected by the debug assertions rather
-//! than silently aliasing the new occupant. Because every stored id is
-//! marked, no live state can ever observe a reused slot.
+//! free-list for reuse. Because every stored id is marked, no live state
+//! can ever observe a reused slot. A (buggy) stale id is caught only while
+//! its slot stays empty: [`ValueInterner::resolve`] panics on it and
+//! [`ValueInterner::mark`] debug-asserts against it; once the slot is
+//! reused, the id aliases the new occupant.
 
 use core::fmt;
 use std::hash::{Hash, Hasher};
@@ -144,13 +145,12 @@ impl fmt::Debug for ValueId {
 }
 
 /// One arena slot: the value (held behind an [`Arc`] so emission can hand
-/// out shared handles without deep-copying), its cached hash (for cheap
-/// probing and in-place table rebuilds) and the slot generation.
+/// out shared handles without deep-copying) and its cached hash (for cheap
+/// probing and in-place table rebuilds).
 #[derive(Debug, Clone)]
 struct Slot<V> {
     value: Option<Arc<V>>,
     hash: u64,
-    gen: u32,
 }
 
 /// Sentinel for an empty hash-table bucket.
@@ -178,7 +178,7 @@ const MIN_TABLE: usize = 16;
 #[derive(Debug, Clone)]
 pub struct ValueInterner<V> {
     slots: Vec<Slot<V>>,
-    /// Reclaimed slot indices (their slots carry the bumped generation).
+    /// Reclaimed slot indices.
     free: Vec<u32>,
     /// Open-addressed bucket array of slot indices; linear probing.
     table: Vec<u32>,
@@ -222,13 +222,6 @@ impl<V: Value> ValueInterner<V> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The generation of a slot (bumped on every reclamation). Test and
-    /// debug-assertion helper.
-    #[must_use]
-    pub fn generation(&self, id: ValueId) -> u32 {
-        self.slots[id.index()].gen
     }
 
     fn hash_of(value: &V) -> u64 {
@@ -311,7 +304,6 @@ impl<V: Value> ValueInterner<V> {
                 self.slots.push(Slot {
                     value: Some(shared),
                     hash,
-                    gen: 0,
                 });
                 idx
             }
@@ -431,9 +423,8 @@ impl<V: Value> ValueInterner<V> {
     }
 
     /// Reclaims every live slot left unmarked since
-    /// [`ValueInterner::begin_sweep`]: the value is dropped, the slot
-    /// generation bumped, and the index pushed onto the free-list. Returns
-    /// the number of reclaimed slots.
+    /// [`ValueInterner::begin_sweep`]: the value is dropped and the index
+    /// pushed onto the free-list. Returns the number of reclaimed slots.
     pub fn finish_sweep(&mut self) -> usize {
         debug_assert!(self.in_sweep, "finish_sweep without begin_sweep");
         self.in_sweep = false;
@@ -441,7 +432,6 @@ impl<V: Value> ValueInterner<V> {
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if slot.value.is_some() && self.marks[i / 64] & (1u64 << (i % 64)) == 0 {
                 slot.value = None;
-                slot.gen = slot.gen.wrapping_add(1);
                 self.free.push(i as u32);
                 removed += 1;
             }
@@ -455,16 +445,6 @@ impl<V: Value> ValueInterner<V> {
             self.rebuild_table(self.table.len());
         }
         removed
-    }
-
-    /// Drops every interned value and all reclamation history.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.table.clear();
-        self.table.resize(MIN_TABLE, EMPTY);
-        self.live = 0;
-        self.in_sweep = false;
     }
 }
 
@@ -715,11 +695,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reclaims_unmarked_and_bumps_generation() {
+    fn sweep_reclaims_unmarked_and_reuses_the_slot() {
         let mut it: ValueInterner<u64> = ValueInterner::new();
         let a = it.intern(&7);
         let b = it.intern(&9);
-        let gen_b = it.generation(b);
         it.begin_sweep();
         it.mark(a);
         assert_eq!(it.finish_sweep(), 1);
@@ -727,12 +706,11 @@ mod tests {
         assert_eq!(it.lookup(&9), None);
         assert_eq!(it.get(b), None);
         assert_eq!(it.lookup(&7), Some(a), "marked id survives");
-        // The reclaimed slot is reused for the next fresh value, with a
-        // bumped generation and no capacity growth.
+        // The reclaimed slot is reused for the next fresh value, with no
+        // capacity growth.
         let cap = it.capacity();
         let c = it.intern(&11);
         assert_eq!(c.index(), b.index(), "free-list reuses the slot");
-        assert_eq!(it.generation(c), gen_b + 1);
         assert_eq!(it.capacity(), cap);
         assert_eq!(*it.resolve(c), 11);
         // The old value re-interned gets a brand-new slot.
@@ -846,19 +824,6 @@ mod tests {
             assert_eq!(it.lookup(&Collide(v as u64)), Some(*id));
         }
         assert_eq!(it.occupancy(), 50);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut it: ValueInterner<u64> = ValueInterner::new();
-        it.intern(&1);
-        it.intern(&2);
-        it.clear();
-        assert_eq!(it.occupancy(), 0);
-        assert_eq!(it.capacity(), 0);
-        assert_eq!(it.lookup(&1), None);
-        let a = it.intern(&3);
-        assert_eq!(a.index(), 0);
     }
 
     #[test]

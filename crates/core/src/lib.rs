@@ -27,7 +27,10 @@
 //!   committed in order to a replicated [`DecisionLog`].
 //!
 //! Everything is **sans-io**: no clocks, no sockets, no RNG. Feed local
-//! times and messages in, get [`Output`]s back. [`SansIo`] is the one
+//! times and messages in, get [`Output`]s back. Even the transient fault
+//! is an input: [`Engine::scramble`] draws from a caller's [`Entropy`],
+//! and each primitive plants its residue beside the `cleanup` that must
+//! expire it ([`corrupt`]). [`SansIo`] is the one
 //! seam both machines present to a host: the deterministic simulator
 //! adapter in `ssbyz-harness` and the threaded wall-clock runtime in
 //! `ssbyz-runtime` each drive it with one loop.
@@ -68,7 +71,7 @@ pub mod pipeline;
 pub mod store;
 
 pub use agreement::{AgrAction, Agreement};
-pub use corrupt::{Entropy, ScrambleConfig};
+pub use corrupt::Entropy;
 pub use engine::{DispatchStats, Engine, Event, InitiateError, Output};
 pub use host::{Effect, SansIo};
 pub use initiator_accept::{IaAction, InitiatorAccept, OwnProgress};

@@ -27,6 +27,7 @@
 
 use ssbyz_types::{DenseNodeMap, LocalTime, NodeId, Value};
 
+use crate::corrupt::{Entropy, Garbage};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::BcastKind;
 use crate::params::Params;
@@ -538,6 +539,57 @@ impl MsgdBroadcast {
             .retain(|_, t| !t.is_after(now) && now.since(*t) <= horizon);
     }
 
+    /// Plants transient-fault residue for `value`: up to three bogus
+    /// triplet arrivals and a coin-flipped fake broadcaster. Every stamp
+    /// lies within `2Δ_rmv` of the scramble's `now`, which
+    /// [`MsgdBroadcast::cleanup`] above must expire. Returns whether
+    /// anything was planted.
+    pub(crate) fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>, value: &V) -> bool {
+        let (n, f) = (self.params.n(), self.params.f() as u64);
+        let triplets = g.below(4);
+        for _ in 0..triplets {
+            let broadcaster = g.node(n);
+            let round = g.below(f + 1) as u32 + 1;
+            let kind = BcastKind::ALL[g.below(4) as usize];
+            let sender = g.node(n);
+            let stamp = g.stamp();
+            self.corrupt_triplet(broadcaster, round, g.intern(value), kind, sender, stamp);
+        }
+        let fake_broadcaster = g.chance(1, 2);
+        if fake_broadcaster {
+            let p = g.node(n);
+            self.broadcasters.insert(p, g.stamp());
+        }
+        triplets > 0 || fake_broadcaster
+    }
+
+    /// Plants one bogus arrival for the triplet (`round` in
+    /// `1..=max_round`).
+    fn corrupt_triplet(
+        &mut self,
+        broadcaster: NodeId,
+        round: u32,
+        value: ValueId,
+        kind: BcastKind,
+        sender: NodeId,
+        stamp: LocalTime,
+    ) {
+        let st = Self::triplet_entry(
+            &mut self.triplets,
+            &mut self.triplet_count,
+            broadcaster,
+            round,
+            value,
+        );
+        match kind {
+            BcastKind::Init => st.init_from_p = Some(stamp),
+            BcastKind::Echo => st.echo.inject_raw(sender, stamp),
+            BcastKind::InitPrime => st.init_prime.inject_raw(sender, stamp),
+            BcastKind::EchoPrime => st.echo_prime.inject_raw(sender, stamp),
+        }
+        st.touched = Some(stamp);
+    }
+
     /// Drops all state (3d after the surrounding agreement returned).
     pub fn reset(&mut self) {
         self.triplets.clear();
@@ -559,46 +611,12 @@ impl MsgdBroadcast {
         self.triplet(broadcaster, round, value)
             .is_some_and(|st| st.accepted_at.is_some())
     }
-
-    /// Corruption hook for the transient-fault harness. Out-of-range
-    /// rounds are ignored (the protocol never tracks them).
-    pub fn corrupt_triplet(
-        &mut self,
-        broadcaster: NodeId,
-        round: u32,
-        value: ValueId,
-        kind: BcastKind,
-        sender: NodeId,
-        stamp: LocalTime,
-    ) {
-        if round == 0 || round > self.params.max_round() {
-            return;
-        }
-        let st = Self::triplet_entry(
-            &mut self.triplets,
-            &mut self.triplet_count,
-            broadcaster,
-            round,
-            value,
-        );
-        match kind {
-            BcastKind::Init => st.init_from_p = Some(stamp),
-            BcastKind::Echo => st.echo.inject_raw(sender, stamp),
-            BcastKind::InitPrime => st.init_prime.inject_raw(sender, stamp),
-            BcastKind::EchoPrime => st.echo_prime.inject_raw(sender, stamp),
-        }
-        st.touched = Some(stamp);
-    }
-
-    /// Corruption hook: plants a fake broadcaster entry.
-    pub fn corrupt_broadcaster(&mut self, p: NodeId, stamp: LocalTime) {
-        self.broadcasters.insert(p, stamp);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corrupt::xorshift;
     use crate::intern::interned;
     use ssbyz_types::Duration;
 
@@ -987,7 +1005,7 @@ mod tests {
         let (_, [v7]) = interned([7]);
         let mut b = bc();
         b.corrupt_triplet(id(2), 1, v7, BcastKind::Echo, id(0), t(999_999_999));
-        b.corrupt_broadcaster(id(3), t(999_999_999));
+        b.broadcasters.insert(id(3), t(999_999_999));
         b.cleanup(t(0));
         assert_eq!(b.broadcaster_count(), 0);
         let mut out = Vec::new();
@@ -1015,6 +1033,27 @@ mod tests {
             &mut out,
         );
         assert_eq!(sends(&out), vec![BcastKind::InitPrime]);
+    }
+
+    #[test]
+    fn planted_residue_expires_in_one_cleanup() {
+        // Every planted stamp lies before now + 2Δ_rmv; one cleanup past
+        // that plus the msgd horizon leaves no triplet and no broadcaster.
+        let p = params4();
+        let now = t(0);
+        let (mut vals, mut e) = (ValueInterner::new(), xorshift(3));
+        let mut gen = |e: &mut dyn Entropy| e.next_u64() % 4;
+        let mut g = Garbage::new(now, p.delta_rmv(), &mut e, &mut gen, &mut vals);
+        let mut b = bc();
+        for _ in 0..16 {
+            let v = g.value();
+            b.plant(&mut g, &v);
+        }
+        assert!(b.triplet_count() > 0 && b.broadcaster_count() > 0);
+        b.cleanup(now + p.delta_rmv() * 2u64 + p.msgd_horizon());
+        assert!(b.triplets.is_empty());
+        assert_eq!(b.triplet_count(), 0);
+        assert_eq!(b.broadcaster_count(), 0);
     }
 
     #[test]

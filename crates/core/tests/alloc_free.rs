@@ -286,9 +286,7 @@ fn accepted_broadcast_allocations_are_bounded() {
     let wave = |engine: &mut Engine<u64>, ob: &mut Outbox<u64>, t: &mut u64, value: u64| {
         // A fresh execution: late anchor (no block R), then a full echo
         // wave for a round-1 broadcast by node 2 accepts and decides.
-        engine
-            .agreement_raw(NodeId::new(0))
-            .corrupt_anchor(LocalTime::from_nanos(*t - 6 * D));
+        engine.plant_anchor(NodeId::new(0), LocalTime::from_nanos(*t - 6 * D));
         for s in [0u32, 2, 3] {
             *t += 1_000;
             let msg = Msg::Bcast {
@@ -461,9 +459,7 @@ fn heavy_value_emission_is_clone_free() {
 
         // A full echo wave accepts, relays the decide (blob broadcast)
         // and emits the Decided event (blob event).
-        engine
-            .agreement_raw(NodeId::new(0))
-            .corrupt_anchor(LocalTime::from_nanos(t - 6 * d));
+        engine.plant_anchor(NodeId::new(0), LocalTime::from_nanos(t - 6 * d));
         let value = std::sync::Arc::new(CountedBlob([7u8; 1024]));
         let mut emitted = 0usize;
         for s in [0u32, 2, 3] {

@@ -15,6 +15,13 @@
 //! value the failing assertion prints (`docs/PERF.md` § "History: the
 //! value-keyed golden model").
 //!
+//! The `recorded_scrambled_*` transcripts start each sequence from an
+//! engine scrambled with a xorshift entropy and also fold an id-free state
+//! summary after every call. They were recorded at 5c643e6, before the
+//! scramble moved into the primitives' own `plant` methods, and pin that it
+//! still draws entropy, interns values and creates instances in the same
+//! order.
+//!
 //! What still has a code oracle:
 //!
 //! * `Engine<Collide>` ≡ `Engine<u64>` — [`Collide`] hashes to one bit, so
@@ -296,6 +303,93 @@ proptest! {
         seqs in prop::collection::vec(prop::collection::vec(SPAM_AND_DECAY, 1..400), 40),
     ) {
         assert_engine_reproduces(0x2802_178e_bc06_7e41, (1, 4, 1), seqs, Collide);
+    }
+}
+
+/// The scramble's entropy in the scrambled transcripts: xorshift64.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed.max(1);
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    }
+}
+
+/// An id-free rendering of the engine's state: per General, whether each
+/// instance exists and what its view reports, then the interner occupancy.
+fn state_summary<V: Value>(e: &Engine<V>) -> String {
+    let mut s = String::new();
+    for g in (0..e.params().n() as u32).map(NodeId::new) {
+        match e.ia(g) {
+            Some(ia) => {
+                s += &format!(
+                    "ia({}, {:?}, {}) ",
+                    ia.any_i_value(),
+                    ia.last_g(),
+                    ia.tracked_values()
+                )
+            }
+            None => s += "ia- ",
+        }
+        match e.agreement(g) {
+            Some(a) => {
+                s += &format!(
+                    "agr({:?}, {}, {:?}, {}, {}) ",
+                    a.tau_g(),
+                    a.has_returned(),
+                    a.decision(),
+                    a.broadcaster_count(),
+                    a.triplet_count()
+                )
+            }
+            None => s += "agr- ",
+        }
+    }
+    s + &format!("occupancy {}", e.interner().occupancy())
+}
+
+/// Like [`assert_engine_reproduces`], but sequence `i` starts from an
+/// engine scrambled with entropy seed `i + 1`, and the fold takes the
+/// state summary after the scramble and after every call.
+fn assert_scrambled_engine_reproduces(
+    recorded: u64,
+    (me, n, f): (u32, usize, usize),
+    seqs: Vec<Vec<RawOp>>,
+) {
+    let mut transcript = Transcript::new();
+    for (i, ops) in seqs.into_iter().enumerate() {
+        let mut driven = Driven::new(me, n, f, |v| v);
+        let now = LocalTime::from_nanos(driven.now);
+        driven
+            .engine
+            .scramble(now, &mut xorshift(i as u64 + 1), &mut |e| e.next_u64() % 8);
+        transcript.call(&state_summary(&driven.engine));
+        for raw in ops {
+            if let Some(result) = driven.step(raw) {
+                transcript.call(&result);
+                transcript.call(&state_summary(&driven.engine));
+            }
+        }
+    }
+    transcript.assert_recorded(recorded);
+}
+
+// A transient fault leaves arbitrary state behind; these pin what a
+// scrambled engine answers afterwards, so the scramble must draw entropy,
+// intern values and create instances in one fixed order.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn recorded_scrambled_n7(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 24)) {
+        assert_scrambled_engine_reproduces(0xd11c_4305_cf6b_385f, (3, 7, 2), seqs);
+    }
+
+    #[test]
+    fn recorded_scrambled_n4(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 24)) {
+        assert_scrambled_engine_reproduces(0xce88_e96a_0a63_684c, (0, 4, 1), seqs);
     }
 }
 

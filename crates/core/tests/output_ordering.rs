@@ -173,8 +173,8 @@ fn tick_output_order_is_pinned() {
     // planted out of id order to prove the drain sorts by General.
     let tick_at = t0 + d() * 2u64 + Duration::from_nanos(2);
     let tau = tick_at - p.delta_agr() - Duration::from_nanos(2);
-    e.agreement_raw(id(2)).corrupt_anchor(tau);
-    e.agreement_raw(id(0)).corrupt_anchor(tau);
+    e.plant_anchor(id(2), tau);
+    e.plant_anchor(id(0), tau);
 
     e.on_tick(tick_at, &mut ob);
     let expected: Vec<Output<u64>> = vec![

@@ -267,8 +267,8 @@ fn run_equivalence<V: Value>(
         // (sends, accepts, decides) instead of only recording arrivals.
         for g in [0u32, 1] {
             let tau_g = LocalTime::from_nanos(now - 2 * D);
-            waved.agreement_raw(NodeId::new(g)).corrupt_anchor(tau_g);
-            serial.agreement_raw(NodeId::new(g)).corrupt_anchor(tau_g);
+            waved.plant_anchor(NodeId::new(g), tau_g);
+            serial.plant_anchor(NodeId::new(g), tau_g);
         }
     }
     for (wave_no, chunk) in ops.chunks(11).enumerate() {
@@ -389,8 +389,8 @@ proptest! {
         let mut now = 1_000_000_000_000u64;
         for g in [0u32, 1] {
             let tau_g = LocalTime::from_nanos(now - 2 * D);
-            waved.agreement_raw(NodeId::new(g)).corrupt_anchor(tau_g);
-            serial.agreement_raw(NodeId::new(g)).corrupt_anchor(tau_g);
+            waved.plant_anchor(NodeId::new(g), tau_g);
+            serial.plant_anchor(NodeId::new(g), tau_g);
         }
         for (wave_no, chunk) in bursts.chunks(8).enumerate() {
             let mut wave: Vec<(NodeId, Msg<u64>)> = Vec::new();
@@ -428,8 +428,7 @@ fn full_echo_wave_single_call_matches() {
     let g = NodeId::new(0);
     let mk = |me: u32| {
         let mut e: Engine<u64> = Engine::new(NodeId::new(me), params);
-        e.agreement_raw(g)
-            .corrupt_anchor(LocalTime::from_nanos(t0 - 6 * D));
+        e.plant_anchor(g, LocalTime::from_nanos(t0 - 6 * D));
         e
     };
     let mut waved = mk(1);
@@ -476,10 +475,8 @@ fn arc_wave_matches_ref_wave() {
     let g = NodeId::new(0);
     let mut a: Engine<u64> = Engine::new(NodeId::new(1), params);
     let mut b: Engine<u64> = Engine::new(NodeId::new(1), params);
-    a.agreement_raw(g)
-        .corrupt_anchor(LocalTime::from_nanos(t0 - 6 * D));
-    b.agreement_raw(g)
-        .corrupt_anchor(LocalTime::from_nanos(t0 - 6 * D));
+    a.plant_anchor(g, LocalTime::from_nanos(t0 - 6 * D));
+    b.plant_anchor(g, LocalTime::from_nanos(t0 - 6 * D));
     let mut aob: Outbox<u64> = Outbox::new();
     let mut bob: Outbox<u64> = Outbox::new();
     let value = Arc::new(9u64);
@@ -524,8 +521,7 @@ fn anchored_pair(n: usize, f: usize, t0: u64) -> (Engine<u64>, Engine<u64>) {
     let params = Params::from_d(n, f, Duration::from_nanos(D), 0).unwrap();
     let mk = || {
         let mut e: Engine<u64> = Engine::new(NodeId::new(1), params);
-        e.agreement_raw(NodeId::new(0))
-            .corrupt_anchor(LocalTime::from_nanos(t0 - 6 * D));
+        e.plant_anchor(NodeId::new(0), LocalTime::from_nanos(t0 - 6 * D));
         e
     };
     (mk(), mk())

@@ -23,9 +23,8 @@
 //!    bursts against one `(n, f, seed)` cell.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use ssbyz_adversary::{QuorumStalker, RngEntropy};
-use ssbyz_core::corrupt::ScrambleConfig;
+use rand::{Rng, RngCore, SeedableRng};
+use ssbyz_adversary::QuorumStalker;
 use ssbyz_simnet::Partition;
 use ssbyz_types::{Duration, NodeId, RealTime};
 
@@ -84,13 +83,11 @@ pub enum Fault {
     },
     /// Scramble `node`'s engine state in place — the mid-run equivalent
     /// of the boot-time transient fault: protocol state, interner junk,
-    /// bogus `[IG2]`/`[IG3]` guards, and (when the config says so)
-    /// pending engine wake-ups on the timer wheel.
+    /// bogus `[IG2]`/`[IG3]` guards, and its pending engine wake-ups on
+    /// the timer wheel.
     Scramble {
         /// The victim.
         node: NodeId,
-        /// Scramble intensity.
-        cfg: ScrambleConfig,
     },
 }
 
@@ -187,41 +184,40 @@ impl RunningScenario {
                 let until = self.sim().now() + *lasts;
                 self.sim_mut().inflate_delays(*num, *den, until);
             }
-            Fault::Scramble { node, cfg } => self.scramble_node(*node, cfg, rng),
+            Fault::Scramble { node } => self.scramble_node(*node, rng),
         }
     }
 
-    /// Scrambles a live node's engine (and optionally its pending engine
-    /// wake-ups). Silently skips nodes that are not [`EngineProcess`]es —
-    /// scrambling a Byzantine node is meaningless.
-    fn scramble_node(&mut self, node: NodeId, cfg: &ScrambleConfig, rng: &mut StdRng) {
+    /// Scrambles a live node's engine and its pending engine wake-ups.
+    /// Silently skips nodes that are not [`EngineProcess`]es — scrambling
+    /// a Byzantine node is meaningless.
+    fn scramble_node(&mut self, node: NodeId, rng: &mut StdRng) {
         let now = self.sim().now();
         let now_local = self.sim().clock(node).local_at(now);
         let span = self.params().delta_rmv() * 2u64;
         if let Some(any) = self.sim_mut().process_mut(node).as_any_mut() {
             if let Some(ep) = any.downcast_mut::<EngineProcess<Val>>() {
-                let mut entropy = RngEntropy(rng);
                 ep.engine_mut()
-                    .scramble(now_local, cfg, &mut entropy, &mut |e| e.next_u64() % 64);
+                    .scramble(now_local, &mut || rng.next_u64(), &mut |e| {
+                        e.next_u64() % 64
+                    });
             } else {
                 return;
             }
         } else {
             return;
         }
-        if cfg.scramble_timers {
-            // Eat the engine's pending precise wake-ups and fabricate two
-            // spurious ones. The periodic tick is the adapter's driver
-            // loop (modeled as hardware), so it stays; eaten deadlines
-            // are re-derived from engine state at the next tick, and the
-            // spurious wakes just run harmless extra ticks — exactly the
-            // "wake-up at an arbitrary time" residue a transient fault
-            // leaves on a real timer service.
-            self.sim_mut().cancel_node_timer(node, TOKEN_WAKE);
-            for _ in 0..2 {
-                let off = Duration::from_nanos(rng.gen_range(0..span.as_nanos().max(1)));
-                self.sim_mut().plant_timer(node, off, TOKEN_WAKE);
-            }
+        // Eat the engine's pending precise wake-ups and fabricate two
+        // spurious ones. The periodic tick is the adapter's driver loop
+        // (modeled as hardware), so it stays; eaten deadlines are
+        // re-derived from engine state at the next tick, and the spurious
+        // wakes just run harmless extra ticks — exactly the "wake-up at an
+        // arbitrary time" residue a transient fault leaves on a real timer
+        // service.
+        self.sim_mut().cancel_node_timer(node, TOKEN_WAKE);
+        for _ in 0..2 {
+            let off = Duration::from_nanos(rng.gen_range(0..span.as_nanos().max(1)));
+            self.sim_mut().plant_timer(node, off, TOKEN_WAKE);
         }
     }
 
@@ -453,13 +449,7 @@ pub fn burst_schedule(
             for (i, v) in picks.iter().enumerate() {
                 match i {
                     0 | 1 => {
-                        s = s.at(
-                            at + d * (i as u64),
-                            Fault::Scramble {
-                                node: *v,
-                                cfg: ScrambleConfig::default(),
-                            },
-                        );
+                        s = s.at(at + d * (i as u64), Fault::Scramble { node: *v });
                     }
                     _ => {
                         s = s.at(
@@ -495,13 +485,7 @@ pub fn burst_schedule(
                 );
             }
             if let Some(w) = victims.get(1) {
-                s = s.at(
-                    at + d,
-                    Fault::Scramble {
-                        node: *w,
-                        cfg: ScrambleConfig::default(),
-                    },
-                );
+                s = s.at(at + d, Fault::Scramble { node: *w });
             }
         }
     }

@@ -7,9 +7,8 @@
 //! checkers in [`crate::checks`].
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use ssbyz_adversary::{u64_corruptor, u64_injector, RngEntropy};
-use ssbyz_core::corrupt::ScrambleConfig;
+use rand::{Rng, RngCore, SeedableRng};
+use ssbyz_adversary::{u64_corruptor, u64_injector};
 use ssbyz_core::{Engine, Event, Msg, Params};
 use ssbyz_simnet::{
     DriftClock, LinkConfig, Metrics, Process, SimBuilder, Simulation, StormConfig, WaveMode,
@@ -287,13 +286,10 @@ impl ScenarioBuilder {
                         p = p.with_initiation(off, v);
                     }
                     let boot_local = clock.local_at(RealTime::ZERO);
-                    let mut entropy = RngEntropy(&mut rng);
-                    p.engine_mut().scramble(
-                        boot_local,
-                        &ScrambleConfig::default(),
-                        &mut entropy,
-                        &mut |e| e.next_u64() % 64,
-                    );
+                    p.engine_mut()
+                        .scramble(boot_local, &mut || rng.next_u64(), &mut |e| {
+                            e.next_u64() % 64
+                        });
                     correct.push(id);
                     Box::new(p)
                 }

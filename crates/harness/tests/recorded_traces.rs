@@ -23,7 +23,6 @@
 use std::fmt::Debug;
 
 use ssbyz_adversary::EchoForger;
-use ssbyz_core::corrupt::ScrambleConfig;
 use ssbyz_core::PipelineConfig;
 use ssbyz_harness::faults::campaign_settle;
 use ssbyz_harness::{
@@ -257,7 +256,6 @@ fn burst(at: RealTime, d: Duration) -> FaultSchedule {
             at,
             Fault::Scramble {
                 node: NodeId::new(3),
-                cfg: ScrambleConfig::default(),
             },
         )
         .at(

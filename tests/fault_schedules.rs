@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssbyz::core::corrupt::ScrambleConfig;
 use ssbyz::harness::experiments::{filter_window, slack};
 use ssbyz::harness::faults::{campaign_settle, Fault, FaultSchedule};
 use ssbyz::harness::{checks, ScenarioBuilder, ScenarioConfig};
@@ -27,13 +26,7 @@ fn random_burst(
     d: Duration,
 ) -> FaultSchedule {
     let victim = |rng: &mut StdRng| NodeId::new(rng.gen_range(1..n as u32));
-    let mut s = FaultSchedule::new().at(
-        at,
-        Fault::Scramble {
-            node: victim(rng),
-            cfg: ScrambleConfig::default(),
-        },
-    );
+    let mut s = FaultSchedule::new().at(at, Fault::Scramble { node: victim(rng) });
     if rng.gen_ratio(1, 2) {
         let down_for = Duration::from_nanos(rng.gen_range(1..(settle / 2).as_nanos()));
         s = s.at(

@@ -1,7 +1,6 @@
 //! Self-stabilization integration tests: convergence from arbitrary
 //! state, decay of corrupted state without a reboot, and storm survival.
 
-use ssbyz::core::corrupt::ScrambleConfig;
 use ssbyz::core::{Engine, Outbox, Params};
 use ssbyz::harness::experiments::{e6_convergence, filter_window, slack};
 use ssbyz::harness::{checks, ScenarioBuilder, ScenarioConfig};
@@ -90,8 +89,8 @@ fn survives_long_heavy_storm() {
     );
 }
 
-/// Scramble is deterministic per seed and the scrambled engine keeps
-/// functioning (no panic across heavy tick/cleanup cycles).
+/// A doubly scrambled engine keeps functioning (no panic across heavy
+/// tick/cleanup cycles) and decays to dormant without a reboot.
 #[test]
 fn scramble_decays_to_dormant() {
     let params = Params::from_d(4, 1, Duration::from_millis(10), 0).unwrap();
@@ -104,16 +103,11 @@ fn scramble_decays_to_dormant() {
         word
     };
     let now = LocalTime::from_nanos(500_000_000_000);
-    engine.scramble(
-        now,
-        &ScrambleConfig {
-            generals: 4,
-            values_per_general: 4,
-            ..ScrambleConfig::default()
-        },
-        &mut entropy,
-        &mut |e| ssbyz::core::Entropy::below(e, 16),
-    );
+    for _ in 0..2 {
+        engine.scramble(now, &mut entropy, &mut |e| {
+            ssbyz::core::Entropy::below(e, 16)
+        });
+    }
     // Tick well past every decay horizon.
     let mut t = now;
     let mut ob = Outbox::new();
