@@ -133,10 +133,7 @@ impl<M> WaveScratch<M> {
     /// entry's destinations gets a filtered rebuild.
     fn dispatch(&mut self, n: u32, mut deliver: impl FnMut(NodeId, &[(NodeId, Arc<M>)])) {
         debug_assert!(self.shared.is_empty() && self.filtered.is_empty());
-        self.common.clear();
-        for id in 0..n {
-            self.common.insert(NodeId::new(id));
-        }
+        self.common.fill(n as usize);
         for ev in &self.group {
             match ev {
                 EventKind::Deliver { to, from, msg } => {
@@ -397,6 +394,7 @@ pub struct Simulation<M, O> {
     nodes: Vec<NodeSlot<M, O>>,
     link: LinkConfig,
     storm: Option<StormConfig>,
+    /// Directed link blocks; expired ones are dropped when routing.
     blocks: Vec<LinkBlock>,
     /// The partition currently in force, if any (fault injection).
     partition: Option<Partition>,
@@ -934,53 +932,87 @@ impl<M: Clone, O> Simulation<M, O> {
         }
     }
 
-    /// Fans one payload out to every node. The message is wrapped in an
-    /// [`Arc`] exactly once, and destinations sharing a due time are
-    /// coalesced into a single [`EventKind::BroadcastDeliver`] wheel entry
-    /// carrying a destination bitmap — under a deterministic link delay
-    /// the entire fan-out is **one** queue entry instead of n.
+    /// Fans one payload out to every node, wrapped in an [`Arc`] exactly
+    /// once. `sent` and the payload's `per_tag` entry grow by n once per
+    /// broadcast, blocked destinations included — what n unicasts count.
     ///
-    /// Determinism: the per-destination loop performs exactly the RNG
-    /// draws the pre-batch path performed, in the same order, and every
-    /// singleton push (a storm duplicate, or a corrupted copy peeled out
-    /// of its batch) first flushes the open batches so the `(due, seq)`
-    /// interleaving of all pushed entries matches the per-destination
-    /// path entry for entry. Within a batch, expiry delivers in ascending
-    /// destination id — the order equal-due per-destination entries
-    /// popped in. `tests/fanout_equivalence.rs` checks all of this against
-    /// processes that fan out with one [`Ctx::send`] per destination.
+    /// On a draw-free instant ([`Simulation::draw_free_at`], the wave
+    /// gate's own predicate) routing draws nothing and every destination
+    /// shares one due, so the broadcast is paid for once, not per
+    /// destination: one delay sample, `0..n` filled a word at a time,
+    /// blocked and partitioned destinations cleared only while a block or
+    /// partition exists, then **one** wheel entry — an
+    /// [`EventKind::BroadcastDeliver`] for two or more destinations, a
+    /// plain [`EventKind::Deliver`] for one, nothing for none.
+    ///
+    /// Otherwise (jittered links, storm windows) the per-destination loop
+    /// performs exactly the RNG draws of n unicasts, in the same order,
+    /// and coalesces runs of equal-due destinations into one
+    /// `BroadcastDeliver` each. Every singleton push (a storm duplicate,
+    /// or a corrupted copy peeled out of its batch) first flushes the
+    /// open batches so the `(due, seq)` interleaving of all pushed
+    /// entries matches the per-destination path entry for entry.
+    ///
+    /// Either way a batch delivers in ascending destination id on expiry —
+    /// the order equal-due per-destination entries popped in.
+    /// `tests/fanout_equivalence.rs` checks both paths against processes
+    /// that fan out with one [`Ctx::send`] per destination.
     fn route_broadcast(&mut self, from: NodeId, msg: M) {
         let shared = Arc::new(msg);
+        let n = self.nodes.len();
+        self.metrics.sent += n as u64;
+        if let Some(tagger) = self.tagger {
+            *self.metrics.per_tag.entry(tagger(&shared)).or_insert(0) += n as u64;
+        }
+        self.prune_blocks();
+        if self.draw_free_at(self.now) {
+            let due = self.now + self.sample_delay(self.link.delay_min, self.link.delay_max);
+            let mut dests = self.bitset_pool.pop().unwrap_or_default();
+            dests.fill(n);
+            if !self.blocks.is_empty() || self.partition.is_some() {
+                dests.retain(|to| self.link_open(from, to));
+                self.metrics.blocked += (n - dests.count()) as u64;
+            }
+            let kind = match dests.count() {
+                0 => {
+                    self.bitset_pool.push(dests);
+                    return;
+                }
+                1 => {
+                    let to = dests.iter().next().expect("one destination");
+                    dests.clear();
+                    self.bitset_pool.push(dests);
+                    EventKind::Deliver {
+                        to,
+                        from,
+                        msg: shared,
+                    }
+                }
+                _ => EventKind::BroadcastDeliver {
+                    from,
+                    msg: shared,
+                    dests,
+                },
+            };
+            self.push(due, kind);
+            return;
+        }
+        let storm = self.storm.filter(|s| s.active_at(self.now));
         let mut batches = std::mem::take(&mut self.batch_scratch);
         debug_assert!(batches.is_empty());
-        for i in 0..self.nodes.len() {
+        for i in 0..n {
             let to = NodeId::new(i as u32);
-            self.metrics.sent += 1;
-            if let Some(tagger) = self.tagger {
-                *self.metrics.per_tag.entry(tagger(&shared)).or_insert(0) += 1;
-            }
-            if self
-                .blocks
-                .iter()
-                .any(|b| b.from == from && b.to == to && self.now < b.until)
-            {
+            // Suppression sits before any RNG draw, mirroring `route`, so
+            // a block or partition never shifts the draw sequence.
+            if !self.link_open(from, to) {
                 self.metrics.blocked += 1;
-                continue; // blocked: the bit is simply never set
+                continue; // the bit is simply never set
             }
-            // Partition suppression sits before any RNG draw, mirroring
-            // `route`, so both broadcast modes keep identical draw
-            // sequences under a partition.
-            if self.partition.as_ref().is_some_and(|p| !p.allows(from, to)) {
-                self.metrics.blocked += 1;
-                continue;
-            }
-            let storm_active = self.storm.is_some_and(|s| s.active_at(self.now));
-            if !storm_active {
+            let Some(storm) = storm else {
                 let due = self.now + self.sample_delay(self.link.delay_min, self.link.delay_max);
                 Self::batch_insert(&mut batches, &mut self.bitset_pool, due, to);
                 continue;
-            }
-            let storm = self.storm.expect("checked");
+            };
             if storm.drop_den > 0 && self.rng.gen_ratio(storm.drop_num, storm.drop_den) {
                 self.metrics.dropped += 1;
                 continue;
@@ -1044,9 +1076,9 @@ impl<M: Clone, O> Simulation<M, O> {
     /// keeps this O(1) per destination; non-adjacent due collisions stay
     /// separate entries, which flushes them in destination order —
     /// exactly the per-destination path's equal-due pop order, so parity
-    /// is unaffected (the A/B battery covers jittered links). Under a
-    /// deterministic delay every destination matches the single open
-    /// run, collapsing the whole fan-out into one entry.
+    /// is unaffected (the A/B battery covers jittered links). Draw-free
+    /// instants never get here: `route_broadcast` builds their single
+    /// entry directly.
     fn batch_insert(
         batches: &mut Vec<(RealTime, NodeId, Option<NodeBitSet>)>,
         pool: &mut Vec<NodeBitSet>,
@@ -1103,17 +1135,9 @@ impl<M: Clone, O> Simulation<M, O> {
         if let Some(tagger) = self.tagger {
             *self.metrics.per_tag.entry(tagger(&msg)).or_insert(0) += 1;
         }
-        // Explicit link blocks.
-        if self
-            .blocks
-            .iter()
-            .any(|b| b.from == from && b.to == to && self.now < b.until)
-        {
-            self.metrics.blocked += 1;
-            return;
-        }
-        // Partition suppression (before any RNG draw — see route_broadcast).
-        if self.partition.as_ref().is_some_and(|p| !p.allows(from, to)) {
+        self.prune_blocks();
+        // Suppression comes before any RNG draw (see `route_broadcast`).
+        if !self.link_open(from, to) {
             self.metrics.blocked += 1;
             return;
         }
@@ -1170,6 +1194,21 @@ impl<M: Clone, O> Simulation<M, O> {
                 msg: payload,
             },
         );
+    }
+
+    /// Drops the link blocks that have expired. Time never runs
+    /// backwards, so an expired block can never match again; without
+    /// this every send would scan every block ever installed.
+    fn prune_blocks(&mut self) {
+        let now = self.now;
+        self.blocks.retain(|b| now < b.until);
+    }
+
+    /// Whether `from → to` is neither blocked nor cut by the partition.
+    /// Expects [`Simulation::prune_blocks`] to have run at this instant.
+    fn link_open(&self, from: NodeId, to: NodeId) -> bool {
+        !self.blocks.iter().any(|b| b.from == from && b.to == to)
+            && self.partition.as_ref().is_none_or(|p| p.allows(from, to))
     }
 
     /// Samples a link delay in `[min, max]` (no draw when they are equal).
@@ -1613,6 +1652,59 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, u32>, token: u64) {
             ctx.broadcast(100 + token as u32);
         }
+    }
+
+    fn relays(n: usize, link: Duration) -> Simulation<u32, u32> {
+        let mut b = SimBuilder::new(5)
+            .link(LinkConfig::fixed(link))
+            .tagger(|_| "relay");
+        for _ in 0..n {
+            b = b.node(Box::new(RelayWithEcho(link)), DriftClock::ideal());
+        }
+        b.build()
+    }
+
+    /// On fixed links a broadcast is paid for once: one wheel entry, and
+    /// `sent`/`per_tag` grow by n with a blocked destination among them.
+    #[test]
+    fn draw_free_broadcast_is_one_wheel_entry_counted_once() {
+        const N: usize = 5;
+        let link = Duration::from_millis(1);
+        let mut sim = relays(N, link);
+        sim.block_link(
+            NodeId::new(0),
+            NodeId::new(1),
+            RealTime::from_nanos(10_000_000),
+        );
+        // Node 0 broadcasts at start; its delivery is due at +1 ms.
+        sim.run_until(RealTime::from_nanos(500_000));
+        assert_eq!(sim.queue_len(), 1);
+        let m = sim.metrics();
+        assert_eq!(m.sent, N as u64);
+        assert_eq!(m.blocked, 1);
+        assert_eq!(m.per_tag["relay"], N as u64);
+        sim.run_until(RealTime::from_nanos(1_000_000));
+        assert_eq!(sim.metrics().delivered, N as u64 - 1);
+    }
+
+    /// A block that has expired is dropped the next time anything is
+    /// routed, so it costs later sends nothing.
+    #[test]
+    fn expired_link_blocks_are_pruned_when_routing() {
+        let link = Duration::from_millis(1);
+        let mut sim = relays(3, link);
+        sim.block_link(
+            NodeId::new(0),
+            NodeId::new(1),
+            RealTime::from_nanos(1_000_000),
+        );
+        sim.run_until(RealTime::from_nanos(500_000));
+        assert_eq!(sim.blocks.len(), 1, "still in force at the start broadcast");
+        assert_eq!(sim.metrics().blocked, 1);
+        // At +1 ms the block has expired and the relays broadcast.
+        sim.run_until(RealTime::from_nanos(1_000_000));
+        assert!(sim.blocks.is_empty());
+        assert_eq!(sim.metrics().blocked, 1);
     }
 
     /// A timer due at the same instant as a run of deliveries keeps its

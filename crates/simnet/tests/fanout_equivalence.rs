@@ -8,20 +8,24 @@
 //! destination, the same draws in the same order. The two fan-outs must
 //! be *indistinguishable* from inside the simulation: identical
 //! observation streams (node, real time, local time, payload — in
-//! order), identical metrics, identical RNG consumption — under crashes,
-//! link blocks, jittered delays, and full storms (drop / corrupt /
-//! duplicate), which exercise every batch-splitting rule:
+//! order), identical metrics including the per-tag send counts, identical
+//! RNG consumption — under crashes, link blocks, a partition healed
+//! mid-run, jittered delays, and full storms (drop / corrupt /
+//! duplicate), from one node up, which exercise every batch-splitting
+//! rule and the draw-free path's 0-, 1- and many-destination entries:
 //!
 //! * delay jitter partitions destinations into same-due batches;
-//! * link blocks and crashes clear destination bits (at send and at
-//!   delivery respectively);
+//! * link blocks, the partition and crashes clear destination bits (the
+//!   first two at send, crashes at delivery);
 //! * per-destination corruption peels the target out of its batch into a
 //!   private copy (pinned by the dedicated regression below);
 //! * storm duplicates are singleton pushes that flush open batches first,
 //!   preserving the `(due, seq)` interleaving of the unicast path.
 
 use proptest::prelude::*;
-use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, Process, SimBuilder, Simulation, StormConfig};
+use ssbyz_simnet::{
+    Ctx, DriftClock, LinkConfig, Partition, Process, SimBuilder, Simulation, StormConfig,
+};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
 const T_BEAT: u64 = 1;
@@ -96,8 +100,12 @@ struct Shape {
     jitter_us: u64,
     /// Crash the top `crashes` nodes for the first half of the run.
     crashes: usize,
-    /// Block node 0 → node 1 for the first half when set.
+    /// Block node 0's links to itself and to node 1 for the first half
+    /// when set: at n ≤ 3 node 0's fan-outs then reach 0 or 1 nodes.
     block: bool,
+    /// Cut the upper half of the nodes off from the rest at start and
+    /// heal the cut at `HEAL`.
+    partition: bool,
     /// Storm drop/corrupt/dup numerators over 8 (0 disables the knob).
     drop_num: u32,
     corrupt_num: u32,
@@ -110,10 +118,24 @@ struct Shape {
     amplify: bool,
 }
 
+/// When a `partition` shape heals its cut: after the first beats.
+const HEAL: RealTime = RealTime::from_nanos(2_500_000);
+
+/// Beats and their amplified relays carry different tags.
+fn tag(msg: &u64) -> &'static str {
+    if *msg >= 10_000_000 {
+        "relay"
+    } else {
+        "beat"
+    }
+}
+
 fn build(shape: &Shape, fan: Fan) -> Simulation<u64, (NodeId, u64)> {
     let delay_min = Duration::from_micros(300);
     let delay_max = delay_min + Duration::from_micros(shape.jitter_us);
-    let mut b = SimBuilder::new(shape.seed).link(LinkConfig::uniform(delay_min, delay_max));
+    let mut b = SimBuilder::new(shape.seed)
+        .link(LinkConfig::uniform(delay_min, delay_max))
+        .tagger(tag);
     if shape.drop_num + shape.corrupt_num + shape.dup_num > 0 {
         b = b
             .storm(StormConfig {
@@ -161,12 +183,20 @@ fn build(shape: &Shape, fan: Fan) -> Simulation<u64, (NodeId, u64)> {
             RealTime::from_nanos(5_000_000),
         );
     }
-    if shape.block && shape.n >= 2 {
-        sim.block_link(
-            NodeId::new(0),
-            NodeId::new(1),
-            RealTime::from_nanos(5_000_000),
-        );
+    if shape.block {
+        for to in 0..shape.n.min(2) {
+            sim.block_link(
+                NodeId::new(0),
+                NodeId::new(to as u32),
+                RealTime::from_nanos(5_000_000),
+            );
+        }
+    }
+    if shape.partition {
+        let upper: Vec<NodeId> = (shape.n / 2..shape.n)
+            .map(|i| NodeId::new(i as u32))
+            .collect();
+        sim.set_partition(Some(Partition::split(shape.n, &upper)));
     }
     sim
 }
@@ -174,6 +204,12 @@ fn build(shape: &Shape, fan: Fan) -> Simulation<u64, (NodeId, u64)> {
 fn run_parity(shape: &Shape) {
     let mut batched = build(shape, Fan::Broadcast);
     let mut per_dest = build(shape, Fan::Unicasts);
+    if shape.partition {
+        for sim in [&mut batched, &mut per_dest] {
+            sim.run_until(HEAL);
+            sim.set_partition(None);
+        }
+    }
     let horizon = RealTime::from_nanos(12_000_000);
     batched.run_until(horizon);
     per_dest.run_until(horizon);
@@ -197,21 +233,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Steady-state links (no storm): jittered delays split batches,
-    /// crashes clear bits at delivery, blocks clear bits at send — the
-    /// observation stream must match the per-destination oracle exactly.
+    /// crashes clear bits at delivery, blocks and the partition clear bits
+    /// at send — the observation stream must match the per-destination
+    /// oracle exactly.
     #[test]
     fn batched_matches_per_destination_steady_state(
-        n in 2usize..12,
+        n in 1usize..12,
         seed in 0u64..5_000,
         jitter_us in 0u64..1_500,
         fixed_delay in any::<bool>(),
         crashes in 0usize..3,
         block in any::<bool>(),
+        partition in any::<bool>(),
         amplify in any::<bool>(),
     ) {
         let jitter_us = if fixed_delay { 0 } else { jitter_us };
         run_parity(&Shape {
-            n, seed, jitter_us, crashes, block,
+            n, seed, jitter_us, crashes, block, partition,
             drop_num: 0, corrupt_num: 0, dup_num: 0, colliding_dues: false, amplify,
         });
     }
@@ -220,12 +258,13 @@ proptest! {
     /// duplicates (batch flush) on top of crashes and partitions.
     #[test]
     fn batched_matches_per_destination_under_storm(
-        n in 2usize..10,
+        n in 1usize..10,
         seed in 0u64..5_000,
         jitter_us in 0u64..1_500,
         fixed_delay in any::<bool>(),
         crashes in 0usize..2,
         block in any::<bool>(),
+        partition in any::<bool>(),
         drop_num in 0u32..4,
         corrupt_num in 0u32..5,
         dup_num in 0u32..4,
@@ -233,7 +272,7 @@ proptest! {
     ) {
         let jitter_us = if fixed_delay { 0 } else { jitter_us };
         run_parity(&Shape {
-            n, seed, jitter_us, crashes, block,
+            n, seed, jitter_us, crashes, block, partition,
             drop_num, corrupt_num, dup_num, colliding_dues, amplify: false,
         });
     }
@@ -366,6 +405,7 @@ fn crashed_and_partitioned_destinations_are_excluded_from_batches() {
         jitter_us: 0,
         crashes: 2,
         block: true,
+        partition: true,
         drop_num: 0,
         corrupt_num: 0,
         dup_num: 0,

@@ -290,6 +290,24 @@ impl NodeBitSet {
         self.count = 0;
     }
 
+    /// Makes the set exactly the ids `0..n`, a word at a time, keeping
+    /// the allocation.
+    pub fn fill(&mut self, n: usize) {
+        let (full, rest) = (n / WORD_BITS, n % WORD_BITS);
+        let needed = n.div_ceil(WORD_BITS);
+        if self.words.len() < needed {
+            self.words.resize(needed, 0);
+        }
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            *word = match wi.cmp(&full) {
+                core::cmp::Ordering::Less => u64::MAX,
+                core::cmp::Ordering::Equal => (1u64 << rest) - 1,
+                core::cmp::Ordering::Greater => 0,
+            };
+        }
+        self.count = n;
+    }
+
     /// Keeps only the ids for which `keep` returns `true`, visiting them
     /// in ascending order.
     pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
@@ -456,6 +474,33 @@ mod tests {
         s.intersect_with(&other);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![id(1)]);
         assert_eq!(s.count(), 1);
+    }
+
+    #[test]
+    fn bitset_fill_is_exactly_the_first_n_ids() {
+        let check = |s: &NodeBitSet, n: usize| {
+            assert_eq!(s.count(), n);
+            assert_eq!(
+                s.iter().collect::<Vec<_>>(),
+                (0..n as u32).map(id).collect::<Vec<_>>()
+            );
+            assert!((0..n as u32).all(|i| s.contains(id(i))));
+            assert!(!s.contains(id(n as u32)));
+        };
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let mut fresh = NodeBitSet::new();
+            fresh.fill(n);
+            check(&fresh, n);
+            // A recycled set that held ids at and past `n` loses them.
+            let mut recycled = NodeBitSet::new();
+            for i in [n as u32, n as u32 + 1, 64, 200] {
+                recycled.insert(id(i));
+            }
+            recycled.fill(n);
+            check(&recycled, n);
+            assert!(!recycled.contains(id(200)));
+            assert_eq!(recycled, fresh);
+        }
     }
 
     #[test]
