@@ -29,6 +29,7 @@
 //! `V`'s own order through the owner's [`ValueInterner`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
 use ssbyz_types::{DenseNodeMap, Duration, LocalTime, NodeId, Value};
 
@@ -37,6 +38,7 @@ use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::BcastKind;
 use crate::msgd_broadcast::{MsgdAction, MsgdBroadcast};
 use crate::params::Params;
+use crate::store::Due;
 
 /// Actions produced by the agreement layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,10 +85,14 @@ pub struct Agreement {
     returned: Option<(Option<ValueId>, LocalTime)>,
     /// When the post-return reset is due.
     reset_due: Option<LocalTime>,
+    /// When the agreement-level part of [`Agreement::cleanup`] can next
+    /// change anything (the embedded primitive keeps its own).
+    due: Due,
 }
 
 impl Agreement {
-    /// Creates a fresh instance for `general` at node `me`.
+    /// Creates a fresh instance for `general` at node `me`. It is due at
+    /// once: an instance nothing gets written to is removable.
     #[must_use]
     pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
         Agreement {
@@ -97,6 +103,7 @@ impl Agreement {
             accepted: ValueIdMap::new(),
             returned: None,
             reset_due: None,
+            due: Due::Now,
         }
     }
 
@@ -158,6 +165,13 @@ impl Agreement {
             return;
         }
         self.tau_g = Some(tau_g);
+        if tau_g.is_after(now) {
+            // An estimate planted in the future decays once it lies too
+            // far ahead, which no bound on its age foresees.
+            self.due = Due::Now;
+        } else {
+            self.due.lower(tau_g + self.params.agreement_horizon());
+        }
         // Schedule the phase-boundary checks for blocks T and U.
         let eps = Duration::from_nanos(1);
         for r in 1..=self.params.f() as u64 {
@@ -292,6 +306,7 @@ impl Agreement {
             rounds.resize_with(idx + 1, DenseNodeMap::new);
         }
         rounds[idx].insert(broadcaster, now);
+        self.due.lower(now + self.params.agreement_horizon());
     }
 
     /// Block S: decide once a chain of `r` distinct-broadcaster accepts of
@@ -390,6 +405,7 @@ impl Agreement {
         out: &mut Vec<AgrAction<ValueId>>,
     ) {
         self.returned = Some((decision, now));
+        self.due.lower(now + self.params.agreement_horizon());
         let due = now + self.params.d() * 3u64;
         self.reset_due = Some(due);
         out.push(AgrAction::WakeAt(due));
@@ -429,8 +445,34 @@ impl Agreement {
 
     /// Decay of agreement-level state (Fig. 1 cleanup: "erase any value or
     /// message older than (2f + 1)Φ + 3d") plus the primitive's own decay.
-    pub fn cleanup(&mut self, now: LocalTime) {
+    /// Returns whether either walk released anything (see
+    /// `Agreement::decay`).
+    pub fn cleanup(&mut self, now: LocalTime) -> bool {
+        self.decay(now, true, &mut 0)
+    }
+
+    /// The decay pass's share of this instance: the agreement-level state
+    /// and the embedded primitive are each walked when `full` or once their
+    /// due has passed, counting walks into `walks`. Returns whether a walk
+    /// dropped an entry, reset the execution or was forced — any of which
+    /// may release value ids or leave the instance removable.
+    pub(crate) fn decay(&mut self, now: LocalTime, full: bool, walks: &mut u64) -> bool {
+        let mut released = false;
+        if full || self.due.reached(now) {
+            *walks += 1;
+            released |= self.decay_own(now);
+        }
+        if full || self.msgd.due().reached(now) {
+            *walks += 1;
+            released |= self.msgd.cleanup(now);
+        }
+        released
+    }
+
+    fn decay_own(&mut self, now: LocalTime) -> bool {
+        let forced = self.due == Due::Now;
         let horizon = self.params.agreement_horizon();
+        let values = self.accepted.len();
         for rounds in self.accepted.values_mut() {
             for senders in rounds.iter_mut() {
                 senders.retain(|_, t| !t.is_after(now) && now.since(*t) <= horizon);
@@ -441,6 +483,7 @@ impl Agreement {
         }
         self.accepted
             .retain(|_, rounds| rounds.iter().any(|m| !m.is_empty()));
+        let mut reset = false;
         // A bogus (future or ancient) anchor with no returned execution
         // decays too — otherwise a corrupted τ_G could wedge the instance.
         if let Some(tau_g) = self.tau_g {
@@ -449,22 +492,45 @@ impl Agreement {
                     || now.since_or_zero(tau_g) > horizon)
             {
                 self.reset_execution();
+                reset = true;
             }
         }
         if let Some((_, at)) = &self.returned {
             if at.is_after(now) || now.since(*at) > horizon {
                 self.reset_execution();
+                reset = true;
             }
         }
-        self.msgd.cleanup(now);
+        self.due = self.next_due();
+        forced || reset || self.accepted.len() < values
+    }
+
+    /// The exact due of the agreement-level state as it stands. A kept
+    /// anchor ahead of `now` ages from its own stamp too.
+    fn next_due(&self) -> Due {
+        let horizon = self.params.agreement_horizon();
+        let mut due = Due::Never;
+        for senders in self.accepted.values().flatten() {
+            for (_, &t) in senders.iter() {
+                due.lower(t + horizon);
+            }
+        }
+        match (self.returned, self.tau_g) {
+            (Some((_, at)), _) => due.lower(at + horizon),
+            (None, Some(tau_g)) => due.lower(tau_g + horizon),
+            (None, None) => {}
+        }
+        due
     }
 
     /// Plants transient-fault residue for one fabricated value: a
     /// coin-flipped anchor and returned state, up to `f + 1` fake accepts,
     /// then the embedded primitive's own residue. Every stamp lies within
     /// `2Δ_rmv` of the scramble's `now`, which [`Agreement::cleanup`]
-    /// above must expire. Returns whether anything was planted.
+    /// above must expire, from the next pass on. Returns whether anything
+    /// was planted.
     pub(crate) fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>) -> bool {
+        self.due = Due::Now;
         let (n, f) = (self.params.n(), self.params.f() as u64);
         let v = g.value();
         let mut planted = false;
@@ -496,15 +562,18 @@ impl Agreement {
     /// Sets the anchor `τ_G`, as a late I-accept would.
     pub(crate) fn corrupt_anchor(&mut self, tau_g: LocalTime) {
         self.tau_g = Some(tau_g);
+        self.due = Due::Now;
     }
 
-    /// Drops every trace of the current execution.
+    /// Drops every trace of the current execution. The instance may now
+    /// be removable and its value ids unreferenced.
     fn reset_execution(&mut self) {
         self.tau_g = None;
         self.accepted.clear();
         self.returned = None;
         self.reset_due = None;
         self.msgd.reset();
+        self.due = Due::Now;
     }
 
     /// Marks every id this instance still references, for the engine's
@@ -518,6 +587,22 @@ impl Agreement {
             interner.mark(*id);
         }
         self.msgd.mark_live(interner);
+    }
+
+    /// Appends the protocol state, ids resolved, the dues left out.
+    pub(crate) fn render<V: Value>(&self, interner: &ValueInterner<V>, out: &mut String) {
+        let returned = self
+            .returned
+            .map(|(decision, at)| (decision.map(|id| interner.show(id)), at));
+        let _ = writeln!(
+            out,
+            "agr {:?}: tau_g {:?}, returned {returned:?}, reset_due {:?}",
+            self.general, self.tau_g, self.reset_due
+        );
+        for (id, rounds) in self.accepted.iter() {
+            let _ = writeln!(out, "  accepted {:?}: {rounds:?}", interner.show(id));
+        }
+        self.msgd.render(interner, out);
     }
 }
 

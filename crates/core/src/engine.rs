@@ -27,7 +27,7 @@
 //!   emission, and reclaimed by a mark/sweep on the cleanup cadence once
 //!   their state decays.
 
-use std::fmt;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use ssbyz_types::{DenseNodeMap, Duration, LocalTime, NodeId, Value};
@@ -39,6 +39,7 @@ use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::{IaKind, Msg};
 use crate::outbox::Outbox;
 use crate::params::Params;
+use crate::store::Due;
 
 /// An instruction from the engine to its harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +151,81 @@ struct GeneralControl {
     failed_at: Option<LocalTime>,
     /// Outstanding progress checks.
     pending_checks: Vec<PendingCheck>,
+    /// When [`GeneralControl::cleanup`] can next change anything.
+    due: Due,
+}
+
+impl GeneralControl {
+    /// Decay of the General-side guards: ``[IG1]`` after `Δ0`, ``[IG2]``
+    /// after `Δ_v`, the ``[IG3]`` backoff after `Δ_reset`, stale monitors
+    /// after `8d`. Recomputes the due exactly, and returns whether a value
+    /// reference was dropped, here or (when forced) since the last walk.
+    fn cleanup(&mut self, now: LocalTime, p: Params) -> bool {
+        let forced = self.due == Due::Now;
+        let expired = |t: LocalTime, horizon: Duration| t.is_after(now) || now.since(t) > horizon;
+        if self
+            .last_initiation
+            .is_some_and(|t| expired(t, p.delta_0()))
+        {
+            self.last_initiation = None;
+        }
+        let (guarded, checks) = (self.last_per_value.len(), self.pending_checks.len());
+        self.last_per_value.retain(|_, t| !expired(*t, p.delta_v()));
+        if self.failed_at.is_some_and(|t| expired(t, p.delta_reset())) {
+            self.failed_at = None;
+        }
+        self.pending_checks
+            .retain(|c| !expired(c.invoked_at, p.d() * 8u64));
+        self.due = self.next_due(p);
+        forced || self.last_per_value.len() < guarded || self.pending_checks.len() < checks
+    }
+
+    /// The exact due of the guards as they stand.
+    fn next_due(&self, p: Params) -> Due {
+        let mut due = Due::Never;
+        if let Some(t) = self.last_initiation {
+            due.lower(t + p.delta_0());
+        }
+        for (_, &t) in self.last_per_value.iter() {
+            due.lower(t + p.delta_v());
+        }
+        if let Some(t) = self.failed_at {
+            due.lower(t + p.delta_reset());
+        }
+        for check in &self.pending_checks {
+            due.lower(check.invoked_at + p.d() * 8u64);
+        }
+        due
+    }
+
+    /// Plants the engine-level residue of a scramble: of
+    /// [`SCRAMBLED_JUNK`] fabricated values, even draws are interner junk
+    /// nothing references, odd ones bogus ``[IG2]`` stamps or phantom
+    /// ``[IG3]`` monitors; then coin-flipped ``[IG1]`` and backoff guards.
+    fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>) {
+        self.due = Due::Now;
+        for i in 0..SCRAMBLED_JUNK {
+            let v = g.value();
+            if i % 2 == 0 {
+                g.intern(&v);
+            } else if g.chance(1, 2) {
+                // Possibly future-dated.
+                let at = g.stamp();
+                self.last_per_value.insert(g.intern(&v), at);
+            } else {
+                let invoked_at = g.stamp();
+                self.pending_checks.push(PendingCheck {
+                    value: g.intern(&v),
+                    invoked_at,
+                    approve_ok: false,
+                    ready_ok: false,
+                    accept_ok: false,
+                });
+            }
+        }
+        self.last_initiation = g.chance(1, 2).then(|| g.stamp());
+        self.failed_at = g.chance(1, 4).then(|| g.stamp());
+    }
 }
 
 /// One ``[IG3]`` progress monitor. Stage completion is latched *stickily* at
@@ -241,7 +317,8 @@ fn same_bcast_key<V: Value>(a: &Msg<V>, b: &Msg<V>) -> bool {
 }
 
 /// How an engine's `Bcast` arrivals were dispatched — the counter that
-/// shows whether the echo storm actually lands as waves.
+/// shows whether the echo storm actually lands as waves — and how much
+/// walking its decay passes did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     /// Same-key groups (≥ 2 arrivals) dispatched as one wave pass.
@@ -252,6 +329,10 @@ pub struct DispatchStats {
     pub single_arrivals: u64,
     /// Key comparisons spent grouping waves.
     pub key_probes: u64,
+    /// Instance walks the decay passes ran: one per `Initiator-Accept`
+    /// instance, agreement-level state, `msgd-broadcast` state or set of
+    /// General-side guards whose due had passed.
+    pub decay_walks: u64,
 }
 
 /// The complete protocol state of one node.
@@ -288,8 +369,13 @@ pub struct Engine<V: Value> {
     agr: DenseNodeMap<Agreement>,
     general_ctl: GeneralControl,
     last_cleanup: Option<LocalTime>,
+    /// The latest local time state was written at (the last decay pass
+    /// at least): a pass before it walks everything.
+    newest: Option<LocalTime>,
     /// Occupancy threshold for the forced off-cadence sweep.
     sweep_high_water: usize,
+    /// Interner occupancy the last sweep left: more means fresh ids.
+    swept_live: usize,
     stats: DispatchStats,
 }
 
@@ -305,7 +391,9 @@ impl<V: Value> Engine<V> {
             agr: DenseNodeMap::with_capacity(params.n()),
             general_ctl: GeneralControl::default(),
             last_cleanup: None,
+            newest: None,
             sweep_high_water: INTERN_SWEEP_BASE,
+            swept_live: 0,
             stats: DispatchStats::default(),
         }
     }
@@ -389,6 +477,7 @@ impl<V: Value> Engine<V> {
         // memory all previously received messages associated with any
         // previous invocation of the primitive with him as a General."
         let me = self.me;
+        self.note_write(now);
         self.ia_entry(me).clear_messages_before_initiation();
         self.general_ctl.last_initiation = Some(now);
         self.general_ctl.last_per_value.insert(id, now);
@@ -400,6 +489,8 @@ impl<V: Value> Engine<V> {
             accept_ok: false,
         });
         let d = p.d();
+        // The [IG3] monitor is the nearest expiry set here.
+        self.general_ctl.due.lower(now + d * 8u64);
         ob.out.push(Output::Broadcast(Msg::Initiator {
             general: self.me,
             value: shared,
@@ -734,7 +825,8 @@ impl<V: Value> Engine<V> {
     }
 
     fn check_own_initiations(&mut self, now: LocalTime, out: &mut Vec<Output<V>>) {
-        let d = self.params.d();
+        let p = self.params;
+        let d = p.d();
         // Disjoint field borrows: the monitor reads this node's own
         // Initiator-Accept progress (and resolves ids for the failure
         // event) while retaining checks in place — no staging vector, no
@@ -743,6 +835,7 @@ impl<V: Value> Engine<V> {
         let interner = &self.interner;
         let ctl = &mut self.general_ctl;
         let mut newly_failed = false;
+        let checks = ctl.pending_checks.len();
         ctl.pending_checks.retain_mut(|check| {
             if check.invoked_at.is_after(now) {
                 return false; // corrupted stamp — drop
@@ -774,8 +867,13 @@ impl<V: Value> Engine<V> {
                 elapsed <= d * 4u64
             }
         });
+        if ctl.pending_checks.len() < checks {
+            // A finished monitor may have held its value's last reference.
+            ctl.due = Due::Now;
+        }
         if newly_failed {
             ctl.failed_at = Some(now);
+            ctl.due.lower(now + p.delta_reset());
         }
     }
 
@@ -861,50 +959,85 @@ impl<V: Value> Engine<V> {
         ob.agr = agr_buf;
     }
 
+    /// The periodic decay pass, gated to run at most once per `d` of local
+    /// time: it runs on the first call at least `d` after the last pass,
+    /// or when the clock went backwards. Simulated scenarios tick every
+    /// 10 ms, just under their `d` of 10.001 ms, so there the gate opens
+    /// on every second idle tick.
     fn cleanup_if_due(&mut self, now: LocalTime) {
+        let rewound = self.note_write(now);
         let cadence = self.params.d();
         if let Some(last) = self.last_cleanup {
             if !last.is_after(now) && now.since(last) < cadence {
                 return;
             }
         }
+        self.decay(now, rewound);
+    }
+
+    /// Records that state is about to be written at `now`. Returns whether
+    /// `now` lies before an earlier write: a clock that ran backwards,
+    /// which turns recent stamps into future ones that every cleanup drops
+    /// and no due foresees.
+    fn note_write(&mut self, now: LocalTime) -> bool {
+        match self.newest {
+            Some(newest) if newest.is_after(now) => true,
+            _ => {
+                self.newest = Some(now);
+                false
+            }
+        }
+    }
+
+    /// One decay pass at `now`: walks every instance when `full`, else
+    /// only those whose due has passed — the skipped walks would change
+    /// nothing (`tests/engine_transcripts.rs` holds the oracle). Removing
+    /// decayed agreements and sweeping the interner follow only a walk
+    /// that released something, or fresh ids; otherwise both are no-ops.
+    fn decay(&mut self, now: LocalTime, full: bool) {
         self.last_cleanup = Some(now);
+        let mut walks = 0u64;
+        let mut released = false;
         for ia in self.ia.values_mut() {
-            ia.cleanup(now);
+            if full || ia.due().reached(now) {
+                walks += 1;
+                released |= ia.cleanup(now);
+            }
         }
         for agr in self.agr.values_mut() {
-            agr.cleanup(now);
+            released |= agr.decay(now, full, &mut walks);
         }
-        // General-side guards decay too.
-        let p = self.params;
-        if let Some(t) = self.general_ctl.last_initiation {
-            if t.is_after(now) || now.since(t) > p.delta_0() {
-                self.general_ctl.last_initiation = None;
-            }
+        if full || self.general_ctl.due.reached(now) {
+            walks += 1;
+            released |= self.general_ctl.cleanup(now, self.params);
         }
-        self.general_ctl
-            .last_per_value
-            .retain(|_, t| !t.is_after(now) && now.since(*t) <= p.delta_v());
-        if let Some(t) = self.general_ctl.failed_at {
-            if t.is_after(now) || now.since(t) > p.delta_reset() {
-                self.general_ctl.failed_at = None;
-            }
+        self.stats.decay_walks += walks;
+        // Whatever was stamped ahead of `now` is gone or accounted for.
+        self.newest = Some(now);
+        if full || released {
+            // Drop instances that have fully decayed. Buffered pre-anchor
+            // messages (triplets) keep an instance alive: "nodes log
+            // messages until they are able to process them."
+            self.agr.retain(|_, a| {
+                a.tau_g().is_some()
+                    || a.has_returned()
+                    || a.broadcaster_count() > 0
+                    || a.msgd().triplet_count() > 0
+            });
         }
-        self.general_ctl
-            .pending_checks
-            .retain(|c| !c.invoked_at.is_after(now) && now.since(c.invoked_at) <= p.d() * 8u64);
-        // Drop instances that have fully decayed. Buffered pre-anchor
-        // messages (triplets) keep an instance alive: "nodes log messages
-        // until they are able to process them."
-        self.agr.retain(|_, a| {
-            a.tau_g().is_some()
-                || a.has_returned()
-                || a.broadcaster_count() > 0
-                || a.msgd().triplet_count() > 0
-        });
-        // With the decayed state gone, reclaim the intern ids nothing
-        // references any more.
-        self.sweep_interner();
+        if full || released || self.interner.occupancy() != self.swept_live {
+            // Reclaim the intern ids nothing references any more.
+            self.sweep_interner();
+        }
+    }
+
+    /// Runs the decay pass at `now` whatever the cadence: every instance
+    /// when `full` (the pass before dues existed), otherwise only the due
+    /// ones, as the periodic pass does. The decay oracle compares the two.
+    #[doc(hidden)]
+    pub fn force_decay(&mut self, now: LocalTime, full: bool) {
+        let rewound = self.note_write(now);
+        self.decay(now, full || rewound);
     }
 
     /// Overwrites protocol state with adversarially random garbage, as a
@@ -917,8 +1050,8 @@ impl<V: Value> Engine<V> {
     /// then its agreement instance (with the embedded `msgd-broadcast`
     /// state); then come interner junk, bogus `[IG2]` stamps, phantom
     /// `[IG3]` monitors and the General's own `[IG1]`/backoff guards.
-    /// `gen_value` fabricates values of the payload type. A heavier fault
-    /// is two scrambles.
+    /// Everything planted is due at the next pass. `gen_value` fabricates
+    /// values of the payload type. A heavier fault is two scrambles.
     pub fn scramble(
         &mut self,
         now: LocalTime,
@@ -947,30 +1080,7 @@ impl<V: Value> Engine<V> {
                 self.agr.remove(general);
             }
         }
-        let ctl = &mut self.general_ctl;
-        for i in 0..SCRAMBLED_JUNK {
-            let v = g.value();
-            if i % 2 == 0 {
-                // Junk id nothing references: sweep fodder.
-                g.intern(&v);
-            } else if g.chance(1, 2) {
-                // Bogus [IG2] stamp (possibly future-dated).
-                let at = g.stamp();
-                ctl.last_per_value.insert(g.intern(&v), at);
-            } else {
-                // Phantom [IG3] monitor for a never-initiated value.
-                let invoked_at = g.stamp();
-                ctl.pending_checks.push(PendingCheck {
-                    value: g.intern(&v),
-                    invoked_at,
-                    approve_ok: false,
-                    ready_ok: false,
-                    accept_ok: false,
-                });
-            }
-        }
-        ctl.last_initiation = g.chance(1, 2).then(|| g.stamp());
-        ctl.failed_at = g.chance(1, 4).then(|| g.stamp());
+        self.general_ctl.plant(&mut g);
     }
 
     /// Mark/sweep over the interner: every id still referenced by live
@@ -994,7 +1104,8 @@ impl<V: Value> Engine<V> {
             self.interner.mark(check.value);
         }
         self.interner.finish_sweep();
-        self.sweep_high_water = (self.interner.occupancy() * 2).max(INTERN_SWEEP_BASE);
+        self.swept_live = self.interner.occupancy();
+        self.sweep_high_water = (self.swept_live * 2).max(INTERN_SWEEP_BASE);
     }
 
     fn ia_entry(&mut self, general: NodeId) -> &mut InitiatorAccept {
@@ -1031,6 +1142,42 @@ impl<V: Value> Engine<V> {
         self.agr
             .get_or_insert_with(general, || Agreement::new(me, general, params))
             .corrupt_anchor(tau_g);
+    }
+
+    /// The protocol state as text: value ids resolved through the
+    /// interner, the decay bookkeeping (dues, sweep marks, counters) left
+    /// out. Engines that render alike answer every later call alike. For
+    /// the decay oracle.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn protocol_state(&self) -> String {
+        let (ctl, interner) = (&self.general_ctl, &self.interner);
+        let mut s = String::new();
+        let _ = writeln!(
+            s,
+            "last cleanup {:?}, sweep high water {}, last initiation {:?}, failed at {:?}",
+            self.last_cleanup, self.sweep_high_water, ctl.last_initiation, ctl.failed_at
+        );
+        for (id, t) in ctl.last_per_value.iter() {
+            let _ = writeln!(s, "ig2 {:?}: {t:?}", interner.show(id));
+        }
+        for c in &ctl.pending_checks {
+            let stages = (c.approve_ok, c.ready_ok, c.accept_ok);
+            let _ = writeln!(
+                s,
+                "ig3 {:?}: {:?} {stages:?}",
+                interner.show(c.value),
+                c.invoked_at
+            );
+        }
+        interner.render(&mut s);
+        for ia in self.ia.values() {
+            ia.render(interner, &mut s);
+        }
+        for agr in self.agr.values() {
+            agr.render(interner, &mut s);
+        }
+        s
     }
 }
 
@@ -1273,11 +1420,20 @@ mod tests {
         sends
     }
 
+    /// Each node's observed events, in delivery order.
+    type Events = Vec<(NodeId, Event<u64>)>;
+
     /// Runs a full fault-free agreement among 4 engines with a shared
     /// clock, advancing time by `step` per delivery wave.
-    fn run_fault_free() -> Vec<(NodeId, Event<u64>)> {
-        let p = params4();
-        let mut engines: Vec<Engine<u64>> = (0..4).map(|i| Engine::new(id(i), p)).collect();
+    fn run_fault_free() -> Events {
+        run_fault_free_with(params4()).1
+    }
+
+    /// [`run_fault_free`] for any membership; also returns the engines
+    /// and the instant the last wave landed.
+    fn run_fault_free_with(p: Params) -> (Vec<Engine<u64>>, Events, LocalTime) {
+        let mut engines: Vec<Engine<u64>> =
+            (0..p.n() as u32).map(|i| Engine::new(id(i), p)).collect();
         let mut ob = Outbox::new();
         let mut events = Vec::new();
         let t0 = t(0);
@@ -1314,7 +1470,7 @@ mod tests {
             next.dedup();
             wave = next;
         }
-        events
+        (engines, events, now)
     }
 
     #[test]
@@ -1335,6 +1491,56 @@ mod tests {
             .filter(|(_, e)| matches!(e, Event::IAccepted { .. }))
             .count();
         assert_eq!(iaccepts, 4);
+    }
+
+    /// After an n=7 agreement decides and resets, `2Δ_rmv` of idle ticks
+    /// every `d/2` open the cleanup gate on every second tick, yet each
+    /// instance still holding state is walked only at its few expiries.
+    #[test]
+    fn idle_ticks_walk_only_due_instances() {
+        let p = Params::from_d(7, 2, d(), 0).unwrap();
+        let (mut engines, events, mut now) = run_fault_free_with(p);
+        let decided = events
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::Decided { .. }))
+            .count();
+        assert_eq!(decided, 7, "{events:?}");
+        let mut ob = Outbox::new();
+        let mut tick_all = |engines: &mut [Engine<u64>], now: LocalTime| {
+            for e in engines {
+                e.on_tick(now, &mut ob);
+            }
+        };
+        // Ride out the 3d post-return reset and the pass that drops the
+        // reset agreement instances.
+        for _ in 0..10 {
+            now += d() / 2;
+            tick_all(&mut engines, now);
+        }
+        assert!(engines.iter().all(|e| e.agr.is_empty()));
+        // What still holds state: each node's Initiator-Accept instance
+        // for the General (its guards), and the General's own guards.
+        let holding = |e: &Engine<u64>| (e.ia.len() + usize::from(e.me == id(0))) as u64;
+        let before: Vec<u64> = engines.iter().map(|e| e.stats.decay_walks).collect();
+        let ticks = (p.delta_rmv() * 2u64).as_nanos() / (D / 2);
+        for _ in 0..ticks {
+            now += d() / 2;
+            tick_all(&mut engines, now);
+        }
+        for (e, before) in engines.iter().zip(before) {
+            let walks = e.stats.decay_walks - before;
+            assert!(
+                walks <= 6 * holding(e),
+                "{:?}: {walks} walks of {} instances over {} passes",
+                e.me,
+                holding(e),
+                ticks / 2
+            );
+            assert!(
+                e.ia(id(0)).unwrap().last_gm(&7).is_some(),
+                "still holds state"
+            );
+        }
     }
 
     #[test]
@@ -1488,6 +1694,39 @@ mod tests {
         call_tick(&mut e, later);
         call_tick(&mut e, later + p.delta_v() * 4u64);
         assert_eq!(e.interner().occupancy(), 0, "decayed value id reclaimed");
+    }
+
+    /// A clock that ran backwards turns recent stamps into future ones,
+    /// which every cleanup drops though no due has passed: the pass then
+    /// walks everything. Here an `[IG1]` stamp written 3d ahead of the
+    /// next tick must go, as it did when every pass walked everything.
+    #[test]
+    fn rewound_clock_walks_everything() {
+        let mut e: Engine<u64> = Engine::new(id(0), params4());
+        call_tick(&mut e, t(0));
+        call_initiate(&mut e, t(0) + d() * 5u64, 7).unwrap();
+        call_tick(&mut e, t(0) + d() * 2u64);
+        assert!(call_initiate(&mut e, t(0) + d() * 2u64, 8).is_ok());
+    }
+
+    /// A value interned by a message that leaves no state — here an
+    /// initiation block K refuses — is reclaimed at the next pass even
+    /// though no walk is due there: fresh ids alone call the sweep.
+    #[test]
+    fn fresh_unreferenced_id_is_swept_at_the_next_pass() {
+        let mut e: Engine<u64> = Engine::new(id(1), params4());
+        let initiator = |value| Msg::Initiator {
+            general: id(0),
+            value: Arc::new(value),
+        };
+        call_msg(&mut e, t(0), id(0), &initiator(7));
+        assert!(call_msg(&mut e, t(1), id(0), &initiator(9)).is_empty());
+        assert_eq!(e.interner().occupancy(), 2);
+        let walks = e.stats.decay_walks;
+        call_tick(&mut e, t(0) + d());
+        assert_eq!(e.stats.decay_walks, walks, "nothing was due");
+        assert_eq!(e.interner().lookup(&9), None, "9 reclaimed");
+        assert!(e.interner().lookup(&7).is_some());
     }
 
     #[test]

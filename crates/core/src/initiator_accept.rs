@@ -23,13 +23,15 @@
 //! [`ValueInterner`], interns each wire value once at its boundary and
 //! resolves ids back to values only when it emits outputs.
 
+use std::fmt::Write;
+
 use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
 use crate::corrupt::{Entropy, Garbage};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::IaKind;
 use crate::params::Params;
-use crate::store::{ArrivalLog, TimedVar};
+use crate::store::{ArrivalLog, Due, TimedVar};
 
 /// Actions produced by the primitive for the caller to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +152,8 @@ pub struct InitiatorAccept {
     last_g: TimedVar<LocalTime>,
     /// Times at which *this node* sent `(support, G, ·)` — line K1 window.
     own_support_times: Vec<LocalTime>,
+    /// When [`InitiatorAccept::cleanup`] can next change anything.
+    due: Due,
 }
 
 impl InitiatorAccept {
@@ -162,6 +166,7 @@ impl InitiatorAccept {
             values: ValueIdMap::new(),
             last_g: TimedVar::new(),
             own_support_times: Vec::new(),
+            due: Due::Never,
         }
     }
 
@@ -207,6 +212,8 @@ impl InitiatorAccept {
         st.i_value = Some(now - d);
         st.last_gm.set(now, now);
         st.touched = Some(now);
+        // The guard's history compaction is the nearest expiry set here.
+        self.due.lower(now + d * 2u64);
         self.send(now, IaKind::Support, value, out);
         self.evaluate(now, value, out);
     }
@@ -231,6 +238,7 @@ impl InitiatorAccept {
         let st = self.state_mut(now, value, interner);
         st.log_mut(kind).record(now, sender);
         st.touched = Some(now);
+        self.due.lower(now + self.params.delta_rmv());
         self.evaluate(now, value, out);
     }
 
@@ -243,6 +251,9 @@ impl InitiatorAccept {
         let Some(st) = self.values.get_mut(value) else {
             return;
         };
+        // Every line below that fires stamps last(G, m) at `now`; it is
+        // stamped once, after them.
+        let mut stamp_guard = false;
 
         // L1–L4 — one fused pass over the support log: the shortest
         // suffix window of ≤ 4d holding a weak quorum (L2 records
@@ -257,12 +268,12 @@ impl InitiatorAccept {
                 Some(cur) if cur.is_after(candidate) => cur,
                 _ => candidate,
             });
-            st.last_gm.set(now, now);
+            stamp_guard = true;
         }
         let mut send_approve = false;
         if support_2d >= strong {
             send_approve = true;
-            st.last_gm.set(now, now);
+            stamp_guard = true;
         }
         // M1–M4 — one fused pass over the approve log: weak quorum within
         // 5d arms the ready flag, strong quorum within 3d sends ready.
@@ -271,17 +282,23 @@ impl InitiatorAccept {
                 .distinct_in_nested_windows(now, d * 5u64, d * 3u64);
         if approve_5d >= weak {
             st.ready_at = Some(now);
-            st.last_gm.set(now, now);
+            stamp_guard = true;
         }
         let mut send_ready = false;
         if approve_3d >= strong {
             send_ready = true;
-            st.last_gm.set(now, now);
+            stamp_guard = true;
         }
         // N1/N2 — untimed: armed + weak quorum of readys ⇒ amplify.
         if st.ready_at.is_some() && st.ready.distinct_total() >= weak {
             send_ready = true;
+            stamp_guard = true;
+        }
+        if stamp_guard {
             st.last_gm.set(now, now);
+            // The guard's history compaction comes first: the estimate
+            // (at least `now − 6d`) and the ready flag are kept `Δ_rmv`.
+            self.due.lower(now + d * 2u64);
         }
         // N3/N4 — armed + strong quorum of readys ⇒ I-accept.
         let mut accept: Option<LocalTime> = None;
@@ -313,6 +330,7 @@ impl InitiatorAccept {
             st.ready.clear();
             st.ready_at = None;
             st.ignore_until = Some(now + d * 3u64);
+            self.due.lower(now + d * 3u64);
         }
         if let Some(tau_g) = accept {
             self.do_accept(now, value, tau_g, out);
@@ -340,6 +358,8 @@ impl InitiatorAccept {
         st.accepted_at = Some(now);
         st.last_gm.set(now, now);
         self.last_g.set(now, now);
+        // Clearing every estimate can leave other values dormant.
+        self.due = Due::Now;
         out.push(IaAction::Accepted { value, tau_g });
     }
 
@@ -377,6 +397,8 @@ impl InitiatorAccept {
                 });
                 if let Some((v, _)) = evict {
                     self.values.remove(v);
+                    // The evicted value's id is no longer referenced.
+                    self.due = Due::Now;
                 }
             }
             self.values.insert(value, ValueState::default());
@@ -401,16 +423,23 @@ impl InitiatorAccept {
             return;
         }
         *slot = Some(now);
-        if kind == IaKind::Support {
+        let kept = if kind == IaKind::Support {
             self.own_support_times.push(now);
-        }
+            gap * 2u64
+        } else {
+            self.params.delta_rmv()
+        };
+        self.due.lower(now + kept);
         out.push(IaAction::Send { kind, value });
     }
 
     /// Fig. 2 cleanup: decays every message, value and guard variable.
     /// Entries stamped in the future of `now` are treated as transient
-    /// residue and dropped.
-    pub fn cleanup(&mut self, now: LocalTime) {
+    /// residue and dropped. Recomputes the instance's due exactly, and
+    /// returns whether the walk dropped a value or was forced by a write
+    /// that did (either way, ids may have been released).
+    pub fn cleanup(&mut self, now: LocalTime) -> bool {
+        let forced = self.due == Due::Now;
         let p = self.params;
         let d = p.d();
         let rmv = p.delta_rmv();
@@ -441,37 +470,67 @@ impl InitiatorAccept {
             if expired(st.accepted_at, rmv) {
                 st.accepted_at = None;
             }
-            // last(G, m) expiry: > τq or < τq − (2Δ_rmv + 9d).
-            let gm_expiry = p.last_gm_expiry();
-            if expired(st.last_gm.get().copied(), gm_expiry) {
-                st.last_gm.clear(now);
-            }
-            st.last_gm.prune(now, gm_expiry + d * 2u64);
-            // Line K1 only ever queries the history at τq − d: superseded
-            // entries past 2d of lookback are dead weight minted at spam
-            // rate — compact them.
-            st.last_gm.compact_history(now, d * 2u64);
+            // last(G, m) expiry: > τq or < τq − (2Δ_rmv + 9d). Line K1
+            // only ever queries the history at τq − d: superseded entries
+            // past 2d of lookback are dead weight minted at spam rate —
+            // compact them.
+            st.last_gm.expire(now, p.last_gm_expiry(), d * 2u64);
             if expired(st.touched, rmv * 2u64 + d * 16u64) {
                 st.touched = None;
             }
         }
+        let tracked = self.values.len();
         self.values.retain(|_, st| !st.is_dormant());
         // last(G) expiry: > τq or < τq − (Δ0 − 6d).
-        if expired(self.last_g.get().copied(), p.last_g_expiry()) {
-            self.last_g.clear(now);
-        }
-        self.last_g.prune(now, p.last_g_expiry() + d * 2u64);
-        self.last_g.compact_history(now, d * 2u64);
+        self.last_g.expire(now, p.last_g_expiry(), d * 2u64);
         self.own_support_times
             .retain(|t| !t.is_after(now) && now.since(*t) <= d * 2u64);
+        self.due = self.next_due();
+        forced || self.values.len() < tracked
+    }
+
+    /// The exact due of the state as it stands, one term per decay rule
+    /// of [`InitiatorAccept::cleanup`] above.
+    fn next_due(&self) -> Due {
+        let p = self.params;
+        let (d, rmv) = (p.d(), p.delta_rmv());
+        let mut due = Due::Never;
+        for st in self.values.values() {
+            for log in [&st.support, &st.approve, &st.ready] {
+                log.lower_due(rmv, &mut due);
+            }
+            let stamps = [st.i_value, st.ready_at, st.accepted_at];
+            for t in stamps.into_iter().chain(st.sent).flatten() {
+                due.lower(t + rmv);
+            }
+            if let Some(until) = st.ignore_until {
+                due.lower(until);
+            }
+            st.last_gm.lower_due(p.last_gm_expiry(), d * 2u64, &mut due);
+            if let Some(t) = st.touched {
+                due.lower(t + rmv * 2u64 + d * 16u64);
+            }
+        }
+        self.last_g.lower_due(p.last_g_expiry(), d * 2u64, &mut due);
+        for &t in &self.own_support_times {
+            due.lower(t + d * 2u64);
+        }
+        due
+    }
+
+    /// When [`InitiatorAccept::cleanup`] can next change anything.
+    pub(crate) fn due(&self) -> Due {
+        self.due
     }
 
     /// Plants transient-fault residue: for each of [`PLANTED_VALUES`]
     /// fabricated values, coin-flipped `i_values`, `ready` and
     /// `last(G)`/`last(G, m)` stamps, then up to `n` bogus arrivals per
     /// stage log. Every stamp lies within `2Δ_rmv` of the scramble's
-    /// `now`, which [`InitiatorAccept::cleanup`] above must expire.
+    /// `now`, which [`InitiatorAccept::cleanup`] above must expire — from
+    /// the next pass on, since residue may be dormant or future-stamped.
     pub(crate) fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>) {
+        self.due = Due::Now;
         let n = self.params.n();
         for _ in 0..PLANTED_VALUES {
             let v = g.value();
@@ -529,6 +588,8 @@ impl InitiatorAccept {
         }
         self.own_support_times.clear();
         self.values.retain(|_, st| !st.is_dormant());
+        // The dropped values' ids are no longer referenced.
+        self.due = Due::Now;
     }
 
     /// The General clears all messages of previous invocations of its own
@@ -540,6 +601,8 @@ impl InitiatorAccept {
             st.ready.clear();
             st.ready_at = None;
         }
+        // A value that held only messages is dormant now.
+        self.due = Due::Now;
     }
 
     /// Marks every id this instance still references, for the engine's
@@ -547,6 +610,18 @@ impl InitiatorAccept {
     pub(crate) fn mark_live<V: Value>(&self, interner: &mut ValueInterner<V>) {
         for id in self.values.keys() {
             interner.mark(id);
+        }
+    }
+
+    /// Appends the protocol state, ids resolved, the due left out.
+    pub(crate) fn render<V: Value>(&self, interner: &ValueInterner<V>, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "ia {:?}: last_g {:?}, own support {:?}",
+            self.general, self.last_g, self.own_support_times
+        );
+        for (id, st) in self.values.iter() {
+            let _ = writeln!(out, "  {:?}: {st:?}", interner.show(id));
         }
     }
 

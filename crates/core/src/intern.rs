@@ -34,6 +34,7 @@
 //! reused, the id aliases the new occupant.
 
 use core::fmt;
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -395,6 +396,20 @@ impl<V: Value> ValueInterner<V> {
         self.slots.get(id.index()).and_then(|s| s.value.as_deref())
     }
 
+    /// `id` shown with the value it resolves to, for state dumps.
+    pub(crate) fn show(&self, id: ValueId) -> Shown<'_, V> {
+        Shown(id, self)
+    }
+
+    /// Appends the id ↔ value table and the free-list, whose order decides
+    /// the ids fresh values get.
+    pub(crate) fn render(&self, out: &mut String) {
+        for i in (0..self.slots.len()).filter(|&i| self.slots[i].value.is_some()) {
+            let _ = write!(out, "{:?} ", self.show(ValueId::from_index(i)));
+        }
+        let _ = writeln!(out, "free {:?}", self.free);
+    }
+
     /// Starts a mark/sweep cycle: clears all mark bits (the bit storage is
     /// retained across cycles, so steady-state sweeps do not allocate).
     /// Until the matching [`ValueInterner::finish_sweep`], any value
@@ -451,6 +466,18 @@ impl<V: Value> ValueInterner<V> {
 impl<V: Value> Default for ValueInterner<V> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// An id rendered as `v#i=value` (or `v#i=reclaimed`).
+pub(crate) struct Shown<'a, V>(ValueId, &'a ValueInterner<V>);
+
+impl<V: Value> fmt::Debug for Shown<'_, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1.get(self.0) {
+            Some(v) => write!(f, "{:?}={v:?}", self.0),
+            None => write!(f, "{:?}=reclaimed", self.0),
+        }
     }
 }
 

@@ -25,13 +25,15 @@
 //! Values are interned [`ValueId`]s, resolved by the owning
 //! [`Engine`](crate::Engine) only at output emission.
 
+use std::fmt::Write;
+
 use ssbyz_types::{DenseNodeMap, LocalTime, NodeId, Value};
 
 use crate::corrupt::{Entropy, Garbage};
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
 use crate::message::BcastKind;
 use crate::params::Params;
-use crate::store::StampLog;
+use crate::store::{Due, StampLog};
 
 /// Actions produced by the primitive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,6 +162,8 @@ pub struct MsgdBroadcast {
     /// Live [`TripletState`] count across all values (memory bound).
     triplet_count: usize,
     broadcasters: DenseNodeMap<LocalTime>,
+    /// When [`MsgdBroadcast::cleanup`] can next change anything.
+    due: Due,
 }
 
 impl MsgdBroadcast {
@@ -172,6 +176,7 @@ impl MsgdBroadcast {
             triplets: ValueIdMap::new(),
             triplet_count: 0,
             broadcasters: DenseNodeMap::with_capacity(params.n()),
+            due: Due::Never,
         }
     }
 
@@ -222,6 +227,7 @@ impl MsgdBroadcast {
         }
         st.sent[BcastKind::Init as usize] = true;
         st.touched = Some(now);
+        self.due.lower(now + self.params.msgd_horizon());
         out.push(MsgdAction::Send {
             kind: BcastKind::Init,
             broadcaster: self.me,
@@ -320,6 +326,14 @@ impl MsgdBroadcast {
                 BcastKind::Echo => st.echo.record(now, first),
                 BcastKind::InitPrime => st.init_prime.record(now, first),
                 BcastKind::EchoPrime => st.echo_prime.record(now, first),
+            }
+            if st.is_dormant() {
+                // An init relayed by anyone but the broadcaster records
+                // nothing: the fresh triplet is removable at once.
+                self.due = Due::Now;
+            } else {
+                // Every stamp of this wave is `now`.
+                self.due.lower(now + self.params.msgd_horizon());
             }
         }
         if let Some(anchor) = anchor {
@@ -480,6 +494,8 @@ impl MsgdBroadcast {
                 round,
             });
         }
+        // The stamps set here leave the due alone: they expire no sooner
+        // than the triplet's `touched`, which already bounds it.
     }
 
     /// Number of detected broadcasters (block T of the agreement).
@@ -502,8 +518,11 @@ impl MsgdBroadcast {
     }
 
     /// Fig. 3 cleanup: messages older than `(2f + 3)Φ` decay, as do
-    /// future-stamped residues.
-    pub fn cleanup(&mut self, now: LocalTime) {
+    /// future-stamped residues. Recomputes the due exactly, and returns
+    /// whether the walk dropped a triplet or a broadcaster or was forced
+    /// by a write that left a dormant triplet.
+    pub fn cleanup(&mut self, now: LocalTime) -> bool {
+        let forced = self.due == Due::Now;
         let horizon = self.params.msgd_horizon();
         let stale =
             |t: Option<LocalTime>| t.is_some_and(|t| t.is_after(now) || now.since(t) > horizon);
@@ -535,16 +554,49 @@ impl MsgdBroadcast {
             !per_value.is_empty()
         });
         self.triplet_count -= removed;
+        let detected = self.broadcasters.len();
         self.broadcasters
             .retain(|_, t| !t.is_after(now) && now.since(*t) <= horizon);
+        self.due = self.next_due();
+        forced || removed > 0 || self.broadcasters.len() < detected
+    }
+
+    /// The exact due of the state as it stands: every stamp above decays
+    /// at the one horizon.
+    fn next_due(&self) -> Due {
+        let horizon = self.params.msgd_horizon();
+        let mut due = Due::Never;
+        for per_value in self.triplets.values() {
+            for st in per_value.values().flat_map(|s| s.rounds.iter().flatten()) {
+                for t in [st.init_from_p, st.accepted_at, st.touched]
+                    .into_iter()
+                    .flatten()
+                {
+                    due.lower(t + horizon);
+                }
+                for log in [&st.echo, &st.init_prime, &st.echo_prime] {
+                    log.lower_due(horizon, &mut due);
+                }
+            }
+        }
+        for (_, &t) in self.broadcasters.iter() {
+            due.lower(t + horizon);
+        }
+        due
+    }
+
+    /// When [`MsgdBroadcast::cleanup`] can next change anything.
+    pub(crate) fn due(&self) -> Due {
+        self.due
     }
 
     /// Plants transient-fault residue for `value`: up to three bogus
     /// triplet arrivals and a coin-flipped fake broadcaster. Every stamp
     /// lies within `2Δ_rmv` of the scramble's `now`, which
-    /// [`MsgdBroadcast::cleanup`] above must expire. Returns whether
-    /// anything was planted.
+    /// [`MsgdBroadcast::cleanup`] above must expire, from the next pass
+    /// on. Returns whether anything was planted.
     pub(crate) fn plant<V: Value>(&mut self, g: &mut Garbage<'_, V>, value: &V) -> bool {
+        self.due = Due::Now;
         let (n, f) = (self.params.n(), self.params.f() as u64);
         let triplets = g.below(4);
         for _ in 0..triplets {
@@ -595,6 +647,7 @@ impl MsgdBroadcast {
         self.triplets.clear();
         self.triplet_count = 0;
         self.broadcasters.clear();
+        self.due = Due::Never;
     }
 
     /// Marks every id this instance still references, for the engine's
@@ -602,6 +655,18 @@ impl MsgdBroadcast {
     pub(crate) fn mark_live<V: Value>(&self, interner: &mut ValueInterner<V>) {
         for id in self.triplets.keys() {
             interner.mark(id);
+        }
+    }
+
+    /// Appends the protocol state, ids resolved, the due left out.
+    pub(crate) fn render<V: Value>(&self, interner: &ValueInterner<V>, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "  msgd: {} triplets, broadcasters {:?}",
+            self.triplet_count, self.broadcasters
+        );
+        for (id, per_value) in self.triplets.iter() {
+            let _ = writeln!(out, "    {:?}: {per_value:?}", interner.show(id));
         }
     }
 

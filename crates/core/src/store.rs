@@ -13,6 +13,10 @@
 //!   cumulative (untimed) `msgd-broadcast` counts.
 //! * [`TimedVar`] — a variable with a change history, answering *"what was
 //!   the value at τq − d?"* (needed by line K1 of `Initiator-Accept`).
+//!
+//! Each container can also lower a `Due` to the earliest instant its
+//! decay could change it, which lets the engine's periodic cleanup skip
+//! everything that cannot expire yet.
 
 use std::collections::VecDeque;
 
@@ -459,6 +463,16 @@ impl ArrivalLog {
         self.occupied.insert(sender);
     }
 
+    /// Lowers `due` to the first instant [`ArrivalLog::prune`] with this
+    /// `retention` would drop a retained arrival.
+    pub(crate) fn lower_due(&self, retention: Duration, due: &mut Due) {
+        for s in self.occupied.iter() {
+            for &t in self.slots[s.index()].times() {
+                due.lower(t + retention);
+            }
+        }
+    }
+
     fn slot_mut(&mut self, sender: NodeId) -> &mut ArrivalSlot {
         if sender.index() >= self.slots.len() {
             self.slots
@@ -566,6 +580,14 @@ impl StampLog {
     /// state-corruption harness to model transient faults.
     pub fn inject_raw(&mut self, sender: NodeId, t: LocalTime) {
         self.record(t, sender);
+    }
+
+    /// Lowers `due` to the first instant [`StampLog::prune`] with this
+    /// `retention` would drop a sender.
+    pub(crate) fn lower_due(&self, retention: Duration, due: &mut Due) {
+        for s in self.occupied.iter() {
+            due.lower(self.stamps[s.index()] + retention);
+        }
     }
 }
 
@@ -821,6 +843,78 @@ impl<T: Clone> TimedVar<T> {
     /// harness to model transient faults.
     pub fn inject_raw(&mut self, at: LocalTime, v: Option<T>) {
         self.history.push_back((at, v));
+    }
+}
+
+impl TimedVar<LocalTime> {
+    /// Decays a guard whose value is a local time (the `last(G)` and
+    /// `last(G, m)` cleanup of Fig. 2): clears it once the value is older
+    /// than `expiry`, then drops the history no query reaches — changes
+    /// superseded more than `lookback` ago, and a cleared variable that has
+    /// been ⊥ for `expiry + lookback`.
+    pub(crate) fn expire(&mut self, now: LocalTime, expiry: Duration, lookback: Duration) {
+        if self
+            .get()
+            .is_some_and(|v| v.is_after(now) || now.since(*v) > expiry)
+        {
+            self.clear(now);
+        }
+        self.prune(now, expiry + lookback);
+        self.compact_history(now, lookback);
+    }
+
+    /// Lowers `due` to the first instant [`TimedVar::expire`] with the same
+    /// spans would change the variable.
+    pub(crate) fn lower_due(&self, expiry: Duration, lookback: Duration, due: &mut Due) {
+        if let Some(&(t, _)) = self.history.get(1) {
+            due.lower(t + lookback);
+        }
+        match self.history.back() {
+            Some(&(_, Some(v))) => due.lower(v + expiry),
+            Some(&(t, None)) if self.history.len() == 1 => due.lower(t + expiry + lookback),
+            _ => {}
+        }
+    }
+}
+
+/// A lower bound on the earliest local time at which a structure's
+/// cleanup could change anything — what lets the periodic decay pass walk
+/// only the structures that are due.
+///
+/// Every write lowers it: a stamp `t` kept for `horizon` lowers it to
+/// `t + horizon`. A write that leaves dormant or removable state, drops
+/// value references or stamps the future sets it to [`Due::Now`]. A full
+/// cleanup walk recomputes it exactly. The bound assumes no stamp lies in
+/// the future of the instant it is checked at; the engine walks
+/// everything when its clock runs backwards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Due {
+    /// Nothing held can expire.
+    #[default]
+    Never,
+    /// Nothing can expire before this instant.
+    At(LocalTime),
+    /// The next pass must walk.
+    Now,
+}
+
+impl Due {
+    /// Lowers the bound to `at`.
+    pub(crate) fn lower(&mut self, at: LocalTime) {
+        match *self {
+            Due::At(cur) if !cur.is_after(at) => {}
+            Due::Now => {}
+            _ => *self = Due::At(at),
+        }
+    }
+
+    /// Whether a pass at `now` must walk.
+    pub(crate) fn reached(self, now: LocalTime) -> bool {
+        match self {
+            Due::Never => false,
+            Due::At(at) => now.is_at_or_after(at),
+            Due::Now => true,
+        }
     }
 }
 
@@ -1083,6 +1177,51 @@ mod tests {
         v.prune(t(10_000), dur(50));
         // A long-cleared variable decays back to fresh.
         assert!(v.is_fresh());
+    }
+
+    /// `lower_due` is tight for `expire`: a stamp expires once it is
+    /// *more* than its span old, so the call at the bound leaves the
+    /// variable alone and the next nanosecond changes it — through the
+    /// history compaction, the value expiry and the final ⊥ removal.
+    #[test]
+    fn timed_var_due_is_tight_for_expire() {
+        let (expiry, lookback) = (dur(100), dur(20));
+        let mut v: TimedVar<LocalTime> = TimedVar::new();
+        v.set(t(1_000), t(1_000));
+        v.set(t(1_010), t(1_010));
+        let mut changes = Vec::new();
+        for _ in 0..4 {
+            let mut due = Due::Never;
+            v.lower_due(expiry, lookback, &mut due);
+            let Due::At(at) = due else { break };
+            let before = v.clone();
+            v.expire(at, expiry, lookback);
+            assert_eq!(v, before, "changed at {at:?}");
+            v.expire(at + dur(1), expiry, lookback);
+            assert_ne!(v, before, "unchanged past {at:?}");
+            changes.push(at.as_nanos());
+        }
+        // Compaction at 1010 + 20, value expiry at 1010 + 100, compaction
+        // of the clear at 1111 + 20, ⊥ removal at 1111 + 120.
+        assert_eq!(changes, [1_030, 1_110, 1_131, 1_231]);
+        assert!(v.is_fresh());
+    }
+
+    #[test]
+    fn due_lowers_and_is_reached() {
+        let mut due = Due::Never;
+        assert!(!due.reached(t(0)));
+        due.lower(t(50));
+        due.lower(t(70));
+        assert_eq!(due, Due::At(t(50)));
+        assert!(!due.reached(t(49)) && due.reached(t(50)));
+        due = Due::Now;
+        due.lower(t(10));
+        assert!(due.reached(t(0)));
+        // Across the wrap the earlier instant still wins.
+        let mut wrapped = Due::At(LocalTime::from_nanos(5));
+        wrapped.lower(LocalTime::from_nanos(u64::MAX - 5));
+        assert_eq!(wrapped, Due::At(LocalTime::from_nanos(u64::MAX - 5)));
     }
 
     #[test]

@@ -321,6 +321,61 @@ fn accepted_broadcast_allocations_are_bounded() {
     );
 }
 
+/// Idle ticks — the periodic cleanup with nothing arriving — perform
+/// zero heap allocations across a whole decay: the post-return reset,
+/// the walks at each expiry, and the sweep that reclaims the decided
+/// value's id.
+#[test]
+fn idle_ticks_are_allocation_free() {
+    let p = params(4, 1);
+    let g = NodeId::new(0);
+    let mut engine: Engine<u64> = Engine::new(NodeId::new(1), p);
+    let mut ob: Outbox<u64> = Outbox::new();
+    let mut t = 8_000_000_000_000u64;
+    // One execution of General 0 at node 1: the initiation, then full
+    // support, approve and ready waves; the node decides by block R.
+    let execution = |engine: &mut Engine<u64>, ob: &mut Outbox<u64>, t: &mut u64| {
+        let init = Msg::Initiator {
+            general: g,
+            value: Arc::new(7u64),
+        };
+        engine.on_message_ref(LocalTime::from_nanos(*t), g, &init, ob);
+        for kind in IaKind::ALL {
+            let msg = Msg::Ia {
+                kind,
+                general: g,
+                value: Arc::new(7u64),
+            };
+            *t += D / 4;
+            for s in 0..4 {
+                engine.on_message_ref(LocalTime::from_nanos(*t), NodeId::new(s), &msg, ob);
+            }
+        }
+        assert!(engine.agreement(g).is_some_and(|a| a.has_returned()));
+    };
+    // Ticks every d/2 for long enough that everything decays.
+    let idle = |engine: &mut Engine<u64>, ob: &mut Outbox<u64>, t: &mut u64| {
+        for _ in 0..p.delta_rmv().as_nanos() * 12 / D {
+            *t += D / 2;
+            engine.on_tick(LocalTime::from_nanos(*t), ob);
+        }
+    };
+    // Warm-up: one execution decays completely, so every buffer the
+    // decay touches reaches its capacity and the id's slot is recycled.
+    execution(&mut engine, &mut ob, &mut t);
+    idle(&mut engine, &mut ob, &mut t);
+    assert_eq!(engine.interner().occupancy(), 0);
+    execution(&mut engine, &mut ob, &mut t);
+    let walks = engine.dispatch_stats().decay_walks;
+    let (allocs, _) = count_allocs(|| idle(&mut engine, &mut ob, &mut t));
+    assert!(
+        engine.dispatch_stats().decay_walks > walks,
+        "the window walks"
+    );
+    assert_eq!(engine.interner().occupancy(), 0, "and reclaims the id");
+    assert_eq!(allocs, 0, "idle ticks must be allocation-free");
+}
+
 /// The coalesced wave path: after warm-up, a full-membership duplicate
 /// echo storm through `Engine::on_wave_ref` — three triplets relayed by
 /// all seven senders, sender-major, so the grouping pass does real work

@@ -24,6 +24,11 @@
 //!
 //! What still has a code oracle:
 //!
+//! * the decay pass ≡ the full walk it replaced — the `decay_oracle_*`
+//!   tests force both on clones before and after every call of every
+//!   shape above, scrambled ones included, and require the same protocol
+//!   state: each instance whose due has not passed would be a no-op to
+//!   walk;
 //! * `Engine<Collide>` ≡ `Engine<u64>` — [`Collide`] hashes to one bit, so
 //!   every intern and lookup walks a probe chain and equality, not
 //!   hashing, must be what tells values apart;
@@ -149,6 +154,8 @@ struct Driven<V: Value, M> {
     now: u64,
     history: Vec<(NodeId, Msg<V>)>,
     make: M,
+    /// Run the decay oracle before and after every call.
+    oracle: bool,
 }
 
 impl<V: Value, M: Fn(u64) -> V> Driven<V, M> {
@@ -160,7 +167,25 @@ impl<V: Value, M: Fn(u64) -> V> Driven<V, M> {
             now: 1_000_000_000_000,
             history: Vec::new(),
             make,
+            oracle: false,
         }
+    }
+
+    /// The decay oracle: the engine's due-gated decay pass and the full
+    /// walk it replaces, both forced at `now` on clones, must leave the
+    /// same protocol state — every walk the dues skip is a no-op.
+    fn check_decay(&self, now: LocalTime) {
+        if !self.oracle {
+            return;
+        }
+        let (mut gated, mut full) = (self.engine.clone(), self.engine.clone());
+        gated.force_decay(now, false);
+        full.force_decay(now, true);
+        assert_eq!(
+            gated.protocol_state(),
+            full.protocol_state(),
+            "a skipped decay walk at {now:?} was not a no-op"
+        );
     }
 
     /// Applies one op and returns the `Debug` rendering of the call's
@@ -168,9 +193,16 @@ impl<V: Value, M: Fn(u64) -> V> Driven<V, M> {
     /// replay yet).
     fn step(&mut self, raw: RawOp) -> Option<String> {
         let dt = raw.5;
+        let op = decode(raw, &self.make);
         self.now += dt;
+        if let Op::JumpTick { factor } = op {
+            // Long silence: decay horizons expire, the cleanup runs and
+            // the interner sweep reclaims every id whose state decayed.
+            self.now += dt.saturating_mul(factor * 50);
+        }
         let t = LocalTime::from_nanos(self.now);
-        let result = match decode(raw, &self.make) {
+        self.check_decay(t);
+        let result = match op {
             Op::Deliver { sender, msg } => {
                 self.engine.on_message_ref(t, sender, &msg, &mut self.ob);
                 self.history.push((sender, msg));
@@ -184,7 +216,7 @@ impl<V: Value, M: Fn(u64) -> V> Driven<V, M> {
                 self.engine.on_message_ref(t, *sender, msg, &mut self.ob);
                 format!("{:?}", self.ob.outputs())
             }
-            Op::Tick => {
+            Op::Tick | Op::JumpTick { .. } => {
                 self.engine.on_tick(t, &mut self.ob);
                 format!("{:?}", self.ob.outputs())
             }
@@ -199,15 +231,8 @@ impl<V: Value, M: Fn(u64) -> V> Driven<V, M> {
                     }));
                 format!("{:?}", admitted.map(|()| self.ob.outputs()))
             }
-            Op::JumpTick { factor } => {
-                // Long silence: decay horizons expire, the cleanup runs and
-                // the interner sweep reclaims every id whose state decayed.
-                self.now += dt.saturating_mul(factor * 50);
-                self.engine
-                    .on_tick(LocalTime::from_nanos(self.now), &mut self.ob);
-                format!("{:?}", self.ob.outputs())
-            }
         };
+        self.check_decay(t);
         // The value alphabet has a handful of members: interning must never
         // mint more live ids than that, nor the staging arenas leak.
         let live = self.engine.interner().occupancy();
@@ -390,6 +415,78 @@ proptest! {
     #[test]
     fn recorded_scrambled_n4(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 24)) {
         assert_scrambled_engine_reproduces(0xce88_e96a_0a63_684c, (0, 4, 1), seqs);
+    }
+}
+
+/// Runs every sequence with the decay oracle on (see
+/// [`Driven::check_decay`]). With `scrambled`, sequence `i` starts from
+/// an engine scrambled with entropy seed `i + 1` and is scrambled again
+/// halfway, over live instances, so planted residue — dormant,
+/// future-stamped, unreferenced — decays under the oracle too.
+fn assert_skipped_decay_walks_are_no_ops<V: Value>(
+    (me, n, f): (u32, usize, usize),
+    seqs: Vec<Vec<RawOp>>,
+    make: impl Fn(u64) -> V + Copy,
+    scrambled: bool,
+) {
+    for (i, ops) in seqs.into_iter().enumerate() {
+        let mut driven = Driven::new(me, n, f, make);
+        driven.oracle = true;
+        let mut entropy = xorshift(i as u64 + 1);
+        let half = if scrambled { ops.len() / 2 } else { usize::MAX };
+        for (k, raw) in ops.into_iter().enumerate() {
+            if k == 0 && scrambled || k == half {
+                let now = LocalTime::from_nanos(driven.now);
+                driven
+                    .engine
+                    .scramble(now, &mut entropy, &mut |e| make(e.next_u64() % 8));
+            }
+            driven.step(raw);
+        }
+    }
+}
+
+// The decay oracle over every traffic shape above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn decay_oracle_n7(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 24)) {
+        assert_skipped_decay_walks_are_no_ops((3, 7, 2), seqs, |v| v, false);
+    }
+
+    #[test]
+    fn decay_oracle_n7_colliding(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 12)) {
+        assert_skipped_decay_walks_are_no_ops((3, 7, 2), seqs, Collide, false);
+    }
+
+    #[test]
+    fn decay_oracle_n4(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 24)) {
+        assert_skipped_decay_walks_are_no_ops((0, 4, 1), seqs, |v| v, false);
+    }
+
+    #[test]
+    fn decay_oracle_duplicate_spam(
+        seqs in prop::collection::vec(prop::collection::vec(DUPLICATE_SPAM, 1..400), 12),
+    ) {
+        assert_skipped_decay_walks_are_no_ops((1, 4, 1), seqs, |v| v, false);
+    }
+
+    #[test]
+    fn decay_oracle_spam_and_decay_colliding(
+        seqs in prop::collection::vec(prop::collection::vec(SPAM_AND_DECAY, 1..400), 24),
+    ) {
+        assert_skipped_decay_walks_are_no_ops((1, 4, 1), seqs, Collide, false);
+    }
+
+    #[test]
+    fn decay_oracle_scrambled_n7(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 24)) {
+        assert_skipped_decay_walks_are_no_ops((3, 7, 2), seqs, |v| v, true);
+    }
+
+    #[test]
+    fn decay_oracle_scrambled_n4(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 24)) {
+        assert_skipped_decay_walks_are_no_ops((0, 4, 1), seqs, |v| v, true);
     }
 }
 

@@ -66,8 +66,9 @@ pub trait Client<S: SansIo>: Send + 'static {
 /// deliveries and timers into machine calls, and the machine's effects
 /// into sends, timers and observations.
 ///
-/// The driver keeps a periodic tick (default `d`) so cleanup and
-/// deadline blocks run even when no messages arrive, and honours each
+/// The driver keeps a periodic tick (every `tick`; scenarios default to
+/// 10 ms, just under their `d`) so cleanup and deadline blocks run even
+/// when no messages arrive, and honours each
 /// `WakeAt` with a [`TOKEN_WAKE`] timer. It owns one pooled output
 /// buffer for the life of the node, so a suppressed delivery under
 /// Byzantine spam performs zero heap allocations.

@@ -44,7 +44,10 @@ pub struct ScenarioConfig {
     pub actual_min: Duration,
     /// Upper end of the actual link delays.
     pub actual_max: Duration,
-    /// Engine tick period (defaults to `d`).
+    /// Engine tick period. Defaults to a fixed 10 ms, just under the
+    /// default `d` of 10.001 ms, so the engine's cleanup gate (at least
+    /// `d` since the last pass) opens on every second idle tick. The value
+    /// stays: changing it would move every recorded trace.
     pub tick: Duration,
     /// Max random clock boot-reading offset (models lost synchrony).
     pub clock_skew_max: Duration,
