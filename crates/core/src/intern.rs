@@ -7,14 +7,15 @@
 //! `InitiatorAccept::values`, `MsgdBroadcast::triplets`,
 //! `Agreement::accepted` and the General-side `last_per_value` guard.
 //!
-//! [`ValueInterner`] removes those walks: a value is hashed **once** at the
+//! [`ValueInterner`] removes those walks: a value is hashed only at the
 //! engine boundary ([`Engine::on_message_ref`](crate::Engine::on_message_ref)
-//! / [`Engine::initiate`](crate::Engine::initiate)) and mapped to a dense
-//! [`ValueId`]; every per-value table downstream is a [`ValueIdMap`] — a
-//! flat slot vector indexed by the id — so the per-delivery value lookup is
-//! an array index. The arena holds each value behind an [`Arc`]: inbound
-//! wire payloads (already `Arc`-shared) enter via
-//! [`ValueInterner::intern_shared`] as a reference bump even on first
+//! / [`Engine::initiate`](crate::Engine::initiate)), one `HashMap` lookup,
+//! and mapped to a dense [`ValueId`]; every per-value table downstream is a
+//! [`ValueIdMap`] — a flat slot vector indexed by the id — so the
+//! per-delivery value lookup is an array index. The arena holds each value
+//! behind an [`Arc`], and the map's key is a second handle on the same
+//! `Arc`: inbound wire payloads (already `Arc`-shared) enter via
+//! [`ValueInterner::intern_shared`] as reference bumps even on first
 //! sight, and output emission resolves ids back to shared handles via
 //! [`ValueInterner::resolve_shared`] — the payload bytes are never copied
 //! on either edge of the engine.
@@ -34,21 +35,22 @@
 //! reused, the id aliases the new occupant.
 
 use core::fmt;
+use std::collections::HashMap;
 use std::fmt::Write;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ssbyz_types::Value;
 
 /// A deterministic multiply-fold hasher (the Firefox/rustc "Fx" scheme).
 ///
-/// Interning must be deterministic run-to-run (the simulator and the
-/// corruption harness both rely on reproducible engine state), which rules
-/// out randomly-keyed hashing — and an unkeyed SipHash buys no adversarial
-/// collision resistance while costing several nanoseconds per probe on the
-/// per-delivery path. Adversarially colliding values degrade a lookup to a
-/// probe-chain walk whose length is bounded by the interner occupancy,
-/// which the sweep and the per-instance state caps already bound.
+/// The arena, not the map, hands out ids, so the hasher decides no engine
+/// state; a fixed one keeps each run's costs reproducible as well. A keyed
+/// SipHash would resist crafted collisions, but costs several nanoseconds
+/// per lookup on the per-delivery path. Adversarially colliding values
+/// degrade a lookup to a walk over the colliding entries, bounded by the
+/// interner occupancy, which the sweep and the per-instance state caps
+/// already bound.
 #[derive(Default)]
 struct FxHasher {
     hash: u64,
@@ -145,23 +147,8 @@ impl fmt::Debug for ValueId {
     }
 }
 
-/// One arena slot: the value (held behind an [`Arc`] so emission can hand
-/// out shared handles without deep-copying) and its cached hash (for cheap
-/// probing and in-place table rebuilds).
-#[derive(Debug, Clone)]
-struct Slot<V> {
-    value: Option<Arc<V>>,
-    hash: u64,
-}
-
-/// Sentinel for an empty hash-table bucket.
-const EMPTY: u32 = u32::MAX;
-
-/// Initial bucket count (power of two).
-const MIN_TABLE: usize = 16;
-
-/// Interns values of one node's execution: `V → ValueId` by hash probe,
-/// `ValueId → V` by array index.
+/// Interns values of one node's execution: `V → ValueId` by hash-map
+/// lookup, `ValueId → V` by array index.
 ///
 /// # Example
 ///
@@ -178,13 +165,13 @@ const MIN_TABLE: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ValueInterner<V> {
-    slots: Vec<Slot<V>>,
+    /// The arena: each value behind an [`Arc`], so emission hands out
+    /// shared handles without deep-copying; `None` once reclaimed.
+    slots: Vec<Option<Arc<V>>>,
     /// Reclaimed slot indices.
     free: Vec<u32>,
-    /// Open-addressed bucket array of slot indices; linear probing.
-    table: Vec<u32>,
-    /// Live (occupied) slot count.
-    live: usize,
+    /// Every live value's id, keyed by a handle on the arena's own `Arc`.
+    ids: HashMap<Arc<V>, ValueId, BuildHasherDefault<FxHasher>>,
     /// Mark bits for the current sweep, one per slot.
     marks: Vec<u64>,
     /// Whether a mark/sweep cycle is open ([`ValueInterner::begin_sweep`]
@@ -201,8 +188,7 @@ impl<V: Value> ValueInterner<V> {
         ValueInterner {
             slots: Vec::new(),
             free: Vec::new(),
-            table: vec![EMPTY; MIN_TABLE],
-            live: 0,
+            ids: HashMap::default(),
             // Pre-size one sweep word so the very first post-intern sweep
             // (which may land inside an allocation-counted window) does
             // not have to grow the bit storage.
@@ -214,7 +200,7 @@ impl<V: Value> ValueInterner<V> {
     /// Number of live interned values.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.live
+        self.ids.len()
     }
 
     /// Total arena slots ever allocated (live + reclaimed). The plateau of
@@ -225,30 +211,19 @@ impl<V: Value> ValueInterner<V> {
         self.slots.len()
     }
 
-    fn hash_of(value: &V) -> u64 {
-        let mut h = FxHasher::default();
-        value.hash(&mut h);
-        h.finish()
-    }
-
     /// Looks `value` up without interning it.
     #[must_use]
     pub fn lookup(&self, value: &V) -> Option<ValueId> {
-        self.probe(value).ok()
+        self.ids.get(value).copied()
     }
 
     /// Interns `value`, cloning it into a fresh `Arc` in the arena only on
-    /// first sight. Repeat interning of a live value is a pure hash probe:
-    /// no clone, no allocation.
+    /// first sight. Repeat interning of a live value is a pure hash
+    /// lookup: no clone, no allocation.
     pub fn intern(&mut self, value: &V) -> ValueId {
-        match self.probe(value) {
-            Ok(id) => {
-                if self.in_sweep {
-                    self.mark(id);
-                }
-                id
-            }
-            Err((bucket, hash)) => self.place(Arc::new(value.clone()), hash, bucket),
+        match self.hit(value) {
+            Some(id) => id,
+            None => self.place(Arc::new(value.clone())),
         }
     }
 
@@ -258,58 +233,37 @@ impl<V: Value> ValueInterner<V> {
     /// messages carry `Arc<V>` payloads, so even a brand-new value enters
     /// the arena without copying its bytes.
     pub fn intern_shared(&mut self, value: &Arc<V>) -> ValueId {
-        match self.probe(value) {
-            Ok(id) => {
-                if self.in_sweep {
-                    self.mark(id);
-                }
-                id
-            }
-            Err((bucket, hash)) => self.place(Arc::clone(value), hash, bucket),
+        match self.hit(value) {
+            Some(id) => id,
+            None => self.place(Arc::clone(value)),
         }
     }
 
-    /// Probes the bucket array for `value`: the id on a hit, the insertion
-    /// bucket plus the content hash on a miss (so first sight — the one
-    /// path where hashing a heavyweight payload twice would hurt — hashes
-    /// exactly once).
-    fn probe(&self, value: &V) -> Result<ValueId, (usize, u64)> {
-        let hash = Self::hash_of(value);
-        let mask = self.table.len() - 1;
-        let mut bucket = (hash as usize) & mask;
-        loop {
-            let e = self.table[bucket];
-            if e == EMPTY {
-                return Err((bucket, hash));
-            }
-            let slot = &self.slots[e as usize];
-            if slot.hash == hash && slot.value.as_deref() == Some(value) {
-                return Ok(ValueId(e));
-            }
-            bucket = (bucket + 1) & mask;
+    /// Looks `value` up; a hit inside an open sweep marks it.
+    fn hit(&mut self, value: &V) -> Option<ValueId> {
+        let id = self.lookup(value)?;
+        if self.in_sweep {
+            self.mark(id);
         }
+        Some(id)
     }
 
     /// Places a missed value in a reclaimed or fresh slot.
-    fn place(&mut self, shared: Arc<V>, hash: u64, bucket: usize) -> ValueId {
+    fn place(&mut self, shared: Arc<V>) -> ValueId {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
-                debug_assert!(slot.value.is_none(), "free-list slot still occupied");
-                slot.value = Some(shared);
-                slot.hash = hash;
+                debug_assert!(slot.is_none(), "free-list slot still occupied");
+                *slot = Some(Arc::clone(&shared));
                 idx
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("intern arena exceeds u32 slots");
-                self.slots.push(Slot {
-                    value: Some(shared),
-                    hash,
-                });
+                self.slots.push(Some(Arc::clone(&shared)));
                 idx
             }
         };
-        self.live += 1;
+        self.ids.insert(shared, ValueId(idx));
         if self.in_sweep {
             // Interned mid-sweep: the caller holds this id, so the open
             // cycle must treat it as live. Auto-mark it (growing the bit
@@ -321,40 +275,7 @@ impl<V: Value> ValueInterner<V> {
             }
             self.marks[i / 64] |= 1u64 << (i % 64);
         }
-        if self.live * 2 > self.table.len() {
-            // The rebuild re-inserts every occupied slot, the fresh one
-            // included (its value is already in place).
-            self.grow_table();
-        } else {
-            self.table[bucket] = idx;
-        }
         ValueId(idx)
-    }
-
-    fn insert_bucket(&mut self, hash: u64, idx: u32) {
-        let mask = self.table.len() - 1;
-        let mut bucket = (hash as usize) & mask;
-        while self.table[bucket] != EMPTY {
-            bucket = (bucket + 1) & mask;
-        }
-        self.table[bucket] = idx;
-    }
-
-    /// Rebuilds the bucket array at `len` buckets, re-inserting every
-    /// occupied slot from its cached hash. Allocation-free when `len`
-    /// matches the current capacity (the array is reused in place).
-    fn rebuild_table(&mut self, len: usize) {
-        self.table.clear();
-        self.table.resize(len, EMPTY);
-        for i in 0..self.slots.len() {
-            if self.slots[i].value.is_some() {
-                self.insert_bucket(self.slots[i].hash, i as u32);
-            }
-        }
-    }
-
-    fn grow_table(&mut self) {
-        self.rebuild_table((self.table.len() * 2).max(MIN_TABLE));
     }
 
     /// Resolves an id to the interned value.
@@ -366,7 +287,6 @@ impl<V: Value> ValueInterner<V> {
     #[must_use]
     pub fn resolve(&self, id: ValueId) -> &V {
         self.slots[id.index()]
-            .value
             .as_deref()
             .expect("stale ValueId: slot was reclaimed")
     }
@@ -384,7 +304,6 @@ impl<V: Value> ValueInterner<V> {
     pub fn resolve_shared(&self, id: ValueId) -> Arc<V> {
         Arc::clone(
             self.slots[id.index()]
-                .value
                 .as_ref()
                 .expect("stale ValueId: slot was reclaimed"),
         )
@@ -393,7 +312,7 @@ impl<V: Value> ValueInterner<V> {
     /// Non-panicking [`ValueInterner::resolve`].
     #[must_use]
     pub fn get(&self, id: ValueId) -> Option<&V> {
-        self.slots.get(id.index()).and_then(|s| s.value.as_deref())
+        self.slots.get(id.index()).and_then(|s| s.as_deref())
     }
 
     /// `id` shown with the value it resolves to, for state dumps.
@@ -404,7 +323,7 @@ impl<V: Value> ValueInterner<V> {
     /// Appends the id ↔ value table and the free-list, whose order decides
     /// the ids fresh values get.
     pub(crate) fn render(&self, out: &mut String) {
-        for i in (0..self.slots.len()).filter(|&i| self.slots[i].value.is_some()) {
+        for i in (0..self.slots.len()).filter(|&i| self.slots[i].is_some()) {
             let _ = write!(out, "{:?} ", self.show(ValueId::from_index(i)));
         }
         let _ = writeln!(out, "free {:?}", self.free);
@@ -413,7 +332,7 @@ impl<V: Value> ValueInterner<V> {
     /// Starts a mark/sweep cycle: clears all mark bits (the bit storage is
     /// retained across cycles, so steady-state sweeps do not allocate).
     /// Until the matching [`ValueInterner::finish_sweep`], any value
-    /// interned (first sight *or* probe hit) is auto-marked — an in-flight
+    /// interned (first sight *or* lookup hit) is auto-marked — an in-flight
     /// sweep never reclaims an id handed out inside its own window.
     pub fn begin_sweep(&mut self) {
         debug_assert!(!self.in_sweep, "begin_sweep with a sweep already open");
@@ -431,33 +350,30 @@ impl<V: Value> ValueInterner<V> {
     pub fn mark(&mut self, id: ValueId) {
         let i = id.index();
         debug_assert!(
-            self.slots.get(i).is_some_and(|s| s.value.is_some()),
+            self.slots.get(i).is_some_and(Option::is_some),
             "marking a reclaimed ValueId"
         );
         self.marks[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Reclaims every live slot left unmarked since
-    /// [`ValueInterner::begin_sweep`]: the value is dropped and the index
-    /// pushed onto the free-list. Returns the number of reclaimed slots.
+    /// [`ValueInterner::begin_sweep`]: the value and its map entry are
+    /// dropped and the index pushed onto the free-list, in ascending slot
+    /// order (which decides the ids fresh values get). Returns the number
+    /// of reclaimed slots.
     pub fn finish_sweep(&mut self) -> usize {
         debug_assert!(self.in_sweep, "finish_sweep without begin_sweep");
         self.in_sweep = false;
         let mut removed = 0usize;
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.value.is_some() && self.marks[i / 64] & (1u64 << (i % 64)) == 0 {
-                slot.value = None;
+            if self.marks[i / 64] & (1u64 << (i % 64)) != 0 {
+                continue;
+            }
+            if let Some(value) = slot.take() {
+                self.ids.remove(&*value);
                 self.free.push(i as u32);
                 removed += 1;
             }
-        }
-        if removed > 0 {
-            self.live -= removed;
-            // Linear-probe tables cannot delete in place without breaking
-            // probe chains; rebuild the bucket array from the cached
-            // hashes. Sweeps run on the engine's cleanup cadence, so this
-            // is off the per-delivery path.
-            self.rebuild_table(self.table.len());
         }
         removed
     }
@@ -678,7 +594,11 @@ mod tests {
         // First sight: the arena slot IS the wire Arc (pointer-equal).
         let id = it.intern_shared(&wire);
         assert!(Arc::ptr_eq(&wire, &it.resolve_shared(id)));
-        assert_eq!(Arc::strong_count(&wire), 2, "wire + arena slot");
+        assert_eq!(
+            Arc::strong_count(&wire),
+            3,
+            "wire + arena slot + map key: handles, not copies"
+        );
         // Re-interning an equal value from a *different* Arc is a hit on
         // the existing slot — the second Arc is not stored.
         let other = Arc::new("payload".to_string());
@@ -687,7 +607,7 @@ mod tests {
         // Emission handles are reference bumps on the slot.
         let emitted = it.resolve_shared(id);
         assert!(Arc::ptr_eq(&wire, &emitted));
-        assert_eq!(Arc::strong_count(&wire), 3);
+        assert_eq!(Arc::strong_count(&wire), 4, "+1 for the emitted handle");
         // intern(&V) (the corruption-harness path) boxes a fresh Arc.
         let id2 = it.intern(&"other".to_string());
         assert_ne!(id2, id);
@@ -699,13 +619,17 @@ mod tests {
         let mut it: ValueInterner<String> = ValueInterner::new();
         let wire = Arc::new("transient".to_string());
         let id = it.intern_shared(&wire);
-        assert_eq!(Arc::strong_count(&wire), 2);
+        assert_eq!(
+            Arc::strong_count(&wire),
+            3,
+            "wire + arena slot + map key: handles, not copies"
+        );
         it.begin_sweep();
         assert_eq!(it.finish_sweep(), 1);
         assert_eq!(
             Arc::strong_count(&wire),
             1,
-            "sweeping an unmarked id must drop the arena's handle"
+            "sweeping an unmarked id must drop the arena's handles"
         );
         assert_eq!(it.get(id), None);
     }
@@ -837,7 +761,9 @@ mod tests {
     #[test]
     fn colliding_hashes_probe_correctly() {
         // A value type whose hash is constant: every lookup walks the
-        // probe chain, and correctness must come from the equality check.
+        // colliding entries, and correctness must come from the equality
+        // check.
+        use std::hash::Hash;
         #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
         struct Collide(u64);
         impl Hash for Collide {

@@ -3,8 +3,9 @@
 //! The glue between the sans-io protocol engine (`ssbyz-core`), the
 //! deterministic simulator (`ssbyz-simnet`) and the adversary library:
 //!
-//! * [`EngineProcess`] and [`PipelineProcess`] run an engine or a slot
-//!   pipeline inside the simulator, through one driver;
+//! * [`EngineProcess`], [`PipelineProcess`] and [`pulse::PulseNode`] run
+//!   an engine, a slot pipeline or the pulse construction inside the
+//!   simulator, through one driver;
 //! * [`ScenarioBuilder`] wires correct / scrambled / Byzantine nodes with
 //!   drifting clocks, storms and planned initiations;
 //! * [`checks`] states the paper's properties (Agreement, Validity,
@@ -24,6 +25,7 @@ pub mod checks;
 pub mod experiments;
 pub mod faults;
 pub mod pipeline;
+pub mod pulse;
 pub mod scenario;
 
 pub use adapter::{EngineProcess, NodeEvent, TOKEN_INITIATE_BASE, TOKEN_TICK, TOKEN_WAKE};

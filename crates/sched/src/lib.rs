@@ -17,13 +17,11 @@
 //! is **exactly** the heap's `(due, seq)` order — FIFO within a tick —
 //! so simulation traces are bit-identical to the heap scheduler they
 //! replace; `crates/simnet/tests/sched_equivalence.rs` proves this
-//! against [`reference::ReferenceQueue`], the retained heap
-//! implementation.
+//! against the heap implementation, kept there as the golden model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod reference;
 mod wheel;
 
 pub use wheel::TimerWheel;
@@ -61,12 +59,12 @@ impl TimerHandle {
     }
 }
 
-/// The common surface of the wheel and the reference heap: a monotone
-/// event queue ordered by `(due, seq)` with cancellation.
+/// A monotone event queue ordered by `(due, seq)` with cancellation: the
+/// surface the simulator and the benchmark drive [`TimerWheel`] through.
 ///
-/// `peek_due`/`pop` take `&mut self` because both implementations may
+/// `peek_due`/`pop` take `&mut self` because an implementation may
 /// reorganise internal state while locating the minimum (the wheel
-/// cascades levels; the reference heap pops tombstones).
+/// cascades levels).
 pub trait EventQueue<T> {
     /// Schedules `payload` at absolute time `due` (nanoseconds). Entries
     /// inserted with equal `due` pop in insertion (FIFO) order.
@@ -92,7 +90,7 @@ pub trait EventQueue<T> {
 
     /// Number of physical entries held, **including** cancelled garbage
     /// not yet reclaimed. For the wheel this equals [`EventQueue::len`]
-    /// (cancellation unlinks immediately); for the reference heap it
-    /// exceeds `len` by the tombstones awaiting lazy filtering at pop.
+    /// (cancellation unlinks immediately); a lazily-cancelling heap
+    /// exceeds `len` by the tombstones awaiting filtering at pop.
     fn occupancy(&self) -> usize;
 }

@@ -1,14 +1,143 @@
 //! Golden-equivalence property tests for the scheduler: the hierarchical
-//! [`TimerWheel`] must produce **bit-identical** pop streams to the
-//! retained `BinaryHeap` [`ReferenceQueue`] over random insert / cancel /
-//! advance interleavings — including far-future due times that land in
-//! the overflow level and cursor wrap-around across level frames. This is
+//! [`TimerWheel`] must produce **bit-identical** pop streams to
+//! [`ReferenceQueue`], the `BinaryHeap` scheduler it replaced, kept here
+//! as the golden model, over random insert / cancel / advance
+//! interleavings — including far-future due times that land in the
+//! overflow level and cursor wrap-around across level frames. This is
 //! what makes the wheel a drop-in replacement: simulation traces under it
 //! are event-for-event identical to the heap scheduler it replaced.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
+
 use proptest::prelude::*;
-use ssbyz_simnet::sched::reference::ReferenceQueue;
 use ssbyz_simnet::sched::{EventQueue, Expired, TimerHandle, TimerWheel};
+
+/// A heap entry, ordered by `(due, seq)` alone.
+struct Scheduled<T> {
+    due: u64,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Scheduled<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T> Eq for Scheduled<T> {}
+impl<T> PartialOrd for Scheduled<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Scheduled<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.due, self.seq).cmp(&(other.due, other.seq))
+    }
+}
+
+/// The event queue `ssbyz-simnet` and the `ssbyz-runtime` router used
+/// before the timer wheel: a min-heap on `(due, seq)`, with the old lazy
+/// cancellation — a tombstone set, dead entries filtered at pop. That
+/// keeps the model honest about the failure mode the wheel eliminates:
+/// `occupancy` grows with every cancelled-but-unpopped entry. Its handle
+/// is the entry's seq, unique and never reused.
+struct ReferenceQueue<T> {
+    heap: BinaryHeap<Reverse<Scheduled<T>>>,
+    /// Seqs of live (inserted, neither popped nor cancelled) entries.
+    pending: HashSet<u64>,
+    /// Seqs cancelled but still buried in the heap.
+    tombstones: HashSet<u64>,
+    seq: u64,
+}
+
+impl<T> ReferenceQueue<T> {
+    fn new() -> Self {
+        ReferenceQueue {
+            heap: BinaryHeap::new(),
+            pending: HashSet::new(),
+            tombstones: HashSet::new(),
+            seq: 0,
+        }
+    }
+
+    fn insert(&mut self, due: u64, payload: T) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Scheduled { due, seq, payload }));
+        self.pending.insert(seq);
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        // Lazy: the entry stays in the heap until pop walks past it.
+        self.pending.remove(&seq) && self.tombstones.insert(seq)
+    }
+
+    /// Drops tombstoned entries sitting at the top of the heap.
+    fn skim(&mut self) {
+        while let Some(Reverse(head)) = self.heap.peek() {
+            if !self.tombstones.remove(&head.seq) {
+                break;
+            }
+            self.heap.pop();
+        }
+    }
+
+    fn peek_due(&mut self) -> Option<u64> {
+        self.skim();
+        self.heap.peek().map(|Reverse(head)| head.due)
+    }
+
+    fn pop(&mut self) -> Option<Expired<T>> {
+        self.skim();
+        let Reverse(head) = self.heap.pop()?;
+        self.pending.remove(&head.seq);
+        Some(Expired {
+            due: head.due,
+            seq: head.seq,
+            payload: head.payload,
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Includes tombstoned garbage — the cost the wheel avoids.
+    fn occupancy(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+#[test]
+fn fifo_within_equal_due() {
+    let mut q: ReferenceQueue<&str> = ReferenceQueue::new();
+    q.insert(10, "a");
+    q.insert(5, "b");
+    q.insert(10, "c");
+    let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+    assert_eq!(order, ["b", "a", "c"]);
+}
+
+#[test]
+fn cancel_is_lazy_but_invisible() {
+    let mut q: ReferenceQueue<u32> = ReferenceQueue::new();
+    let h = q.insert(10, 1);
+    q.insert(20, 2);
+    assert!(q.cancel(h));
+    assert!(!q.cancel(h));
+    assert_eq!(q.len(), 1);
+    assert_eq!(q.occupancy(), 2, "tombstone still buried");
+    assert_eq!(q.peek_due(), Some(20));
+    assert_eq!(q.pop().map(|e| e.payload), Some(2));
+    assert!(q.pop().is_none());
+}
 
 /// Both queues driven in lockstep; every observable must agree.
 struct Pair {
@@ -16,7 +145,7 @@ struct Pair {
     heap: ReferenceQueue<u32>,
     /// Parallel handles for the same logical entry (incl. consumed ones,
     /// to exercise stale-handle cancels).
-    handles: Vec<(TimerHandle, TimerHandle)>,
+    handles: Vec<(TimerHandle, u64)>,
 }
 
 impl Pair {
@@ -182,7 +311,7 @@ fn rescheduling_leaves_no_garbage_in_the_wheel() {
     const ROUNDS: usize = 200;
     let mut wheel: TimerWheel<u32> = TimerWheel::with_tick_shift(10);
     let mut heap: ReferenceQueue<u32> = ReferenceQueue::new();
-    let mut handles: Vec<(TimerHandle, TimerHandle)> = (0..NODES)
+    let mut handles: Vec<(TimerHandle, u64)> = (0..NODES)
         .map(|i| {
             let due = 1_000_000 + i as u64;
             (wheel.insert(due, i as u32), heap.insert(due, i as u32))
@@ -234,7 +363,7 @@ proptest! {
     ) {
         let mut wheel: TimerWheel<BatchEntry> = TimerWheel::with_tick_shift(tick_shift);
         let mut heap: ReferenceQueue<BatchEntry> = ReferenceQueue::new();
-        let mut handles: Vec<(TimerHandle, TimerHandle)> = Vec::new();
+        let mut handles: Vec<(TimerHandle, u64)> = Vec::new();
         let mut now = 0u64;
         let mut tag = 0u64;
         for (op, raw, pick) in ops {

@@ -15,7 +15,7 @@
 //! | [`simnet`] | `ssbyz-simnet` | deterministic simulator: drifting clocks, bounded-delay links, fault storms |
 //! | [`adversary`] | `ssbyz-adversary` | Byzantine strategies & transient-fault tooling |
 //! | [`baseline`] | `ssbyz-baseline` | time-driven lock-step comparator (TPS-87 style) |
-//! | [`pulse`] | `ssbyz-pulse` | pulse synchronization built atop the agreement |
+//! | [`pulse`] | `ssbyz-harness` | pulse synchronization built atop the agreement: a `SansIo` machine on the harness driver |
 //! | [`runtime`] | `ssbyz-runtime` | one threaded wall-clock host for both machines: `Cluster` (engines) and `PipelineCluster` (slot pipelines) |
 //! | [`wire`] | `ssbyz-wire` | authenticated binary codec, MAC'd framing, TCP readiness-loop reactor, the payload-generic `Transport` seam |
 //! | [`harness`] | `ssbyz-harness` | the one simulator driver for both machines, scenarios, property checkers, experiment drivers |
@@ -63,7 +63,7 @@ pub use ssbyz_adversary as adversary;
 pub use ssbyz_baseline as baseline;
 pub use ssbyz_core as core;
 pub use ssbyz_harness as harness;
-pub use ssbyz_pulse as pulse;
+pub use ssbyz_harness::pulse;
 pub use ssbyz_runtime as runtime;
 pub use ssbyz_simnet as simnet;
 pub use ssbyz_wire as wire;
