@@ -52,6 +52,7 @@
 //! mixed decision would surface as a catch-up vote split).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use ssbyz_types::{Duration, LocalTime, NodeId, Value};
@@ -188,15 +189,12 @@ impl<V: Value> DecisionLog<V> {
             .map(|i| i as u64)
     }
 
-    /// Advances the committed prefix over newly gap-free entries,
-    /// returning the slots (in order) that just committed.
-    fn advance(&mut self) -> Vec<(u64, Arc<V>)> {
-        let mut out = Vec::new();
-        while let Some(v) = self.get(self.committed) {
-            out.push((self.committed, Arc::clone(v)));
-            self.committed += 1;
-        }
-        out
+    /// Extends the committed prefix by one slot if that slot is
+    /// recorded, returning it; repeated calls walk the commit cascade.
+    fn advance(&mut self) -> Option<(u64, Arc<V>)> {
+        let v = Arc::clone(self.get(self.committed)?);
+        self.committed += 1;
+        Some((self.committed - 1, v))
     }
 }
 
@@ -520,14 +518,20 @@ impl<V: Value> SlotPipeline<V> {
     /// stalled-slot retries, and probes for catch-up.
     pub fn on_tick(&mut self, now: LocalTime, out: &mut Vec<PipeOutput<V>>) {
         out.clear();
-        let live: Vec<u64> = self.slots.keys().copied().collect();
-        for slot in live {
-            let Some(state) = self.slots.get_mut(&slot) else {
-                continue;
-            };
+        // Walk the live slots by range rather than over a copy of the
+        // keys: a commit inside `drain_engine` removes slots, but never
+        // adds one.
+        let mut next = self.slots.keys().next().copied();
+        while let Some(slot) = next {
+            let state = self.slots.get_mut(&slot).expect("key just read");
             let attempt = state.attempt;
             state.engine.on_tick(now, &mut self.scratch);
             self.drain_engine(slot, attempt, out);
+            next = self
+                .slots
+                .range((Bound::Excluded(slot), Bound::Unbounded))
+                .next()
+                .map(|(&s, _)| s);
         }
         self.maybe_retry(now, out);
         self.maybe_catch_up(now, out);
@@ -639,14 +643,17 @@ impl<V: Value> SlotPipeline<V> {
     /// one of them correct, so the slot really exists. This (not any
     /// single peer's claim) drives the catch-up triggers: a lone forged
     /// `slot: u64::MAX` never surfaces here.
+    ///
+    /// That is the `f + 1`-th largest claim: the largest claim that at
+    /// least `f + 1` claims reach. Counting for each claim is O(n²) over
+    /// at most `n − 1` peers, and allocates nothing.
     fn highest_seen(&self) -> u64 {
-        let f = self.params.f();
-        if self.seen_claims.len() <= f {
-            return 0;
-        }
-        let mut claims: Vec<u64> = self.seen_claims.values().copied().collect();
-        claims.sort_unstable_by(|a, b| b.cmp(a));
-        claims[f]
+        let needed = self.params.f() + 1;
+        let claims = || self.seen_claims.values().copied();
+        claims()
+            .filter(|&c| claims().filter(|&x| x >= c).count() >= needed)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Horizon past the committed prefix inside which catch-up votes
@@ -696,7 +703,7 @@ impl<V: Value> SlotPipeline<V> {
         self.log.record(slot, value);
         self.catchup.remove(&slot);
         self.catchup_probe = None;
-        for (s, v) in self.log.advance() {
+        while let Some((s, v)) = self.log.advance() {
             out.push(PipeOutput::Event(PipeEvent::Committed {
                 slot: s,
                 value: v,
@@ -1432,16 +1439,15 @@ mod tests {
         assert_eq!(log.committed(), 0);
         assert_eq!(log.highest_recorded(), Some(2));
         assert!(log.record(0, Arc::new(0)));
-        assert_eq!(log.advance().len(), 1);
+        assert_eq!(std::iter::from_fn(|| log.advance()).count(), 1);
         assert_eq!(log.committed(), 1);
         assert!(!log.record(2, Arc::new(99)), "conflicting write ignored");
         assert_eq!(log.get(2).map(|v| **v), Some(20));
         assert!(log.record(1, Arc::new(10)));
-        let cascade = log.advance();
-        assert_eq!(
-            cascade.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
+        let cascade: Vec<u64> = std::iter::from_fn(|| log.advance())
+            .map(|(s, _)| s)
+            .collect();
+        assert_eq!(cascade, vec![1, 2]);
         assert_eq!(log.committed(), 3);
     }
 }

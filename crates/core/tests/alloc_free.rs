@@ -11,12 +11,18 @@
 //! * an accepted broadcast (quorum completion → send + accept actions)
 //!   performs a small bounded number of allocations, never growing with
 //!   the number of deliveries processed.
+//!
+//! The same allocator pins the slot pipeline's idle tick at zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ssbyz_core::{BcastKind, Engine, IaKind, Msg, Outbox, Params};
+use ssbyz_core::{
+    BcastKind, Engine, IaKind, Msg, Outbox, Params, PipeOutput, PipelineConfig, SlotMsg,
+    SlotPipeline,
+};
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 thread_local! {
@@ -441,6 +447,97 @@ fn coalesced_echo_wave_is_allocation_free() {
         caps,
         "steady-state waves must not grow any pooled buffer"
     );
+}
+
+/// Delivers every queued message to its destinations — all seven nodes,
+/// or the one a `Send` names — at `t`, queueing what they emit, until
+/// the network is quiet.
+fn lockstep(
+    pipes: &mut [SlotPipeline<u64>],
+    t: u64,
+    inflight: &mut VecDeque<(NodeId, Option<NodeId>, SlotMsg<u64>)>,
+) {
+    let mut out = Vec::new();
+    while let Some((from, to, msg)) = inflight.pop_front() {
+        for (i, pipe) in pipes.iter_mut().enumerate() {
+            let me = NodeId::new(i as u32);
+            if to.is_some_and(|to| to != me) {
+                continue;
+            }
+            pipe.on_message(LocalTime::from_nanos(t), from, &msg, &mut out);
+            for o in out.drain(..) {
+                match o {
+                    PipeOutput::Broadcast(m) => inflight.push_back((me, None, m)),
+                    PipeOutput::Send(to, m) => inflight.push_back((me, Some(to), m)),
+                    PipeOutput::WakeAt(_) | PipeOutput::Event(_) => {}
+                }
+            }
+        }
+    }
+}
+
+/// A steady n = 7 slot pipeline: once three slots have committed
+/// everywhere, a follower that holds one more slot in flight (it saw
+/// only the proposer's initiation) ticks with **zero** heap allocations:
+/// the tick walks its live slots, reads the `f + 1`-th largest peer
+/// claim, and gossips its committed prefix without collecting anything.
+#[test]
+fn idle_pipeline_ticks_are_allocation_free() {
+    let p = params(7, 2);
+    let cfg = PipelineConfig::new(NodeId::new(0), &p);
+    let mut pipes: Vec<SlotPipeline<u64>> = (0..7)
+        .map(|i| SlotPipeline::new(NodeId::new(i), p, cfg.clone()))
+        .collect();
+    let mut t = 9_000_000_000_000u64;
+    let mut out = Vec::new();
+    let mut inflight = VecDeque::new();
+    for v in 0..3 {
+        pipes[0].enqueue(v);
+    }
+    pipes[0].pump(LocalTime::from_nanos(t), &mut out);
+    for o in out.drain(..) {
+        if let PipeOutput::Broadcast(m) = o {
+            inflight.push_back((NodeId::new(0), None, m));
+        }
+    }
+    while pipes.iter().any(|pipe| pipe.log().committed() < 3) {
+        lockstep(&mut pipes, t, &mut inflight);
+        t += D;
+        assert!(t < 9_100_000_000_000, "three slots commit within 10 s");
+        for (i, pipe) in pipes.iter_mut().enumerate() {
+            pipe.on_tick(LocalTime::from_nanos(t), &mut out);
+            for o in out.drain(..) {
+                if let PipeOutput::Broadcast(m) = o {
+                    inflight.push_back((NodeId::new(i as u32), None, m));
+                }
+            }
+        }
+    }
+    // Slot 3's initiation reaches node 1 alone.
+    pipes[0].enqueue(3);
+    pipes[0].pump(LocalTime::from_nanos(t), &mut out);
+    let follower = &mut pipes[1];
+    for o in out.drain(..) {
+        if let PipeOutput::Broadcast(m) = o {
+            follower.on_message(
+                LocalTime::from_nanos(t),
+                NodeId::new(0),
+                &m,
+                &mut Vec::new(),
+            );
+        }
+    }
+    assert_eq!(follower.in_flight(), 1);
+    let mut idle = |ticks: u64| {
+        for _ in 0..ticks {
+            t += D / 2;
+            follower.on_tick(LocalTime::from_nanos(t), &mut out);
+        }
+    };
+    idle(20);
+    let (allocs, _) = count_allocs(|| idle(400));
+    assert_eq!(follower.in_flight(), 1, "the slot stayed in flight");
+    assert_eq!(allocs, 0, "idle pipeline ticks must be allocation-free");
 }
 
 // ---------------------------------------------------------------------

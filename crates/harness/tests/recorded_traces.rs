@@ -19,6 +19,13 @@
 //! To re-record after an intended behaviour change: run
 //! `cargo test -p ssbyz-harness --test recorded_traces`,
 //! copy the `got` values, and say in the PR why each one moved.
+//!
+//! A shape that moved also has its unfolded stream — one line per
+//! observation, then the metrics — written to
+//! `target/trace-diff/<shape>.txt`, and the failure message names the
+//! file. `diff` it against the same file from the parent commit to find
+//! the first observation that diverged (`docs/PERF.md` § "History: the
+//! sharded simulator" has the recipe).
 
 use std::fmt::Debug;
 
@@ -32,46 +39,76 @@ use ssbyz_harness::{
 use ssbyz_simnet::{Metrics, Observation, StormConfig, WaveMode};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
-/// FNV-1a, 64 bit: stable across toolchains and platforms, unlike
-/// `DefaultHasher`.
-struct Fnv(u64);
+/// A trace: the rendered lines, and their FNV-1a-64 fold — stable
+/// across toolchains and platforms, unlike `DefaultHasher`.
+struct Trace {
+    fold: u64,
+    text: String,
+}
 
-impl Fnv {
+impl Trace {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Trace {
+            fold: 0xcbf2_9ce4_8422_2325,
+            text: String::new(),
+        }
     }
 
     fn line(&mut self, rendered: &str) {
         for byte in rendered.bytes().chain([b'\n']) {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.fold = (self.fold ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        self.text.push_str(rendered);
+        self.text.push('\n');
     }
 }
 
 /// The recording fold: every observation in log order, then the metrics.
-fn fold<O: Debug>(observations: &[Observation<O>], metrics: &Metrics) -> u64 {
-    let mut h = Fnv::new();
+fn fold<O: Debug>(observations: &[Observation<O>], metrics: &Metrics) -> Trace {
+    let mut trace = Trace::new();
     for o in observations {
-        h.line(&format!("{o:?}"));
+        trace.line(&format!("{o:?}"));
     }
-    h.line(&format!("{metrics:?}"));
-    h.0
+    trace.line(&format!("{metrics:?}"));
+    trace
 }
 
-fn fold_scenario(sc: &RunningScenario) -> u64 {
+fn fold_scenario(sc: &RunningScenario) -> Trace {
     fold(sc.sim().observations(), sc.sim().metrics())
 }
 
+/// Writes a moved trace's lines to `target/trace-diff/<shape>.txt` (the
+/// target directory the test binary runs from) and says where they went.
+fn write_diff(shape: &str, trace: &Trace) -> String {
+    let exe = std::env::current_exe().expect("the test binary has a path");
+    // The binary is `<target>/<profile>/deps/<name>`.
+    let Some(target) = exe.ancestors().nth(3) else {
+        return format!("not written: no target directory above {}", exe.display());
+    };
+    let path = target.join("trace-diff").join(format!("{shape}.txt"));
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&path, &trace.text));
+    match written {
+        Ok(()) => format!("stream in {}", path.display()),
+        Err(e) => format!("not written to {}: {e}", path.display()),
+    }
+}
+
 /// Compares every `(shape, recorded, got)` row and reports all the
-/// mismatches at once, in the form the constants are written in.
-fn check<S: AsRef<str>>(rows: &[(S, u64, u64)]) {
+/// mismatches at once, in the form the constants are written in, each
+/// with the file its unfolded stream was written to.
+fn check<S: AsRef<str>>(rows: &[(S, u64, Trace)]) {
     let moved: Vec<String> = rows
         .iter()
-        .filter(|(_, recorded, got)| recorded != got)
+        .filter(|(_, recorded, got)| *recorded != got.fold)
         .map(|(shape, recorded, got)| {
+            let shape = shape.as_ref();
             format!(
-                "{}: recorded {recorded:#018x}, got {got:#018x}",
-                shape.as_ref()
+                "{shape}: recorded {recorded:#018x}, got {:#018x} ({})",
+                got.fold,
+                write_diff(shape, got)
             )
         })
         .collect();
@@ -143,7 +180,7 @@ fn run_with_down_node_and_blocked_link(mut sc: RunningScenario) -> RunningScenar
     sc
 }
 
-fn correct_general(seed: u64, links: Links) -> u64 {
+fn correct_general(seed: u64, links: Links) -> Trace {
     let b = ScenarioBuilder::new(config(seed, links));
     let sc = run_with_down_node_and_blocked_link(seven_nodes(b, Duration::from_millis(60), &[]));
     assert!(
@@ -198,7 +235,7 @@ fn correct_general_fixed_delay() {
 /// The initiation goes out mid-storm, so the broadcast waves themselves
 /// are dropped, corrupted and duplicated; `scrambled` followers boot
 /// from arbitrary state on top.
-fn storm_run(seed: u64, links: Links, scrambled: &[usize]) -> u64 {
+fn storm_run(seed: u64, links: Links, scrambled: &[usize]) -> Trace {
     let b = ScenarioBuilder::new(config(seed, links)).storm(storm());
     let sc =
         run_with_down_node_and_blocked_link(seven_nodes(b, Duration::from_millis(10), scrambled));
@@ -290,7 +327,7 @@ fn burst(at: RealTime, d: Duration) -> FaultSchedule {
         )
 }
 
-fn fault_burst(seed: u64, links: Links) -> u64 {
+fn fault_burst(seed: u64, links: Links) -> Trace {
     let cfg = config(seed, links);
     let d = cfg.params().expect("valid").d();
     let initiate_at = d * 4u64;
@@ -399,14 +436,18 @@ fn campaign_bursts() {
         0x292f_fd9c_ce19_47e4,
         0xde3a_63fd_0b14_5404,
     ];
-    let rows: Vec<(String, u64, u64)> = CampaignFamily::ALL
+    let rows: Vec<(String, u64, Trace)> = CampaignFamily::ALL
         .iter()
         .zip(RECORDED)
         .map(|(family, recorded)| {
             let report = run_campaign(7, 2, 5, *family, 1);
-            let mut h = Fnv::new();
-            h.line(&format!("{:?}", report.bursts));
-            (format!("campaign/{}/seed-5", family.name()), recorded, h.0)
+            let mut trace = Trace::new();
+            trace.line(&format!("{:?}", report.bursts));
+            (
+                format!("campaign/{}/seed-5", family.name()),
+                recorded,
+                trace,
+            )
         })
         .collect();
     check(&rows);

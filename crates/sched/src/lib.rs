@@ -11,13 +11,21 @@
 //! arbitrarily large.
 //!
 //! [`TimerWheel`] replaces the heap with a hierarchical timer wheel:
-//! fixed-size levels bucketed by power-of-two horizons, O(1) insert and
-//! O(1) cancel through generation-counted [`TimerHandle`]s, and a
-//! far-future overflow level so no due time is ever rejected. Pop order
-//! is **exactly** the heap's `(due, seq)` order — FIFO within a tick —
-//! so simulation traces are bit-identical to the heap scheduler they
+//! fixed-size levels bucketed by power-of-two horizons, entries stored
+//! inline in pooled bucket chunks, O(1) insert, and a far-future
+//! overflow level so no due time is ever rejected. Pop order is
+//! **exactly** the heap's `(due, seq)` order — FIFO within a tick — so
+//! simulation traces are bit-identical to the heap scheduler they
 //! replace; `crates/simnet/tests/sched_equivalence.rs` proves this
 //! against the heap implementation, kept there as the golden model.
+//!
+//! A [`TimerHandle`] is the entry's `(due, seq)`. The due alone names
+//! the one bucket the entry can be in, so cancel scans that bucket and
+//! removes the entry in place: occupancy always equals the live count.
+//! The scan is linear in the bucket, which suffices because cancels are
+//! rare next to inserts and pops — the simulator cancels only timers a
+//! node re-arms (rescheduled deadlines, a recovery, a scramble), and the
+//! runtime's delay router never cancels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,24 +47,13 @@ pub struct Expired<T> {
 
 /// An opaque handle naming one scheduled entry, used to cancel it.
 ///
-/// Handles are generation-counted: a handle kept after its entry fired
-/// (or was cancelled) is *stale* and cancels nothing, even if the slot is
-/// later reused.
+/// A handle is the entry's `(due, seq)` key. A queue never repeats a
+/// seq, so a handle kept after its entry fired (or was cancelled) is
+/// *stale* and cancels nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerHandle(pub(crate) u64);
-
-impl TimerHandle {
-    pub(crate) fn pack(idx: u32, gen: u32) -> Self {
-        TimerHandle((u64::from(gen) << 32) | u64::from(idx))
-    }
-
-    pub(crate) fn idx(self) -> u32 {
-        (self.0 & 0xffff_ffff) as u32
-    }
-
-    pub(crate) fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
+pub struct TimerHandle {
+    pub(crate) due: u64,
+    pub(crate) seq: u64,
 }
 
 /// A monotone event queue ordered by `(due, seq)` with cancellation: the
@@ -90,7 +87,7 @@ pub trait EventQueue<T> {
 
     /// Number of physical entries held, **including** cancelled garbage
     /// not yet reclaimed. For the wheel this equals [`EventQueue::len`]
-    /// (cancellation unlinks immediately); a lazily-cancelling heap
+    /// (cancellation removes the entry in place); a lazily-cancelling heap
     /// exceeds `len` by the tombstones awaiting filtering at pop.
     fn occupancy(&self) -> usize;
 }

@@ -10,31 +10,29 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of wheel levels; horizons beyond `tick · 64^6` overflow.
 const LEVELS: usize = 6;
-/// Null link in the intrusive slot lists.
+/// Entries per bucket chunk.
+const CHUNK: usize = 32;
+/// Null chunk link.
 const NIL: u32 = u32::MAX;
 
-/// Where a slab entry currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// On the free list.
-    Free,
-    /// In the sorted near buffer (due within the cursor tick or earlier).
-    Near,
-    /// Linked into wheel slot `slot` of `level`.
-    Wheel { level: u8, slot: u8 },
-    /// In the far-future overflow map.
-    Overflow,
-}
-
-struct Entry<T> {
+/// One scheduled entry, stored inline wherever it lives.
+struct Item<T> {
     due: u64,
     seq: u64,
-    /// Generation counter, bumped on every free: stale handles miss.
-    gen: u32,
-    prev: u32,
+    payload: T,
+}
+
+impl<T> Item<T> {
+    fn key(&self) -> (u64, u64) {
+        (self.due, self.seq)
+    }
+}
+
+/// Up to [`CHUNK`] entries of one bucket, linked to the bucket's older
+/// chunks. Every chunk of a bucket but its head is full.
+struct Chunk<T> {
+    items: Vec<Item<T>>,
     next: u32,
-    loc: Loc,
-    payload: Option<T>,
 }
 
 /// A hierarchical timer wheel over absolute nanosecond due times.
@@ -46,40 +44,54 @@ struct Entry<T> {
 /// 64×, so six levels cover a horizon of `2^(tick_shift + 36)` ns (the
 /// default `tick_shift = 14` ⇒ 16.4 µs ticks, ~13 days). Entries beyond
 /// the horizon live in a far-future overflow map and are batch-migrated
-/// into the wheel when the cursor reaches their frame. Insert and cancel
-/// are O(1) for everything inside the horizon.
+/// into the wheel when the cursor reaches their frame.
+///
+/// Entries are stored inline as `(due, seq, payload)`. A bucket is a
+/// chain of fixed-size chunks drawn from one pool shared by all
+/// buckets, so a wheel with nothing scheduled holds no buffers, and a
+/// bucket costs at most one partly filled chunk. Insert is O(1) inside
+/// the horizon. Cancel scans the one bucket the entry's due names.
 ///
 /// # Determinism
 ///
 /// Pop order is globally ascending `(due, seq)` — identical to a
 /// min-heap over the same keys, hence bit-identical event traces. The
-/// argument: the *near buffer* always holds exactly the entries at or
-/// before the cursor tick, kept sorted; every wheel entry is on a
-/// strictly later tick than the cursor (inserts at the cursor tick or
-/// earlier go straight to the near buffer), and every overflow entry is
-/// in a strictly later top-level frame than every wheel entry. Advancing
-/// the cursor dumps one level-0 slot at a time into the near buffer,
-/// sorting the (single-tick) slot by `(due, seq)` — so the head of the
-/// near buffer is always the global minimum.
+/// argument: the *near buffer* and the unsorted *late buffer* together
+/// hold exactly the entries at or before the cursor tick; every wheel
+/// entry is on a strictly later tick than the cursor, and every overflow
+/// entry is in a strictly later top-level frame than every wheel entry.
+/// Before the head is read, `late` is merged into `near` with one sort
+/// by `(due, seq)`; when both are empty, the cursor advances to the next
+/// occupied tick and that level-0 slot (one tick wide) becomes `late`.
+/// So the head of the near buffer is always the global minimum.
+///
+/// The same invariant locates every entry from its due alone: at or
+/// before the cursor tick it is in `near` or `late`; otherwise its level
+/// is the highest 6-bit group in which its tick differs from the
+/// cursor's (or the overflow map past the last level). The cursor only
+/// moves to the next occupied slot or cascades one, and neither changes
+/// that group for an entry it does not move.
 pub struct TimerWheel<T> {
     tick_shift: u32,
-    /// Cursor tick: `near` holds all entries with `due >> tick_shift`
-    /// at or below this.
+    /// Cursor tick: `near` and `late` hold all entries with
+    /// `due >> tick_shift` at or below this.
     cur: u64,
     seq: u64,
-    entries: Vec<Entry<T>>,
-    free: Vec<u32>,
-    /// Entry indices sorted by `(due, seq)` **descending** — pop takes
-    /// from the back.
-    near: Vec<u32>,
-    /// Head of the intrusive doubly-linked list per slot.
-    slots: [[u32; SLOTS]; LEVELS],
+    /// Sorted by `(due, seq)` **descending** — pop takes from the back.
+    near: Vec<Item<T>>,
+    /// Entries placed at or before the cursor tick since the last
+    /// merge, in no particular order.
+    late: Vec<Item<T>>,
+    /// Head chunk of each bucket.
+    heads: [[u32; SLOTS]; LEVELS],
     /// Per-level slot-occupancy bitmaps.
     bitmap: [u64; LEVELS],
+    /// Every chunk ever drawn; the unused ones are listed in `spare`,
+    /// empty with their capacity kept.
+    chunks: Vec<Chunk<T>>,
+    spare: Vec<u32>,
     /// Far-future entries keyed by `(due, seq)`.
-    overflow: BTreeMap<(u64, u64), u32>,
-    /// Reused cascade buffer — refills never allocate in steady state.
-    scratch: Vec<u32>,
+    overflow: BTreeMap<(u64, u64), T>,
     live: usize,
 }
 
@@ -108,13 +120,13 @@ impl<T> TimerWheel<T> {
             tick_shift,
             cur: 0,
             seq: 0,
-            entries: Vec::new(),
-            free: Vec::new(),
             near: Vec::new(),
-            slots: [[NIL; SLOTS]; LEVELS],
+            late: Vec::new(),
+            heads: [[NIL; SLOTS]; LEVELS],
             bitmap: [0; LEVELS],
+            chunks: Vec::new(),
+            spare: Vec::new(),
             overflow: BTreeMap::new(),
-            scratch: Vec::new(),
             live: 0,
         }
     }
@@ -135,132 +147,97 @@ impl<T> TimerWheel<T> {
         1 << self.tick_shift
     }
 
-    fn alloc(&mut self, due: u64, seq: u64, payload: T) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            let e = &mut self.entries[idx as usize];
-            e.due = due;
-            e.seq = seq;
-            e.prev = NIL;
-            e.next = NIL;
-            e.payload = Some(payload);
-            idx
-        } else {
-            let idx = u32::try_from(self.entries.len()).expect("slab capacity");
-            self.entries.push(Entry {
-                due,
-                seq,
-                gen: 0,
-                prev: NIL,
-                next: NIL,
-                loc: Loc::Free,
-                payload: Some(payload),
-            });
-            idx
-        }
+    /// The `(level, slot)` of a tick strictly after the cursor's, or
+    /// `None` past the horizon (the overflow map).
+    fn bucket(&self, ticks: u64) -> Option<(usize, usize)> {
+        debug_assert!(ticks > self.cur);
+        let group = (63 - (ticks ^ self.cur).leading_zeros()) / SLOT_BITS;
+        let slot = (ticks >> (SLOT_BITS * group)) & (SLOTS as u64 - 1);
+        (group < LEVELS as u32).then_some((group as usize, slot as usize))
     }
 
-    fn release(&mut self, idx: u32) -> (u64, u64, T) {
-        let e = &mut self.entries[idx as usize];
-        debug_assert!(e.loc != Loc::Free);
-        e.loc = Loc::Free;
-        e.gen = e.gen.wrapping_add(1);
-        let payload = e.payload.take().expect("live entry has payload");
-        let key = (e.due, e.seq);
-        self.free.push(idx);
-        self.live -= 1;
-        (key.0, key.1, payload)
-    }
-
-    /// Sorted insert into the (descending) near buffer.
-    fn near_insert(&mut self, idx: u32) {
-        let key = {
-            let e = &self.entries[idx as usize];
-            (e.due, e.seq)
-        };
-        self.entries[idx as usize].loc = Loc::Near;
-        let pos = self.near.partition_point(|&i| {
-            let e = &self.entries[i as usize];
-            (e.due, e.seq) > key
-        });
-        self.near.insert(pos, idx);
-    }
-
-    /// Links `idx` into the wheel slot / near buffer / overflow map
-    /// appropriate for its due time relative to the current cursor.
-    fn place(&mut self, idx: u32) {
-        let (due, seq) = {
-            let e = &self.entries[idx as usize];
-            (e.due, e.seq)
-        };
-        let ticks = due >> self.tick_shift;
+    /// Puts `item` where its due places it relative to the cursor.
+    fn place(&mut self, item: Item<T>) {
+        let ticks = item.due >> self.tick_shift;
         if ticks <= self.cur {
-            self.near_insert(idx);
-            return;
-        }
-        let diff = ticks ^ self.cur;
-        let group = (63 - diff.leading_zeros()) / SLOT_BITS;
-        if group as usize >= LEVELS {
-            self.entries[idx as usize].loc = Loc::Overflow;
-            self.overflow.insert((due, seq), idx);
-            return;
-        }
-        let level = group as usize;
-        let slot = ((ticks >> (SLOT_BITS * group)) & (SLOTS as u64 - 1)) as usize;
-        let head = self.slots[level][slot];
-        {
-            let e = &mut self.entries[idx as usize];
-            e.loc = Loc::Wheel {
-                level: level as u8,
-                slot: slot as u8,
-            };
-            e.prev = NIL;
-            e.next = head;
-        }
-        if head != NIL {
-            self.entries[head as usize].prev = idx;
-        }
-        self.slots[level][slot] = idx;
-        self.bitmap[level] |= 1 << slot;
-    }
-
-    /// Unlinks `idx` from the wheel slot list it currently occupies.
-    fn unlink(&mut self, idx: u32, level: u8, slot: u8) {
-        let (prev, next) = {
-            let e = &self.entries[idx as usize];
-            (e.prev, e.next)
-        };
-        if prev == NIL {
-            self.slots[level as usize][slot as usize] = next;
+            self.late.push(item);
+        } else if let Some((level, slot)) = self.bucket(ticks) {
+            self.push_bucket(level, slot, item);
         } else {
-            self.entries[prev as usize].next = next;
-        }
-        if next != NIL {
-            self.entries[next as usize].prev = prev;
-        }
-        if self.slots[level as usize][slot as usize] == NIL {
-            self.bitmap[level as usize] &= !(1u64 << slot);
+            self.overflow.insert(item.key(), item.payload);
         }
     }
 
-    /// Detaches every entry of a slot's list, appending to `out`.
-    fn collect_slot(
-        entries: &mut [Entry<T>],
-        slots: &mut [[u32; SLOTS]; LEVELS],
-        bitmap: &mut [u64; LEVELS],
-        level: usize,
-        slot: usize,
-        out: &mut Vec<u32>,
-    ) {
-        let mut idx = slots[level][slot];
-        slots[level][slot] = NIL;
-        bitmap[level] &= !(1u64 << slot);
-        while idx != NIL {
-            let e = &mut entries[idx as usize];
-            let next = e.next;
-            e.prev = NIL;
-            e.next = NIL;
-            out.push(idx);
-            idx = next;
+    fn push_bucket(&mut self, level: usize, slot: usize, item: Item<T>) {
+        let mut head = self.heads[level][slot];
+        if head == NIL || self.chunks[head as usize].items.len() == CHUNK {
+            let fresh = self.spare.pop().unwrap_or_else(|| {
+                self.chunks.push(Chunk {
+                    items: Vec::with_capacity(CHUNK),
+                    next: NIL,
+                });
+                u32::try_from(self.chunks.len() - 1).expect("chunk pool exceeds u32")
+            });
+            self.chunks[fresh as usize].next = head;
+            self.heads[level][slot] = fresh;
+            self.bitmap[level] |= 1 << slot;
+            head = fresh;
+        }
+        self.chunks[head as usize].items.push(item);
+    }
+
+    /// Removes the entry `seq` from bucket `(level, slot)`. The head
+    /// chunk's last entry fills the gap, so the other chunks stay full.
+    fn bucket_remove(&mut self, level: usize, slot: usize, seq: u64) -> bool {
+        let head = self.heads[level][slot];
+        let mut c = head;
+        let (c, i) = loop {
+            if c == NIL {
+                return false;
+            }
+            let chunk = &self.chunks[c as usize];
+            if let Some(i) = chunk.items.iter().position(|e| e.seq == seq) {
+                break (c, i);
+            }
+            c = chunk.next;
+        };
+        if c == head {
+            self.chunks[head as usize].items.swap_remove(i);
+        } else {
+            let last = self.chunks[head as usize].items.pop();
+            self.chunks[c as usize].items[i] = last.expect("a bucket's head chunk is never empty");
+        }
+        if self.chunks[head as usize].items.is_empty() {
+            let next = self.chunks[head as usize].next;
+            self.heads[level][slot] = next;
+            self.spare.push(head);
+            if next == NIL {
+                self.bitmap[level] &= !(1u64 << slot);
+            }
+        }
+        true
+    }
+
+    /// Empties bucket `(level, slot)`, re-placing its entries against the
+    /// cursor (a level-0 bucket is the cursor tick: all of it goes to
+    /// `late`), and returns its chunks to the pool.
+    fn cascade(&mut self, level: usize, slot: usize) {
+        let mut c = std::mem::replace(&mut self.heads[level][slot], NIL);
+        self.bitmap[level] &= !(1u64 << slot);
+        while c != NIL {
+            let chunk = &mut self.chunks[c as usize];
+            let next = chunk.next;
+            if level == 0 {
+                self.late.append(&mut chunk.items);
+            } else {
+                let mut items = std::mem::take(&mut chunk.items);
+                for item in items.drain(..) {
+                    self.place(item);
+                }
+                self.chunks[c as usize].items = items;
+            }
+            self.spare.push(c);
+            c = next;
         }
     }
 
@@ -271,66 +248,20 @@ impl<T> TimerWheel<T> {
         self.bitmap[level] & u64::MAX.checked_shl(cursor + 1).unwrap_or(0)
     }
 
-    /// Refills the near buffer from the wheel/overflow when it is empty:
-    /// advances the cursor to the next occupied tick and dumps it, in
-    /// `(due, seq)` order.
-    fn refill_near(&mut self) {
-        debug_assert!(self.near.is_empty());
-        'advance: loop {
-            for level in 0..LEVELS {
-                let ahead = self.slots_ahead(level);
-                if ahead == 0 {
-                    continue;
-                }
-                let s = u64::from(ahead.trailing_zeros());
-                if level == 0 {
-                    // Jump the cursor to the slot's tick and dump it: a
-                    // level-0 slot is one tick wide, so these entries
-                    // are exactly the next tick's — sort by (due, seq).
-                    self.cur = (self.cur & !(SLOTS as u64 - 1)) | s;
-                    Self::collect_slot(
-                        &mut self.entries,
-                        &mut self.slots,
-                        &mut self.bitmap,
-                        0,
-                        s as usize,
-                        &mut self.near,
-                    );
-                    let entries = &self.entries;
-                    self.near.sort_unstable_by_key(|&i| {
-                        let e = &entries[i as usize];
-                        std::cmp::Reverse((e.due, e.seq))
-                    });
-                    for &i in &self.near {
-                        self.entries[i as usize].loc = Loc::Near;
-                    }
-                    return;
-                }
-                // Cascade: advance the cursor to the start of the
-                // level-`level` slot and re-place its entries one level
-                // down (or into the near buffer if due at the new
-                // cursor tick).
+    /// Advances the cursor to the next occupied tick and moves that
+    /// tick's entries into `late`. Called with `near` and `late` empty.
+    fn refill(&mut self) {
+        debug_assert!(self.near.is_empty() && self.late.is_empty());
+        while self.late.is_empty() {
+            if let Some(level) = (0..LEVELS).find(|&l| self.slots_ahead(l) != 0) {
+                // Move the cursor to the start of the level's next
+                // occupied slot and cascade that slot one level down (or
+                // into `late`, for what is due at the new cursor tick).
+                let slot = u64::from(self.slots_ahead(level).trailing_zeros());
                 let scale = SLOT_BITS * level as u32;
-                let hi = (self.cur >> scale) & !(SLOTS as u64 - 1);
-                self.cur = (hi | s) << scale;
-                let mut batch = std::mem::take(&mut self.scratch);
-                Self::collect_slot(
-                    &mut self.entries,
-                    &mut self.slots,
-                    &mut self.bitmap,
-                    level,
-                    s as usize,
-                    &mut batch,
-                );
-                for &i in &batch {
-                    self.place(i);
-                }
-                batch.clear();
-                self.scratch = batch;
-                if !self.near.is_empty() {
-                    return;
-                }
-                continue 'advance;
+                self.cur = (((self.cur >> scale) & !(SLOTS as u64 - 1)) | slot) << scale;
+                self.cascade(level, slot as usize);
+                continue;
             }
             // Wheel exhausted: migrate the next overflow frame in.
             let Some((&(due, _), _)) = self.overflow.first_key_value() else {
@@ -338,16 +269,28 @@ impl<T> TimerWheel<T> {
             };
             self.cur = due >> self.tick_shift;
             let frame_shift = SLOT_BITS * LEVELS as u32;
-            while let Some((&(d, _), _)) = self.overflow.first_key_value() {
-                if ((d >> self.tick_shift) ^ self.cur) >> frame_shift != 0 {
+            while let Some(entry) = self.overflow.first_entry() {
+                let (due, seq) = *entry.key();
+                if ((due >> self.tick_shift) ^ self.cur) >> frame_shift != 0 {
                     break;
                 }
-                let (_, idx) = self.overflow.pop_first().expect("peeked");
-                self.place(idx);
+                let payload = entry.remove();
+                self.place(Item { due, seq, payload });
             }
-            if !self.near.is_empty() {
-                return;
-            }
+        }
+    }
+
+    /// Makes the back of `near` the global minimum, if anything is
+    /// scheduled.
+    fn settle(&mut self) {
+        if self.near.is_empty() && self.late.is_empty() {
+            self.refill();
+        }
+        if !self.late.is_empty() {
+            // `near` is one descending run and `late` is mostly ascending
+            // seqs, so the stable sort merges two runs in linear time.
+            self.near.append(&mut self.late);
+            self.near.sort_by_key(|e| std::cmp::Reverse(e.key()));
         }
     }
 }
@@ -356,53 +299,42 @@ impl<T> EventQueue<T> for TimerWheel<T> {
     fn insert(&mut self, due: u64, payload: T) -> TimerHandle {
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.alloc(due, seq, payload);
         self.live += 1;
-        self.place(idx);
-        TimerHandle::pack(idx, self.entries[idx as usize].gen)
+        self.place(Item { due, seq, payload });
+        TimerHandle { due, seq }
     }
 
     fn cancel(&mut self, handle: TimerHandle) -> bool {
-        let idx = handle.idx();
-        let Some(e) = self.entries.get(idx as usize) else {
-            return false;
+        let TimerHandle { due, seq } = handle;
+        let ticks = due >> self.tick_shift;
+        let found = if ticks <= self.cur {
+            if let Ok(i) = self.near.binary_search_by(|e| (due, seq).cmp(&e.key())) {
+                self.near.remove(i);
+                true
+            } else if let Some(i) = self.late.iter().position(|e| e.seq == seq) {
+                self.late.swap_remove(i);
+                true
+            } else {
+                false
+            }
+        } else if let Some((level, slot)) = self.bucket(ticks) {
+            self.bucket_remove(level, slot, seq)
+        } else {
+            self.overflow.remove(&(due, seq)).is_some()
         };
-        if e.gen != handle.gen() || e.loc == Loc::Free {
-            return false;
-        }
-        match e.loc {
-            Loc::Free => unreachable!("checked above"),
-            Loc::Near => {
-                let key = (e.due, e.seq);
-                let pos = self.near.partition_point(|&i| {
-                    let n = &self.entries[i as usize];
-                    (n.due, n.seq) > key
-                });
-                debug_assert_eq!(self.near[pos], idx);
-                self.near.remove(pos);
-            }
-            Loc::Wheel { level, slot } => self.unlink(idx, level, slot),
-            Loc::Overflow => {
-                self.overflow.remove(&(e.due, e.seq));
-            }
-        }
-        self.release(idx);
-        true
+        self.live -= usize::from(found);
+        found
     }
 
     fn peek_due(&mut self) -> Option<u64> {
-        if self.near.is_empty() {
-            self.refill_near();
-        }
-        self.near.last().map(|&i| self.entries[i as usize].due)
+        self.settle();
+        self.near.last().map(|e| e.due)
     }
 
     fn pop(&mut self) -> Option<Expired<T>> {
-        if self.near.is_empty() {
-            self.refill_near();
-        }
-        let idx = self.near.pop()?;
-        let (due, seq, payload) = self.release(idx);
+        self.settle();
+        let Item { due, seq, payload } = self.near.pop()?;
+        self.live -= 1;
         Some(Expired { due, seq, payload })
     }
 
@@ -411,7 +343,7 @@ impl<T> EventQueue<T> for TimerWheel<T> {
     }
 
     fn occupancy(&self) -> usize {
-        // Cancellation unlinks and frees immediately: no garbage, ever.
+        // Cancellation removes the entry in place: no garbage, ever.
         self.live
     }
 }
@@ -455,7 +387,7 @@ mod tests {
     #[test]
     fn cancel_removes_from_every_location() {
         let mut q: TimerWheel<u32> = TimerWheel::with_tick_shift(4);
-        let near = q.insert(1, 0); // tick 0 == cursor → near buffer
+        let near = q.insert(1, 0); // tick 0 == cursor → late buffer
         let low = q.insert(100, 1); // level 0
         let high = q.insert(1 << 20, 2); // higher level
         let far = q.insert(u64::MAX / 2, 3); // overflow
@@ -474,14 +406,78 @@ mod tests {
     }
 
     #[test]
-    fn stale_handle_against_reused_slab_slot_is_rejected() {
+    fn stale_handle_never_matches_a_later_entry_at_the_same_due() {
         let mut q: TimerWheel<u32> = TimerWheel::with_tick_shift(4);
         let h1 = q.insert(100, 1);
         assert!(q.cancel(h1));
-        let h2 = q.insert(100, 2); // reuses the slab slot
-        assert!(!q.cancel(h1), "generation must have advanced");
+        let h2 = q.insert(100, 2); // same bucket, same due
+        assert!(!q.cancel(h1), "the seq names the cancelled entry only");
         assert!(q.cancel(h2));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn behind_cursor_burst_pops_in_order() {
+        // Peeking prefetches the tick of due 5_000 (cursor moves past
+        // 1_000's tick); 4096 entries then land behind the cursor, at one
+        // due before it, and must still pop first, FIFO.
+        let mut q: TimerWheel<u32> = TimerWheel::with_tick_shift(6);
+        q.insert(5_000, u32::MAX);
+        assert_eq!(q.peek_due(), Some(5_000));
+        for i in 0..4096 {
+            q.insert(1_000, i);
+        }
+        q.insert(5_000, 4096);
+        let got = drain(&mut q);
+        assert_eq!(got.len(), 4098);
+        assert!(got.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let payloads: Vec<u32> = got.iter().map(|e| e.2).collect();
+        let want: Vec<u32> = (0..4096).chain([u32::MAX, 4096]).collect();
+        assert_eq!(payloads, want);
+    }
+
+    #[test]
+    fn cancel_in_late_and_near_buffers() {
+        let mut q: TimerWheel<u32> = TimerWheel::with_tick_shift(6);
+        q.insert(5_000, 0);
+        q.insert(5_010, 1);
+        assert_eq!(q.peek_due(), Some(5_000)); // both now in `near`
+        let merged = q.insert(5_005, 2); // behind the cursor: `late`
+        let unmerged = q.insert(5_001, 3);
+        assert!(q.cancel(unmerged), "unmerged entry cancels from `late`");
+        assert_eq!(q.peek_due(), Some(5_000)); // merges `late` into `near`
+        assert!(q.cancel(merged), "merged entry cancels from `near`");
+        let payloads: Vec<u32> = drain(&mut q).iter().map(|e| e.2).collect();
+        assert_eq!(payloads, [0, 1]);
+    }
+
+    #[test]
+    fn cancel_in_a_multi_chunk_bucket() {
+        // tick = 2^10: dues 100_000 .. 100_000 + 2·CHUNK + 5 share one
+        // bucket of three chunks, the head one holding five entries.
+        let mut q: TimerWheel<u64> = TimerWheel::with_tick_shift(10);
+        let n = 2 * CHUNK as u64 + 5;
+        let handles: Vec<TimerHandle> = (0..n).map(|i| q.insert(100_000 + i, i)).collect();
+        // The only entry of its bucket.
+        let lone = q.insert(900_000, n);
+        // The tail, then entries of older (full) chunks, until the head
+        // chunk's five entries are used up and the chunk goes back to
+        // the pool.
+        let cancelled = [n - 1, 3, CHUNK as u64 + 7, 0, n - 2, 1];
+        for &i in &cancelled {
+            assert!(q.cancel(handles[i as usize]));
+            assert!(!q.cancel(handles[i as usize]));
+        }
+        assert_eq!(q.spare.len(), 1);
+        assert!(q.cancel(lone));
+        assert_eq!(q.spare.len(), 2);
+        assert_eq!(q.occupancy(), (n - 6) as usize);
+        let got: Vec<u64> = drain(&mut q).iter().map(|e| e.2).collect();
+        let want: Vec<u64> = (0..n).filter(|i| !cancelled.contains(i)).collect();
+        assert_eq!(got, want);
+        for h in handles {
+            assert!(!q.cancel(h), "popped and cancelled handles cancel nothing");
+        }
     }
 
     #[test]

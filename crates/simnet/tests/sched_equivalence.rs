@@ -212,8 +212,35 @@ fn shape_delta(raw: u64) -> u64 {
     }
 }
 
+/// The fixed-delay instant shape: a peek moves the cursor to the next
+/// occupied tick, then a burst of 4096 entries lands behind it before
+/// anything pops, and cancels hit entries both before and after they
+/// are merged into the sorted head buffer.
+#[test]
+fn behind_cursor_burst_matches_heap() {
+    let mut pair = Pair::new(11);
+    pair.insert(1_000_000, 0);
+    for i in 1..=4096u32 {
+        let due = 600_000 + u64::from(i % 3);
+        let hw = pair.wheel.insert(due, i);
+        let hh = pair.heap.insert(due, i);
+        pair.handles.push((hw, hh));
+    }
+    // The first cancel finds its entry unmerged; its `check` merges the
+    // rest, so the next two cancel from the sorted buffer.
+    for pick in [4096, 17, 2048] {
+        pair.cancel(pick);
+    }
+    pair.insert(600_001, 4097);
+    for _ in 0..100 {
+        pair.pop();
+    }
+    pair.cancel(3); // popped first: stale on both sides
+    pair.drain();
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
     /// The main interleaving property: random inserts (all magnitudes),
     /// cancels (live, repeated and stale), and batched pops that advance
     /// simulated time.
@@ -336,7 +363,7 @@ fn rescheduling_leaves_no_garbage_in_the_wheel() {
     assert_eq!(heap.occupancy(), NODES * (ROUNDS + 1));
 }
 
-/// A batched-broadcast-shaped slab payload: the simulator's fan-out now
+/// A batched-broadcast-shaped wheel payload: the simulator's fan-out now
 /// schedules one entry per same-due destination batch, so wheel entries
 /// carry a destination bitmap next to the shared payload instead of a
 /// bare id. The scheduler is payload-generic — this pins that the batch
