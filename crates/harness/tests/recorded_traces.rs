@@ -8,7 +8,7 @@
 //! broadcast route — by running this file there with every constant 0
 //! and copying the values the failure message lists (`docs/PERF.md`
 //! § "History: the sharded simulator" has the exact steps). Any change
-//! to event order, RNG draw order, batch splitting, wave drains, timer
+//! to event order, RNG draw order, broadcast routing, wave drains, timer
 //! bookkeeping or fault application moves at least one of them.
 //!
 //! The jittered and storm shapes with a crashed node and a blocked link
@@ -166,7 +166,7 @@ fn seven_nodes(b: ScenarioBuilder, initiate_at: Duration, scrambled: &[usize]) -
     b.build()
 }
 
-/// One crashed node (excluded from batches at delivery) and one blocked
+/// One crashed node (its deliveries swallowed) and one blocked
 /// link (excluded at send), then a plain run to 400 ms.
 fn run_with_down_node_and_blocked_link(mut sc: RunningScenario) -> RunningScenario {
     sc.sim_mut()
@@ -453,8 +453,8 @@ fn campaign_bursts() {
     check(&rows);
 }
 
-/// A destination that is down for the whole run is excluded from every
-/// batch it would have been part of, and everyone else still decides.
+/// A destination that is down for the whole run swallows every copy
+/// sent to it, and everyone else still decides.
 #[test]
 fn crashed_destination_observes_nothing() {
     let cfg = ScenarioConfig::new(4, 1).with_seed(5);
@@ -485,7 +485,7 @@ fn crashed_destination_observes_nothing() {
             .observations()
             .iter()
             .any(|o| o.node == NodeId::new(3)),
-        "a crashed destination must be excluded from every batch"
+        "a crashed destination must observe nothing"
     );
     assert!(matches!(
         scenario.sim().observations().first().map(|o| &o.event),

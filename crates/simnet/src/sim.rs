@@ -4,8 +4,10 @@
 //! `(due, seq)` order, one seeded RNG stream drawn in event-processing
 //! order, and one run loop. Every handler invocation goes through one
 //! helper that builds the node's [`Ctx`] and applies the effects it
-//! queued; [`Ctx::broadcast`] fan-out is batched into one wheel entry per
-//! same-due destination set, and same-instant deliveries on a draw-free
+//! queued. Every message copy takes one route: a draw-free
+//! [`Ctx::broadcast`] (fixed link delay, no storm) is one wheel entry for
+//! all its destinations, and every other send is one entry per copy
+//! (`Simulation::route_copy`). Same-instant deliveries on a draw-free
 //! instant are handed to each node as one wave ([`WaveMode`], the only
 //! simulator option). `crates/harness/tests/recorded_traces.rs` pins the
 //! resulting fixed-seed traces.
@@ -74,13 +76,13 @@ enum EventKind<M> {
         from: NodeId,
         msg: Arc<M>,
     },
-    /// One batched broadcast fan-out: a single wheel entry carrying the
+    /// One draw-free broadcast fan-out: a single wheel entry carrying the
     /// shared payload and a destination bitmap. On expiry the payload is
     /// delivered to every destination in ascending id order — exactly the
-    /// order n same-due per-destination entries would have popped in
-    /// (equal due ⇒ FIFO by seq ⇒ this broadcast's insertion order, which
-    /// was ascending id). An all-broadcast round occupies O(n) wheel
-    /// entries instead of O(n²).
+    /// order n same-due per-copy entries would have popped in (equal due
+    /// ⇒ FIFO by seq ⇒ the broadcast's insertion order, which is
+    /// ascending id). An all-broadcast round occupies O(n) wheel entries
+    /// instead of O(n²).
     BroadcastDeliver {
         from: NodeId,
         msg: Arc<M>,
@@ -330,7 +332,6 @@ impl<M, O> SimBuilder<M, O> {
             events_processed: 0,
             scratch_outbox: Vec::new(),
             wave_mode: self.wave_mode,
-            batch_scratch: Vec::new(),
             bitset_pool: Vec::new(),
             wave: WaveScratch::default(),
         };
@@ -416,13 +417,7 @@ pub struct Simulation<M, O> {
     /// Reused per-handler effect buffer: every dispatch borrows this Vec
     /// instead of allocating a fresh outbox per event.
     scratch_outbox: Vec<Effect<M, O>>,
-    /// Reused open-batch buffer for one `route_broadcast` call: one entry
-    /// per run of equal-due destinations. The bitmap is created lazily on
-    /// the second destination of a run — a singleton run costs no bitset
-    /// work at all, so jittered links (where dues rarely collide) pay
-    /// only a comparison over the per-destination path.
-    batch_scratch: Vec<(RealTime, NodeId, Option<NodeBitSet>)>,
-    /// Recycled destination bitmaps — steady-state batched fan-out
+    /// Recycled destination bitmaps — steady-state draw-free fan-out
     /// allocates no fresh bitsets.
     bitset_pool: Vec<NodeBitSet>,
     /// How same-instant deliveries are dispatched.
@@ -945,16 +940,13 @@ impl<M: Clone, O> Simulation<M, O> {
     /// [`EventKind::BroadcastDeliver`] for two or more destinations, a
     /// plain [`EventKind::Deliver`] for one, nothing for none.
     ///
-    /// Otherwise (jittered links, storm windows) the per-destination loop
-    /// performs exactly the RNG draws of n unicasts, in the same order,
-    /// and coalesces runs of equal-due destinations into one
-    /// `BroadcastDeliver` each. Every singleton push (a storm duplicate,
-    /// or a corrupted copy peeled out of its batch) first flushes the
-    /// open batches so the `(due, seq)` interleaving of all pushed
-    /// entries matches the per-destination path entry for entry.
+    /// Otherwise (jittered links, storm windows) every copy takes the
+    /// unicast path, [`Simulation::route_copy`], in ascending destination
+    /// order: the draws, wheel entries and pop order of n unicasts, with
+    /// the payload shared by reference. Equal-due copies are not merged:
+    /// on jittered links two copies of one broadcast almost never share
+    /// a due (`docs/PERF.md` § One route per copy).
     ///
-    /// Either way a batch delivers in ascending destination id on expiry —
-    /// the order equal-due per-destination entries popped in.
     /// `tests/fanout_equivalence.rs` checks both paths against processes
     /// that fan out with one [`Ctx::send`] per destination.
     fn route_broadcast(&mut self, from: NodeId, msg: M) {
@@ -997,132 +989,8 @@ impl<M: Clone, O> Simulation<M, O> {
             self.push(due, kind);
             return;
         }
-        let storm = self.storm.filter(|s| s.active_at(self.now));
-        let mut batches = std::mem::take(&mut self.batch_scratch);
-        debug_assert!(batches.is_empty());
         for i in 0..n {
-            let to = NodeId::new(i as u32);
-            // Suppression sits before any RNG draw, mirroring `route`, so
-            // a block or partition never shifts the draw sequence.
-            if !self.link_open(from, to) {
-                self.metrics.blocked += 1;
-                continue; // the bit is simply never set
-            }
-            let Some(storm) = storm else {
-                let due = self.now + self.sample_delay(self.link.delay_min, self.link.delay_max);
-                Self::batch_insert(&mut batches, &mut self.bitset_pool, due, to);
-                continue;
-            };
-            if storm.drop_den > 0 && self.rng.gen_ratio(storm.drop_num, storm.drop_den) {
-                self.metrics.dropped += 1;
-                continue;
-            }
-            // A corrupted destination is peeled out of its batch before
-            // its copy is mutated. Broadcast corruption always operates
-            // on a deep clone: the batch holds the shared `Arc`, so every
-            // other destination keeps the pristine payload. (A unicast in
-            // `route` owns its message and is corrupted in place.)
-            let mut private: Option<Arc<M>> = None;
-            if storm.corrupt_den > 0 && self.rng.gen_ratio(storm.corrupt_num, storm.corrupt_den) {
-                if let Some(corruptor) = self.corruptor.as_mut() {
-                    let owned = (*shared).clone();
-                    match corruptor(owned, &mut self.rng) {
-                        Some(m) => {
-                            self.metrics.corrupted += 1;
-                            private = Some(Arc::new(m));
-                        }
-                        None => {
-                            self.metrics.dropped += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    // No corruptor installed: corruption degenerates to loss.
-                    self.metrics.dropped += 1;
-                    continue;
-                }
-            }
-            if storm.dup_den > 0 && self.rng.gen_ratio(storm.dup_num, storm.dup_den) {
-                self.metrics.duplicated += 1;
-                let at = self.now + self.sample_delay(Duration::ZERO, storm.max_delay);
-                let payload = private.clone().unwrap_or_else(|| Arc::clone(&shared));
-                // Preserve the per-destination (due, seq) interleaving:
-                // everything batched so far must sit before this push.
-                self.flush_batches(from, &shared, &mut batches);
-                self.push(
-                    at,
-                    EventKind::Deliver {
-                        to,
-                        from,
-                        msg: payload,
-                    },
-                );
-            }
-            let due = self.now + self.sample_delay(Duration::ZERO, storm.max_delay);
-            match private {
-                Some(p) => {
-                    self.flush_batches(from, &shared, &mut batches);
-                    self.push(due, EventKind::Deliver { to, from, msg: p });
-                }
-                None => Self::batch_insert(&mut batches, &mut self.bitset_pool, due, to),
-            }
-        }
-        self.flush_batches(from, &shared, &mut batches);
-        self.batch_scratch = batches;
-    }
-
-    /// Adds `to` to the most recent open batch when the due matches,
-    /// opening a new run otherwise. Merging only into the *last* run
-    /// keeps this O(1) per destination; non-adjacent due collisions stay
-    /// separate entries, which flushes them in destination order —
-    /// exactly the per-destination path's equal-due pop order, so parity
-    /// is unaffected (the A/B battery covers jittered links). Draw-free
-    /// instants never get here: `route_broadcast` builds their single
-    /// entry directly.
-    fn batch_insert(
-        batches: &mut Vec<(RealTime, NodeId, Option<NodeBitSet>)>,
-        pool: &mut Vec<NodeBitSet>,
-        due: RealTime,
-        to: NodeId,
-    ) {
-        if let Some((d, first, dests)) = batches.last_mut() {
-            if *d == due {
-                // Second or later member: materialize the bitmap lazily.
-                let dests = dests.get_or_insert_with(|| {
-                    let mut s = pool.pop().unwrap_or_default();
-                    s.insert(*first);
-                    s
-                });
-                dests.insert(to);
-                return;
-            }
-        }
-        batches.push((due, to, None));
-    }
-
-    /// Pushes every open batch onto the wheel, in creation order. A
-    /// single-destination run is a plain [`EventKind::Deliver`] — no
-    /// bitmap was ever created for it.
-    fn flush_batches(
-        &mut self,
-        from: NodeId,
-        shared: &Arc<M>,
-        batches: &mut Vec<(RealTime, NodeId, Option<NodeBitSet>)>,
-    ) {
-        for (due, first, dests) in batches.drain(..) {
-            let kind = match dests {
-                None => EventKind::Deliver {
-                    to: first,
-                    from,
-                    msg: Arc::clone(shared),
-                },
-                Some(dests) => EventKind::BroadcastDeliver {
-                    from,
-                    msg: Arc::clone(shared),
-                    dests,
-                },
-            };
-            self.queue.insert(due.as_nanos(), kind);
+            self.route_copy(from, NodeId::new(i as u32), Arc::clone(&shared));
         }
     }
 
@@ -1136,39 +1004,48 @@ impl<M: Clone, O> Simulation<M, O> {
             *self.metrics.per_tag.entry(tagger(&msg)).or_insert(0) += 1;
         }
         self.prune_blocks();
-        // Suppression comes before any RNG draw (see `route_broadcast`).
+        self.route_copy(from, to, Arc::new(msg));
+    }
+
+    /// Routes one already-counted copy to `to`: the link check, then the
+    /// storm's drop, corrupt and duplicate rolls, then the delay draw, and
+    /// one wheel entry (two for a duplicate). Suppression sits before any
+    /// RNG draw, so a block or partition never shifts the draw sequence.
+    /// Expects [`Simulation::prune_blocks`] to have run at this instant.
+    fn route_copy(&mut self, from: NodeId, to: NodeId, mut msg: Arc<M>) {
         if !self.link_open(from, to) {
             self.metrics.blocked += 1;
             return;
         }
         let storm = self.storm.filter(|s| s.active_at(self.now));
-        let mut msg = msg;
-        if let Some(storm) = storm {
-            if storm.drop_den > 0 && self.rng.gen_ratio(storm.drop_num, storm.drop_den) {
-                self.metrics.dropped += 1;
-                return;
-            }
-            if storm.corrupt_den > 0 && self.rng.gen_ratio(storm.corrupt_num, storm.corrupt_den) {
-                // No corruptor installed: corruption degenerates to loss.
-                let rewritten = match self.corruptor.as_mut() {
-                    Some(corruptor) => corruptor(msg, &mut self.rng),
-                    None => None,
-                };
-                match rewritten {
-                    Some(m) => {
-                        self.metrics.corrupted += 1;
-                        msg = m;
-                    }
-                    None => {
+        let delay = match storm {
+            None => self.sample_delay(self.link.delay_min, self.link.delay_max),
+            Some(storm) => {
+                if storm.drop_den > 0 && self.rng.gen_ratio(storm.drop_num, storm.drop_den) {
+                    self.metrics.dropped += 1;
+                    return;
+                }
+                if storm.corrupt_den > 0 && self.rng.gen_ratio(storm.corrupt_num, storm.corrupt_den)
+                {
+                    // A unicast owns its payload and is rewritten in place;
+                    // a broadcast copy shares it with the other
+                    // destinations, so the corruptor gets a deep clone and
+                    // every other copy stays pristine. No corruptor
+                    // installed: corruption degenerates to loss.
+                    let rewritten = match self.corruptor.as_mut() {
+                        Some(corruptor) => {
+                            let owned = Arc::try_unwrap(msg).unwrap_or_else(|m| (*m).clone());
+                            corruptor(owned, &mut self.rng)
+                        }
+                        None => None,
+                    };
+                    let Some(m) = rewritten else {
                         self.metrics.dropped += 1;
                         return;
-                    }
+                    };
+                    self.metrics.corrupted += 1;
+                    msg = Arc::new(m);
                 }
-            }
-        }
-        let payload = Arc::new(msg);
-        let delay = match storm {
-            Some(storm) => {
                 if storm.dup_den > 0 && self.rng.gen_ratio(storm.dup_num, storm.dup_den) {
                     self.metrics.duplicated += 1;
                     let at = self.now + self.sample_delay(Duration::ZERO, storm.max_delay);
@@ -1177,23 +1054,14 @@ impl<M: Clone, O> Simulation<M, O> {
                         EventKind::Deliver {
                             to,
                             from,
-                            msg: Arc::clone(&payload),
+                            msg: Arc::clone(&msg),
                         },
                     );
                 }
                 self.sample_delay(Duration::ZERO, storm.max_delay)
             }
-            None => self.sample_delay(self.link.delay_min, self.link.delay_max),
         };
-        let at = self.now + delay;
-        self.push(
-            at,
-            EventKind::Deliver {
-                to,
-                from,
-                msg: payload,
-            },
-        );
+        self.push(self.now + delay, EventKind::Deliver { to, from, msg });
     }
 
     /// Drops the link blocks that have expired. Time never runs

@@ -1,26 +1,26 @@
-//! A/B parity battery for the batched broadcast fan-out.
+//! A/B parity battery for broadcast fan-out.
 //!
-//! [`Ctx::broadcast`] coalesces a fan-out into one wheel entry per
-//! same-due destination batch. The reference it must match lives here,
-//! in the test processes: [`Fan::Unicasts`] fans out with one
-//! [`Ctx::send`] per destination in ascending id order, which routes
-//! every copy through the simulator's unicast path — one wheel entry per
-//! destination, the same draws in the same order. The two fan-outs must
-//! be *indistinguishable* from inside the simulation: identical
+//! [`Ctx::broadcast`] has two routes. On a draw-free instant (fixed link
+//! delay, no storm) the whole fan-out is one wheel entry carrying a
+//! destination bitmap; otherwise every copy takes the unicast path, one
+//! wheel entry per destination. The reference both must match lives
+//! here, in the test processes: [`Fan::Unicasts`] fans out with one
+//! [`Ctx::send`] per destination in ascending id order. The two fan-outs
+//! must be *indistinguishable* from inside the simulation: identical
 //! observation streams (node, real time, local time, payload — in
 //! order), identical metrics including the per-tag send counts, identical
 //! RNG consumption — under crashes, link blocks, a partition healed
 //! mid-run, jittered delays, and full storms (drop / corrupt /
-//! duplicate), from one node up, which exercise every batch-splitting
-//! rule and the draw-free path's 0-, 1- and many-destination entries:
+//! duplicate), from one node up:
 //!
-//! * delay jitter partitions destinations into same-due batches;
-//! * link blocks, the partition and crashes clear destination bits (the
-//!   first two at send, crashes at delivery);
-//! * per-destination corruption peels the target out of its batch into a
-//!   private copy (pinned by the dedicated regression below);
-//! * storm duplicates are singleton pushes that flush open batches first,
-//!   preserving the `(due, seq)` interleaving of the unicast path.
+//! * on the draw-free route, link blocks and the partition clear
+//!   destination bits at send and crashes are skipped at delivery, and
+//!   0-, 1- and many-destination fan-outs each get their own entry shape;
+//! * off it, the broadcast enqueues exactly what the unicasts enqueue —
+//!   same wheel occupancy, same number of events — so no copy is merged
+//!   with another;
+//! * a corrupted copy is a private deep clone, so the other copies keep
+//!   the original payload (pinned by the dedicated regression below).
 
 use proptest::prelude::*;
 use ssbyz_simnet::{
@@ -33,7 +33,7 @@ const T_BEAT: u64 = 1;
 /// How a test process sends one payload to every node.
 #[derive(Debug, Clone, Copy)]
 enum Fan {
-    /// The simulator's batched fan-out.
+    /// The simulator's fan-out, `Ctx::broadcast`.
     Broadcast,
     /// The live oracle: one unicast per destination, ascending id.
     Unicasts,
@@ -111,8 +111,8 @@ struct Shape {
     corrupt_num: u32,
     dup_num: u32,
     /// Storm delays of at most 3 ns instead of 2 ms: dues collide, so
-    /// the `(due, seq)` order of duplicates, peeled copies and batches
-    /// decides what every node sees next.
+    /// the `(due, seq)` order of duplicates, corrupted copies and the
+    /// rest decides what every node sees next.
     colliding_dues: bool,
     /// Re-broadcast amplification threshold.
     amplify: bool,
@@ -227,15 +227,23 @@ fn run_parity(shape: &Shape) {
         batched.queue_len() <= per_dest.queue_len(),
         "batching must never enqueue more than per-destination"
     );
+    if shape.jitter_us > 0 {
+        // No instant is draw-free: every copy is its own entry.
+        assert_eq!(
+            (batched.queue_len(), batched.events_processed()),
+            (per_dest.queue_len(), per_dest.events_processed()),
+            "a jittered broadcast must enqueue exactly its unicasts for {shape:?}"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Steady-state links (no storm): jittered delays split batches,
-    /// crashes clear bits at delivery, blocks and the partition clear bits
-    /// at send — the observation stream must match the per-destination
-    /// oracle exactly.
+    /// Steady-state links (no storm): jittered delays put every copy on
+    /// the unicast path; on fixed delays crashes clear bits at delivery,
+    /// blocks and the partition clear bits at send — the observation
+    /// stream must match the per-destination oracle exactly.
     #[test]
     fn batched_matches_per_destination_steady_state(
         n in 1usize..12,
@@ -254,8 +262,9 @@ proptest! {
         });
     }
 
-    /// Full storm: drops, per-destination corruption (batch peel) and
-    /// duplicates (batch flush) on top of crashes and partitions.
+    /// Full storm: drops, per-copy corruption and duplicates on top of
+    /// crashes and partitions; 3 ns storm delays make copies collide on
+    /// one due.
     #[test]
     fn batched_matches_per_destination_under_storm(
         n in 1usize..10,
@@ -278,15 +287,14 @@ proptest! {
     }
 }
 
-/// Pins the batch-peel semantics of per-destination corruption: when the
-/// storm corrupts *some* destinations of one broadcast, each corrupted
-/// destination gets its own private mutated copy while every other
-/// destination's copy stays byte-identical to the original — mutating
-/// one copy of a batched broadcast must never leak into (or suppress)
-/// the rest of the batch: the batch shares the payload, so the
-/// corruptor always works on a fresh deep clone.
+/// Pins per-copy corruption: when the storm corrupts *some* destinations
+/// of one broadcast, each corrupted destination gets its own private
+/// mutated copy while every other destination's copy stays identical to
+/// the original — the copies share one payload, so the corruptor always
+/// works on a fresh deep clone and a rewrite never leaks into (or
+/// suppresses) the others.
 #[test]
-fn corruption_peels_one_destination_without_touching_the_batch() {
+fn corrupting_one_copy_leaves_the_other_copies_pristine() {
     const N: usize = 16;
     const ORIGINAL: u64 = 100;
     const STAMP: u64 = 1_000_000;
@@ -310,7 +318,7 @@ fn corruption_peels_one_destination_without_touching_the_batch() {
                 drop_num: 0,
                 drop_den: 1,
                 corrupt_num: 1,
-                corrupt_den: 2, // roughly half the destinations get peeled
+                corrupt_den: 2, // roughly half the copies get rewritten
                 dup_num: 0,
                 dup_den: 1,
                 max_delay: Duration::from_millis(1),
@@ -338,7 +346,7 @@ fn corruption_peels_one_destination_without_touching_the_batch() {
     assert_eq!(
         corrupted as u64,
         sim.metrics().corrupted,
-        "each peeled destination counts once"
+        "each rewritten copy counts once"
     );
     assert!(
         pristine >= 2 && corrupted >= 2,

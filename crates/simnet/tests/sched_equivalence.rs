@@ -363,10 +363,10 @@ fn rescheduling_leaves_no_garbage_in_the_wheel() {
     assert_eq!(heap.occupancy(), NODES * (ROUNDS + 1));
 }
 
-/// A batched-broadcast-shaped wheel payload: the simulator's fan-out now
-/// schedules one entry per same-due destination batch, so wheel entries
-/// carry a destination bitmap next to the shared payload instead of a
-/// bare id. The scheduler is payload-generic — this pins that the batch
+/// A batched-broadcast-shaped wheel payload: the simulator schedules a
+/// draw-free broadcast as one entry for all its destinations, so wheel
+/// entries carry a destination bitmap next to the shared payload instead
+/// of a bare id. The scheduler is payload-generic — this pins that the batch
 /// shape (a wider, non-`Copy` payload with interior structure) changes
 /// neither pop order nor cancellation behaviour, wheel vs reference
 /// heap, bit for bit.

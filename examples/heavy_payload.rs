@@ -19,10 +19,12 @@
 //!    handle (`resolve_shared`) — a reference bump. The proposer's own
 //!    `Engine::initiate(value)` moves the value into its `Arc` once.
 //!
-//! 2. **Batched fan-out in the simulator.** A broadcast is a single
-//!    wheel entry carrying the shared payload plus a destination bitmap
-//!    (`BroadcastDeliver`), so an all-broadcast round costs O(n) queue
-//!    entries and O(1) payload copies instead of O(n²)/O(n).
+//! 2. **Shared fan-out in the simulator.** A broadcast wraps its payload
+//!    in one `Arc`, and every copy in flight holds a reference to it. On
+//!    the jittered links below each copy is its own wheel entry with its
+//!    own delay; on fixed links the whole broadcast is one entry with a
+//!    destination bitmap (`BroadcastDeliver`). Either way a round costs
+//!    O(1) payload copies instead of O(n).
 //!
 //! The blob type below counts its own deep copies; the run asserts the
 //! total stays at **zero** across the whole agreement — initiation,
@@ -102,7 +104,6 @@ fn main() {
     println!("messages sent:        {}", sim.metrics().sent);
     println!("messages delivered:   {}", sim.metrics().delivered);
     println!("blob deep copies:     {copies}");
-    println!("peak queue entries:   (batched fan-out: one entry per broadcast wave)");
     assert!(
         copies <= 2,
         "the 64 KiB payload must never be copied per message \
