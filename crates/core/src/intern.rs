@@ -52,7 +52,7 @@ use ssbyz_types::Value;
 /// interner occupancy, which the sweep and the per-instance state caps
 /// already bound.
 #[derive(Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 

@@ -25,15 +25,18 @@
 //! Values are interned [`ValueId`]s, resolved by the owning
 //! [`Engine`](crate::Engine) only at output emission.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt::Write;
+use std::hash::BuildHasherDefault;
 
 use ssbyz_types::{DenseNodeMap, LocalTime, NodeId, Value};
 
 use crate::corrupt::{Entropy, Garbage};
-use crate::intern::{ValueId, ValueIdMap, ValueInterner};
+use crate::intern::{FxHasher, ValueId, ValueInterner};
 use crate::message::BcastKind;
 use crate::params::Params;
-use crate::store::{Due, StampLog};
+use crate::store::{Due, StampSlab};
 
 /// Actions produced by the primitive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,14 +65,12 @@ pub enum MsgdAction<V> {
     BroadcasterDetected(NodeId),
 }
 
-/// Per-triplet message state.
-#[derive(Debug, Clone, Default)]
-struct TripletState {
+/// A triplet's own state, kept in the first [`HEADER`] words of its slab
+/// stride: flag bits in word 0, then the three stamps.
+#[derive(Debug, Clone, Copy, Default)]
+struct Header {
     /// Arrival of `(init, p, m, k)` from `p` itself.
     init_from_p: Option<LocalTime>,
-    echo: StampLog,
-    init_prime: StampLog,
-    echo_prime: StampLog,
     /// "Nodes send specific messages only once."
     sent: [bool; 4],
     accepted_at: Option<LocalTime>,
@@ -77,68 +78,89 @@ struct TripletState {
     touched: Option<LocalTime>,
 }
 
-impl TripletState {
-    fn is_dormant(&self) -> bool {
-        self.init_from_p.is_none()
-            && self.echo.is_empty()
-            && self.init_prime.is_empty()
-            && self.echo_prime.is_empty()
-            && self.accepted_at.is_none()
-            && !self.sent.iter().any(|b| *b)
+/// Header words per triplet stride.
+const HEADER: usize = 4;
+
+/// The `echo`, `init′` and `echo′` sender logs, rows `0..LOGS` of a
+/// stride (an `init` counts only from `p`, so it is a header stamp).
+const LOGS: usize = 3;
+
+/// The slab row of a non-`init` stage's sender log.
+fn log_row(kind: BcastKind) -> usize {
+    kind as usize - 1
+}
+
+type TripletSlab = StampSlab<HEADER, LOGS>;
+
+/// `(value, broadcaster, round)`.
+type TripletKey = (ValueId, NodeId, u32);
+
+impl Header {
+    fn load(w: &[u64; HEADER]) -> Self {
+        let flag = |bit: usize| w[0] & (1 << bit) != 0;
+        let stamp = |bit: usize, t: u64| flag(bit).then(|| LocalTime::from_nanos(t));
+        Header {
+            init_from_p: stamp(4, w[1]),
+            sent: std::array::from_fn(flag),
+            accepted_at: stamp(5, w[2]),
+            touched: stamp(6, w[3]),
+        }
+    }
+
+    fn store(&self, w: &mut [u64; HEADER]) {
+        let mut flags = 0u64;
+        for (bit, sent) in self.sent.into_iter().enumerate() {
+            flags |= u64::from(sent) << bit;
+        }
+        let stamps = [self.init_from_p, self.accepted_at, self.touched];
+        for (i, t) in stamps.into_iter().enumerate() {
+            flags |= u64::from(t.is_some()) << (4 + i);
+            w[1 + i] = t.map_or(0, LocalTime::as_nanos);
+        }
+        w[0] = flags;
+    }
+
+    /// Runs `f` on stride `i`'s header and writes the result back.
+    fn update<R>(slab: &mut TripletSlab, i: u32, f: impl FnOnce(&mut Header) -> R) -> R {
+        let w = slab.header_mut(i);
+        let mut st = Header::load(w);
+        let r = f(&mut st);
+        st.store(w);
+        r
     }
 }
 
-/// One broadcaster's per-round triplet states for a single value, indexed
-/// flat by `round − 1` (rounds are validated to `1..=max_round`, so the
-/// vector stays tiny: `f + 1` slots at most).
-#[derive(Debug, Clone, Default)]
-struct RoundSlots {
-    rounds: Vec<Option<TripletState>>,
-}
-
-impl RoundSlots {
-    fn get(&self, round: u32) -> Option<&TripletState> {
-        self.rounds
-            .get((round as usize).wrapping_sub(1))
-            .and_then(Option::as_ref)
-    }
-
-    fn get_mut(&mut self, round: u32) -> Option<&mut TripletState> {
-        self.rounds
-            .get_mut((round as usize).wrapping_sub(1))
-            .and_then(Option::as_mut)
-    }
-
-    /// Creates the slot for `round` if missing; returns whether it was
-    /// newly created (so the owner can maintain its triplet counter).
-    fn ensure(&mut self, round: u32) -> (&mut TripletState, bool) {
-        let idx = round as usize - 1;
-        if idx >= self.rounds.len() {
-            self.rounds.resize_with(idx + 1, || None);
-        }
-        let slot = &mut self.rounds[idx];
-        let fresh = slot.is_none();
-        if fresh {
-            *slot = Some(TripletState::default());
-        }
-        (slot.as_mut().expect("just filled"), fresh)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.rounds.iter().all(Option::is_none)
-    }
+/// Whether stride `i` holds nothing but (at most) a `touched` stamp.
+fn is_dormant(slab: &TripletSlab, i: u32) -> bool {
+    let st = Header::load(slab.header(i));
+    st.init_from_p.is_none()
+        && st.accepted_at.is_none()
+        && !st.sent.iter().any(|b| *b)
+        && (0..LOGS).all(|row| slab.log(i, row).is_empty())
 }
 
 /// Cap on tracked triplets per agreement instance (Byzantine nodes can mint
 /// triplets; the legitimate count is ≤ n·(f+1) per value in play).
+///
+/// Each triplet is one slab stride of `8·(4 + 3·(1 + ⌈n/64⌉ + n))` bytes,
+/// and no arrival opens a triplet past the cap, so arrivals alone never
+/// grow one instance's arena past `MAX_TRACKED_TRIPLETS` strides: 704 KiB
+/// at n = 4 (176 B strides), 3.2 MiB at n = 31 (824 B), 6.3 MiB at n = 64
+/// (1 616 B), 24.6 MiB at n = 256 (6 296 B). The triplet index and the
+/// free list add at most a few dozen bytes per triplet. This node's own
+/// relay (one per execution) and planted transient-fault residue open
+/// their triplet regardless, one stride each.
 pub const MAX_TRACKED_TRIPLETS: usize = 4096;
 
 /// One node's `msgd-broadcast` machinery inside the agreement instance of
 /// one General.
 ///
-/// The per-value triplet table is a dense [`ValueIdMap`] of dense
-/// per-broadcaster round tables, so a delivered echo reaches its triplet
-/// state with three array indexings and no tree walk.
+/// Every live triplet is one fixed stride of a [`StampSlab`] sized from
+/// `n` — its header next to its `echo`, `init′` and `echo′` sender logs
+/// — found through one hash probe on `(value, broadcaster, round)`.
+/// Recording a wave is index arithmetic on that stride; cleanup and
+/// [`MsgdBroadcast::reset`] return strides to the slab, so after warm-up
+/// no arrival and no later agreement allocates triplet state.
 ///
 /// # Example
 ///
@@ -158,9 +180,13 @@ pub const MAX_TRACKED_TRIPLETS: usize = 4096;
 pub struct MsgdBroadcast {
     me: NodeId,
     params: Params,
-    triplets: ValueIdMap<DenseNodeMap<RoundSlots>>,
-    /// Live [`TripletState`] count across all values (memory bound).
-    triplet_count: usize,
+    /// Each live triplet's stride in `slab`. The keys are interner ids
+    /// and range-checked node ids and rounds, at most
+    /// [`MAX_TRACKED_TRIPLETS`] of them, so the interner's fixed hasher
+    /// serves here too: crafted collisions cost at most a walk over that
+    /// bounded set.
+    index: HashMap<TripletKey, u32, BuildHasherDefault<FxHasher>>,
+    slab: TripletSlab,
     broadcasters: DenseNodeMap<LocalTime>,
     /// When [`MsgdBroadcast::cleanup`] can next change anything.
     due: Due,
@@ -173,34 +199,19 @@ impl MsgdBroadcast {
         MsgdBroadcast {
             me,
             params,
-            triplets: ValueIdMap::new(),
-            triplet_count: 0,
+            index: HashMap::default(),
+            slab: StampSlab::new(params.n(), MAX_TRACKED_TRIPLETS),
             broadcasters: DenseNodeMap::with_capacity(params.n()),
             due: Due::Never,
         }
     }
 
-    fn triplet(&self, broadcaster: NodeId, round: u32, value: ValueId) -> Option<&TripletState> {
-        self.triplets
-            .get(value)
-            .and_then(|pv| pv.get(broadcaster))
-            .and_then(|slots| slots.get(round))
-    }
-
-    fn triplet_entry<'a>(
-        triplets: &'a mut ValueIdMap<DenseNodeMap<RoundSlots>>,
-        triplet_count: &mut usize,
-        broadcaster: NodeId,
-        round: u32,
-        value: ValueId,
-    ) -> &'a mut TripletState {
-        let per_value = triplets.get_or_insert_with(value, DenseNodeMap::new);
-        let slots = per_value.get_or_insert_with(broadcaster, RoundSlots::default);
-        let (st, fresh) = slots.ensure(round);
-        if fresh {
-            *triplet_count += 1;
-        }
-        st
+    /// The stride of `(value, broadcaster, round)`, opened if missing.
+    fn stride(&mut self, broadcaster: NodeId, round: u32, value: ValueId) -> u32 {
+        *self
+            .index
+            .entry((value, broadcaster, round))
+            .or_insert_with(|| self.slab.alloc())
     }
 
     /// Block V: this node invokes `msgd-broadcast(me, value, round)`.
@@ -214,19 +225,18 @@ impl MsgdBroadcast {
         if round == 0 || round > self.params.max_round() {
             return;
         }
-        let me = self.me;
-        let st = Self::triplet_entry(
-            &mut self.triplets,
-            &mut self.triplet_count,
-            me,
-            round,
-            value,
-        );
-        if st.sent[BcastKind::Init as usize] {
+        let i = self.stride(self.me, round, value);
+        let fresh = Header::update(&mut self.slab, i, |st| {
+            let fresh = !st.sent[BcastKind::Init as usize];
+            if fresh {
+                st.sent[BcastKind::Init as usize] = true;
+                st.touched = Some(now);
+            }
+            fresh
+        });
+        if !fresh {
             return;
         }
-        st.sent[BcastKind::Init as usize] = true;
-        st.touched = Some(now);
         self.due.lower(now + self.params.msgd_horizon());
         out.push(MsgdAction::Send {
             kind: BcastKind::Init,
@@ -269,7 +279,8 @@ impl MsgdBroadcast {
     /// evaluated alone — firing, in block order, any condition already
     /// true at wave start (e.g. a stale latch left by a transient fault),
     /// exactly as the per-message path's first step would. The remaining
-    /// arrivals then land in one bulk [`StampLog::record_wave`] pass
+    /// arrivals then land in one bulk
+    /// [`StampLogMut::record_wave`](crate::store::StampLogMut::record_wave) pass
     /// and a single final evaluation fires whatever the accumulated
     /// counts newly crossed. Within a single-kind wave every later
     /// crossing lives in one deadline block whose emission order equals
@@ -303,75 +314,70 @@ impl MsgdBroadcast {
         if broadcaster.index() >= self.params.n() {
             return; // claimed broadcaster outside the membership
         }
-        if self.triplet_count >= MAX_TRACKED_TRIPLETS
-            && self.triplet(broadcaster, round, value).is_none()
-        {
-            return; // bound memory against triplet-minting adversaries
-        }
-        {
-            let st = Self::triplet_entry(
-                &mut self.triplets,
-                &mut self.triplet_count,
-                broadcaster,
-                round,
-                value,
-            );
+        let tracked = self.index.len();
+        let i = match self.index.entry((value, broadcaster, round)) {
+            Entry::Occupied(e) => *e.get(),
+            // Bound memory against triplet-minting adversaries.
+            Entry::Vacant(_) if tracked >= MAX_TRACKED_TRIPLETS => return,
+            Entry::Vacant(e) => *e.insert(self.slab.alloc()),
+        };
+        Header::update(&mut self.slab, i, |st| {
             st.touched = Some(now);
-            match kind {
-                BcastKind::Init => {
-                    if first == broadcaster && st.init_from_p.is_none() {
-                        st.init_from_p = Some(now);
-                    }
-                }
-                BcastKind::Echo => st.echo.record(now, first),
-                BcastKind::InitPrime => st.init_prime.record(now, first),
-                BcastKind::EchoPrime => st.echo_prime.record(now, first),
+            if kind == BcastKind::Init && first == broadcaster && st.init_from_p.is_none() {
+                st.init_from_p = Some(now);
             }
-            if st.is_dormant() {
-                // An init relayed by anyone but the broadcaster records
-                // nothing: the fresh triplet is removable at once.
-                self.due = Due::Now;
-            } else {
-                // Every stamp of this wave is `now`.
-                self.due.lower(now + self.params.msgd_horizon());
-            }
+        });
+        if kind != BcastKind::Init {
+            self.slab.log_mut(i, log_row(kind)).record(now, first);
+        }
+        if is_dormant(&self.slab, i) {
+            // An init relayed by anyone but the broadcaster records
+            // nothing: the fresh triplet is removable at once.
+            self.due = Due::Now;
+        } else {
+            // Every stamp of this wave is `now`.
+            self.due.lower(now + self.params.msgd_horizon());
         }
         if let Some(anchor) = anchor {
-            self.evaluate_triplet(now, anchor, broadcaster, round, value, out);
+            self.evaluate_triplet(now, anchor, i, broadcaster, round, value, out);
         }
         if rest.is_empty() {
             return;
         }
-        {
-            let st = self
-                .triplets
-                .get_mut(value)
-                .and_then(|pv| pv.get_mut(broadcaster))
-                .and_then(|slots| slots.get_mut(round))
-                .expect("triplet recorded above cannot vanish mid-wave");
-            match kind {
-                BcastKind::Init => {
-                    // Only an init from the broadcaster itself counts (W2).
-                    for &s in rest {
-                        if s == broadcaster && st.init_from_p.is_none() {
-                            st.init_from_p = Some(now);
-                        }
-                    }
-                }
-                BcastKind::Echo => st.echo.record_wave(now, rest),
-                BcastKind::InitPrime => st.init_prime.record_wave(now, rest),
-                BcastKind::EchoPrime => st.echo_prime.record_wave(now, rest),
+        if kind == BcastKind::Init {
+            // Only an init from the broadcaster itself counts (W2).
+            if rest.contains(&broadcaster) {
+                Header::update(&mut self.slab, i, |st| {
+                    st.init_from_p.get_or_insert(now);
+                });
             }
+        } else {
+            self.slab.log_mut(i, log_row(kind)).record_wave(now, rest);
         }
         if let Some(anchor) = anchor {
-            self.evaluate_triplet(now, anchor, broadcaster, round, value, out);
+            self.evaluate_triplet(now, anchor, i, broadcaster, round, value, out);
         }
+    }
+
+    /// Every live triplet with its stride, ascending in `(value,
+    /// broadcaster, round)` order — values compared in `V`'s order
+    /// through the interner, so the order depends neither on id
+    /// assignment nor on where the triplets sit in the slab.
+    fn sorted<V: Value>(&self, interner: &ValueInterner<V>) -> Vec<(TripletKey, u32)> {
+        let mut keys: Vec<(TripletKey, u32)> = self.index.iter().map(|(&k, &i)| (k, i)).collect();
+        keys.sort_by(|((va, pa, ka), _), ((vb, pb, kb), _)| {
+            interner
+                .resolve(*va)
+                .cmp(interner.resolve(*vb))
+                .then(pa.cmp(pb))
+                .then(ka.cmp(kb))
+        });
+        keys
     }
 
     /// Called when the anchor `τ_G` becomes known: evaluates every logged
     /// triplet against it, in ascending `(value, broadcaster, round)`
-    /// order — values compared in `V`'s order through the interner, so
-    /// the output sequence does not depend on id assignment.
+    /// order, so the output sequence does not depend on id assignment.
     pub fn on_anchor<V: Value>(
         &mut self,
         now: LocalTime,
@@ -379,37 +385,18 @@ impl MsgdBroadcast {
         interner: &ValueInterner<V>,
         out: &mut Vec<MsgdAction<ValueId>>,
     ) {
-        let mut keys: Vec<(NodeId, u32, ValueId)> = self
-            .triplets
-            .iter()
-            .flat_map(|(v, pv)| {
-                pv.iter().flat_map(move |(p, slots)| {
-                    slots
-                        .rounds
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_some())
-                        .map(move |(i, _)| (p, i as u32 + 1, v))
-                })
-            })
-            .collect();
-        keys.sort_by(|a, b| {
-            interner
-                .resolve(a.2)
-                .cmp(interner.resolve(b.2))
-                .then(a.0.cmp(&b.0))
-                .then(a.1.cmp(&b.1))
-        });
-        for (p, k, v) in keys {
-            self.evaluate_triplet(now, anchor, p, k, v, out);
+        for ((v, p, k), i) in self.sorted(interner) {
+            self.evaluate_triplet(now, anchor, i, p, k, v, out);
         }
     }
 
-    /// Runs blocks W–Z for one triplet.
+    /// Runs blocks W–Z for the triplet in stride `i`.
+    #[allow(clippy::too_many_arguments)]
     fn evaluate_triplet(
         &mut self,
         now: LocalTime,
         anchor: LocalTime,
+        i: u32,
         broadcaster: NodeId,
         round: u32,
         value: ValueId,
@@ -422,14 +409,11 @@ impl MsgdBroadcast {
         // behaves as "just set".
         let elapsed = now.since_or_zero(anchor);
         let k = u64::from(round);
-        let Some(st) = self
-            .triplets
-            .get_mut(value)
-            .and_then(|pv| pv.get_mut(broadcaster))
-            .and_then(|slots| slots.get_mut(round))
-        else {
-            return;
-        };
+        let [echo, init_prime, echo_prime] =
+            [BcastKind::Echo, BcastKind::InitPrime, BcastKind::EchoPrime]
+                .map(|kind| self.slab.log(i, log_row(kind)).distinct_total());
+        let w = self.slab.header_mut(i);
+        let mut st = Header::load(w);
         let mut accepted = false;
         let mut detected = false;
         // All `Send` actions precede `BroadcasterDetected`/`Accepted` in
@@ -455,34 +439,35 @@ impl MsgdBroadcast {
         }
         // Block X — by τ_G + (2k+1)Φ.
         if elapsed <= phi * (2 * k + 1) {
-            if st.echo.distinct_total() >= weak && !st.sent[BcastKind::InitPrime as usize] {
+            if echo >= weak && !st.sent[BcastKind::InitPrime as usize] {
                 st.sent[BcastKind::InitPrime as usize] = true;
                 send(BcastKind::InitPrime, out);
             }
-            if st.echo.distinct_total() >= strong && st.accepted_at.is_none() {
+            if echo >= strong && st.accepted_at.is_none() {
                 st.accepted_at = Some(now);
                 accepted = true;
             }
         }
         // Block Y — by τ_G + (2k+2)Φ.
         if elapsed <= phi * (2 * k + 2) {
-            if st.init_prime.distinct_total() >= weak && !self.broadcasters.contains(broadcaster) {
+            if init_prime >= weak && !self.broadcasters.contains(broadcaster) {
                 detected = true;
             }
-            if st.init_prime.distinct_total() >= strong && !st.sent[BcastKind::EchoPrime as usize] {
+            if init_prime >= strong && !st.sent[BcastKind::EchoPrime as usize] {
                 st.sent[BcastKind::EchoPrime as usize] = true;
                 send(BcastKind::EchoPrime, out);
             }
         }
         // Block Z — untimed.
-        if st.echo_prime.distinct_total() >= weak && !st.sent[BcastKind::EchoPrime as usize] {
+        if echo_prime >= weak && !st.sent[BcastKind::EchoPrime as usize] {
             st.sent[BcastKind::EchoPrime as usize] = true;
             send(BcastKind::EchoPrime, out);
         }
-        if st.echo_prime.distinct_total() >= strong && st.accepted_at.is_none() {
+        if echo_prime >= strong && st.accepted_at.is_none() {
             st.accepted_at = Some(now);
             accepted = true;
         }
+        st.store(w);
         if detected {
             self.broadcasters.insert(broadcaster, now);
             out.push(MsgdAction::BroadcasterDetected(broadcaster));
@@ -505,10 +490,17 @@ impl MsgdBroadcast {
     }
 
     /// Number of triplets with live (logged) state — includes messages
-    /// buffered before the anchor exists. O(1): maintained incrementally.
+    /// buffered before the anchor exists. O(1).
     #[must_use]
     pub fn triplet_count(&self) -> usize {
-        self.triplet_count
+        self.index.len()
+    }
+
+    /// Heap bytes of the triplet slab's arena (see
+    /// [`MAX_TRACKED_TRIPLETS`] for its bound).
+    #[must_use]
+    pub fn arena_bytes(&self) -> usize {
+        self.slab.arena_bytes()
     }
 
     /// Whether `p` has been detected as a broadcaster.
@@ -526,34 +518,31 @@ impl MsgdBroadcast {
         let horizon = self.params.msgd_horizon();
         let stale =
             |t: Option<LocalTime>| t.is_some_and(|t| t.is_after(now) || now.since(t) > horizon);
-        let mut removed = 0usize;
-        self.triplets.retain(|_, per_value| {
-            per_value.retain(|_, slots| {
-                for slot in &mut slots.rounds {
-                    let Some(st) = slot.as_mut() else { continue };
-                    st.echo.prune(now, horizon);
-                    st.init_prime.prune(now, horizon);
-                    st.echo_prime.prune(now, horizon);
-                    if stale(st.init_from_p) {
-                        st.init_from_p = None;
-                    }
-                    if stale(st.accepted_at) {
-                        st.accepted_at = None;
-                    }
-                    if stale(st.touched) {
-                        st.touched = None;
-                        st.sent = [false; 4];
-                    }
-                    if st.is_dormant() {
-                        *slot = None;
-                        removed += 1;
-                    }
+        let slab = &mut self.slab;
+        let live = self.index.len();
+        self.index.retain(|_, &mut i| {
+            for row in 0..LOGS {
+                slab.log_mut(i, row).prune(now, horizon);
+            }
+            Header::update(slab, i, |st| {
+                if stale(st.init_from_p) {
+                    st.init_from_p = None;
                 }
-                !slots.is_empty()
+                if stale(st.accepted_at) {
+                    st.accepted_at = None;
+                }
+                if stale(st.touched) {
+                    st.touched = None;
+                    st.sent = [false; 4];
+                }
             });
-            !per_value.is_empty()
+            let dormant = is_dormant(slab, i);
+            if dormant {
+                slab.release(i);
+            }
+            !dormant
         });
-        self.triplet_count -= removed;
+        let removed = live - self.index.len();
         let detected = self.broadcasters.len();
         self.broadcasters
             .retain(|_, t| !t.is_after(now) && now.since(*t) <= horizon);
@@ -566,17 +555,16 @@ impl MsgdBroadcast {
     fn next_due(&self) -> Due {
         let horizon = self.params.msgd_horizon();
         let mut due = Due::Never;
-        for per_value in self.triplets.values() {
-            for st in per_value.values().flat_map(|s| s.rounds.iter().flatten()) {
-                for t in [st.init_from_p, st.accepted_at, st.touched]
-                    .into_iter()
-                    .flatten()
-                {
-                    due.lower(t + horizon);
-                }
-                for log in [&st.echo, &st.init_prime, &st.echo_prime] {
-                    log.lower_due(horizon, &mut due);
-                }
+        for &i in self.index.values() {
+            let st = Header::load(self.slab.header(i));
+            for t in [st.init_from_p, st.accepted_at, st.touched]
+                .into_iter()
+                .flatten()
+            {
+                due.lower(t + horizon);
+            }
+            for row in 0..LOGS {
+                self.slab.log(i, row).lower_due(horizon, &mut due);
             }
         }
         for (_, &t) in self.broadcasters.iter() {
@@ -616,7 +604,7 @@ impl MsgdBroadcast {
     }
 
     /// Plants one bogus arrival for the triplet (`round` in
-    /// `1..=max_round`).
+    /// `1..=max_round`, `sender` in the membership).
     fn corrupt_triplet(
         &mut self,
         broadcaster: NodeId,
@@ -626,26 +614,25 @@ impl MsgdBroadcast {
         sender: NodeId,
         stamp: LocalTime,
     ) {
-        let st = Self::triplet_entry(
-            &mut self.triplets,
-            &mut self.triplet_count,
-            broadcaster,
-            round,
-            value,
-        );
-        match kind {
-            BcastKind::Init => st.init_from_p = Some(stamp),
-            BcastKind::Echo => st.echo.inject_raw(sender, stamp),
-            BcastKind::InitPrime => st.init_prime.inject_raw(sender, stamp),
-            BcastKind::EchoPrime => st.echo_prime.inject_raw(sender, stamp),
+        let i = self.stride(broadcaster, round, value);
+        if kind != BcastKind::Init {
+            self.slab
+                .log_mut(i, log_row(kind))
+                .inject_raw(sender, stamp);
         }
-        st.touched = Some(stamp);
+        Header::update(&mut self.slab, i, |st| {
+            if kind == BcastKind::Init {
+                st.init_from_p = Some(stamp);
+            }
+            st.touched = Some(stamp);
+        });
     }
 
-    /// Drops all state (3d after the surrounding agreement returned).
+    /// Drops all state (3d after the surrounding agreement returned),
+    /// keeping the slab's arena for the next execution.
     pub fn reset(&mut self) {
-        self.triplets.clear();
-        self.triplet_count = 0;
+        self.index.clear();
+        self.slab.clear();
         self.broadcasters.clear();
         self.due = Due::Never;
     }
@@ -653,28 +640,42 @@ impl MsgdBroadcast {
     /// Marks every id this instance still references, for the engine's
     /// interner sweep.
     pub(crate) fn mark_live<V: Value>(&self, interner: &mut ValueInterner<V>) {
-        for id in self.triplets.keys() {
+        for &(id, _, _) in self.index.keys() {
             interner.mark(id);
         }
     }
 
-    /// Appends the protocol state, ids resolved, the due left out.
+    /// Appends the protocol state, ids resolved, the due left out: the
+    /// triplets in [`MsgdBroadcast::on_anchor`]'s order, each with its
+    /// header and the retained `(sender, stamp)` pairs of its logs —
+    /// nothing about where it sits in the slab.
     pub(crate) fn render<V: Value>(&self, interner: &ValueInterner<V>, out: &mut String) {
         let _ = writeln!(
             out,
             "  msgd: {} triplets, broadcasters {:?}",
-            self.triplet_count, self.broadcasters
+            self.index.len(),
+            self.broadcasters
         );
-        for (id, per_value) in self.triplets.iter() {
-            let _ = writeln!(out, "    {:?}: {per_value:?}", interner.show(id));
+        for ((v, p, k), i) in self.sorted(interner) {
+            let st = Header::load(self.slab.header(i));
+            let _ = write!(out, "    {:?} {p:?} k{k}: {st:?}", interner.show(v));
+            for row in 0..LOGS {
+                out.push_str(" [");
+                for (s, t) in self.slab.log(i, row).iter() {
+                    let _ = write!(out, "({s:?}, {t:?})");
+                }
+                out.push(']');
+            }
+            out.push('\n');
         }
     }
 
     /// Introspection: whether the triplet has been accepted.
     #[must_use]
     pub fn accepted(&self, broadcaster: NodeId, round: u32, value: ValueId) -> bool {
-        self.triplet(broadcaster, round, value)
-            .is_some_and(|st| st.accepted_at.is_some())
+        self.index
+            .get(&(value, broadcaster, round))
+            .is_some_and(|&i| Header::load(self.slab.header(i)).accepted_at.is_some())
     }
 }
 
@@ -1116,9 +1117,46 @@ mod tests {
         }
         assert!(b.triplet_count() > 0 && b.broadcaster_count() > 0);
         b.cleanup(now + p.delta_rmv() * 2u64 + p.msgd_horizon());
-        assert!(b.triplets.is_empty());
         assert_eq!(b.triplet_count(), 0);
         assert_eq!(b.broadcaster_count(), 0);
+    }
+
+    /// The rendered protocol state names triplets by key and lists only
+    /// occupied senders, so the same state renders the same whichever
+    /// strides hold it and whatever a reused stride held before.
+    #[test]
+    fn render_ignores_slab_layout() {
+        let (vals, [v7, v8]) = interned([7, 8]);
+        let p = params4();
+        let echo = |b: &mut MsgdBroadcast, at: LocalTime, s: u32, value: ValueId| {
+            b.on_message(
+                at,
+                id(s),
+                BcastKind::Echo,
+                id(2),
+                value,
+                1,
+                None,
+                &mut Vec::new(),
+            );
+        };
+        let late = t(0) + p.msgd_horizon() + Duration::from_nanos(1);
+        // `a` opens a triplet for 8, lets it decay, then opens 7 in the
+        // released stride; `b` opens 7 and then 8 afresh.
+        let mut a = bc();
+        echo(&mut a, t(0), 0, v8);
+        echo(&mut a, t(0), 3, v8);
+        a.cleanup(late);
+        echo(&mut a, late, 3, v7);
+        echo(&mut a, late, 1, v8);
+        let mut b = bc();
+        echo(&mut b, late, 1, v8);
+        echo(&mut b, late, 3, v7);
+        assert_ne!(a.index, b.index, "the layouts differ");
+        let (mut ra, mut rb) = (String::new(), String::new());
+        a.render(&vals, &mut ra);
+        b.render(&vals, &mut rb);
+        assert_eq!(ra, rb);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!
 //! * [`ArrivalLog`] — per-sender message-arrival times with sliding-window
 //!   quorum queries (used by the `Initiator-Accept` interval tests).
-//! * [`StampLog`] — one latest-arrival stamp per sender, for the
-//!   cumulative (untimed) `msgd-broadcast` counts.
+//! * [`StampSlab`] — a free-listed arena of fixed strides, each holding
+//!   a caller's header words and latest-arrival stamp logs
+//!   ([`StampLog`]) over the membership: the cumulative (untimed)
+//!   `msgd-broadcast` counts.
 //! * [`TimedVar`] — a variable with a change history, answering *"what was
 //!   the value at τq − d?"* (needed by line K1 of `Initiator-Accept`).
 //!
@@ -496,59 +498,245 @@ impl PartialEq for ArrivalLog {
 
 impl Eq for ArrivalLog {}
 
-/// Latest-arrival stamp per authenticated sender: the log behind the
-/// **cumulative** `msgd-broadcast` counts (paper Fig. 3 asks only "how
-/// many distinct senders so far", then lets the evidence decay).
+/// A free-listed arena of fixed-size **strides**, one per tracked record,
+/// each holding `HEADER` owner-defined words and `ROWS` latest-stamp logs
+/// over the senders `0..n` — the flat store behind the `msgd-broadcast`
+/// triplets (paper Fig. 3 asks only "how many distinct senders so far",
+/// then lets the evidence decay).
 ///
-/// One [`LocalTime`] per sender plus the occupancy [`NodeBitSet`] — 8
-/// bytes per sender where [`ArrivalLog`] keeps an 8-deep history for the
-/// `Initiator-Accept` window queries this log never answers. A newer
-/// record overwrites the sender's stamp. On a monotone clock
-/// [`StampLog::distinct_total`] and [`StampLog::is_empty`] equal
-/// [`ArrivalLog`]'s after any `record`/`record_wave`/`prune`
-/// interleaving; when stamps go backwards (`inject_raw`, a clock jump)
-/// the membership is a subset of [`ArrivalLog`]'s, and no sender outlives
-/// the prune retention past its last stamp (`store_equivalence.rs`).
+/// One stride is [`StampSlab::stride_words`]`(n)` `u64` words, laid out
+///
+/// ```text
+/// [ header: HEADER | counts: ROWS | occupancy: ROWS × ⌈n/64⌉ | stamps: ROWS × n ]
+/// ```
+///
+/// so the header and every log's distinct count sit together at the head
+/// of the stride, and recording an arrival is index arithmetic on one
+/// block: no allocation, no pointer to chase. [`StampSlab::alloc`] hands out a
+/// stride whose header, counts and occupancy are zero (a reused stride's
+/// old stamps stay behind, unread: a stamp counts only where its
+/// occupancy bit is set); [`StampSlab::release`] and [`StampSlab::clear`]
+/// keep the arena for reuse.
+///
+/// Each log, seen through [`StampLog`] / [`StampLogMut`], keeps one
+/// latest stamp per sender: a newer record overwrites the sender's stamp.
+/// On a monotone clock [`StampLog::distinct_total`] and
+/// [`StampLog::is_empty`] equal [`ArrivalLog`]'s after any
+/// `record`/`record_wave`/`prune` interleaving; when stamps go backwards
+/// (`inject_raw`, a clock jump) the membership is a subset of
+/// [`ArrivalLog`]'s, and no sender outlives the prune retention past its
+/// last stamp (`store_equivalence.rs`).
 ///
 /// # Example
 ///
 /// ```
-/// use ssbyz_core::store::StampLog;
+/// use ssbyz_core::store::StampSlab;
 /// use ssbyz_types::{Duration, LocalTime, NodeId};
 ///
-/// let mut log = StampLog::new();
+/// let mut slab: StampSlab<0, 1> = StampSlab::new(4, 16);
+/// let i = slab.alloc();
 /// let t0 = LocalTime::from_nanos(1_000);
+/// let mut log = slab.log_mut(i, 0);
 /// log.record(t0, NodeId::new(1));
 /// log.record(t0 + Duration::from_nanos(5), NodeId::new(1)); // resend
 /// log.record(t0 + Duration::from_nanos(5), NodeId::new(2));
-/// assert_eq!(log.distinct_total(), 2);
-/// log.prune(t0 + Duration::from_nanos(50), Duration::from_nanos(10));
-/// assert!(log.is_empty());
+/// assert_eq!(slab.log(i, 0).distinct_total(), 2);
+/// slab.log_mut(i, 0).prune(t0 + Duration::from_nanos(50), Duration::from_nanos(10));
+/// assert!(slab.log(i, 0).is_empty());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct StampLog {
-    /// Latest stamp per sender index; meaningful only where `occupied`.
-    stamps: Vec<LocalTime>,
-    occupied: NodeBitSet,
+#[derive(Debug, Clone)]
+pub struct StampSlab<const HEADER: usize, const ROWS: usize> {
+    n: usize,
+    /// Occupancy words per log: `⌈n/64⌉`.
+    words: usize,
+    stride: usize,
+    /// Strides the arena grows to before it grows one stride at a time.
+    max_strides: usize,
+    arena: Vec<u64>,
+    /// Released strides, reused last-in first-out.
+    free: Vec<u32>,
 }
 
-impl StampLog {
-    /// Creates an empty log.
+impl<const HEADER: usize, const ROWS: usize> StampSlab<HEADER, ROWS> {
+    /// Creates an empty slab for the senders `0..n`.
+    ///
+    /// The arena grows by half its strides (at least one), stopping once
+    /// at `n` strides — one record per member, the population a correct
+    /// General's round opens at every node — and never past `max_strides`
+    /// strides, so a caller that keeps at most `max_strides` strides live
+    /// never holds more than `max_strides ×`
+    /// [`StampSlab::stride_words`]`(n)` words. Growing by half rather
+    /// than doubling keeps the unused tail small where many small slabs
+    /// live at once.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an arrival from `sender` at local time `now`.
-    pub fn record(&mut self, now: LocalTime, sender: NodeId) {
-        if sender.index() >= self.stamps.len() {
-            self.stamps.resize(sender.index() + 1, LocalTime::ZERO);
+    pub fn new(n: usize, max_strides: usize) -> Self {
+        StampSlab {
+            n,
+            words: n.div_ceil(64),
+            stride: Self::stride_words(n),
+            max_strides,
+            arena: Vec::new(),
+            free: Vec::new(),
         }
-        self.stamps[sender.index()] = now;
-        self.occupied.insert(sender);
     }
 
-    /// Bulk [`StampLog::record`]: one same-instant arrival per listed
+    /// Words in one stride: `HEADER + ROWS·(1 + ⌈n/64⌉ + n)`.
+    #[must_use]
+    pub const fn stride_words(n: usize) -> usize {
+        HEADER + ROWS * (1 + n.div_ceil(64) + n)
+    }
+
+    /// Hands out a stride with a zero header, zero counts and no sender.
+    pub fn alloc(&mut self) -> u32 {
+        if let Some(i) = self.free.pop() {
+            let base = i as usize * self.stride;
+            let clean = HEADER + ROWS * (1 + self.words);
+            self.arena[base..base + clean].fill(0);
+            return i;
+        }
+        let len = self.arena.len();
+        if len + self.stride > self.arena.capacity() {
+            let have = len / self.stride;
+            let mut want = have + (have / 2).max(1);
+            if have < self.n {
+                want = want.min(self.n);
+            }
+            let want = want.min(self.max_strides).max(have + 1);
+            self.arena.reserve_exact((want - have) * self.stride);
+        }
+        self.arena.resize(len + self.stride, 0);
+        (len / self.stride) as u32
+    }
+
+    /// Returns stride `i` to the free list.
+    pub fn release(&mut self, i: u32) {
+        self.free.push(i);
+    }
+
+    /// Releases every stride, keeping the arena.
+    pub fn clear(&mut self) {
+        self.arena.clear();
+        self.free.clear();
+    }
+
+    /// Strides handed out and not released.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.arena.len() / self.stride - self.free.len()
+    }
+
+    /// Whether no stride is live.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap bytes the arena holds.
+    #[must_use]
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Stride `i`'s header words.
+    #[must_use]
+    pub fn header(&self, i: u32) -> &[u64; HEADER] {
+        self.arena[i as usize * self.stride..]
+            .first_chunk()
+            .expect("a live stride")
+    }
+
+    /// Stride `i`'s header words, writable.
+    pub fn header_mut(&mut self, i: u32) -> &mut [u64; HEADER] {
+        self.arena[i as usize * self.stride..]
+            .first_chunk_mut()
+            .expect("a live stride")
+    }
+
+    /// Log `row` of stride `i`.
+    #[must_use]
+    pub fn log(&self, i: u32, row: usize) -> StampLog<'_> {
+        let (n, w) = (self.n, self.words);
+        let s = &self.arena[i as usize * self.stride..][..self.stride];
+        let (head, body) = s.split_at(HEADER + ROWS);
+        let (occupied, stamps) = body.split_at(ROWS * w);
+        StampLog {
+            count: head[HEADER + row],
+            occupied: &occupied[row * w..][..w],
+            stamps: &stamps[row * n..][..n],
+        }
+    }
+
+    /// Log `row` of stride `i`, writable.
+    pub fn log_mut(&mut self, i: u32, row: usize) -> StampLogMut<'_> {
+        let (n, w) = (self.n, self.words);
+        let s = &mut self.arena[i as usize * self.stride..][..self.stride];
+        let (head, body) = s.split_at_mut(HEADER + ROWS);
+        let (occupied, stamps) = body.split_at_mut(ROWS * w);
+        StampLogMut {
+            count: &mut head[HEADER + row],
+            occupied: &mut occupied[row * w..][..w],
+            stamps: &mut stamps[row * n..][..n],
+        }
+    }
+}
+
+/// One latest-stamp log of a [`StampSlab`] stride, read-only.
+#[derive(Debug, Clone, Copy)]
+pub struct StampLog<'a> {
+    count: u64,
+    occupied: &'a [u64],
+    /// Latest stamp per sender; meaningful only where `occupied`.
+    stamps: &'a [u64],
+}
+
+impl StampLog<'_> {
+    /// Number of distinct senders with a retained arrival. O(1).
+    #[must_use]
+    pub fn distinct_total(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Whether the log holds no arrivals at all.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The retained `(sender, stamp)` pairs, ascending by sender.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, LocalTime)> + '_ {
+        occupied_senders(self.occupied)
+            .map(|s| (NodeId::new(s as u32), LocalTime::from_nanos(self.stamps[s])))
+    }
+
+    /// Lowers `due` to the first instant [`StampLogMut::prune`] with this
+    /// `retention` would drop a sender.
+    pub(crate) fn lower_due(&self, retention: Duration, due: &mut Due) {
+        for (_, t) in self.iter() {
+            due.lower(t + retention);
+        }
+    }
+}
+
+/// One latest-stamp log of a [`StampSlab`] stride, writable.
+#[derive(Debug)]
+pub struct StampLogMut<'a> {
+    count: &'a mut u64,
+    occupied: &'a mut [u64],
+    stamps: &'a mut [u64],
+}
+
+impl StampLogMut<'_> {
+    /// Records an arrival from `sender` (below the slab's `n`) at local
+    /// time `now`.
+    pub fn record(&mut self, now: LocalTime, sender: NodeId) {
+        let s = sender.index();
+        self.stamps[s] = now.as_nanos();
+        let (word, bit) = (&mut self.occupied[s / 64], 1u64 << (s % 64));
+        *self.count += u64::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// Bulk [`StampLogMut::record`]: one same-instant arrival per listed
     /// sender (the echo-wave path).
     pub fn record_wave(&mut self, now: LocalTime, senders: &[NodeId]) {
         for &s in senders {
@@ -559,21 +747,18 @@ impl StampLog {
     /// Drops senders whose stamp is older than `retention` or lies in the
     /// future of `now` (bogus state from a transient fault).
     pub fn prune(&mut self, now: LocalTime, retention: Duration) {
-        let stamps = &self.stamps;
-        self.occupied
-            .retain(|s| in_window(stamps[s.index()], now, retention));
-    }
-
-    /// Number of distinct senders with a retained arrival. O(1).
-    #[must_use]
-    pub fn distinct_total(&self) -> usize {
-        self.occupied.count()
-    }
-
-    /// Whether the log holds no arrivals at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.occupied.is_empty()
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let t = LocalTime::from_nanos(self.stamps[w * 64 + b]);
+                if !in_window(t, now, retention) {
+                    *word &= !(1u64 << b);
+                    *self.count -= 1;
+                }
+            }
+        }
     }
 
     /// Inserts a raw (possibly bogus) arrival — used only by the
@@ -581,14 +766,20 @@ impl StampLog {
     pub fn inject_raw(&mut self, sender: NodeId, t: LocalTime) {
         self.record(t, sender);
     }
+}
 
-    /// Lowers `due` to the first instant [`StampLog::prune`] with this
-    /// `retention` would drop a sender.
-    pub(crate) fn lower_due(&self, retention: Duration, due: &mut Due) {
-        for s in self.occupied.iter() {
-            due.lower(self.stamps[s.index()] + retention);
-        }
-    }
+/// Indices of the set bits of an occupancy row, ascending.
+fn occupied_senders(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 fn in_window(t: LocalTime, now: LocalTime, window: Duration) -> bool {

@@ -20,8 +20,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ssbyz_core::{
-    BcastKind, Engine, IaKind, Msg, Outbox, Params, PipeOutput, PipelineConfig, SlotMsg,
-    SlotPipeline,
+    BcastKind, Engine, IaKind, Msg, MsgdAction, MsgdBroadcast, Outbox, Params, PipeOutput,
+    PipelineConfig, SlotMsg, SlotPipeline, ValueId, ValueInterner,
 };
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
@@ -321,8 +321,15 @@ fn accepted_broadcast_allocations_are_bounded() {
         }
     });
     let per_wave = allocs as f64 / waves as f64;
+    println!("accepted-broadcast budget: {per_wave:.2} allocs/wave ({allocs} total)");
+    // Steady state measures 14.00 per wave: the harness's three
+    // `Arc::new` payloads, then the engine's fresh agreement instance
+    // (1), its triplet slab and index on the first echo (2), the slab's
+    // growth by one stride for the node's own relay triplet (1) and the
+    // accept/decide emission (7). The slack covers allocator/layout
+    // jitter only.
     assert!(
-        per_wave <= 40.0,
+        per_wave <= 16.0,
         "accepted broadcast must stay cheap: {per_wave:.1} allocs/wave ({allocs} total)"
     );
 }
@@ -447,6 +454,73 @@ fn coalesced_echo_wave_is_allocation_free() {
         caps,
         "steady-state waves must not grow any pooled buffer"
     );
+}
+
+/// One node's `msgd-broadcast` share of an n = 64 agreement: the 64
+/// broadcasters' round-1 `init`s, then full `echo`, `init′` and `echo′`
+/// waves from all 64 senders for every triplet — the n³ arrivals one
+/// node records — evaluated against a fresh anchor. Returns the accepts.
+fn msgd_agreement(
+    bc: &mut MsgdBroadcast,
+    value: ValueId,
+    t: u64,
+    out: &mut Vec<MsgdAction<ValueId>>,
+) -> usize {
+    let senders: [NodeId; 64] = std::array::from_fn(|s| NodeId::new(s as u32));
+    let anchor = Some(LocalTime::from_nanos(t));
+    let now = LocalTime::from_nanos(t + 1_000);
+    for p in senders {
+        bc.on_wave(now, &[p], BcastKind::Init, p, value, 1, anchor, out);
+    }
+    for kind in [BcastKind::Echo, BcastKind::InitPrime, BcastKind::EchoPrime] {
+        for p in senders {
+            bc.on_wave(now, &senders, kind, p, value, 1, anchor, out);
+        }
+    }
+    let accepts = out
+        .iter()
+        .filter(|a| matches!(a, MsgdAction::Accepted { .. }))
+        .count();
+    out.clear();
+    accepts
+}
+
+/// The flat triplet slab at n = 64: once one agreement has opened its 64
+/// triplets, recording and evaluating the echo, init′ and echo′ waves of
+/// all 64 broadcasters costs **zero** allocations, and a second agreement
+/// after `reset` — on another value — allocates nothing at all: the
+/// strides, the triplet index and the broadcaster table are reused.
+#[test]
+fn msgd_waves_at_n64_are_allocation_free() {
+    let p = params(64, 21);
+    let mut interner = ValueInterner::new();
+    let (first, second) = (interner.intern(&1u64), interner.intern(&2u64));
+    let mut bc = MsgdBroadcast::new(NodeId::new(0), p);
+    // Room for every action of an agreement: per triplet three sends, a
+    // detection and an accept.
+    let mut out = Vec::with_capacity(5 * 64);
+    let t = 10_000_000_000_000u64;
+    let senders: [NodeId; 64] = std::array::from_fn(|s| NodeId::new(s as u32));
+    let now = LocalTime::from_nanos(t + 1_000);
+    for p in senders {
+        let anchor = Some(LocalTime::from_nanos(t));
+        bc.on_wave(now, &[p], BcastKind::Init, p, first, 1, anchor, &mut out);
+    }
+    assert_eq!(bc.triplet_count(), 64);
+    let (allocs, accepts) = count_allocs(|| msgd_agreement(&mut bc, first, t, &mut out));
+    assert_eq!(accepts, 64, "every triplet is accepted");
+    assert_eq!(allocs, 0, "recording the n³ arrivals must not allocate");
+    let arena = bc.arena_bytes();
+    let (allocs, accepts) = count_allocs(|| {
+        bc.reset();
+        msgd_agreement(&mut bc, second, t + 10 * D, &mut out)
+    });
+    assert_eq!(accepts, 64);
+    assert_eq!(
+        allocs, 0,
+        "a second agreement after reset must not allocate"
+    );
+    assert_eq!(bc.arena_bytes(), arena, "and fits the same arena");
 }
 
 /// Delivers every queued message to its destinations — all seven nodes,

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use ssbyz_core::msgd_broadcast::MAX_TRACKED_TRIPLETS;
 use ssbyz_core::{
     BcastKind, Duration, Engine, Event, IaKind, LocalTime, Msg, NodeId, Outbox, Output, Params,
 };
@@ -255,5 +256,46 @@ fn out_of_order_stages_still_accept() {
     assert!(
         !has_accept,
         "no accept without a recorded i_value (stabilization guard)"
+    );
+}
+
+/// A Byzantine node minting `msgd-broadcast` triplets at n = 64 — echoes
+/// for every broadcaster and round of several values, 5 632 triplets —
+/// fills one instance to [`MAX_TRACKED_TRIPLETS`] and no further, and its
+/// triplet arena stays within the bound the constant documents:
+/// `MAX_TRACKED_TRIPLETS` strides of `8·(4 + 3·(1 + ⌈n/64⌉ + n))` bytes.
+#[test]
+fn triplet_minting_cannot_grow_the_arena_past_its_bound() {
+    let p = Params::from_d(64, 21, d(), 0).unwrap();
+    let g = id(0);
+    let mut e: Engine<u64> = Engine::new(id(1), p);
+    let mut ob = Outbox::new();
+    let mut now = t(0);
+    for value in 0..4u64 {
+        let value = Arc::new(value);
+        for broadcaster in 0..64 {
+            for round in 1..=p.max_round() {
+                now += Duration::from_nanos(1_000);
+                let msg = Msg::Bcast {
+                    kind: BcastKind::Echo,
+                    general: g,
+                    broadcaster: id(broadcaster),
+                    value: Arc::clone(&value),
+                    round,
+                };
+                e.on_message_ref(now, id(5), &msg, &mut ob);
+                ob.drain().for_each(drop);
+            }
+        }
+    }
+    let msgd = e.agreement(g).expect("the instance exists").raw().msgd();
+    assert_eq!(msgd.triplet_count(), MAX_TRACKED_TRIPLETS);
+    let stride_bytes = 8 * (4 + 3 * (1 + 64usize.div_ceil(64) + 64));
+    assert_eq!(stride_bytes, 1_616);
+    assert!(
+        msgd.arena_bytes() <= MAX_TRACKED_TRIPLETS * stride_bytes,
+        "arena {} B past the documented {} B",
+        msgd.arena_bytes(),
+        MAX_TRACKED_TRIPLETS * stride_bytes
     );
 }

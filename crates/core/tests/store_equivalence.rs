@@ -5,15 +5,16 @@
 //! sequences — including out-of-order duplicate timestamps and local-time
 //! wrap-around.
 //!
-//! The latest-stamp [`StampLog`] behind the `msgd-broadcast` triplets is
-//! held to [`ArrivalLog`] in turn: identical cumulative counts on a
-//! monotone clock, and a subset of its membership — never outliving the
-//! retention — when stamps go backwards.
+//! The latest-stamp logs of the [`StampSlab`] behind the `msgd-broadcast`
+//! triplets are held to [`ArrivalLog`] in turn: identical cumulative
+//! counts on a monotone clock, and a subset of its membership — never
+//! outliving the retention — when stamps go backwards; a stride released
+//! by decay and reused starts empty.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
-use ssbyz_core::store::{ArrivalLog, StampLog};
+use ssbyz_core::store::{ArrivalLog, StampSlab};
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 fn in_window(t: LocalTime, now: LocalTime, window: Duration) -> bool {
@@ -308,80 +309,108 @@ proptest! {
     }
 
     /// Monotone clock (what a coherent node has): after any interleaving
-    /// of `record`, `record_wave` (with a repeated sender) and `prune`,
-    /// the one-stamp log counts exactly the senders the 8-deep log counts.
+    /// of `record`, `record_wave` (with a repeated sender) and `prune` on
+    /// the six logs of two strides, each slab log counts exactly the
+    /// senders its 8-deep mirror counts — at strides whose occupancy rows
+    /// end on and around a word boundary, senders up to `n − 1` included
+    /// — and no write leaks into a neighbouring log or header.
     #[test]
     fn stamp_log_counts_match_arrival_log_on_monotone_clock(
-        ops in prop::collection::vec((0u32..8, 0u64..2_000, 0u32..10, 0u32..256), 1..200),
+        size in 0usize..SIZES.len(),
+        ops in prop::collection::vec(
+            (0usize..6, 0usize..8, 0u64..2_000, 0u32..10, 0u32..256),
+            1..200,
+        ),
         retention in 2_000u64..30_000,
     ) {
-        let mut stamp = StampLog::new();
-        let mut deep = ArrivalLog::new();
+        let n = SIZES[size];
+        let mut slab: Slab = StampSlab::new(n, 2);
+        let strides = [slab.alloc(), slab.alloc()];
+        for (k, &i) in strides.iter().enumerate() {
+            *slab.header_mut(i) = header_mark(k);
+        }
+        let mut deep: Vec<ArrivalLog> = vec![ArrivalLog::new(); 6];
         let mut now = 10_000u64;
-        for (sender, dt, action, mask) in ops {
+        for (log, pick, dt, action, mask) in ops {
             now += dt;
             let t = LocalTime::from_nanos(now);
+            let (i, row) = (strides[log / 3], log % 3);
             match action {
                 0..=4 => {
-                    stamp.record(t, NodeId::new(sender));
-                    deep.record(t, NodeId::new(sender));
+                    slab.log_mut(i, row).record(t, boundary_sender(n, pick));
+                    deep[log].record(t, boundary_sender(n, pick));
                 }
                 5..=7 => {
-                    let mut senders: Vec<NodeId> =
-                        (0..8).filter(|s| mask & (1 << s) != 0).map(NodeId::new).collect();
-                    senders.push(NodeId::new(sender)); // possibly listed twice
-                    stamp.record_wave(t, &senders);
+                    let mut senders: Vec<NodeId> = (0..8)
+                        .filter(|s| mask & (1 << s) != 0)
+                        .map(|s| boundary_sender(n, s))
+                        .collect();
+                    senders.push(boundary_sender(n, pick)); // possibly listed twice
+                    slab.log_mut(i, row).record_wave(t, &senders);
                     for s in &senders {
-                        deep.record(t, *s);
+                        deep[log].record(t, *s);
                     }
                 }
                 _ => {
                     let r = Duration::from_nanos(retention);
-                    stamp.prune(t, r);
-                    deep.prune(t, r);
+                    for (k, d) in deep.iter_mut().enumerate() {
+                        slab.log_mut(strides[k / 3], k % 3).prune(t, r);
+                        d.prune(t, r);
+                    }
                 }
             }
-            prop_assert_eq!(stamp.distinct_total(), deep.distinct_total(), "at {}", now);
-            prop_assert_eq!(stamp.is_empty(), deep.is_empty(), "at {}", now);
+            for (k, d) in deep.iter().enumerate() {
+                let log = slab.log(strides[k / 3], k % 3);
+                prop_assert_eq!(log.distinct_total(), d.distinct_total(), "log {} at {}", k, now);
+                prop_assert_eq!(log.is_empty(), d.is_empty(), "log {} at {}", k, now);
+                prop_assert_eq!(log.iter().count(), d.distinct_total());
+            }
+            for (k, &i) in strides.iter().enumerate() {
+                prop_assert_eq!(*slab.header(i), header_mark(k));
+            }
         }
     }
 
-    /// Backward stamps (`inject_raw`, a clock that jumps): the one-stamp
-    /// log forgets what the 8-deep log may still hold, never the reverse,
-    /// and a sender that survives a prune has its last stamp inside the
-    /// retention — planted state cannot outlive `msgd_horizon`. One log
-    /// pair per sender, so membership is read off `is_empty`.
+    /// Backward stamps (`inject_raw`, a clock that jumps): the slab log
+    /// forgets what the 8-deep log may still hold, never the reverse, and
+    /// a sender that survives a prune has its last stamp inside the
+    /// retention — planted state cannot outlive `msgd_horizon`. One
+    /// stride per sender (the word-boundary ids and `n − 1`), so
+    /// membership is read off `is_empty`.
     #[test]
     fn stamp_log_membership_is_a_subset_under_backward_stamps(
+        size in 0usize..SIZES.len(),
         ops in prop::collection::vec((0usize..6, 0u64..60_000, 0u64..60_000, 0u32..10), 1..200),
         horizon in 2_000u64..30_000,
     ) {
-        let mut stamp: Vec<StampLog> = vec![StampLog::new(); 6];
+        let n = SIZES[size];
+        let mut slab: StampSlab<0, 1> = StampSlab::new(n, 6);
+        let strides: Vec<u32> = (0..6).map(|_| slab.alloc()).collect();
         let mut deep: Vec<ArrivalLog> = vec![ArrivalLog::new(); 6];
         let mut last: Vec<Option<LocalTime>> = vec![None; 6];
         let base = 1_000_000u64;
         for (s, clock, raw, action) in ops {
             // The clock itself is arbitrary: it may run backwards.
             let now = LocalTime::from_nanos(base + clock);
-            let id = NodeId::new(s as u32);
+            let id = boundary_sender(n, 2 + s); // 62, 63, 64, 65, n/2, n − 1
             match action {
                 0..=3 => {
-                    stamp[s].record(now, id);
+                    slab.log_mut(strides[s], 0).record(now, id);
                     deep[s].record(now, id);
                     last[s] = Some(now);
                 }
                 4..=6 => {
                     let t = LocalTime::from_nanos(base + raw);
-                    stamp[s].inject_raw(id, t);
+                    slab.log_mut(strides[s], 0).inject_raw(id, t);
                     deep[s].inject_raw(id, t);
                     last[s] = Some(t);
                 }
                 _ => {
                     let h = Duration::from_nanos(horizon);
                     for k in 0..6 {
-                        stamp[k].prune(now, h);
+                        slab.log_mut(strides[k], 0).prune(now, h);
                         deep[k].prune(now, h);
-                        if !stamp[k].is_empty() {
+                        if !slab.log(strides[k], 0).is_empty() {
                             let t = last[k].expect("a member was written");
                             prop_assert!(
                                 !t.is_after(now) && now.since(t) <= h,
@@ -392,12 +421,150 @@ proptest! {
                 }
             }
             for k in 0..6 {
+                let log = slab.log(strides[k], 0);
                 prop_assert!(
-                    stamp[k].is_empty() || !deep[k].is_empty(),
+                    log.is_empty() || !deep[k].is_empty(),
                     "sender {} is in the stamp log but not in the 8-deep log", k
                 );
-                prop_assert!(stamp[k].distinct_total() <= 1);
+                prop_assert!(log.distinct_total() <= 1);
             }
+        }
+    }
+
+    /// Strides come and go as `msgd-broadcast` triplets do: a triplet
+    /// opens a stride on its first arrival, and a prune that empties all
+    /// its logs releases the stride, which the next new triplet reuses.
+    /// The reused stride inherits no stamp, count or header word: every
+    /// log keeps counting exactly what an 8-deep log created with its
+    /// triplet counts.
+    #[test]
+    fn reused_strides_start_empty(
+        size in 0usize..SIZES.len(),
+        ops in prop::collection::vec((0usize..8, 0usize..3, 0usize..8, 0u64..3_000, 0u32..8), 1..300),
+        retention in 2_000u64..20_000,
+    ) {
+        let n = SIZES[size];
+        let mut slab: Slab = StampSlab::new(n, 8);
+        let mut open: Vec<Option<(u32, Vec<ArrivalLog>)>> = vec![None; 8];
+        let mut now = 10_000u64;
+        for (triplet, row, pick, dt, action) in ops {
+            now += dt;
+            let t = LocalTime::from_nanos(now);
+            if action < 6 {
+                if open[triplet].is_none() {
+                    let i = slab.alloc();
+                    prop_assert_eq!(*slab.header(i), [0; 2], "a fresh stride has a zero header");
+                    *slab.header_mut(i) = header_mark(triplet);
+                    open[triplet] = Some((i, vec![ArrivalLog::new(); 3]));
+                }
+                let (i, deep) = open[triplet].as_mut().expect("opened above");
+                slab.log_mut(*i, row).record(t, boundary_sender(n, pick));
+                deep[row].record(t, boundary_sender(n, pick));
+            } else {
+                let r = Duration::from_nanos(retention);
+                for entry in &mut open {
+                    let Some((i, deep)) = entry else { continue };
+                    for (row, d) in deep.iter_mut().enumerate() {
+                        slab.log_mut(*i, row).prune(t, r);
+                        d.prune(t, r);
+                    }
+                    if deep.iter().all(ArrivalLog::is_empty) {
+                        slab.release(*i);
+                        *entry = None;
+                    }
+                }
+            }
+            for (k, entry) in open.iter().enumerate() {
+                let Some((i, deep)) = entry else { continue };
+                prop_assert_eq!(*slab.header(*i), header_mark(k));
+                for (row, d) in deep.iter().enumerate() {
+                    let log = slab.log(*i, row);
+                    prop_assert_eq!(log.distinct_total(), d.distinct_total(), "triplet {} row {}", k, row);
+                    prop_assert_eq!(log.iter().count(), d.distinct_total());
+                }
+            }
+            prop_assert_eq!(slab.len(), open.iter().flatten().count());
+        }
+    }
+}
+
+/// Strides whose occupancy rows end before, on and after a 64-bit word
+/// boundary — plus the one-sender membership.
+const SIZES: [usize; 5] = [1, 63, 64, 65, 130];
+
+/// Two header words and the `echo`, `init′`, `echo′` logs, as a
+/// `msgd-broadcast` triplet lays them out.
+type Slab = StampSlab<2, 3>;
+
+/// A recognisable header for stride `k`, to catch log writes that stray
+/// into it.
+fn header_mark(k: usize) -> [u64; 2] {
+    [k as u64 + 1, u64::MAX - k as u64]
+}
+
+/// Sender ids at the occupancy-word boundaries and the top of the
+/// membership, folded into `0..n`.
+fn boundary_sender(n: usize, pick: usize) -> NodeId {
+    let ids = [0, 1, 62, 63, 64, 65, n / 2, n - 1];
+    NodeId::new((ids[pick] % n) as u32)
+}
+
+/// Every sender of the membership in one log, then decay: the log counts
+/// them all and lists them in order, its neighbours stay empty, and the
+/// stride released by the decay comes back empty to the next triplet.
+#[test]
+fn full_membership_fills_one_log_and_decays() {
+    for n in SIZES {
+        let mut slab: Slab = StampSlab::new(n, 4);
+        assert_eq!(Slab::stride_words(n), 2 + 3 * (1 + n.div_ceil(64) + n));
+        let i = slab.alloc();
+        let everyone: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+        slab.log_mut(i, 1).record_wave(t(100), &everyone);
+        slab.log_mut(i, 1).record(t(200), NodeId::new(n as u32 - 1));
+        assert_eq!(slab.log(i, 1).distinct_total(), n);
+        let listed: Vec<NodeId> = slab.log(i, 1).iter().map(|(s, _)| s).collect();
+        assert_eq!(listed, everyone, "n = {n}");
+        assert!(slab.log(i, 0).is_empty() && slab.log(i, 2).is_empty());
+        assert_eq!(*slab.header(i), [0; 2]);
+        // The stride after this one is untouched by the top sender.
+        let j = slab.alloc();
+        assert!((0..3).all(|row| slab.log(j, row).is_empty()));
+        // Decay keeps only the top sender's newer stamp, then nothing.
+        slab.log_mut(i, 1).prune(t(250), dur(100));
+        let kept: Vec<_> = slab.log(i, 1).iter().collect();
+        assert_eq!(kept, vec![(NodeId::new(n as u32 - 1), t(200))], "n = {n}");
+        slab.log_mut(i, 1).prune(t(400), dur(100));
+        assert!(slab.log(i, 1).is_empty());
+        slab.release(i);
+        assert_eq!(slab.alloc(), i, "the released stride is reused");
+        assert!((0..3).all(|row| slab.log(i, row).is_empty()));
+        slab.log_mut(i, 2).record(t(500), NodeId::new(0));
+        assert_eq!(slab.log(i, 2).iter().collect::<Vec<_>>(), [(id(0), t(500))]);
+        assert_eq!(slab.len(), 2);
+        slab.clear();
+        assert!(slab.is_empty());
+    }
+}
+
+/// A stride released while it still holds senders — the slab does not
+/// rely on its owner to empty a stride first — comes back to the next
+/// triplet with a zero header, zero counts and no sender.
+#[test]
+fn released_full_stride_comes_back_empty() {
+    for n in SIZES {
+        let mut slab: Slab = StampSlab::new(n, 2);
+        let i = slab.alloc();
+        let everyone: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+        *slab.header_mut(i) = header_mark(0);
+        for row in 0..3 {
+            slab.log_mut(i, row).record_wave(t(100), &everyone);
+        }
+        slab.release(i);
+        assert_eq!(slab.alloc(), i);
+        assert_eq!(*slab.header(i), [0; 2], "n = {n}");
+        for row in 0..3 {
+            let log = slab.log(i, row);
+            assert!(log.is_empty() && log.iter().next().is_none(), "n = {n}");
         }
     }
 }

@@ -15,17 +15,18 @@
 //!   seed;
 //! * n = 1024, f = 341 — behind `--max-n 1024`, for hosts with ≥ 48
 //!   GiB of RAM. The limit is protocol state, not the simulator: each
-//!   node's msgd-broadcast keeps one triplet (three `StampLog`s of `n`
-//!   8-byte stamps, plus their occupancy bitsets) per concurrent
-//!   broadcaster, and during the relay storm all `n` instances are live
-//!   at once — `n³ · 24 B` of stamps system-wide; with bitsets and
-//!   allocator overhead 0.59 GiB was measured at n = 256 and 4.1 GiB
-//!   at n = 512 (`docs/PERF.md`), which extrapolates to ~33 GiB at
-//!   n = 1024.
+//!   node's msgd-broadcast keeps one triplet (a slab stride holding
+//!   three logs of `n` 8-byte stamps, plus their occupancy words) per
+//!   concurrent broadcaster, and during the relay storm all `n`
+//!   instances are live at once — `n³ · 24 B` of stamps system-wide
+//!   (`docs/PERF.md` § Whole-simulation scale has the measured peaks).
 //!
 //! Runs terminate early once every node has decided (plus a 4d drain),
-//! capped at the Δ_agr + 30d battery horizon. Output is a JSON fragment
-//! on stdout; the recorded numbers are in `docs/PERF.md` §
+//! capped at the Δ_agr + 30d battery horizon. After each cell the
+//! process's peak resident set (`VmHWM` from `/proc/self/status`) is
+//! printed with it divided by `n`, the bytes per node; cells run in
+//! ascending `n`, so each reading is that cell's peak. Output is a JSON
+//! fragment on stdout; the recorded numbers are in `docs/PERF.md` §
 //! Whole-simulation scale.
 //!
 //! ```text
@@ -42,6 +43,8 @@ struct Cell {
     /// The scaled δ, when `clamped_delta` scaled it.
     delta: Option<Duration>,
     runs: Vec<RunStats>,
+    /// The process's peak resident set after the cell, if known.
+    peak_rss: Option<u64>,
 }
 
 struct RunStats {
@@ -118,6 +121,21 @@ fn run_once(n: usize, f: usize, seed: u64, delta: Option<Duration>) -> RunStats 
     }
 }
 
+/// The process's peak resident set in bytes (`VmHWM` in
+/// `/proc/self/status`); `None` where procfs does not report it.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()?;
+    Some(kib * 1024)
+}
+
 fn run_cell(n: usize, f: usize, seeds: u64) -> Cell {
     let (delta, scaled) = clamped_delta(n);
     let delta = scaled.then_some(delta);
@@ -133,7 +151,20 @@ fn run_cell(n: usize, f: usize, seeds: u64) -> Cell {
         );
         runs.push(stats);
     }
-    Cell { n, delta, runs }
+    let peak_rss = peak_rss_bytes();
+    if let Some(rss) = peak_rss {
+        println!(
+            "  n={n:<5} peak RSS {:.1} MiB, {} B per node",
+            rss as f64 / (1024.0 * 1024.0),
+            rss / n as u64
+        );
+    }
+    Cell {
+        n,
+        delta,
+        runs,
+        peak_rss,
+    }
 }
 
 fn main() {
@@ -166,6 +197,12 @@ fn main() {
         );
         if let Some(delta) = cell.delta {
             println!("  \"{key}_delta_ns\": {},", delta.as_nanos());
+        }
+        if let Some(rss) = cell.peak_rss {
+            println!(
+                "  \"{key}_peak_rss_bytes\": {rss},\n  \"{key}_bytes_per_node\": {},",
+                rss / cell.n as u64
+            );
         }
     }
     println!("  \"f_per_n\": \"f = (n-1)/3 floor: 21/85/170/341\"");
