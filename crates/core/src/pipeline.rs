@@ -331,14 +331,16 @@ pub struct SlotPipeline<V: Value> {
     /// Next slot this node (as proposer) will open.
     next_open: u64,
     /// Per-peer highest slot claimed to exist in that peer's traffic
-    /// (slot messages, catch-up replies, heartbeats). The catch-up
-    /// triggers use the `f + 1`-th largest claim ([`highest_seen`]),
-    /// so `f` Byzantine peers cannot fabricate cluster progress; one
-    /// bounded entry per peer, so forged `u64::MAX` claims cannot
-    /// poison anything or grow memory.
+    /// (slot messages, catch-up replies, heartbeats), by node id: 0 for no
+    /// claim and for this node, empty before the first claim. The catch-up
+    /// triggers use the `f + 1`-th largest claim ([`highest_seen`]), so
+    /// `f` Byzantine peers cannot fabricate cluster progress; one bounded
+    /// entry per member, so forged `u64::MAX` claims cannot poison
+    /// anything or grow memory.
     ///
     /// [`highest_seen`]: SlotPipeline::highest_seen
-    seen_claims: BTreeMap<NodeId, u64>,
+    seen_claims: Vec<u64>,
+    claims_scratch: Vec<u64>,
     catchup: BTreeMap<u64, CatchUpVotes<V>>,
     last_catchup: Option<LocalTime>,
     /// Armed while peers are known to be past our committed prefix but
@@ -363,7 +365,8 @@ impl<V: Value> SlotPipeline<V> {
             log: DecisionLog::new(),
             proposals: VecDeque::new(),
             next_open: 0,
-            seen_claims: BTreeMap::new(),
+            seen_claims: Vec::new(),
+            claims_scratch: Vec::new(),
             catchup: BTreeMap::new(),
             last_catchup: None,
             catchup_probe: None,
@@ -630,13 +633,13 @@ impl<V: Value> SlotPipeline<V> {
     /// Records `sender`'s implicit claim that `slot` exists (carried by
     /// its slot traffic, catch-up replies, and heartbeats).
     fn note_claim(&mut self, sender: NodeId, slot: u64) {
-        if sender == self.me {
+        if sender == self.me || sender.index() >= self.params.n() {
             return;
         }
-        let claim = self.seen_claims.entry(sender).or_insert(slot);
-        if slot > *claim {
-            *claim = slot;
-        }
+        // Sized on the first claim, so building a pipeline allocates nothing.
+        self.seen_claims.resize(self.params.n(), 0);
+        let claim = &mut self.seen_claims[sender.index()];
+        *claim = (*claim).max(slot);
     }
 
     /// Highest slot corroborated by `f + 1` distinct peers — at least
@@ -644,16 +647,18 @@ impl<V: Value> SlotPipeline<V> {
     /// single peer's claim) drives the catch-up triggers: a lone forged
     /// `slot: u64::MAX` never surfaces here.
     ///
-    /// That is the `f + 1`-th largest claim: the largest claim that at
-    /// least `f + 1` claims reach. Counting for each claim is O(n²) over
-    /// at most `n − 1` peers, and allocates nothing.
-    fn highest_seen(&self) -> u64 {
-        let needed = self.params.f() + 1;
-        let claims = || self.seen_claims.values().copied();
-        claims()
-            .filter(|&c| claims().filter(|&x| x >= c).count() >= needed)
-            .max()
-            .unwrap_or(0)
+    /// That is the `f + 1`-th largest claim, one O(n) selection that
+    /// allocates nothing. A member without a claim counts as 0, which
+    /// decides the answer only when fewer than `f + 1` peers claim.
+    fn highest_seen(&mut self) -> u64 {
+        let claims = &mut self.claims_scratch;
+        claims.clone_from(&self.seen_claims);
+        if claims.is_empty() {
+            return 0;
+        }
+        *claims
+            .select_nth_unstable_by(self.params.f(), |a, b| b.cmp(a))
+            .1
     }
 
     /// Horizon past the committed prefix inside which catch-up votes
@@ -1449,5 +1454,53 @@ mod tests {
             .collect();
         assert_eq!(cascade, vec![1, 2]);
         assert_eq!(log.committed(), 3);
+    }
+
+    /// The O(n²) definition `highest_seen` replaced: the largest claim
+    /// that at least `f + 1` claims reach, over the peers that claimed.
+    fn highest_seen_oracle(claims: &BTreeMap<NodeId, u64>, f: usize) -> u64 {
+        let all = || claims.values().copied();
+        all()
+            .filter(|&c| all().filter(|&x| x >= c).count() > f)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The selection agrees with the counting definition over random
+    /// claim sets: forged `u64::MAX` claims, fewer than `f + 1` peers,
+    /// ties, claims from outside the membership and from this node, and
+    /// memberships up to 128.
+    #[test]
+    fn highest_seen_matches_counting_oracle() {
+        let mut e = crate::corrupt::xorshift(42);
+        for case in 0..2_000 {
+            let n = 4 + (e() % 125) as usize;
+            let f = 1 + (e() % ((n as u64 - 1) / 3)) as usize;
+            let p = Params::from_d(n, f, Duration::from_millis(10), 0).unwrap();
+            let me = NodeId::new((e() % n as u64) as u32);
+            let mut pipe: SlotPipeline<u64> =
+                SlotPipeline::new(me, p, PipelineConfig::new(NodeId::new(0), &p));
+            let mut oracle = BTreeMap::new();
+            // Sparse cases leave fewer than f + 1 peers with a claim.
+            let claims = e() % (2 * n as u64 + 1);
+            let spread = [3, 50, u64::MAX][case % 3];
+            for _ in 0..claims {
+                let sender = NodeId::new((e() % (n as u64 + 2)) as u32);
+                let slot = match e() % 8 {
+                    0 => u64::MAX,
+                    _ => e() % spread,
+                };
+                pipe.note_claim(sender, slot);
+                if sender != me && sender.index() < n {
+                    let claim = oracle.entry(sender).or_insert(slot);
+                    *claim = (*claim).max(slot);
+                }
+            }
+            assert_eq!(
+                pipe.highest_seen(),
+                highest_seen_oracle(&oracle, f),
+                "n={n} f={f} claims={oracle:?}"
+            );
+        }
     }
 }

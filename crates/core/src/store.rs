@@ -21,13 +21,14 @@
 //! everything that cannot expire yet.
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use ssbyz_types::{Duration, LocalTime, NodeBitSet, NodeId};
 
 /// Fixed-size inline buffer of one sender's recent arrival times, oldest
 /// first in insertion order. Eight `LocalTime`s fit one cache line, so a
 /// whole per-sender history is inspected without touching the heap.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct ArrivalSlot {
     times: [LocalTime; ArrivalLog::MAX_PER_SENDER],
     len: u8,
@@ -38,7 +39,18 @@ struct ArrivalSlot {
     /// "latest in-window arrival" from the tail in O(1) instead of
     /// scanning all retained times.
     sorted: bool,
+    /// The owning log's recency index: the next `[NEWER, OLDER]` senders.
+    links: [u32; 2],
 }
+
+/// The recency index's sentinel: no sender. Its `OLDER` link is the
+/// newest sender, its `NEWER` link the oldest.
+const NIL: u32 = u32::MAX;
+const NEWER: usize = 0;
+const OLDER: usize = 1;
+
+/// Half the local-clock range: wrap-around intervals are exact below it.
+const HALF: Duration = Duration::from_nanos(1 << 63);
 
 impl PartialEq for ArrivalSlot {
     fn eq(&self, other: &Self) -> bool {
@@ -56,6 +68,7 @@ impl Default for ArrivalSlot {
             times: [LocalTime::ZERO; ArrivalLog::MAX_PER_SENDER],
             len: 0,
             sorted: true,
+            links: [NIL; 2],
         }
     }
 }
@@ -178,6 +191,12 @@ impl ArrivalSlot {
 /// `BTreeMap` (`crates/core/tests/store_equivalence.rs` keeps the
 /// tree-based model it replaced, and holds the two to identical answers).
 ///
+/// The L1–L4 query of `Initiator-Accept`'s hot path
+/// ([`ArrivalLog::kth_latest_with_inner_count`]) walks a **recency
+/// index** instead, newest-first to the window edge: the occupied
+/// senders, linked through their slots by newest arrival. Writes out of
+/// order turn it off until the log empties or is cleared.
+///
 /// # Example
 ///
 /// ```
@@ -192,10 +211,41 @@ impl ArrivalSlot {
 /// assert_eq!(log.distinct_in_window(now, Duration::from_nanos(10)), 2);
 /// assert_eq!(log.distinct_in_window(now, Duration::from_nanos(5)), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct ArrivalLog {
     slots: Vec<ArrivalSlot>,
     occupied: NodeBitSet,
+    /// The sentinel's links. The index is exact when it links every
+    /// occupied sender (each slot's last arrival then is its newest, and
+    /// all lie in `[floor, floor + HALF)`), off when empty but the log is not.
+    ends: [u32; 2],
+    floor: LocalTime,
+}
+
+impl Default for ArrivalLog {
+    fn default() -> Self {
+        ArrivalLog {
+            slots: Vec::new(),
+            occupied: NodeBitSet::default(),
+            ends: [NIL; 2],
+            floor: LocalTime::ZERO,
+        }
+    }
+}
+
+impl fmt::Debug for ArrivalLog {
+    // The recency index is derived state, not protocol state.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let slots: Vec<_> = self
+            .slots
+            .iter()
+            .map(|s| (s.times, s.len, s.sorted))
+            .collect();
+        f.debug_struct("ArrivalLog")
+            .field("slots", &slots)
+            .field("occupied", &self.occupied)
+            .finish()
+    }
 }
 
 impl ArrivalLog {
@@ -216,17 +266,35 @@ impl ArrivalLog {
     /// per-sender history. The log keeps the most recently recorded
     /// [`ArrivalLog::MAX_PER_SENDER`] arrivals.
     pub fn record(&mut self, now: LocalTime, sender: NodeId) {
+        // The index stays exact if it is, and `now` follows its arrivals.
+        let follows = match self.ends[OLDER] {
+            NIL => self.occupied.is_empty(),
+            newest => now.is_at_or_after(self.last(newest)) && now.since(self.floor) < HALF,
+        };
         let slot = self.slot_mut(sender);
         if slot.contains(now) {
             return;
         }
+        let linked = slot.len > 0;
         slot.push(now);
         self.occupied.insert(sender);
+        if !follows {
+            self.ends = [NIL; 2];
+            return;
+        }
+        let s = sender.index() as u32;
+        if self.ends[OLDER] == NIL {
+            self.floor = now;
+        } else if linked {
+            self.unlink(s);
+        }
+        self.link_newest(s);
     }
 
     /// Drops arrivals older than `retention` and arrivals stamped in the
     /// future of `now` (bogus state from a transient fault).
     pub fn prune(&mut self, now: LocalTime, retention: Duration) {
+        let exact = self.index_exact_at(now);
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if slot.len == 0 {
                 continue;
@@ -235,6 +303,16 @@ impl ArrivalLog {
             if slot.len == 0 {
                 self.occupied.remove(NodeId::new(i as u32));
             }
+        }
+        if !exact {
+            // The list may link emptied senders: drop it until the log
+            // empties or is cleared.
+            self.ends = [NIL; 2];
+            return;
+        }
+        // Nothing was in the future: the emptied senders are the oldest.
+        while self.ends[NEWER] != NIL && self.slots[self.ends[NEWER] as usize].len == 0 {
+            self.unlink(self.ends[NEWER]);
         }
     }
 
@@ -352,7 +430,7 @@ impl ArrivalLog {
     /// for **nested** windows (`inner ≤ outer`) — exactly the pair of
     /// support-log queries lines L1–L4 of `Initiator-Accept` issue on
     /// every delivery. Returns `(kth_latest, inner_count)`, bit-identical
-    /// to the two separate calls, for half the slot scans.
+    /// to the two separate calls, from an exact recency index if any.
     #[must_use]
     pub fn kth_latest_with_inner_count(
         &self,
@@ -362,45 +440,29 @@ impl ArrivalLog {
         inner: Duration,
     ) -> (Option<LocalTime>, usize) {
         debug_assert!(inner <= outer, "windows must nest");
-        const INLINE: usize = 128;
         let inner_nanos = inner.as_nanos();
-        let latest_dist =
-            |s: NodeId| -> Option<u64> { self.slots[s.index()].latest_dist(now, outer) };
-        let mut buf = [0u64; INLINE];
-        let mut len = 0usize;
-        let mut overflow = false;
-        let mut inner_count = 0usize;
-        for s in self.occupied.iter() {
-            let Some(dist) = latest_dist(s) else { continue };
-            // The sender's most recent outer-window arrival decides the
-            // inner membership too: an arrival inside the inner window is
-            // inside the outer one, so the minimum distance is ≤ inner iff
-            // any arrival is.
-            if dist <= inner_nanos {
-                inner_count += 1;
+        if self.index_exact_at(now) {
+            let (mut seen, mut kth, mut inner_count) = (0usize, None, 0usize);
+            for dist in self.recency(now) {
+                if dist > outer.as_nanos() || (dist > inner_nanos && seen >= k) {
+                    break;
+                }
+                inner_count += usize::from(dist <= inner_nanos);
+                seen += 1;
+                if seen == k {
+                    kth = Some(now - Duration::from_nanos(dist));
+                }
             }
-            if len < INLINE {
-                buf[len] = dist;
-                len += 1;
-            } else {
-                // Keep scanning for the inner count; the k-th selection
-                // falls back to the batched scan below.
-                overflow = true;
-            }
+            return (kth, inner_count);
         }
-        let kth = if k == 0 {
-            None
-        } else if !overflow {
-            if len < k {
-                None
-            } else {
-                let (_, kth, _) = buf[..len].select_nth_unstable(k - 1);
-                Some(now - Duration::from_nanos(*kth))
-            }
-        } else {
-            self.kth_latest_in_window(now, outer, k)
-        };
-        (kth, inner_count)
+        // A sender's most recent outer-window arrival decides the inner
+        // membership too: the minimum distance is ≤ inner iff any is.
+        let mut inner_count = 0;
+        for s in self.occupied.iter() {
+            let dist = self.slots[s.index()].latest_dist(now, outer);
+            inner_count += usize::from(dist.is_some_and(|d| d <= inner_nanos));
+        }
+        (self.kth_latest_in_window(now, outer, k), inner_count)
     }
 
     /// One-pass fusion of two **nested** [`ArrivalLog::distinct_in_window`]
@@ -456,6 +518,7 @@ impl ArrivalLog {
             slot.len = 0;
         }
         self.occupied.clear();
+        self.ends = [NIL; 2];
     }
 
     /// Inserts a raw (possibly bogus) arrival — used only by the
@@ -463,6 +526,7 @@ impl ArrivalLog {
     pub fn inject_raw(&mut self, sender: NodeId, t: LocalTime) {
         self.slot_mut(sender).push(t);
         self.occupied.insert(sender);
+        self.ends = [NIL; 2];
     }
 
     /// Lowers `due` to the first instant [`ArrivalLog::prune`] with this
@@ -481,6 +545,56 @@ impl ArrivalLog {
                 .resize_with(sender.index() + 1, ArrivalSlot::default);
         }
         &mut self.slots[sender.index()]
+    }
+
+    /// The last arrival recorded for sender index `s`.
+    fn last(&self, s: u32) -> LocalTime {
+        let slot = &self.slots[s as usize];
+        slot.times[usize::from(slot.len) - 1]
+    }
+
+    /// Whether the index answers at `now`: with `now` at or after `floor`
+    /// and the newest arrival, `now.since` measures every retained arrival
+    /// exactly and in index order, so a sender's newest decides its windows.
+    fn index_exact_at(&self, now: LocalTime) -> bool {
+        match self.ends[OLDER] {
+            NIL => self.occupied.is_empty(),
+            newest => !(self.last(newest).is_after(now) || self.floor.is_after(now)),
+        }
+    }
+
+    /// The index newest-first, as each sender's `now − newest arrival`.
+    fn recency(&self, now: LocalTime) -> impl Iterator<Item = u64> + '_ {
+        let mut s = self.ends[OLDER];
+        std::iter::from_fn(move || {
+            (s != NIL).then(|| {
+                let t = self.last(s);
+                s = self.slots[s as usize].links[OLDER];
+                now.since(t).as_nanos()
+            })
+        })
+    }
+
+    /// The link of `s` toward `dir`; of the sentinel for [`NIL`].
+    fn link(&mut self, s: u32, dir: usize) -> &mut u32 {
+        match s {
+            NIL => &mut self.ends[dir],
+            s => &mut self.slots[s as usize].links[dir],
+        }
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let [newer, older] = self.slots[s as usize].links;
+        *self.link(newer, OLDER) = older;
+        *self.link(older, NEWER) = newer;
+    }
+
+    /// Links `s` at the newest end.
+    fn link_newest(&mut self, s: u32) {
+        let older = self.ends[OLDER];
+        self.slots[s as usize].links = [NIL, older];
+        *self.link(older, NEWER) = s;
+        self.ends[OLDER] = s;
     }
 }
 

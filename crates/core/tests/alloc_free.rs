@@ -20,8 +20,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ssbyz_core::{
-    BcastKind, Engine, IaKind, Msg, MsgdAction, MsgdBroadcast, Outbox, Params, PipeOutput,
-    PipelineConfig, SlotMsg, SlotPipeline, ValueId, ValueInterner,
+    BcastKind, Engine, IaAction, IaKind, InitiatorAccept, Msg, MsgdAction, MsgdBroadcast, Outbox,
+    Params, PipeOutput, PipelineConfig, SlotMsg, SlotPipeline, ValueId, ValueInterner,
 };
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
@@ -387,6 +387,52 @@ fn idle_ticks_are_allocation_free() {
     );
     assert_eq!(engine.interner().occupancy(), 0, "and reclaims the id");
     assert_eq!(allocs, 0, "idle ticks must be allocation-free");
+}
+
+/// The recency index of `Initiator-Accept`'s arrival logs lives in their
+/// slots. Once one execution has filled a value's support, approve and
+/// ready logs with all `n = 16` senders — the index grown to `n` entries
+/// — the next execution's deliveries, through I-accept (whose `clear`
+/// empties the logs) and the `reset_for_next_execution` after it, touch
+/// no heap.
+#[test]
+fn ia_index_keeps_capacity_across_executions() {
+    let n = 16;
+    let p = params(n, 5);
+    let mut vals: ValueInterner<u64> = ValueInterner::new();
+    let v = vals.intern(&7);
+    let mut ia = InitiatorAccept::new(NodeId::new(0), p);
+    let mut out: Vec<IaAction<ValueId>> = Vec::new();
+    let mut t = 6_000_000_000_000u64;
+    let mut execution = |ia: &mut InitiatorAccept, out: &mut Vec<IaAction<ValueId>>| {
+        let mut accepted = 0;
+        for kind in IaKind::ALL {
+            t += D / 4;
+            for s in 0..n as u64 {
+                let now = LocalTime::from_nanos(t + s);
+                ia.on_message(now, NodeId::new(s as u32), kind, v, &vals, out);
+                accepted += out
+                    .drain(..)
+                    .filter(|a| matches!(a, IaAction::Accepted { .. }))
+                    .count();
+            }
+        }
+        t += 4 * D;
+        ia.reset_for_next_execution(LocalTime::from_nanos(t));
+        ia.cleanup(LocalTime::from_nanos(t));
+        accepted
+    };
+    // Warm-up: the logs, the guard's change history and `out` reach
+    // their steady-state capacity.
+    for _ in 0..3 {
+        assert_eq!(execution(&mut ia, &mut out), 1, "each execution accepts");
+    }
+    let (allocs, accepted) = count_allocs(|| execution(&mut ia, &mut out));
+    assert_eq!(accepted, 1);
+    assert_eq!(
+        allocs, 0,
+        "a warmed instance's next execution allocates nothing"
+    );
 }
 
 /// The coalesced wave path: after warm-up, a full-membership duplicate

@@ -45,6 +45,19 @@ impl ReferenceArrivalLog {
         }
     }
 
+    /// Appends a raw arrival: no duplicate collapse, the cap still holds.
+    fn inject_raw(&mut self, sender: NodeId, t: LocalTime) {
+        let times = self.per_sender.entry(sender).or_default();
+        times.push_back(t);
+        if times.len() > ArrivalLog::MAX_PER_SENDER {
+            times.pop_front();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.per_sender.clear();
+    }
+
     /// Drops old and future-stamped arrivals.
     fn prune(&mut self, now: LocalTime, retention: Duration) {
         self.per_sender.retain(|_, times| {
@@ -111,20 +124,57 @@ impl ReferenceArrivalLog {
     }
 }
 
-/// Compares every public query surface of the two logs at one instant.
+/// Compares every public query surface of the two logs at one instant:
+/// every `k` up to `n + 1` (and `k = 0` for the fused query) and every
+/// sender for small memberships; for large ones, a sample around the
+/// quorum sizes, the ends of the membership and `k = n ± 1`.
 fn assert_logs_agree(dense: &ArrivalLog, reference: &ReferenceArrivalLog, now: u64, n: u32) {
+    const WINDOWS: [u64; 6] = [0, 1, 500, 2_500, 10_000, u64::MAX / 4];
     let now_t = LocalTime::from_nanos(now);
+    let n_k = n as usize;
+    let (ks, senders): (Vec<usize>, Vec<u32>) = if n <= 16 {
+        ((0..=n_k + 1).collect(), (0..n).collect())
+    } else {
+        (
+            vec![
+                0,
+                1,
+                2,
+                n_k / 3 + 1,
+                n_k / 2,
+                2 * n_k / 3 + 1,
+                n_k - 1,
+                n_k,
+                n_k + 1,
+            ],
+            vec![0, 1, n / 2, n - 2, n - 1],
+        )
+    };
     assert_eq!(
         dense.distinct_total(),
         reference.distinct_total(),
         "distinct_total at {now}"
     );
     assert_eq!(dense.is_empty(), reference.distinct_total() == 0);
-    for window in [0u64, 1, 500, 2_500, 10_000, u64::MAX / 4] {
+    // The reference's answers, per window: the distinct count and the
+    // k-th latest for every sampled `k`.
+    let expected: Vec<(usize, Vec<Option<LocalTime>>)> = WINDOWS
+        .iter()
+        .map(|&window| {
+            let w = Duration::from_nanos(window);
+            let kth = ks
+                .iter()
+                .map(|&k| reference.kth_latest_in_window(now_t, w, k))
+                .collect();
+            (reference.distinct_in_window(now_t, w), kth)
+        })
+        .collect();
+    for (wi, &window) in WINDOWS.iter().enumerate() {
         let w = Duration::from_nanos(window);
+        let (count, kth) = &expected[wi];
         assert_eq!(
             dense.distinct_in_window(now_t, w),
-            reference.distinct_in_window(now_t, w),
+            *count,
             "distinct_in_window({now}, {window})"
         );
         assert_eq!(
@@ -132,43 +182,36 @@ fn assert_logs_agree(dense: &ArrivalLog, reference: &ReferenceArrivalLog, now: u
             reference.senders_in_window(now_t, w).collect::<Vec<_>>(),
             "senders_in_window({now}, {window})"
         );
-        for k in 1..=(n as usize + 1) {
+        for (ki, &k) in ks.iter().enumerate() {
             assert_eq!(
                 dense.kth_latest_in_window(now_t, w, k),
-                reference.kth_latest_in_window(now_t, w, k),
+                kth[ki],
                 "kth_latest_in_window({now}, {window}, {k})"
             );
         }
-        for s in 0..n {
+        for &s in &senders {
             assert_eq!(
                 dense.sender_in_window(now_t, w, NodeId::new(s)),
                 reference.sender_in_window(now_t, w, NodeId::new(s)),
                 "sender_in_window({now}, {window}, {s})"
             );
         }
-        // The fused one-pass queries (used by the interned hot path) must
-        // agree exactly with their composed two-scan equivalents for
-        // every nested window pair.
-        for inner in [0u64, 1, 500, 2_500, 10_000, u64::MAX / 4] {
-            if inner > window {
-                continue;
-            }
-            let wi = Duration::from_nanos(inner);
+        // The fused one-pass queries (used by the interned hot path; the
+        // L1–L4 one is answered by the recency index while it is exact)
+        // must agree exactly with the reference's two separate queries
+        // for every nested window pair.
+        for (ii, &inner) in WINDOWS[..=wi].iter().enumerate() {
+            let inner_count = expected[ii].0;
+            let wi_inner = Duration::from_nanos(inner);
             assert_eq!(
-                dense.distinct_in_nested_windows(now_t, w, wi),
-                (
-                    dense.distinct_in_window(now_t, w),
-                    dense.distinct_in_window(now_t, wi)
-                ),
+                dense.distinct_in_nested_windows(now_t, w, wi_inner),
+                (*count, inner_count),
                 "distinct_in_nested_windows({now}, {window}, {inner})"
             );
-            for k in 1..=(n as usize + 1) {
+            for (ki, &k) in ks.iter().enumerate() {
                 assert_eq!(
-                    dense.kth_latest_with_inner_count(now_t, w, k, wi),
-                    (
-                        dense.kth_latest_in_window(now_t, w, k),
-                        dense.distinct_in_window(now_t, wi)
-                    ),
+                    dense.kth_latest_with_inner_count(now_t, w, k, wi_inner),
+                    (kth[ki], inner_count),
                     "kth_latest_with_inner_count({now}, {window}, {k}, {inner})"
                 );
             }
@@ -236,6 +279,56 @@ fn kth_latest_fallback_matches_reference_past_inline_cap() {
                 r2.kth_latest_in_window(now, dur(200_000), k),
                 "boundary {boundary}, k={k}"
             );
+        }
+    }
+}
+
+/// Stamps that climb the clock in steps under half of it: every record
+/// lands at or after the newest one, yet across a full turn the first
+/// and the last stamp sit 2 ns apart, and across half a turn the first
+/// one is in the future of an instant the newest one is not. Past half
+/// the clock the scan's own queries stop agreeing with the reference (a
+/// sorted slot answers from its newest stamp, a nested-window query from
+/// any), so the recency index must give way to the scan there: the
+/// recorded log answers exactly as a twin built by `inject_raw`, which
+/// never uses the index. Kept on the index, the newest stamps alone
+/// would hide the first ones from the nested windows at `now = 3`, walk
+/// three senders out of age order there (their one stamp each ages 3,
+/// 2⁶³ + 4 and 5 ns), and count a future stamp in a window of the whole
+/// clock.
+#[test]
+fn recency_index_gives_way_to_the_scan_past_half_the_clock() {
+    let half = 1u64 << 63;
+    let full_turn: Vec<(u32, u64)> = [0, half - 1, u64::MAX - 1]
+        .into_iter()
+        .flat_map(|at| [(0, at), (1, at.wrapping_add(1))])
+        .collect();
+    let one_each = vec![(0, 0), (1, half - 1), (2, u64::MAX - 1)];
+    let half_turn = vec![(0, 0), (1, 1), (1, half - 2)];
+    for arrivals in [full_turn, one_each, half_turn] {
+        let (mut dense, mut scan) = (ArrivalLog::new(), ArrivalLog::new());
+        for (s, at) in arrivals {
+            dense.record(t(at), id(s));
+            scan.inject_raw(id(s), t(at));
+        }
+        let windows = [0, 2, 3, 4, 5, 500, u64::MAX / 4, u64::MAX].map(dur);
+        for now in [3, 1, u64::MAX - 1, half, half + 5, half + half / 2].map(t) {
+            for outer in windows {
+                for inner in windows.into_iter().filter(|&w| w <= outer) {
+                    assert_eq!(
+                        dense.distinct_in_nested_windows(now, outer, inner),
+                        scan.distinct_in_nested_windows(now, outer, inner),
+                        "distinct_in_nested_windows({now:?}, {outer:?}, {inner:?})"
+                    );
+                    for k in 0..=3 {
+                        assert_eq!(
+                            dense.kth_latest_with_inner_count(now, outer, k, inner),
+                            scan.kth_latest_with_inner_count(now, outer, k, inner),
+                            "kth_latest_with_inner_count({now:?}, {outer:?}, {k}, {inner:?})"
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -484,6 +577,87 @@ proptest! {
                 }
             }
             prop_assert_eq!(slab.len(), open.iter().flatten().count());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Every write that turns the recency index off or back on,
+    /// interleaved with the monotone records that keep it exact: in-order
+    /// records and whole-membership waves, out-of-order duplicates and
+    /// new stamps, `inject_raw` into the past and the future, `clear`,
+    /// prunes at the clock and at a rewound instant, and a clock that
+    /// jumps back — from a start just below the `u64` wrap or far from
+    /// it, at memberships on both sides of 128. Every public query agrees
+    /// with the reference after every step, at the clock and at the
+    /// instant the step used.
+    #[test]
+    fn recency_index_matches_reference_through_invalidations(
+        size in 0usize..3,
+        near_wrap in any::<bool>(),
+        ops in prop::collection::vec((0u32..256, 0u64..2_000, 0u64..40_000, 0u32..20), 1..80),
+        retention in 2_000u64..30_000,
+    ) {
+        let n = [5u32, 40, 140][size];
+        let mut dense = ArrivalLog::new();
+        let mut reference = ReferenceArrivalLog::new();
+        let mut now = if near_wrap { u64::MAX - 50_000 } else { 10_000 };
+        let mut stamps: Vec<u64> = Vec::new();
+        for (pick, dt, back, action) in ops {
+            now = now.wrapping_add(dt);
+            let sender = NodeId::new(pick % n);
+            let r = Duration::from_nanos(retention);
+            let mut at = now;
+            match action {
+                0..=11 => {
+                    dense.record(t(now), sender);
+                    reference.record(t(now), sender);
+                    stamps.push(now);
+                }
+                // A wave: every member once, on a rising clock.
+                12 => {
+                    for s in 0..n {
+                        now = now.wrapping_add(u64::from(pick % 3));
+                        dense.record(t(now), id(s));
+                        reference.record(t(now), id(s));
+                    }
+                    at = now;
+                }
+                // A duplicate or an older stamp: out of order.
+                13 => {
+                    at = match stamps.get(pick as usize % stamps.len().max(1)) {
+                        Some(&old) if pick % 2 == 0 => old,
+                        _ => now.wrapping_sub(back),
+                    };
+                    dense.record(t(at), sender);
+                    reference.record(t(at), sender);
+                }
+                14 => {
+                    at = if pick % 2 == 0 { now.wrapping_sub(back) } else { now.wrapping_add(back) };
+                    dense.inject_raw(sender, t(at));
+                    reference.inject_raw(sender, t(at));
+                }
+                15 => {
+                    dense.clear();
+                    reference.clear();
+                }
+                16 | 17 => {
+                    dense.prune(t(now), r);
+                    reference.prune(t(now), r);
+                }
+                18 => {
+                    at = now.wrapping_sub(back % retention);
+                    dense.prune(t(at), r);
+                    reference.prune(t(at), r);
+                }
+                // The clock jumps back; later records land out of order.
+                _ => now = now.wrapping_sub(back),
+            }
+            assert_logs_agree(&dense, &reference, now, n);
+            if at != now {
+                assert_logs_agree(&dense, &reference, at, n);
+            }
         }
     }
 }
