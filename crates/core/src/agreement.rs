@@ -565,6 +565,13 @@ impl Agreement {
         self.due = Due::Now;
     }
 
+    /// Makes this instance indistinguishable from
+    /// `Agreement::new(me, general, params)` for its own node and General
+    /// while its tables keep their capacity.
+    pub(crate) fn recycle(&mut self) {
+        self.reset_execution();
+    }
+
     /// Drops every trace of the current execution. The instance may now
     /// be removable and its value ids unreferenced.
     fn reset_execution(&mut self) {

@@ -156,6 +156,21 @@ struct GeneralControl {
 }
 
 impl GeneralControl {
+    /// Empties the guards to a default set's, keeping their capacity.
+    fn recycle(&mut self) {
+        let (mut last_per_value, mut pending_checks) = (
+            std::mem::take(&mut self.last_per_value),
+            std::mem::take(&mut self.pending_checks),
+        );
+        last_per_value.clear();
+        pending_checks.clear();
+        *self = GeneralControl {
+            last_per_value,
+            pending_checks,
+            ..GeneralControl::default()
+        };
+    }
+
     /// Decay of the General-side guards: ``[IG1]`` after `Δ0`, ``[IG2]``
     /// after `Δ_v`, the ``[IG3]`` backoff after `Δ_reset`, stale monitors
     /// after `8d`. Recomputes the due exactly, and returns whether a value
@@ -363,10 +378,11 @@ pub struct Engine<V: Value> {
     /// The per-execution value interner: `V → ValueId` at the boundary,
     /// `ValueId → V` at emission.
     interner: ValueInterner<V>,
-    /// Per-General `Initiator-Accept` instances, dense by General id.
-    ia: DenseNodeMap<InitiatorAccept>,
-    /// Per-General agreement instances, dense by General id.
-    agr: DenseNodeMap<Agreement>,
+    /// Per-General `Initiator-Accept` instances, dense by General id and
+    /// boxed, so an absent General's slot costs a pointer.
+    ia: DenseNodeMap<Box<InitiatorAccept>>,
+    /// Per-General agreement instances, dense by General id, boxed.
+    agr: DenseNodeMap<Box<Agreement>>,
     general_ctl: GeneralControl,
     last_cleanup: Option<LocalTime>,
     /// The latest local time state was written at (the last decay pass
@@ -377,6 +393,11 @@ pub struct Engine<V: Value> {
     /// Interner occupancy the last sweep left: more means fresh ids.
     swept_live: usize,
     stats: DispatchStats,
+    /// The instances a [`Engine::recycle`] dropped, by General: the next
+    /// instance for the same General reuses its spare, so its tables keep
+    /// their capacity.
+    spare_ia: DenseNodeMap<Box<InitiatorAccept>>,
+    spare_agr: DenseNodeMap<Box<Agreement>>,
 }
 
 impl<V: Value> Engine<V> {
@@ -395,7 +416,31 @@ impl<V: Value> Engine<V> {
             sweep_high_water: INTERN_SWEEP_BASE,
             swept_live: 0,
             stats: DispatchStats::default(),
+            spare_ia: DenseNodeMap::new(),
+            spare_agr: DenseNodeMap::new(),
         }
+    }
+
+    /// Makes this engine indistinguishable from `Engine::new(me, params)`
+    /// with its own `me` and `params` — same outputs, protocol state,
+    /// interner ids and [`DispatchStats`] from here on — while every table
+    /// it grew keeps its capacity: its instances become the spares of
+    /// their Generals (the spares it held until now are dropped). The
+    /// slot pipeline recycles a finished slot's engine into the next slot
+    /// instead of building a new one.
+    #[doc(hidden)]
+    pub fn recycle(&mut self) {
+        self.interner.clear();
+        std::mem::swap(&mut self.ia, &mut self.spare_ia);
+        self.ia.clear();
+        std::mem::swap(&mut self.agr, &mut self.spare_agr);
+        self.agr.clear();
+        self.general_ctl.recycle();
+        self.last_cleanup = None;
+        self.newest = None;
+        self.sweep_high_water = INTERN_SWEEP_BASE;
+        self.swept_live = 0;
+        self.stats = DispatchStats::default();
     }
 
     /// How `Bcast` arrivals have been dispatched since construction.
@@ -549,10 +594,10 @@ impl<V: Value> Engine<V> {
                     return; // forged initiation — identity is authenticated
                 }
                 let id = self.interner.intern_shared(value);
-                let params = self.params;
+                let (params, spare) = (self.params, &mut self.spare_ia);
                 let ia = self
                     .ia
-                    .get_or_insert_with(*general, || InitiatorAccept::new(*general, params));
+                    .get_or_insert_with(*general, || new_ia(spare, *general, params));
                 ia.on_initiator(now, id, &self.interner, &mut ob.ia);
                 self.absorb_ia(now, *general, ob);
             }
@@ -562,10 +607,10 @@ impl<V: Value> Engine<V> {
                 value,
             } => {
                 let id = self.interner.intern_shared(value);
-                let params = self.params;
+                let (params, spare) = (self.params, &mut self.spare_ia);
                 let ia = self
                     .ia
-                    .get_or_insert_with(*general, || InitiatorAccept::new(*general, params));
+                    .get_or_insert_with(*general, || new_ia(spare, *general, params));
                 ia.on_message(now, sender, *kind, id, &self.interner, &mut ob.ia);
                 self.absorb_ia(now, *general, ob);
             }
@@ -584,11 +629,10 @@ impl<V: Value> Engine<V> {
                     return;
                 }
                 let id = self.interner.intern_shared(value);
-                let me = self.me;
-                let params = self.params;
+                let (me, params, spare) = (self.me, self.params, &mut self.spare_agr);
                 let agr = self
                     .agr
-                    .get_or_insert_with(*general, || Agreement::new(me, *general, params));
+                    .get_or_insert_with(*general, || new_agr(spare, me, *general, params));
                 agr.on_bcast(
                     now,
                     sender,
@@ -774,11 +818,10 @@ impl<V: Value> Engine<V> {
             self.cleanup_if_due(now);
             if *round != 0 && *round <= self.params.max_round() && broadcaster.index() < n {
                 let id = self.interner.intern_shared(value);
-                let me = self.me;
-                let params = self.params;
+                let (me, params, spare) = (self.me, self.params, &mut self.spare_agr);
                 let agr = self
                     .agr
-                    .get_or_insert_with(*general, || Agreement::new(me, *general, params));
+                    .get_or_insert_with(*general, || new_agr(spare, me, *general, params));
                 agr.on_bcast_wave(
                     now,
                     &senders,
@@ -899,11 +942,10 @@ impl<V: Value> Engine<V> {
                         value: self.interner.resolve_shared(value),
                         tau_g,
                     }));
-                    let me = self.me;
-                    let params = self.params;
+                    let (me, params, spare) = (self.me, self.params, &mut self.spare_agr);
                     let agr = self
                         .agr
-                        .get_or_insert_with(general, || Agreement::new(me, general, params));
+                        .get_or_insert_with(general, || new_agr(spare, me, general, params));
                     agr.on_i_accept(now, value, tau_g, &self.interner, &mut ob.msgd, &mut ob.agr);
                     self.absorb_agr(now, general, ob);
                 }
@@ -1068,14 +1110,16 @@ impl<V: Value> Engine<V> {
         );
         for _ in 0..SCRAMBLED_GENERALS {
             let general = g.node(params.n());
+            let spare = &mut self.spare_ia;
             self.ia
-                .get_or_insert_with(general, || InitiatorAccept::new(general, params))
+                .get_or_insert_with(general, || new_ia(spare, general, params))
                 .plant(&mut g);
             // An agreement instance nothing was planted in stays absent.
             let existed = self.agr.contains(general);
+            let spare = &mut self.spare_agr;
             let agr = self
                 .agr
-                .get_or_insert_with(general, || Agreement::new(me, general, params));
+                .get_or_insert_with(general, || new_agr(spare, me, general, params));
             if !agr.plant(&mut g) && !existed {
                 self.agr.remove(general);
             }
@@ -1109,9 +1153,9 @@ impl<V: Value> Engine<V> {
     }
 
     fn ia_entry(&mut self, general: NodeId) -> &mut InitiatorAccept {
-        let params = self.params;
+        let (params, spare) = (self.params, &mut self.spare_ia);
         self.ia
-            .get_or_insert_with(general, || InitiatorAccept::new(general, params))
+            .get_or_insert_with(general, || new_ia(spare, general, params))
     }
 
     /// Read access to the `Initiator-Accept` instance for `general`, as a
@@ -1138,9 +1182,9 @@ impl<V: Value> Engine<V> {
     /// without its `Initiator-Accept` wave.
     #[doc(hidden)]
     pub fn plant_anchor(&mut self, general: NodeId, tau_g: LocalTime) {
-        let (me, params) = (self.me, self.params);
+        let (me, params, spare) = (self.me, self.params, &mut self.spare_agr);
         self.agr
-            .get_or_insert_with(general, || Agreement::new(me, general, params))
+            .get_or_insert_with(general, || new_agr(spare, me, general, params))
             .corrupt_anchor(tau_g);
     }
 
@@ -1178,6 +1222,37 @@ impl<V: Value> Engine<V> {
             agr.render(interner, &mut s);
         }
         s
+    }
+}
+
+/// `general`'s spare `Initiator-Accept` instance, recycled, or a new one.
+fn new_ia(
+    spare: &mut DenseNodeMap<Box<InitiatorAccept>>,
+    general: NodeId,
+    params: Params,
+) -> Box<InitiatorAccept> {
+    match spare.remove(general) {
+        Some(mut ia) => {
+            ia.recycle();
+            ia
+        }
+        None => Box::new(InitiatorAccept::new(general, params)),
+    }
+}
+
+/// `general`'s spare agreement instance, recycled, or a new one.
+fn new_agr(
+    spare: &mut DenseNodeMap<Box<Agreement>>,
+    me: NodeId,
+    general: NodeId,
+    params: Params,
+) -> Box<Agreement> {
+    match spare.remove(general) {
+        Some(mut agr) => {
+            agr.recycle();
+            agr
+        }
+        None => Box::new(Agreement::new(me, general, params)),
     }
 }
 

@@ -87,6 +87,27 @@ struct ValueState {
 }
 
 impl ValueState {
+    /// The state of a new value `value`: its id's spare emptied to a
+    /// default one's, the logs and guard history keeping their capacity,
+    /// or a default one.
+    fn from_spare(spare: &mut ValueIdMap<Box<ValueState>>, value: ValueId) -> Box<Self> {
+        let Some(mut st) = spare.remove(value) else {
+            return Box::default();
+        };
+        for log in [&mut st.support, &mut st.approve, &mut st.ready] {
+            log.clear();
+        }
+        st.last_gm.forget();
+        *st = ValueState {
+            last_gm: std::mem::take(&mut st.last_gm),
+            support: std::mem::take(&mut st.support),
+            approve: std::mem::take(&mut st.approve),
+            ready: std::mem::take(&mut st.ready),
+            ..ValueState::default()
+        };
+        st
+    }
+
     fn is_dormant(&self) -> bool {
         self.i_value.is_none()
             && self.ready_at.is_none()
@@ -147,13 +168,18 @@ impl ValueState {
 pub struct InitiatorAccept {
     general: NodeId,
     params: Params,
-    values: ValueIdMap<ValueState>,
+    /// Boxed, so the slots of absent ids cost a pointer each.
+    values: ValueIdMap<Box<ValueState>>,
     /// `last(G)` with change history.
     last_g: TimedVar<LocalTime>,
     /// Times at which *this node* sent `(support, G, ·)` — line K1 window.
     own_support_times: Vec<LocalTime>,
     /// When [`InitiatorAccept::cleanup`] can next change anything.
     due: Due,
+    /// The value states a [`InitiatorAccept::recycle`] dropped, by id: a
+    /// new value with the same id reuses its spare, emptied, so the logs
+    /// keep their capacity.
+    spare: ValueIdMap<Box<ValueState>>,
 }
 
 impl InitiatorAccept {
@@ -167,6 +193,7 @@ impl InitiatorAccept {
             last_g: TimedVar::new(),
             own_support_times: Vec::new(),
             due: Due::Never,
+            spare: ValueIdMap::new(),
         }
     }
 
@@ -258,10 +285,15 @@ impl InitiatorAccept {
         // L1–L4 — one fused pass over the support log: the shortest
         // suffix window of ≤ 4d holding a weak quorum (L2 records
         // max(i_value, t_k − 2d)) and the 2d count that L3 holds against
-        // the strong quorum.
-        let (tk, support_2d) =
+        // the strong quorum. A window counts at most the log's senders,
+        // so below a weak quorum of them in total neither line fires and
+        // the pass is skipped; the same holds for M1–M4 below.
+        let (tk, support_2d) = if st.support.distinct_total() < weak {
+            (None, 0)
+        } else {
             st.support
-                .kth_latest_with_inner_count(now, d * 4u64, weak, d * 2u64);
+                .kth_latest_with_inner_count(now, d * 4u64, weak, d * 2u64)
+        };
         if let Some(tk) = tk {
             let candidate = tk - d * 2u64;
             st.i_value = Some(match st.i_value {
@@ -277,9 +309,12 @@ impl InitiatorAccept {
         }
         // M1–M4 — one fused pass over the approve log: weak quorum within
         // 5d arms the ready flag, strong quorum within 3d sends ready.
-        let (approve_5d, approve_3d) =
+        let (approve_5d, approve_3d) = if st.approve.distinct_total() < weak {
+            (0, 0)
+        } else {
             st.approve
-                .distinct_in_nested_windows(now, d * 5u64, d * 3u64);
+                .distinct_in_nested_windows(now, d * 5u64, d * 3u64)
+        };
         if approve_5d >= weak {
             st.ready_at = Some(now);
             stamp_guard = true;
@@ -401,7 +436,8 @@ impl InitiatorAccept {
                     self.due = Due::Now;
                 }
             }
-            self.values.insert(value, ValueState::default());
+            let fresh = ValueState::from_spare(&mut self.spare, value);
+            self.values.insert(value, fresh);
         }
         self.values.get_mut(value).expect("just ensured present")
     }
@@ -560,7 +596,21 @@ impl InitiatorAccept {
 
     /// The state of `value`, created past the tracked-value cap.
     fn raw_state(&mut self, value: ValueId) -> &mut ValueState {
-        self.values.get_or_insert_with(value, Default::default)
+        let spare = &mut self.spare;
+        self.values
+            .get_or_insert_with(value, || ValueState::from_spare(spare, value))
+    }
+
+    /// Makes this instance indistinguishable from
+    /// `InitiatorAccept::new(general, params)` for its own General while
+    /// its tables keep their capacity: the value states become the spares
+    /// of their ids (the spares held until now are dropped).
+    pub(crate) fn recycle(&mut self) {
+        std::mem::swap(&mut self.values, &mut self.spare);
+        self.values.clear();
+        self.last_g.forget();
+        self.own_support_times.clear();
+        self.due = Due::Never;
     }
 
     fn corrupt_guards(&mut self, value: ValueId, last_g: LocalTime, last_gm: LocalTime) {
@@ -804,6 +854,37 @@ mod tests {
         // K2: i_value := τq − d.
         assert_eq!(ia.i_value(v7), Some(t(0) - Duration::from_nanos(D)));
         assert_eq!(ia.last_gm(v7), Some(t(0)));
+    }
+
+    /// The weak-quorum pre-check skips the L and M queries exactly while
+    /// they could not fire: `f` supports and `f` approves emit and record
+    /// nothing, and the `(f + 1)`-th of each fires L2 and M1.
+    #[test]
+    fn l2_and_m1_fire_at_the_weak_quorum_and_not_before() {
+        let p = params7();
+        let f = p.f() as u32;
+        let (vals, [v7]) = interned([7]);
+        let mut ia = InitiatorAccept::new(id(0), p);
+        let mut out = Vec::new();
+        let d = Duration::from_nanos(D);
+        for (kind, at) in [(IaKind::Support, t(0)), (IaKind::Approve, t(0) + d)] {
+            for node in 0..f {
+                let now = at + Duration::from_nanos(u64::from(node));
+                ia.on_message(now, id(node + 1), kind, v7, &vals, &mut out);
+                assert!(out.is_empty(), "{kind:?} #{} emitted {out:?}", node + 1);
+            }
+            let fired = match kind {
+                IaKind::Support => ia.i_value(v7).is_some(),
+                _ => ia.is_ready(v7),
+            };
+            assert!(!fired, "{f} {kind:?} messages fired a weak-quorum line");
+            ia.on_message(at + d / 2, id(f + 1), kind, v7, &vals, &mut out);
+        }
+        // L2: i_value := t_{f+1} − 2d, the oldest of f + 1 supports.
+        assert_eq!(ia.i_value(v7), Some(t(0) - d * 2u64));
+        // M1: the ready flag is armed.
+        assert!(ia.is_ready(v7));
+        assert!(out.is_empty(), "no strong quorum, no send: {out:?}");
     }
 
     #[test]
@@ -1096,7 +1177,7 @@ mod tests {
         for _ in 0..16 {
             ia.plant(&mut g);
         }
-        let planted = |f: &dyn Fn(&ValueState) -> bool| ia.values.values().any(f);
+        let planted = |f: &dyn Fn(&ValueState) -> bool| ia.values.values().any(|st| f(st));
         assert!(ia.last_g().is_some() && planted(&|st| st.last_gm.get().is_some()));
         assert!(planted(&|st| st.i_value.is_some()) && planted(&|st| st.ready_at.is_some()));
         assert!(IaKind::ALL
@@ -1108,7 +1189,7 @@ mod tests {
             assert!(st.last_gm.get().is_none(), "{st:?}");
             let rest = ValueState {
                 last_gm: TimedVar::new(),
-                ..st.clone()
+                ..(**st).clone()
             };
             assert!(rest.is_dormant(), "{st:?}");
         }

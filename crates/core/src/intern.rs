@@ -197,6 +197,15 @@ impl<V: Value> ValueInterner<V> {
         }
     }
 
+    /// Forgets every value, keeping the tables' capacity: ids are then
+    /// handed out exactly as by a new interner.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.ids.clear();
+        self.in_sweep = false;
+    }
+
     /// Number of live interned values.
     #[must_use]
     pub fn occupancy(&self) -> usize {

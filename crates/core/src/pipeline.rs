@@ -351,6 +351,10 @@ pub struct SlotPipeline<V: Value> {
     last_heartbeat: Option<LocalTime>,
     /// Scratch outbox reused across every engine call.
     scratch: Outbox<V>,
+    /// Recycled engines of finished slots, at most `window` of them: a
+    /// new slot takes one instead of growing a new engine's tables from
+    /// empty.
+    spare: Vec<Engine<V>>,
 }
 
 impl<V: Value> SlotPipeline<V> {
@@ -372,6 +376,7 @@ impl<V: Value> SlotPipeline<V> {
             catchup_probe: None,
             last_heartbeat: None,
             scratch: Outbox::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -425,7 +430,7 @@ impl<V: Value> SlotPipeline<V> {
             let slot = self.next_open;
             self.next_open += 1;
             let value = self.proposals.pop_front().expect("checked non-empty");
-            let mut engine = Engine::new(self.me, self.params);
+            let mut engine = self.fresh_engine();
             // A fresh engine has no [IG1]/[IG2]/[IG3] history, so the
             // initiation is unconditionally admitted.
             engine
@@ -603,7 +608,7 @@ impl<V: Value> SlotPipeline<V> {
                     // The proposer restarted this slot: replace the
                     // stale execution wholesale. (Receiver side only —
                     // the proposer's own retry path bumps `attempt`.)
-                    state.engine = Engine::new(self.me, self.params);
+                    state.engine.recycle();
                     state.attempt = attempt;
                     state.started_at = now;
                     state.decided = false;
@@ -615,10 +620,11 @@ impl<V: Value> SlotPipeline<V> {
                 if attempt > 0 && !reset_ok {
                     return false;
                 }
+                let engine = self.fresh_engine();
                 self.slots.insert(
                     slot,
                     SlotState {
-                        engine: Engine::new(self.me, self.params),
+                        engine,
                         attempt,
                         proposed: None,
                         started_at: now,
@@ -628,6 +634,26 @@ impl<V: Value> SlotPipeline<V> {
             }
         }
         true
+    }
+
+    /// An engine for a new slot: a recycled spare, or a new one.
+    fn fresh_engine(&mut self) -> Engine<V> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Engine::new(self.me, self.params))
+    }
+
+    /// Ends `slot`'s execution, keeping its engine, recycled, as a spare
+    /// while fewer than `window` are kept.
+    fn retire(&mut self, slot: u64) {
+        let Some(state) = self.slots.remove(&slot) else {
+            return;
+        };
+        if (self.spare.len() as u64) < self.cfg.window {
+            let mut engine = state.engine;
+            engine.recycle();
+            self.spare.push(engine);
+        }
     }
 
     /// Records `sender`'s implicit claim that `slot` exists (carried by
@@ -672,7 +698,10 @@ impl<V: Value> SlotPipeline<V> {
     /// Wraps everything the engine just put in the scratch outbox and
     /// appends it to `out`, intercepting decisions into the log.
     fn drain_engine(&mut self, slot: u64, attempt: u32, out: &mut Vec<PipeOutput<V>>) {
-        for output in self.scratch.take_outputs() {
+        // Detach the outputs so a commit can borrow `self`; the emptied
+        // buffer is reattached below, keeping its capacity.
+        let mut outputs = self.scratch.take_outputs();
+        for output in outputs.drain(..) {
             match output {
                 Output::Broadcast(inner) => out.push(PipeOutput::Broadcast(SlotMsg::Slot {
                     slot,
@@ -701,6 +730,7 @@ impl<V: Value> SlotPipeline<V> {
                 }
             }
         }
+        self.scratch.out = outputs;
     }
 
     /// Records a decision and emits the in-order commit cascade.
@@ -714,9 +744,9 @@ impl<V: Value> SlotPipeline<V> {
                 value: v,
             }));
             // The execution below the committed prefix is finished
-            // state: drop its engine. Laggards replay from the log via
+            // state: retire its engine. Laggards replay from the log via
             // catch-up, not from our echoes.
-            self.slots.remove(&s);
+            self.retire(s);
         }
         // Catch-up votes below the committed prefix can never be
         // adopted (the commit cascade may have leapt past them): drop
@@ -788,7 +818,7 @@ impl<V: Value> SlotPipeline<V> {
                         slot,
                         value: Arc::clone(&value),
                     }));
-                    self.slots.remove(&slot);
+                    self.retire(slot);
                     self.commit(slot, value, out);
                 }
             }
@@ -847,7 +877,7 @@ impl<V: Value> SlotPipeline<V> {
                 continue;
             };
             let value = state.proposed.clone().expect("filtered on proposed");
-            state.engine = Engine::new(self.me, self.params);
+            state.engine.recycle();
             state.attempt = next_attempt;
             state.started_at = now;
             let attempt = state.attempt;

@@ -80,13 +80,18 @@ impl ArrivalSlot {
     }
 
     /// Appends `t`, evicting the oldest retained arrival when full.
+    ///
+    /// The slot stays sorted while each push follows the newest stamp and
+    /// lands less than half the clock past the oldest one: stamps that
+    /// span half the clock or more have no wrap-around order, so the
+    /// scan answers for them.
     #[inline]
     fn push(&mut self, t: LocalTime) {
         let len = usize::from(self.len);
         if len == 0 {
             self.sorted = true;
         } else {
-            self.sorted &= t.is_at_or_after(self.times[len - 1]);
+            self.sorted &= t.is_at_or_after(self.times[len - 1]) && t.since(self.times[0]) < HALF;
         }
         if len == ArrivalLog::MAX_PER_SENDER {
             self.times.copy_within(1.., 0);
@@ -148,7 +153,9 @@ impl ArrivalSlot {
     /// arrival inside `[now − window, now]`, or `None` if no retained
     /// arrival is in the window. A sorted slot answers from its tail
     /// without scanning; an unsorted one takes the exact minimum over all
-    /// retained times — identical results either way.
+    /// retained times. The two agree because a sorted slot's stamps span
+    /// less than half the clock ([`ArrivalSlot::push`]): the newest one
+    /// not after `now` is then the nearest.
     #[inline]
     fn latest_dist(&self, now: LocalTime, window: Duration) -> Option<u64> {
         let times = self.times();
@@ -234,16 +241,16 @@ impl Default for ArrivalLog {
 }
 
 impl fmt::Debug for ArrivalLog {
-    // The recency index is derived state, not protocol state.
+    // Each occupied sender's retained stamps: the recency index is
+    // derived state, and what a slot keeps past its length (or a sender
+    // without arrivals) is not state at all, so a cleared log renders
+    // as a new one.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let slots: Vec<_> = self
-            .slots
-            .iter()
-            .map(|s| (s.times, s.len, s.sorted))
-            .collect();
-        f.debug_struct("ArrivalLog")
-            .field("slots", &slots)
-            .field("occupied", &self.occupied)
+        f.debug_map()
+            .entries(self.occupied.iter().map(|s| {
+                let slot = &self.slots[s.index()];
+                (s, (slot.times(), slot.sorted))
+            }))
             .finish()
     }
 }
@@ -1030,6 +1037,12 @@ impl<T: Clone> TimedVar<T> {
     #[must_use]
     pub fn is_fresh(&self) -> bool {
         self.history.is_empty()
+    }
+
+    /// Drops the whole history, as if never written (keeps the
+    /// allocation).
+    pub(crate) fn forget(&mut self) {
+        self.history.clear();
     }
 
     /// Force-writes raw history — used only by the state-corruption

@@ -33,7 +33,12 @@
 //!   every intern and lookup walks a probe chain and equality, not
 //!   hashing, must be what tells values apart;
 //! * the `ValueId` reclaim/reuse cycle of the `[IG2]` and `last(G, m)`
-//!   guards, with every call's expected result written out.
+//!   guards, with every call's expected result written out;
+//! * a recycled engine ≡ a fresh one — the `recycled_engine_*` tests
+//!   replay every shape above on an engine that ran two other sequences,
+//!   each from a scramble and each followed by a recycle (what the slot
+//!   pipeline does with a finished slot's engine), and require the same
+//!   outputs, protocol state and dispatch counters after every call.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -490,6 +495,162 @@ proptest! {
     }
 }
 
+/// Requires two engines to be indistinguishable as they stand: same
+/// protocol state (interner ids included) and same dispatch counters.
+fn assert_same_state<V: Value>(recycled: &Engine<V>, fresh: &Engine<V>, at: &str) {
+    assert_eq!(
+        recycled.protocol_state(),
+        fresh.protocol_state(),
+        "protocol state {at}"
+    );
+    assert_eq!(
+        recycled.dispatch_stats(),
+        fresh.dispatch_stats(),
+        "dispatch stats {at}"
+    );
+}
+
+/// An engine that lived once per sequence of `priors`, each life
+/// started with a scramble (entropy seeds from `seed`) and ended with a
+/// recycle, so residue of every kind — instances of several Generals,
+/// planted and future-stamped stamps, interned junk, General-side
+/// guards, decay bookkeeping, and spares the last life left unused — is
+/// there to leak.
+fn recycled_engine<V: Value>(
+    (me, n, f): (u32, usize, usize),
+    priors: &[&[RawOp]],
+    seed: u64,
+    make: impl Fn(u64) -> V + Copy,
+) -> Engine<V> {
+    let mut engine = Driven::new(me, n, f, make).engine;
+    for (life, prior) in priors.iter().enumerate() {
+        let mut used = Driven::new(me, n, f, make);
+        used.engine = engine;
+        let now = LocalTime::from_nanos(used.now);
+        used.engine
+            .scramble(now, &mut xorshift(seed + life as u64), &mut |e| {
+                make(e.next_u64() % 8)
+            });
+        for &raw in *prior {
+            used.step(raw);
+        }
+        engine = used.engine;
+        engine.recycle();
+    }
+    engine
+}
+
+/// Replays every sequence on a fresh engine and, in lockstep, on a
+/// recycled one that first ran the next two sequences of the list: every call
+/// must answer alike and leave the same protocol state and dispatch
+/// counters. The prior run ends later than the replay starts, so a
+/// recycled engine that remembered its clock would see time run
+/// backwards. With `scrambled`, both engines are scrambled alike first,
+/// as in [`assert_scrambled_engine_reproduces`].
+fn assert_recycled_engine_matches_fresh<V: Value>(
+    (me, n, f): (u32, usize, usize),
+    seqs: Vec<Vec<RawOp>>,
+    make: impl Fn(u64) -> V + Copy,
+    scrambled: bool,
+) {
+    for (i, ops) in seqs.iter().enumerate() {
+        let priors = [1, 2].map(|k| seqs[(i + k) % seqs.len()].as_slice());
+        let mut fresh = Driven::new(me, n, f, make);
+        let mut recycled = Driven::new(me, n, f, make);
+        recycled.engine = recycled_engine((me, n, f), &priors, i as u64 + 101, make);
+        if scrambled {
+            let now = LocalTime::from_nanos(fresh.now);
+            for driven in [&mut fresh, &mut recycled] {
+                driven
+                    .engine
+                    .scramble(now, &mut xorshift(i as u64 + 1), &mut |e| {
+                        make(e.next_u64() % 8)
+                    });
+            }
+        }
+        assert_same_state(
+            &recycled.engine,
+            &fresh.engine,
+            &format!("seq {i} at start"),
+        );
+        for (k, &raw) in ops.iter().enumerate() {
+            let at = format!("seq {i}, op {k}");
+            assert_eq!(recycled.step(raw), fresh.step(raw), "outputs at {at}");
+            assert_same_state(&recycled.engine, &fresh.engine, &at);
+        }
+    }
+}
+
+// A recycled engine is a fresh one: every transcript shape above,
+// replayed on an engine that lived twice before, on other sequences of
+// its shape, each from a scramble and each ended by a recycle.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn recycled_engine_n7(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 12)) {
+        assert_recycled_engine_matches_fresh((3, 7, 2), seqs, |v| v, false);
+    }
+
+    #[test]
+    fn recycled_engine_n7_colliding(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 8)) {
+        assert_recycled_engine_matches_fresh((3, 7, 2), seqs, Collide, false);
+    }
+
+    #[test]
+    fn recycled_engine_n4(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 12)) {
+        assert_recycled_engine_matches_fresh((0, 4, 1), seqs, |v| v, false);
+    }
+
+    #[test]
+    fn recycled_engine_n4_colliding(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 8)) {
+        assert_recycled_engine_matches_fresh((0, 4, 1), seqs, Collide, false);
+    }
+
+    #[test]
+    fn recycled_engine_duplicate_spam(
+        seqs in prop::collection::vec(prop::collection::vec(DUPLICATE_SPAM, 1..400), 8),
+    ) {
+        assert_recycled_engine_matches_fresh((1, 4, 1), seqs, |v| v, false);
+    }
+
+    #[test]
+    fn recycled_engine_spam_and_decay_colliding(
+        seqs in prop::collection::vec(prop::collection::vec(SPAM_AND_DECAY, 1..400), 8),
+    ) {
+        assert_recycled_engine_matches_fresh((1, 4, 1), seqs, Collide, false);
+    }
+
+    #[test]
+    fn recycled_engine_scrambled_n7(seqs in prop::collection::vec(prop::collection::vec(N7, 1..250), 12)) {
+        assert_recycled_engine_matches_fresh((3, 7, 2), seqs, |v| v, true);
+    }
+
+    #[test]
+    fn recycled_engine_scrambled_n4(seqs in prop::collection::vec(prop::collection::vec(N4, 1..250), 12)) {
+        assert_recycled_engine_matches_fresh((0, 4, 1), seqs, |v| v, true);
+    }
+
+    /// The full agreement, on an engine that ran two hostile n = 4
+    /// sequences at node 1 first.
+    #[test]
+    fn recycled_engine_full_agreement(priors in prop::collection::vec(prop::collection::vec(N4, 100..250), 2)) {
+        let mut fresh: Engine<u64> = Engine::new(id(1), params4());
+        let priors: Vec<&[RawOp]> = priors.iter().map(Vec::as_slice).collect();
+        let mut recycled = recycled_engine((1, 4, 1), &priors, 1, |v| v);
+        let (mut ob_fresh, mut ob_recycled) = (Outbox::new(), Outbox::new());
+        assert_same_state(&recycled, &fresh, "at start");
+        for (k, call) in full_agreement_calls().iter().enumerate() {
+            assert_eq!(
+                make_call(&mut recycled, &mut ob_recycled, call),
+                make_call(&mut fresh, &mut ob_fresh, call),
+                "outputs at call {k}"
+            );
+            assert_same_state(&recycled, &fresh, &format!("call {k}"));
+        }
+    }
+}
+
 /// Asserts the two engines answer every op of `ops` alike once
 /// `Collide(v)` is read as `v`.
 fn assert_collide_matches_plain((me, n, f): (u32, usize, usize), ops: Vec<RawOp>) {
@@ -529,41 +690,70 @@ fn id(n: u32) -> NodeId {
     NodeId::new(n)
 }
 
+/// One call of the hand-written full-agreement transcript.
+enum Call {
+    Deliver(LocalTime, NodeId, Msg<u64>),
+    Tick(LocalTime),
+}
+
+/// A full fault-free agreement at node 1 of 4, General 0: the
+/// `Initiator`, each stage's quorum, then ticks through the decide and
+/// the post-return reset.
+fn full_agreement_calls() -> Vec<Call> {
+    let g = id(0);
+    let t0 = 1_000_000_000_000u64;
+    let step = D / 4;
+    let mut calls = vec![Call::Deliver(
+        LocalTime::from_nanos(t0),
+        g,
+        Msg::Initiator {
+            general: g,
+            value: Arc::new(7),
+        },
+    )];
+    for (stage, kind) in IaKind::ALL.into_iter().enumerate() {
+        for s in 0..4u32 {
+            let now = t0 + (stage as u64 + 1) * step + u64::from(s);
+            let msg = Msg::Ia {
+                kind,
+                general: g,
+                value: Arc::new(7),
+            };
+            calls.push(Call::Deliver(LocalTime::from_nanos(now), id(s), msg));
+        }
+    }
+    for k in 1..=8u64 {
+        calls.push(Call::Tick(LocalTime::from_nanos(t0 + 3 * step + k * D)));
+    }
+    calls
+}
+
+/// Makes one [`Call`] and renders its outputs.
+fn make_call(engine: &mut Engine<u64>, ob: &mut Outbox<u64>, call: &Call) -> String {
+    match call {
+        Call::Deliver(now, sender, msg) => engine.on_message_ref(*now, *sender, msg, ob),
+        Call::Tick(now) => engine.on_tick(*now, ob),
+    }
+    format!("{:?}", ob.outputs())
+}
+
 /// A full fault-free agreement at one node, including the decide and the
 /// post-return reset ticks.
 #[test]
 fn recorded_full_agreement() {
-    let me = id(1);
     let g = id(0);
-    let mut engine: Engine<u64> = Engine::new(me, params4());
+    let mut engine: Engine<u64> = Engine::new(id(1), params4());
     let mut ob: Outbox<u64> = Outbox::new();
     let mut transcript = Transcript::new();
-    let t0 = 1_000_000_000_000u64;
-    let step = D / 4;
-
-    let init = Msg::Initiator {
-        general: g,
-        value: Arc::new(7),
-    };
-    engine.on_message_ref(LocalTime::from_nanos(t0), g, &init, &mut ob);
-    transcript.call(&format!("{:?}", ob.outputs()));
-    for (stage, kind) in IaKind::ALL.into_iter().enumerate() {
-        let msg = Msg::Ia {
-            kind,
-            general: g,
-            value: Arc::new(7),
-        };
-        for s in 0..4u32 {
-            let now = t0 + (stage as u64 + 1) * step + u64::from(s);
-            engine.on_message_ref(LocalTime::from_nanos(now), id(s), &msg, &mut ob);
-            transcript.call(&format!("{:?}", ob.outputs()));
-        }
+    let calls = full_agreement_calls();
+    let ticks = calls.len() - 8;
+    for call in &calls[..ticks] {
+        transcript.call(&make_call(&mut engine, &mut ob, call));
     }
     let decided = engine.agreement(g).unwrap().decision();
     assert_eq!(decided, Some(Some(Arc::new(7))));
-    for k in 1..=8u64 {
-        engine.on_tick(LocalTime::from_nanos(t0 + 3 * step + k * D), &mut ob);
-        transcript.call(&format!("{:?}", ob.outputs()));
+    for call in &calls[ticks..] {
+        transcript.call(&make_call(&mut engine, &mut ob, call));
     }
     transcript.assert_recorded(0xb390_9b09_7deb_614d);
 }

@@ -333,6 +333,34 @@ fn recency_index_gives_way_to_the_scan_past_half_the_clock() {
     }
 }
 
+/// One sender's stamps climbing a full turn of the clock in steps under
+/// half of it: each record follows the newest one, yet the oldest and
+/// the newest are 2⁶³ ns or more apart, so no wrap-around order holds
+/// across the slot. A slot's tail then stops being its nearest stamp
+/// (at `now = 3`, sender 1's newest, 2⁶⁴ − 1, is 4 ns old, its oldest
+/// 2 ns), so the scan must answer: every window query agrees with the
+/// reference and τ1 is the latest in-window arrival.
+#[test]
+fn slots_spanning_half_the_clock_answer_like_the_reference() {
+    let half = 1u64 << 63;
+    let (mut dense, mut reference) = (ArrivalLog::new(), ReferenceArrivalLog::new());
+    for (s, at) in [0, half - 1, u64::MAX - 1]
+        .into_iter()
+        .flat_map(|at| [(0, at), (1, at + 1)])
+    {
+        dense.record(t(at), id(s));
+        reference.record(t(at), id(s));
+    }
+    assert_eq!(
+        dense.kth_latest_in_window(t(3), dur(500), 1),
+        Some(t(1)),
+        "the nearest in-window stamp, not the newest"
+    );
+    for now in [3, 1, u64::MAX - 1, half, half + 5] {
+        assert_logs_agree(&dense, &reference, now, 2);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     /// Monotone recording with occasional duplicate replays and prunes:

@@ -45,15 +45,31 @@ pub struct Expired<T> {
     pub payload: T,
 }
 
-/// An opaque handle naming one scheduled entry, used to cancel it.
+/// A handle naming one scheduled entry, used to cancel it.
 ///
 /// A handle is the entry's `(due, seq)` key. A queue never repeats a
 /// seq, so a handle kept after its entry fired (or was cancelled) is
-/// *stale* and cancels nothing.
+/// *stale* and cancels nothing. A caller that keys its entries by due
+/// already may keep only the seq and rebuild the handle with
+/// [`TimerHandle::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerHandle {
     pub(crate) due: u64,
     pub(crate) seq: u64,
+}
+
+impl TimerHandle {
+    /// The handle of the entry due at `due` with insertion number `seq`.
+    #[must_use]
+    pub fn new(due: u64, seq: u64) -> Self {
+        TimerHandle { due, seq }
+    }
+
+    /// The entry's insertion number.
+    #[must_use]
+    pub fn seq(self) -> u64 {
+        self.seq
+    }
 }
 
 /// A monotone event queue ordered by `(due, seq)` with cancellation: the

@@ -61,8 +61,10 @@ struct Chunk<T> {
 /// entry is on a strictly later tick than the cursor, and every overflow
 /// entry is in a strictly later top-level frame than every wheel entry.
 /// Before the head is read, `late` is merged into `near` with one sort
-/// by `(due, seq)`; when both are empty, the cursor advances to the next
-/// occupied tick and that level-0 slot (one tick wide) becomes `late`.
+/// by `(due, seq)` (or, when `near` is empty, sorted in place: the keys
+/// are unique, so an unstable sort gives the same order); when both are
+/// empty, the cursor advances to the next occupied tick and that level-0
+/// slot (one tick wide) becomes `late`.
 /// So the head of the near buffer is always the global minimum.
 ///
 /// The same invariant locates every entry from its due alone: at or
@@ -286,7 +288,18 @@ impl<T> TimerWheel<T> {
         if self.near.is_empty() && self.late.is_empty() {
             self.refill();
         }
-        if !self.late.is_empty() {
+        if self.late.is_empty() {
+            return;
+        }
+        if self.near.is_empty() {
+            // A fresh tick (or a burst behind a drained cursor): sort it
+            // in place. `(due, seq)` keys are unique, so the unstable
+            // sort gives the stable sort's order without its scratch
+            // buffer; the swap keeps both buffers' capacity.
+            std::mem::swap(&mut self.near, &mut self.late);
+            self.near
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        } else {
             // `near` is one descending run and `late` is mostly ascending
             // seqs, so the stable sort merges two runs in linear time.
             self.near.append(&mut self.late);

@@ -12,7 +12,9 @@
 //! simulator option). `crates/harness/tests/recorded_traces.rs` pins the
 //! resulting fixed-seed traces.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -217,10 +219,37 @@ struct NodeSlot<M, O> {
     clock: DriftClock,
     /// Down (crashed / storm-disabled) until this real time.
     down_until: Option<RealTime>,
-    /// Pending timers keyed by `(token, real-due ns)`: the handle lets a
-    /// reschedule cancel the wheel entry outright instead of leaving
-    /// stale garbage, and makes identical re-requests no-ops.
-    timers: BTreeMap<(u64, u64), TimerHandle>,
+    /// Pending timers keyed by `(token, real-due ns)`, each with its wheel
+    /// seq: the handle they make lets a reschedule cancel the wheel entry
+    /// outright instead of leaving stale garbage, and the key makes
+    /// identical re-requests no-ops. A flat hash map keeps its capacity,
+    /// so a node at its working set of timers schedules and fires them
+    /// without the allocator.
+    timers: HashMap<(u64, u64), u64, BuildHasherDefault<TimerKeyHasher>>,
+}
+
+/// A multiply-fold hasher for the `(token, due)` timer keys: the
+/// registry only answers membership, so the hash decides nothing a run
+/// can observe, and a fixed one keeps each run's costs reproducible.
+#[derive(Default)]
+struct TimerKeyHasher(u64);
+
+impl Hasher for TimerKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the table indexes
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
 }
 
 /// Builder for a [`Simulation`].
@@ -302,7 +331,7 @@ impl<M, O> SimBuilder<M, O> {
             process,
             clock,
             down_until: None,
-            timers: BTreeMap::new(),
+            timers: HashMap::default(),
         });
         self
     }
@@ -683,32 +712,32 @@ impl<M: Clone, O> Simulation<M, O> {
     /// engine's `WakeAt` pattern) occupy a single wheel entry instead of
     /// accumulating stale duplicates.
     fn schedule_timer(&mut self, node: NodeId, at: RealTime, token: u64) {
-        let key = (token, at.as_nanos());
-        if self.nodes[node.index()].timers.contains_key(&key) {
-            return;
+        let timers = &mut self.nodes[node.index()].timers;
+        if let Entry::Vacant(slot) = timers.entry((token, at.as_nanos())) {
+            slot.insert(
+                self.queue
+                    .insert(at.as_nanos(), EventKind::Timer { node, token })
+                    .seq(),
+            );
         }
-        let handle = self
-            .queue
-            .insert(at.as_nanos(), EventKind::Timer { node, token });
-        self.nodes[node.index()].timers.insert(key, handle);
     }
 
     /// Cancels every pending timer of `node` carrying `token`; returns
-    /// how many were removed from the wheel. Allocation-free: the
-    /// registry holds 0–1 entries per token in the common reschedule
-    /// pattern.
+    /// how many were removed from the wheel. One scan of the node's
+    /// registry, which keeps its capacity: only fault injection and
+    /// rescheduling processes cancel, rarely.
     fn cancel_timers(&mut self, node: NodeId, token: u64) -> usize {
+        let queue = &mut self.queue;
         let mut cancelled = 0;
-        loop {
-            let slot = &mut self.nodes[node.index()].timers;
-            let Some((&key, _)) = slot.range((token, 0)..=(token, u64::MAX)).next() else {
-                break;
-            };
-            let handle = slot.remove(&key).expect("key just observed");
-            if self.queue.cancel(handle) {
-                cancelled += 1;
-            }
-        }
+        self.nodes[node.index()]
+            .timers
+            .retain(|&(t, due), &mut seq| {
+                if t != token {
+                    return true;
+                }
+                cancelled += usize::from(queue.cancel(TimerHandle::new(due, seq)));
+                false
+            });
         cancelled
     }
 

@@ -158,10 +158,16 @@ impl Pair {
     }
 
     fn insert(&mut self, due: u64, payload: u32) {
+        self.insert_unchecked(due, payload);
+        self.check();
+    }
+
+    /// Inserts without the peeking `check`, so a burst lands in one
+    /// piece before anything settles.
+    fn insert_unchecked(&mut self, due: u64, payload: u32) {
         let hw = self.wheel.insert(due, payload);
         let hh = self.heap.insert(due, payload);
         self.handles.push((hw, hh));
-        self.check();
     }
 
     fn cancel(&mut self, pick: usize) {
@@ -221,10 +227,7 @@ fn behind_cursor_burst_matches_heap() {
     let mut pair = Pair::new(11);
     pair.insert(1_000_000, 0);
     for i in 1..=4096u32 {
-        let due = 600_000 + u64::from(i % 3);
-        let hw = pair.wheel.insert(due, i);
-        let hh = pair.heap.insert(due, i);
-        pair.handles.push((hw, hh));
+        pair.insert_unchecked(600_000 + u64::from(i % 3), i);
     }
     // The first cancel finds its entry unmerged; its `check` merges the
     // rest, so the next two cancel from the sorted buffer.
@@ -321,6 +324,73 @@ proptest! {
             if payload.is_multiple_of(3) {
                 if let Some(e) = pair.pop() {
                     now = now.max(e.due);
+                }
+            }
+        }
+        pair.drain();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Large ticks: 128–1 024 entries land in one level-0 tick before
+    /// anything settles, so the cursor's arrival sorts the whole tick at
+    /// once (the in-place path taken while the head buffer is empty).
+    /// Dues are random within the tick or, for a drawn share, all equal,
+    /// where only seqs order them. Mid-tick, pops advance through it,
+    /// cancels hit entries inside it (and stale ones), and inserts land
+    /// behind the cursor — one at a time or as a 128-entry equal-due
+    /// burst — and merge into the partly drained head buffer, or sort
+    /// alone once it is empty.
+    #[test]
+    fn wheel_matches_heap_on_large_ticks(
+        tick_shift in 4u32..14,
+        size in 128usize..=1024,
+        equal_share in 0u64..5,
+        raws in prop::collection::vec(any::<u64>(), 1024),
+        ops in prop::collection::vec((0u32..7, any::<u64>(), 0usize..1_200), 1..120),
+    ) {
+        let mut pair = Pair::new(tick_shift);
+        let tick = 1u64 << tick_shift;
+        // Ahead of the cursor, so the tick sits in a bucket until the
+        // first peek cascades it.
+        let base = 100 * tick;
+        let mut payload = 0u32;
+        for &raw in &raws[..size] {
+            let due = if raw % 4 < equal_share { base + tick / 2 } else { base + raw % tick };
+            payload += 1;
+            pair.insert_unchecked(due, payload);
+        }
+        pair.check();
+        let mut now = base;
+        for (op, raw, pick) in ops {
+            match op {
+                0 | 1 => {
+                    for _ in 0..(pick % 64 + 1) {
+                        match pair.pop() {
+                            Some(e) => now = now.max(e.due),
+                            None => break,
+                        }
+                    }
+                }
+                2 | 3 => pair.cancel(pick),
+                // Behind the cursor: at, just before or just after the
+                // last popped due.
+                4 => {
+                    payload += 1;
+                    pair.insert((now + raw % 3).saturating_sub(raw % 2), payload);
+                }
+                5 => {
+                    let due = now.saturating_sub(raw % tick);
+                    for _ in 0..128 {
+                        payload += 1;
+                        pair.insert_unchecked(due, payload);
+                    }
+                    pair.check();
+                }
+                _ => {
+                    payload += 1;
+                    pair.insert(now.saturating_add(shape_delta(raw)), payload);
                 }
             }
         }
