@@ -32,16 +32,12 @@ pub struct GarbageNode<V> {
     period: Duration,
     values: Vec<Arc<V>>,
     max_round: u32,
-    /// Stop after this many bursts (0 = forever).
-    bursts: u32,
-    fired: u32,
 }
 
 impl<V: Value> GarbageNode<V> {
     /// Creates a garbage generator drawing payloads from `values`, firing
     /// a burst of 1–4 messages every `period` (local time), with forged
-    /// rounds up to `max_round`. Runs forever unless bounded with
-    /// [`GarbageNode::with_bursts`].
+    /// rounds up to `max_round`, forever.
     ///
     /// # Panics
     ///
@@ -53,17 +49,7 @@ impl<V: Value> GarbageNode<V> {
             period,
             values: values.into_iter().map(Arc::new).collect(),
             max_round: max_round.max(1),
-            bursts: 0,
-            fired: 0,
         }
-    }
-
-    /// Limits the noise to `bursts` bursts (0 restores "forever"). Useful
-    /// when a test wants the storm to end before its probe window.
-    #[must_use]
-    pub fn with_bursts(mut self, bursts: u32) -> Self {
-        self.bursts = bursts;
-        self
     }
 
     fn random_msg<O>(&self, ctx: &mut Ctx<'_, Msg<V>, O>, n: usize) -> Msg<V> {
@@ -124,10 +110,7 @@ impl<V: Value, O> Process<Msg<V>, O> for GarbageNode<V> {
             let to = NodeId::new(ctx.rand_below(n as u64) as u32);
             ctx.send(to, msg);
         }
-        self.fired += 1;
-        if self.bursts == 0 || self.fired < self.bursts {
-            ctx.set_timer_after(self.period, T_NOISE);
-        }
+        ctx.set_timer_after(self.period, T_NOISE);
     }
 }
 

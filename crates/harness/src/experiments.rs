@@ -2,9 +2,10 @@
 //! comment names the paper bound it measures; `docs/ROBUSTNESS.md` covers
 //! the fault-campaign side.
 //!
-//! Each driver runs seeded scenarios and returns plain row structs;
-//! `examples/experiments.rs` renders them as tables, and the integration
-//! tests assert the paper's bounds on them.
+//! Each driver runs seeded scenarios and returns plain row structs; the
+//! integration tests assert the paper's bounds on them, and [`TABLES`]
+//! renders them as the markdown `examples/experiments.rs` prints and
+//! `tests/recorded_traces.rs` folds.
 
 use ssbyz_baseline::run_baseline;
 use ssbyz_types::{Duration, NodeId, RealTime};
@@ -744,4 +745,270 @@ pub fn e9_separation(n: usize, f: usize, seeds: u64) -> E9Row {
         min_distinct_gap: min_gap,
         violations: violations.0,
     }
+}
+
+/// The seed count the E1–E11 tables render with unless told otherwise:
+/// what `examples/experiments` prints by default and
+/// `tests/recorded_traces.rs` folds.
+pub const TABLE_SEEDS: u64 = 5;
+
+/// One reproduction table: its name (`e1` … `e11`), the most seeds its
+/// runtime allows, and its renderer.
+pub struct Table {
+    /// The table's name, `e1` … `e11`.
+    pub name: &'static str,
+    max_seeds: u64,
+    render: fn(u64) -> String,
+}
+
+impl Table {
+    /// The table as markdown over `seeds` seeds (capped by what its
+    /// runtime allows): a blank line, a `##` heading, a blank line, then
+    /// the header, separator and one line per row.
+    #[must_use]
+    pub fn render(&self, seeds: u64) -> String {
+        (self.render)(seeds.min(self.max_seeds))
+    }
+}
+
+/// Every table, in order.
+pub const TABLES: [Table; 11] = [
+    table("e1", u64::MAX, e1),
+    table("e2", u64::MAX, e2),
+    table("e3", u64::MAX, e3),
+    table("e4", u64::MAX, e4),
+    table("e5", u64::MAX, e5),
+    table("e6", 5, e6),
+    table("e7", u64::MAX, e7),
+    table("e8", u64::MAX, e8),
+    table("e9", 3, e9),
+    table("e10", u64::MAX, |_| e10()),
+    table("e11", 3, e11),
+];
+
+const fn table(name: &'static str, max_seeds: u64, render: fn(u64) -> String) -> Table {
+    Table {
+        name,
+        max_seeds,
+        render,
+    }
+}
+
+/// Formats a duration as a multiple of `d` plus absolute value.
+fn in_d(x: Duration, d: Duration) -> String {
+    if d.is_zero() {
+        return format!("{x}");
+    }
+    let ratio = x.as_nanos() as f64 / d.as_nanos() as f64;
+    format!("{ratio:.2}d ({x})")
+}
+
+/// A table's `##` heading, its header row (`cols`, cells split by ` | `)
+/// and the separator row.
+fn heading(title: &str, cols: &str) -> String {
+    let sep = vec!["---"; cols.split(" | ").count()].join("|");
+    format!("\n## {title}\n\n| {cols} |\n|{sep}|\n")
+}
+
+/// Appends one line per violation.
+fn violation_lines<'a>(out: &mut String, violations: impl IntoIterator<Item = &'a String>) {
+    for v in violations {
+        *out += &format!("  VIOLATION: {v}\n");
+    }
+}
+
+fn e1(seeds: u64) -> String {
+    let mut out = heading(
+        "E1 — Validity + Timeliness-2 (correct General)",
+        "n | f | runs | max decide skew (≤2d) | max anchor skew (≤d) | max latency (≤4d) | violations",
+    );
+    let sizes = [
+        (4, 1),
+        (7, 2),
+        (10, 3),
+        (13, 4),
+        (16, 5),
+        (19, 6),
+        (25, 8),
+        (31, 10),
+    ];
+    for (n, f) in sizes {
+        let r = e1_validity(n, f, seeds);
+        let d = r.latency_bound / 4;
+        let skew = in_d(r.max_decision_skew, d);
+        let anchor = in_d(r.max_anchor_skew, d);
+        let latency = in_d(r.max_latency, d);
+        let (runs, violations) = (r.runs, r.violations.len());
+        out += &format!("| {n} | {f} | {runs} | {skew} | {anchor} | {latency} | {violations} |\n");
+        violation_lines(&mut out, &r.violations);
+    }
+    out
+}
+
+fn e2(seeds: u64) -> String {
+    use ssbyz_adversary::{SpamGeneral, StaggeredGeneral, TwoFacedGeneral};
+    let mut out = heading(
+        "E2 — Agreement under a Byzantine General (n=7, f=2)",
+        "strategy | runs | decide runs | quiet runs | max decide skew (≤3d) | violations",
+    );
+    let (n, f) = (7, 2);
+    let rows = [
+        e2_byzantine_general("two-faced (split 3/3)", n, f, seeds, &|_, p| {
+            let targets = (1..4).map(NodeId::new).collect();
+            Box::new(TwoFacedGeneral::new(100, 200, targets, p))
+        }),
+        e2_byzantine_general("two-faced (split 1/5)", n, f, seeds, &|_, p| {
+            Box::new(TwoFacedGeneral::new(100, 200, vec![NodeId::new(1)], p))
+        }),
+        e2_byzantine_general(
+            "staggered (same value, 10d spread)",
+            n,
+            f,
+            seeds,
+            &|_, p| Box::new(StaggeredGeneral::new(300, p.d() * 2u64, p.d() * 10u64)),
+        ),
+        e2_byzantine_general("spam (5 values, every 2d)", n, f, seeds, &|_, p| {
+            Box::new(SpamGeneral::new(vec![1, 2, 3, 4, 5], p.d() * 2u64))
+        }),
+    ];
+    let d = Duration::from_micros(10_001); // d of the default config
+    for r in rows {
+        let (strategy, runs, decide, quiet) = (r.strategy, r.runs, r.decide_runs, r.quiet_runs);
+        let (skew, violations) = (in_d(r.max_decision_skew, d), r.violations.len());
+        out += &format!("| {strategy} | {runs} | {decide} | {quiet} | {skew} | {violations} |\n");
+        violation_lines(&mut out, &r.violations);
+    }
+    out
+}
+
+fn e3(seeds: u64) -> String {
+    let mut out = heading(
+        "E3 — Termination within Δ_agr (n=7, f=2)",
+        "scenario | returns | max running time | bound Δ_agr+8d",
+    );
+    for r in e3_termination(7, 2, seeds) {
+        let (scenario, returns, time, bound) = (r.scenario, r.returns, r.max_running_time, r.bound);
+        out += &format!("| {scenario} | {returns} | {time} | {bound} |\n");
+    }
+    out
+}
+
+fn e4(seeds: u64) -> String {
+    let mut out = heading(
+        "E4 — O(f′) early stopping (n=13, f=4)",
+        "f′ | ours (mean completion) | lock-step baseline | bound Δ_agr",
+    );
+    for fa in 0..=4 {
+        let r = e4_early_stopping(13, 4, fa, seeds);
+        let (ours, baseline, bound) = (r.ours, r.baseline, r.bound);
+        out += &format!("| {fa} | {ours} | {baseline} | {bound} |\n");
+    }
+    out
+}
+
+fn e5(seeds: u64) -> String {
+    let mut out = heading(
+        "E5 — Message-driven rounds vs lock-step (n=7, f=2)",
+        "δ_act / δ | ours (mean completion) | baseline | speedup",
+    );
+    for pct in [1, 2, 5, 10, 25, 50, 75, 100] {
+        let r = e5_message_driven(7, 2, pct, seeds);
+        let (ours, baseline) = (r.ours, r.baseline);
+        let speedup = if ours.is_zero() {
+            "∞".to_string()
+        } else {
+            format!(
+                "{:.1}x",
+                baseline.as_nanos() as f64 / ours.as_nanos() as f64
+            )
+        };
+        out += &format!("| {pct}% | {ours} | {baseline} | {speedup} |\n");
+    }
+    out
+}
+
+fn e6(seeds: u64) -> String {
+    let mut out = heading(
+        "E6 — Convergence from arbitrary state",
+        "n | f | runs | converged | settle granted | bound Δ_stb",
+    );
+    for (n, f) in [(4, 1), (7, 2)] {
+        let r = e6_convergence(n, f, seeds, 90);
+        let (runs, converged, settle, bound) = (r.runs, r.converged, r.settle, r.delta_stb);
+        out += &format!("| {n} | {f} | {runs} | {converged} | {settle} | {bound} |\n");
+        violation_lines(&mut out, r.violations.iter().take(5));
+    }
+    out
+}
+
+fn e7(seeds: u64) -> String {
+    let mut out = heading(
+        "E7 — Initiator-Accept bounds [IA-1]",
+        "n | f | runs | max accept latency (≤4d) | max accept skew (≤2d) | max anchor skew (≤d) | violations",
+    );
+    for (n, f) in [(4, 1), (7, 2), (13, 4), (19, 6), (31, 10)] {
+        let r = e7_ia_bounds(n, f, seeds);
+        let latency = in_d(r.max_accept_latency, r.d);
+        let skew = in_d(r.max_accept_skew, r.d);
+        let anchor = in_d(r.max_anchor_skew, r.d);
+        let (runs, violations) = (r.runs, r.violations.len());
+        out += &format!("| {n} | {f} | {runs} | {latency} | {skew} | {anchor} | {violations} |\n");
+    }
+    out
+}
+
+fn e8(seeds: u64) -> String {
+    let mut out = heading(
+        "E8 — Unforgeability [IA-2] / [TPS-2]",
+        "n | f | runs | forged accepts | forged decisions | clean completions",
+    );
+    for (n, f) in [(4, 1), (7, 2)] {
+        let r = e8_unforgeability(n, f, seeds);
+        let (runs, accepts, decisions) = (r.runs, r.forged_accepts, r.forged_decisions);
+        let clean = r.clean_completions;
+        out += &format!("| {n} | {f} | {runs} | {accepts} | {decisions} | {clean} |\n");
+    }
+    out
+}
+
+fn e9(seeds: u64) -> String {
+    let mut out = heading(
+        "E9 — Uniqueness / separation [IA-4] under spam (n=7, f=2)",
+        "runs | I-accepts | min distinct-value anchor gap (>4d) | violations",
+    );
+    let r = e9_separation(7, 2, seeds);
+    let gap = r
+        .min_distinct_gap
+        .map_or("n/a".to_string(), |g| g.to_string());
+    let (runs, accepts, violations) = (r.runs, r.accepts, r.violations.len());
+    out += &format!("| {runs} | {accepts} | {gap} | {violations} |\n");
+    violation_lines(&mut out, r.violations.iter().take(5));
+    out
+}
+
+fn e10() -> String {
+    let mut out = heading(
+        "E10 — Pulse synchronization atop ss-Byz-Agree",
+        "n | f | waves | full waves | max pulse skew | d",
+    );
+    let d = Duration::from_millis(10);
+    for (n, f) in [(4, 1), (7, 2)] {
+        let r = crate::pulse::run_pulse(n, f, d, 5, 7);
+        let (waves, full, skew) = (r.waves.len(), r.full_waves(n).len(), r.max_skew(n));
+        out += &format!("| {n} | {f} | {waves} | {full} | {skew} | {d} |\n");
+    }
+    out
+}
+
+fn e11(seeds: u64) -> String {
+    let mut out = heading(
+        "E11 — Message complexity (per agreement)",
+        "n | f | messages | messages / n² | messages / n³",
+    );
+    for (n, f) in [(4, 1), (7, 2), (10, 3), (13, 4), (19, 6), (25, 8)] {
+        let r = e11_message_complexity(n, f, seeds);
+        let (messages, per_n2, per_n3) = (r.messages, r.per_n2, r.per_n3);
+        out += &format!("| {n} | {f} | {messages} | {per_n2:.1} | {per_n3:.2} |\n");
+    }
+    out
 }

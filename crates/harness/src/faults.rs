@@ -19,8 +19,9 @@
 //!    **containment radius** — how many correct nodes emitted wrong or
 //!    aborted output before re-converging.
 //! 3. [`run_campaign`]: the sweep driver behind `examples/fault_campaign`
-//!    and the CI smoke job, running one [`CampaignFamily`] of repeated
-//!    bursts against one `(n, f, seed)` cell.
+//!    and its smoke ([`CampaignSpec::smoke`]), running one
+//!    [`CampaignFamily`] of repeated bursts against one `(n, f, seed)`
+//!    cell.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -534,7 +535,37 @@ impl CampaignSpec {
             delta: None,
         }
     }
+
+    /// A cell of `examples/fault_campaign`'s grid at [`CAMPAIGN_SEED`],
+    /// with δ scaled per [`clamped_delta`] when `n` outgrows what the
+    /// default bound's processing budget can honestly model (`delta` is
+    /// then `Some`).
+    #[must_use]
+    pub fn cell(n: usize, f: usize, family: CampaignFamily, bursts: usize) -> Self {
+        let (delta, scaled) = clamped_delta(n);
+        let spec = CampaignSpec::new(n, f, CAMPAIGN_SEED, family, bursts);
+        CampaignSpec {
+            delta: scaled.then_some(delta),
+            ..spec
+        }
+    }
+
+    /// The campaign smoke: one crash-churn burst and one mid-run
+    /// scramble burst at n = 7, plus one crash-churn burst at n = 64 (the
+    /// largest membership the default δ covers). Each must stabilize
+    /// with zero safety violations.
+    #[must_use]
+    pub fn smoke() -> [CampaignSpec; 3] {
+        [
+            CampaignSpec::cell(7, 2, CampaignFamily::CrashChurn, 1),
+            CampaignSpec::cell(7, 2, CampaignFamily::RepeatedScrambles, 1),
+            CampaignSpec::cell(64, 21, CampaignFamily::CrashChurn, 1),
+        ]
+    }
 }
+
+/// The seed of the campaign grid and its smoke.
+pub const CAMPAIGN_SEED: u64 = 1;
 
 /// The assumed network bound δ, kept honest for `n` nodes. δ's
 /// companion π (the processing bound) budgets each node one

@@ -11,8 +11,9 @@
 //! * [`checks`] states the paper's properties (Agreement, Validity,
 //!   Timeliness 1–4, [IA-1]/[IA-4]) as machine-checked predicates over a
 //!   [`ScenarioResult`];
-//! * [`experiments`] drives the E1–E11 reproduction experiments used by
-//!   the benches, the `experiments` binary and the integration tests;
+//! * [`experiments`] drives the E1–E11 reproduction experiments and
+//!   renders their tables, for the `experiments` example, the benchmark
+//!   and the integration tests;
 //! * [`faults`] scripts mid-run fault bursts ([`FaultSchedule`]) and
 //!   measures self-stabilization and containment ([`run_campaign`],
 //!   [`StabilizationReport`]) — see `docs/ROBUSTNESS.md`.

@@ -11,10 +11,8 @@
 //!
 //! [`EngineProcess`]: crate::EngineProcess
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use ssbyz_core::{PipeEvent, PipeOutput, PipelineConfig, SlotMsg, SlotPipeline};
-use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, SimBuilder, Simulation, WaveMode};
+use ssbyz_simnet::{Ctx, LinkConfig, SimBuilder, Simulation, WaveMode};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
 use crate::adapter::{Client, Driver};
@@ -161,19 +159,14 @@ impl PipelineScenario {
         wave_mode: WaveMode,
     ) -> Self {
         let params = cfg.params().expect("valid scenario config");
-        // Same clock derivation as ScenarioBuilder: a dedicated RNG so
-        // the simulation seed still drives delays/adversaries alone.
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5ca1_ab1e);
+        let mut rng = cfg.clock_rng();
         let mut builder = SimBuilder::new(cfg.seed)
             .link(LinkConfig::uniform(cfg.actual_min, cfg.actual_max))
             .wave_mode(wave_mode)
             .tagger(SlotMsg::tag);
-        let skew = cfg.clock_skew_max.as_nanos().max(1);
         for i in 0..cfg.n {
             let id = NodeId::new(i as u32);
-            let offset = ssbyz_types::LocalTime::from_nanos(rng.gen_range(0..skew));
-            let rate = rng.gen_range(-(cfg.rho_ppm as i32)..=cfg.rho_ppm as i32);
-            let clock = DriftClock::new(RealTime::ZERO, offset, rate);
+            let clock = cfg.drifting_clock(&mut rng, None);
             let pipe = SlotPipeline::new(id, params, pipe_cfg.clone());
             let mut process = PipelineProcess::new(pipe, cfg.tick);
             if id == pipe_cfg.proposer {

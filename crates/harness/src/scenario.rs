@@ -99,6 +99,26 @@ impl ScenarioConfig {
     pub fn params(&self) -> Result<Params, ConfigError> {
         Params::new(self.n, self.f, self.delta, self.pi, self.rho_ppm)
     }
+
+    /// The RNG clocks are drawn from: a dedicated stream, so the
+    /// simulation seed still drives delays and adversaries alone.
+    pub(crate) fn clock_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ 0x5ca1_ab1e)
+    }
+
+    /// A node's drifting clock: its boot offset (`reading`, or a draw
+    /// below `clock_skew_max`), then its drift rate within ±ρ.
+    pub(crate) fn drifting_clock(
+        &self,
+        rng: &mut StdRng,
+        reading: Option<LocalTime>,
+    ) -> DriftClock {
+        let offset = reading.unwrap_or_else(|| {
+            LocalTime::from_nanos(rng.gen_range(0..self.clock_skew_max.as_nanos().max(1)))
+        });
+        let rate = rng.gen_range(-(self.rho_ppm as i32)..=self.rho_ppm as i32);
+        DriftClock::new(RealTime::ZERO, offset, rate)
+    }
 }
 
 /// Per-node role in a scenario.
@@ -246,7 +266,7 @@ impl ScenarioBuilder {
             self.cfg.n,
             "scenario must define exactly n nodes"
         );
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5ca1_ab1e);
+        let mut rng = self.cfg.clock_rng();
         let mut correct = Vec::new();
         let mut builder = SimBuilder::new(self.cfg.seed)
             .link(LinkConfig::uniform(
@@ -261,18 +281,14 @@ impl ScenarioBuilder {
                 .corruptor(u64_corruptor(self.cfg.n))
                 .injector(u64_injector(64));
         }
-        let skew = self.cfg.clock_skew_max.as_nanos().max(1);
         for (i, role) in self.roles.into_iter().enumerate() {
             let id = NodeId::new(i as u32);
             let clock = if let Some(readings) = &self.boot_readings {
-                let rate = rng.gen_range(-(self.cfg.rho_ppm as i32)..=self.cfg.rho_ppm as i32);
-                DriftClock::new(RealTime::ZERO, readings[i], rate)
+                self.cfg.drifting_clock(&mut rng, Some(readings[i]))
             } else if self.ideal_clocks {
                 DriftClock::ideal()
             } else {
-                let offset = LocalTime::from_nanos(rng.gen_range(0..skew));
-                let rate = rng.gen_range(-(self.cfg.rho_ppm as i32)..=self.cfg.rho_ppm as i32);
-                DriftClock::new(RealTime::ZERO, offset, rate)
+                self.cfg.drifting_clock(&mut rng, None)
             };
             let process: ScenarioProcess = match role {
                 Role::Correct { initiations } => {

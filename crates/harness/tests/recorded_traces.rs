@@ -16,22 +16,38 @@
 //! and the per-destination broadcast routes produced the same value for
 //! each, so the recorded constant *is* the per-destination trace.
 //!
+//! Two more tests hold what the examples print, so `cargo test` is the
+//! whole reproduction contract and no hand `diff` of their output is:
+//!
+//! * `experiment_tables` has one row per E1–E11 table section, folding
+//!   the section's markdown as `examples/experiments` prints it at the
+//!   default seed count ([`TABLE_SEEDS`]);
+//! * `campaign_smoke` has one row per cell of
+//!   `fault_campaign -- --smoke` ([`CampaignSpec::smoke`]), asserting
+//!   the cell stabilizes and folding its report's `Debug` rendering,
+//!   which pins every burst's measurements, not just the summary line.
+//!
+//! Both were recorded at commit 550812b, where the examples still
+//! rendered them: every table section's fold is that of the example's
+//! output there, byte for byte.
+//!
 //! To re-record after an intended behaviour change: run
 //! `cargo test -p ssbyz-harness --test recorded_traces`,
 //! copy the `got` values, and say in the PR why each one moved.
 //!
 //! A shape that moved also has its unfolded stream — one line per
-//! observation, then the metrics — written to
-//! `target/trace-diff/<shape>.txt`, and the failure message names the
-//! file. `diff` it against the same file from the parent commit to find
-//! the first observation that diverged (`docs/PERF.md` § "History: the
-//! sharded simulator" has the recipe).
+//! observation, then the metrics; the table as printed; the report —
+//! written to `target/trace-diff/<shape>.txt`, and the failure message
+//! names the file. `diff` it against the same file from the parent
+//! commit to find the first line that diverged (`docs/PERF.md`
+//! § "History: the sharded simulator" has the recipe).
 
 use std::fmt::Debug;
 
 use ssbyz_adversary::EchoForger;
 use ssbyz_core::PipelineConfig;
-use ssbyz_harness::faults::campaign_settle;
+use ssbyz_harness::experiments::{TABLES, TABLE_SEEDS};
+use ssbyz_harness::faults::{campaign_settle, run_campaign_spec, CampaignSpec};
 use ssbyz_harness::{
     run_campaign, CampaignFamily, Fault, FaultSchedule, NodeEvent, PipelineScenario,
     RunningScenario, ScenarioBuilder, ScenarioConfig, Workload,
@@ -52,6 +68,15 @@ impl Trace {
             fold: 0xcbf2_9ce4_8422_2325,
             text: String::new(),
         }
+    }
+
+    /// A trace of `text`, one line per line.
+    fn of_text(text: &str) -> Self {
+        let mut trace = Trace::new();
+        for line in text.lines() {
+            trace.line(line);
+        }
+        trace
     }
 
     fn line(&mut self, rendered: &str) {
@@ -448,6 +473,66 @@ fn campaign_bursts() {
                 recorded,
                 trace,
             )
+        })
+        .collect();
+    check(&rows);
+}
+
+/// Every E1–E11 table at the seed count `examples/experiments` renders
+/// by default, one row per section: its markdown, line by line, so a
+/// moved cell names its table and `target/trace-diff/experiments/<eN>.txt`
+/// holds the table as the example would print it.
+#[test]
+fn experiment_tables() {
+    const RECORDED: [u64; 11] = [
+        0x01ec_0500_2844_527e,
+        0xecb2_76cf_0c80_00a0,
+        0xb905_7451_85bd_4e02,
+        0xd70a_ce1b_862b_beea,
+        0xa657_3c5c_7fe5_1d22,
+        0xd5f1_2c52_810b_be29,
+        0x616a_53d5_411d_ae21,
+        0x8893_24d5_0b20_4bb2,
+        0x06be_b0e0_e397_bfe3,
+        0xead4_2696_540b_8838,
+        0x1ba7_d8c9_729f_53c5,
+    ];
+    let rows: Vec<(String, u64, Trace)> = TABLES
+        .iter()
+        .zip(RECORDED)
+        .map(|(table, recorded)| {
+            let trace = Trace::of_text(&table.render(TABLE_SEEDS));
+            (format!("experiments/{}", table.name), recorded, trace)
+        })
+        .collect();
+    check(&rows);
+}
+
+/// The campaign smoke's cells (`fault_campaign -- --smoke`): each must
+/// stabilize, and each report's `Debug` rendering — every burst's
+/// measurements, more than the summary line the smoke prints — folds to
+/// its recorded value.
+#[test]
+fn campaign_smoke() {
+    const RECORDED: [u64; 3] = [
+        0xe933_2bf0_b3dc_3509,
+        0x3f01_7b4f_2fb9_3539,
+        0x6165_c990_a24c_2b0e,
+    ];
+    let rows: Vec<(String, u64, Trace)> = CampaignSpec::smoke()
+        .iter()
+        .zip(RECORDED)
+        .map(|(spec, recorded)| {
+            let report = run_campaign_spec(spec);
+            assert!(
+                report.stabilized(),
+                "{} (n={}) must stabilize: {:?}",
+                report.family,
+                report.n,
+                report.violations()
+            );
+            let shape = format!("campaign-smoke/{}/n-{}", report.family, report.n);
+            (shape, recorded, Trace::of_text(&format!("{report:#?}")))
         })
         .collect();
     check(&rows);

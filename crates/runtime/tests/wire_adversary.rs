@@ -44,9 +44,17 @@ fn corruption_campaign_commits_only_submitted_values() {
     for v in 0..STREAM {
         cluster.submit(40_000 + v).unwrap();
     }
-    cluster
-        .wait_for_commits(4 * STREAM as usize, std::time::Duration::from_secs(60))
-        .expect("stream must commit despite corruption");
+    let waited = cluster.wait_for_commits(4 * STREAM as usize, std::time::Duration::from_secs(60));
+    if let Err(e) = waited {
+        // Per-node progress tells a wedged proposer (the only node that
+        // decides) from a stream that is merely slow.
+        let committed: Vec<usize> = cluster.committed_logs().iter().map(Vec::len).collect();
+        panic!(
+            "stream must commit despite corruption: {e:?}; committed slots per node \
+             {committed:?} of {STREAM}; {:?}",
+            cluster.transport().stats()
+        );
+    }
 
     let logs = cluster.committed_logs();
     for (i, log) in logs.iter().enumerate() {

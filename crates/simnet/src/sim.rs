@@ -462,12 +462,6 @@ impl<M: Clone, O> Simulation<M, O> {
         self.now
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The clock of `node`.
     ///
     /// # Panics

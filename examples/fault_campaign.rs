@@ -8,19 +8,23 @@
 //! because the membership outgrows the processing bound the default δ
 //! models (the run says so); it takes minutes, the rest seconds.
 //!
+//! The cells, the smoke's included, are `CampaignSpec::cell` and
+//! `CampaignSpec::smoke` in `crates/harness/src/faults.rs`;
+//! `crates/harness/tests/recorded_traces.rs` runs the smoke's cells,
+//! asserts they stabilize and holds each report to a recorded fold, so
+//! `cargo test` covers what `--smoke` prints.
+//!
 //! ```text
 //! cargo run --release --example fault_campaign            # full grid
-//! cargo run --release --example fault_campaign -- --smoke # CI smoke
+//! cargo run --release --example fault_campaign -- --smoke # the smoke
 //! ```
 
 use std::fmt::Write as _;
 
 use ssbyz::harness::faults::{
-    clamped_delta, run_campaign_spec, CampaignFamily, CampaignSpec, StabilizationReport,
+    run_campaign_spec, CampaignFamily, CampaignSpec, StabilizationReport, CAMPAIGN_SEED,
 };
 use ssbyz::Duration;
-
-const SEED: u64 = 1;
 
 fn fmt_opt(d: Option<Duration>) -> String {
     d.map_or_else(|| "null".into(), |d| d.as_nanos().to_string())
@@ -71,19 +75,11 @@ fn render_row(out: &mut String, report: &StabilizationReport) {
     let _ = write!(out, "      ]\n    }}");
 }
 
-/// Builds the cell spec, scaling δ when `n` outgrows what the default
-/// bound's processing budget can honestly model.
-fn spec_for(n: usize, f: usize, family: CampaignFamily, bursts: usize) -> CampaignSpec {
-    let (delta, scaled) = clamped_delta(n);
-    let mut spec = CampaignSpec::new(n, f, SEED, family, bursts);
-    if scaled {
-        eprintln!("  note: n={n} outgrows the default δ's processing bound; scaling δ to {delta}");
-        spec.delta = Some(delta);
-    }
-    spec
-}
-
 fn run_cell(spec: &CampaignSpec) -> StabilizationReport {
+    if let Some(delta) = spec.delta {
+        let n = spec.n;
+        eprintln!("  note: n={n} outgrows the default δ's processing bound; scaling δ to {delta}");
+    }
     let report = run_campaign_spec(spec);
     println!(
         "  {:<20} n={:<4} f={:<3} bursts={}  stabilize≤{:<12} containment≤{}  {}",
@@ -107,15 +103,9 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     if smoke {
-        // CI smoke: one crash-churn burst and one mid-run scramble burst
-        // at n = 7, plus one crash-churn burst at n = 64 (the largest
-        // membership the default δ covers), must all stabilize with zero
-        // safety violations.
-        println!("fault-campaign smoke (seed={SEED}):");
-        let churn = run_cell(&spec_for(7, 2, CampaignFamily::CrashChurn, 1));
-        let scramble = run_cell(&spec_for(7, 2, CampaignFamily::RepeatedScrambles, 1));
-        let big = run_cell(&spec_for(64, 21, CampaignFamily::CrashChurn, 1));
-        for report in [&churn, &scramble, &big] {
+        println!("fault-campaign smoke (seed={CAMPAIGN_SEED}):");
+        let reports = CampaignSpec::smoke().map(|spec| run_cell(&spec));
+        for report in &reports {
             assert!(
                 report.stabilized(),
                 "{} (n={}) must stabilize: {:?}",
@@ -132,16 +122,21 @@ fn main() {
         return;
     }
 
-    println!("fault-injection campaign grid (seed={SEED}):");
+    println!("fault-injection campaign grid (seed={CAMPAIGN_SEED}):");
     let mut rows: Vec<StabilizationReport> = Vec::new();
     for (n, f) in [(7usize, 2usize), (16, 5), (64, 21)] {
         for family in CampaignFamily::ALL {
-            rows.push(run_cell(&spec_for(n, f, family, 2)));
+            rows.push(run_cell(&CampaignSpec::cell(n, f, family, 2)));
         }
     }
     // The n = 256 whole-sim cell: one burst under the scaled δ, minutes
     // of wall-clock where the rest of the grid takes seconds.
-    rows.push(run_cell(&spec_for(256, 85, CampaignFamily::CrashChurn, 1)));
+    rows.push(run_cell(&CampaignSpec::cell(
+        256,
+        85,
+        CampaignFamily::CrashChurn,
+        1,
+    )));
 
     let stabilized = rows.iter().filter(|r| r.stabilized()).count();
     println!("\n{stabilized}/{} cells stabilized", rows.len());
@@ -155,7 +150,7 @@ fn main() {
     );
 
     let mut out = String::from("{\n  \"seed\": ");
-    let _ = write!(out, "{SEED},\n  \"rows\": [\n");
+    let _ = write!(out, "{CAMPAIGN_SEED},\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         render_row(&mut out, row);
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
