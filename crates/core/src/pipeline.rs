@@ -25,15 +25,18 @@
 //! * **Catch-up.** A node that missed a slot (crash, partition) notices
 //!   the cluster running ahead or an out-of-order hole in its own log,
 //!   and broadcasts a [`SlotMsg::CatchUpRequest`]. "Running ahead" is
-//!   judged from per-peer slot claims, `f + 1` of which must agree
-//!   before a slot counts as seen — a lone Byzantine peer cannot forge
-//!   cluster progress and turn the probe into a permanent broadcast
-//!   loop. Peers answer from their logs with direct
-//!   [`SlotMsg::CatchUpReply`]s; `f + 1` matching replies from
-//!   distinct senders are required before an entry is adopted, so `f`
-//!   Byzantine peers cannot forge history, and replies are only
-//!   collected inside a bounded horizon past the committed prefix, so
-//!   they cannot grow memory without bound.
+//!   judged from per-peer claims of the slot each peer has reached —
+//!   slot traffic for `k` claims `k`, a catch-up reply for `k` claims
+//!   `k + 1`, a heartbeat claims its sender's prefix length — `f + 1`
+//!   of which must agree before a slot counts as reached: a claim past
+//!   our prefix arms the probe, a full window past it fires at once,
+//!   and a lone Byzantine peer cannot forge cluster progress and turn
+//!   the probe into a permanent broadcast loop. Peers answer from their
+//!   logs with direct [`SlotMsg::CatchUpReply`]s; `f + 1` matching
+//!   replies from distinct senders are required before an entry is
+//!   adopted, so `f` Byzantine peers cannot forge history, and replies
+//!   are only collected inside a bounded horizon past the committed
+//!   prefix, so they cannot grow memory without bound.
 //! * **Golden model.** A single-slot pipeline is bit-identical to a
 //!   bare [`Engine`]: every engine output is wrapped verbatim (see the
 //!   `pipeline_equivalence` proptest battery).
@@ -97,7 +100,8 @@ pub enum SlotMsg<V> {
     /// Periodic commit-index gossip: "my committed prefix is this
     /// long." A node that slept through the end of the stream has no
     /// other signal that slots exist beyond its prefix — heartbeats
-    /// are what arm its catch-up probe.
+    /// are what arm its catch-up probe. The prefix length is also the
+    /// slot the sender has reached, so it is claimed as is.
     Heartbeat {
         /// The sender's committed-prefix length.
         committed: u64,
@@ -113,15 +117,6 @@ impl<V: Value> SlotMsg<V> {
             SlotMsg::CatchUpRequest { .. } => "catchup-req",
             SlotMsg::CatchUpReply { .. } => "catchup-rep",
             SlotMsg::Heartbeat { .. } => "heartbeat",
-        }
-    }
-
-    /// The slot this message concerns, if any.
-    #[must_use]
-    pub fn slot(&self) -> Option<u64> {
-        match self {
-            SlotMsg::Slot { slot, .. } | SlotMsg::CatchUpReply { slot, .. } => Some(*slot),
-            SlotMsg::CatchUpRequest { .. } | SlotMsg::Heartbeat { .. } => None,
         }
     }
 }
@@ -180,13 +175,12 @@ impl<V: Value> DecisionLog<V> {
         self.committed
     }
 
-    /// The highest recorded slot, if any (may sit past a gap).
+    /// One past the highest recorded slot (0 for an empty log); past
+    /// [`committed`](DecisionLog::committed) while a gap is open.
     #[must_use]
-    pub fn highest_recorded(&self) -> Option<u64> {
-        self.entries
-            .iter()
-            .rposition(Option::is_some)
-            .map(|i| i as u64)
+    pub fn recorded_len(&self) -> u64 {
+        // Only `record` grows `entries`, and it fills the entry it grows to.
+        self.entries.len() as u64
     }
 
     /// Extends the committed prefix by one slot if that slot is
@@ -302,18 +296,6 @@ struct SlotState<V: Value> {
     decided: bool,
 }
 
-/// Collected catch-up votes for one not-yet-recorded slot.
-#[derive(Debug)]
-struct CatchUpVotes<V> {
-    votes: Vec<(NodeId, Arc<V>)>,
-}
-
-impl<V> Default for CatchUpVotes<V> {
-    fn default() -> Self {
-        CatchUpVotes { votes: Vec::new() }
-    }
-}
-
 /// The slot multiplexer: many concurrent [`Engine`] executions, one
 /// replicated [`DecisionLog`], one catch-up sub-protocol.
 ///
@@ -330,18 +312,20 @@ pub struct SlotPipeline<V: Value> {
     proposals: VecDeque<V>,
     /// Next slot this node (as proposer) will open.
     next_open: u64,
-    /// Per-peer highest slot claimed to exist in that peer's traffic
-    /// (slot messages, catch-up replies, heartbeats), by node id: 0 for no
-    /// claim and for this node, empty before the first claim. The catch-up
-    /// triggers use the `f + 1`-th largest claim ([`highest_seen`]), so
-    /// `f` Byzantine peers cannot fabricate cluster progress; one bounded
-    /// entry per member, so forged `u64::MAX` claims cannot poison
-    /// anything or grow memory.
+    /// Per-peer highest slot that peer claims to have reached, by node
+    /// id: slot traffic for `k` claims `k`, a catch-up reply for `k`
+    /// claims `k + 1`, a heartbeat claims the sender's prefix length.
+    /// 0 is no evidence (no claim, and this node's own entry); empty
+    /// before the first claim. The catch-up triggers use the `f + 1`-th
+    /// largest claim ([`corroborated_slot`]), so `f` Byzantine peers
+    /// cannot fabricate cluster progress; one bounded entry per member,
+    /// so forged `u64::MAX` claims cannot poison anything or grow memory.
     ///
-    /// [`highest_seen`]: SlotPipeline::highest_seen
+    /// [`corroborated_slot`]: SlotPipeline::corroborated_slot
     seen_claims: Vec<u64>,
     claims_scratch: Vec<u64>,
-    catchup: BTreeMap<u64, CatchUpVotes<V>>,
+    /// Catch-up votes `(sender, value)` per not-yet-recorded slot.
+    catchup: BTreeMap<u64, Vec<(NodeId, Arc<V>)>>,
     last_catchup: Option<LocalTime>,
     /// Armed while peers are known to be past our committed prefix but
     /// no commit has landed: fires a catch-up request once the stall
@@ -451,7 +435,7 @@ impl<V: Value> SlotPipeline<V> {
         }
     }
 
-    /// Feeds one wire message.
+    /// Feeds one wire message: a wave of one.
     pub fn on_message(
         &mut self,
         now: LocalTime,
@@ -459,15 +443,15 @@ impl<V: Value> SlotPipeline<V> {
         msg: &SlotMsg<V>,
         out: &mut Vec<PipeOutput<V>>,
     ) {
-        out.clear();
-        self.dispatch(now, sender, msg, out);
-        self.pump_inner(now, out);
+        self.on_wave(now, &[(sender, msg)], out);
     }
 
-    /// Feeds a same-instant wave of wire messages: consecutive runs of
-    /// messages for the same slot are forwarded to that engine's
-    /// [`Engine::on_wave_ref`] in one pass (triplet-table coalescing),
-    /// catch-up traffic is handled per message in place.
+    /// Feeds a same-instant wave of wire messages: each run of
+    /// consecutive messages for the same slot and attempt goes to that
+    /// slot's engine in one call — a lone message to
+    /// [`Engine::on_message_ref`], a longer run to [`Engine::on_wave_ref`]
+    /// (triplet-table coalescing) — and catch-up traffic is handled per
+    /// message in place.
     pub fn on_wave<W: std::borrow::Borrow<SlotMsg<V>>>(
         &mut self,
         now: LocalTime,
@@ -478,46 +462,60 @@ impl<V: Value> SlotPipeline<V> {
         let mut i = 0;
         let mut inner_run: Vec<(NodeId, &Msg<V>)> = Vec::new();
         while i < wave.len() {
-            match wave[i].1.borrow() {
-                SlotMsg::Slot { slot, attempt, .. } => {
-                    let (slot, attempt) = (*slot, *attempt);
-                    // Extend the run over same-slot same-attempt messages.
-                    let mut j = i;
-                    let mut reset_ok = false;
-                    inner_run.clear();
-                    while j < wave.len() {
-                        match wave[j].1.borrow() {
-                            SlotMsg::Slot {
-                                slot: s,
-                                attempt: a,
-                                inner,
-                            } if *s == slot && *a == attempt => {
-                                let sender = wave[j].0;
-                                self.note_claim(sender, slot);
-                                reset_ok |= sender == self.cfg.proposer
-                                    && matches!(inner, Msg::Initiator { .. });
-                                inner_run.push((sender, inner));
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    if self.admit_slot(now, slot, attempt, reset_ok) {
-                        if let Some(state) = self.slots.get_mut(&slot) {
-                            state.engine.on_wave_ref(now, &inner_run, &mut self.scratch);
-                            self.drain_engine(slot, attempt, out);
-                        }
-                    }
-                    i = j;
+            let (sender, msg) = (wave[i].0, wave[i].1.borrow());
+            let &SlotMsg::Slot {
+                slot,
+                attempt,
+                ref inner,
+            } = msg
+            else {
+                self.dispatch_catchup(sender, msg, out);
+                i += 1;
+                continue;
+            };
+            // Extend the run over same-slot same-attempt messages, noting
+            // each sender's claim and whether the proposer's own
+            // Initiator is among them.
+            let mut j = i;
+            let mut reset_ok = false;
+            while let Some((
+                from,
+                SlotMsg::Slot {
+                    slot: s,
+                    attempt: a,
+                    inner: m,
+                },
+            )) = wave.get(j).map(|(from, m)| (*from, m.borrow()))
+            {
+                if (*s, *a) != (slot, attempt) {
+                    break;
                 }
-                SlotMsg::CatchUpRequest { .. }
-                | SlotMsg::CatchUpReply { .. }
-                | SlotMsg::Heartbeat { .. } => {
-                    let (sender, msg) = (wave[i].0, wave[i].1.borrow());
-                    self.dispatch_catchup(now, sender, msg, out);
-                    i += 1;
-                }
+                self.note_claim(from, slot);
+                reset_ok |= from == self.cfg.proposer && matches!(m, Msg::Initiator { .. });
+                j += 1;
             }
+            let run = &wave[i..j];
+            i = j;
+            if !self.admit_slot(now, slot, attempt, reset_ok) {
+                continue;
+            }
+            let engine = &mut self
+                .slots
+                .get_mut(&slot)
+                .expect("admit_slot keeps an engine for an admitted slot")
+                .engine;
+            if run.len() == 1 {
+                // A lone message allocates no run.
+                engine.on_message_ref(now, sender, inner, &mut self.scratch);
+            } else {
+                inner_run.clear();
+                inner_run.extend(run.iter().filter_map(|(from, m)| match m.borrow() {
+                    SlotMsg::Slot { inner, .. } => Some((*from, inner)),
+                    _ => None,
+                }));
+                engine.on_wave_ref(now, &inner_run, &mut self.scratch);
+            }
+            self.drain_engine(slot, attempt, out);
         }
         self.pump_inner(now, out);
     }
@@ -545,37 +543,6 @@ impl<V: Value> SlotPipeline<V> {
         self.maybe_catch_up(now, out);
         self.maybe_heartbeat(now, out);
         self.pump_inner(now, out);
-    }
-
-    /// Routes one message (single-message entry path).
-    fn dispatch(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        msg: &SlotMsg<V>,
-        out: &mut Vec<PipeOutput<V>>,
-    ) {
-        match msg {
-            SlotMsg::Slot {
-                slot,
-                attempt,
-                inner,
-            } => {
-                let (slot, attempt) = (*slot, *attempt);
-                self.note_claim(sender, slot);
-                let reset_ok =
-                    sender == self.cfg.proposer && matches!(inner, Msg::Initiator { .. });
-                if self.admit_slot(now, slot, attempt, reset_ok) {
-                    if let Some(state) = self.slots.get_mut(&slot) {
-                        state
-                            .engine
-                            .on_message_ref(now, sender, inner, &mut self.scratch);
-                        self.drain_engine(slot, attempt, out);
-                    }
-                }
-            }
-            _ => self.dispatch_catchup(now, sender, msg, out),
-        }
     }
 
     /// Admits (and lazily creates / attempt-resets) the engine for
@@ -656,8 +623,9 @@ impl<V: Value> SlotPipeline<V> {
         }
     }
 
-    /// Records `sender`'s implicit claim that `slot` exists (carried by
-    /// its slot traffic, catch-up replies, and heartbeats).
+    /// Records `sender`'s claim to have reached `slot` (see
+    /// [`seen_claims`](SlotPipeline::seen_claims) for what each message
+    /// claims).
     fn note_claim(&mut self, sender: NodeId, slot: u64) {
         if sender == self.me || sender.index() >= self.params.n() {
             return;
@@ -668,15 +636,15 @@ impl<V: Value> SlotPipeline<V> {
         *claim = (*claim).max(slot);
     }
 
-    /// Highest slot corroborated by `f + 1` distinct peers — at least
-    /// one of them correct, so the slot really exists. This (not any
-    /// single peer's claim) drives the catch-up triggers: a lone forged
-    /// `slot: u64::MAX` never surfaces here.
+    /// Highest slot `f + 1` distinct peers claim to have reached — at
+    /// least one of them correct, so the cluster really got there. This
+    /// (not any single peer's claim) drives the catch-up triggers: a lone
+    /// forged `slot: u64::MAX` never surfaces here.
     ///
     /// That is the `f + 1`-th largest claim, one O(n) selection that
     /// allocates nothing. A member without a claim counts as 0, which
     /// decides the answer only when fewer than `f + 1` peers claim.
-    fn highest_seen(&mut self) -> u64 {
+    fn corroborated_slot(&mut self) -> u64 {
         let claims = &mut self.claims_scratch;
         claims.clone_from(&self.seen_claims);
         if claims.is_empty() {
@@ -754,14 +722,8 @@ impl<V: Value> SlotPipeline<V> {
         self.catchup = self.catchup.split_off(&self.log.committed());
     }
 
-    /// Handles catch-up requests and replies.
-    fn dispatch_catchup(
-        &mut self,
-        _now: LocalTime,
-        sender: NodeId,
-        msg: &SlotMsg<V>,
-        out: &mut Vec<PipeOutput<V>>,
-    ) {
+    /// Handles catch-up requests, replies and heartbeats.
+    fn dispatch_catchup(&mut self, sender: NodeId, msg: &SlotMsg<V>, out: &mut Vec<PipeOutput<V>>) {
         match msg {
             SlotMsg::CatchUpRequest { from } => {
                 if sender == self.me {
@@ -769,10 +731,7 @@ impl<V: Value> SlotPipeline<V> {
                 }
                 let mut sent = 0u64;
                 let mut slot = *from;
-                let end = self
-                    .log
-                    .highest_recorded()
-                    .map_or(0, |h| h.saturating_add(1));
+                let end = self.log.recorded_len();
                 while slot < end && sent < CATCHUP_BATCH {
                     if let Some(v) = self.log.get(slot) {
                         out.push(PipeOutput::Send(
@@ -789,7 +748,8 @@ impl<V: Value> SlotPipeline<V> {
             }
             SlotMsg::CatchUpReply { slot, value } => {
                 let slot = *slot;
-                self.note_claim(sender, slot);
+                // The sender decided `slot`, so it has reached the next.
+                self.note_claim(sender, slot.saturating_add(1));
                 let committed = self.log.committed();
                 if slot < committed
                     || slot >= committed.saturating_add(self.catchup_horizon())
@@ -801,14 +761,13 @@ impl<V: Value> SlotPipeline<V> {
                     // its Arc'd forged values) without bound.
                     return;
                 }
-                let entry = self.catchup.entry(slot).or_default();
-                if entry.votes.iter().any(|(s, _)| *s == sender) {
+                let votes = self.catchup.entry(slot).or_default();
+                if votes.iter().any(|(s, _)| *s == sender) {
                     return; // one vote per peer
                 }
-                entry.votes.push((sender, Arc::clone(value)));
+                votes.push((sender, Arc::clone(value)));
                 let needed = self.params.f() + 1;
-                let agreeing = entry
-                    .votes
+                let agreeing = votes
                     .iter()
                     .filter(|(_, v)| v.as_ref() == value.as_ref())
                     .count();
@@ -822,15 +781,10 @@ impl<V: Value> SlotPipeline<V> {
                     self.commit(slot, value, out);
                 }
             }
-            SlotMsg::Heartbeat { committed } => {
-                // A peer with a longer prefix has decided slots we have
-                // not seen: record the highest one so the catch-up
-                // probe arms once f + 1 peers agree.
-                if *committed > 0 {
-                    self.note_claim(sender, committed - 1);
-                }
-            }
-            SlotMsg::Slot { .. } => unreachable!("slot traffic routed before dispatch_catchup"),
+            // A peer with a longer prefix has reached a slot we have not:
+            // the probe arms once f + 1 peers claim past our prefix.
+            SlotMsg::Heartbeat { committed } => self.note_claim(sender, *committed),
+            SlotMsg::Slot { .. } => unreachable!("slot traffic is routed by on_wave"),
         }
     }
 
@@ -893,24 +847,21 @@ impl<V: Value> SlotPipeline<V> {
     /// Broadcasts a catch-up request when this node is visibly behind.
     ///
     /// Two triggers:
-    /// * **hard** — an out-of-order hole in the local log, or the
-    ///   cluster observed a full window past our committed prefix:
-    ///   request immediately (rate-limited).
-    /// * **soft** — peers were seen past our prefix (normal while
-    ///   executions are in flight) but no commit has landed for a full
+    /// * **hard** — an out-of-order hole in the local log, or `f + 1`
+    ///   peers reached a full window past our committed prefix: request
+    ///   immediately (rate-limited).
+    /// * **soft** — `f + 1` peers reached a slot past our prefix (normal
+    ///   while executions are in flight) but no commit has landed for a full
     ///   catch-up interval: a stalled slot or a stream that ended while
     ///   we were down. The probe arms on the first stalled tick and
     ///   fires once the stall outlasts the interval; any commit
     ///   disarms it.
     fn maybe_catch_up(&mut self, now: LocalTime, out: &mut Vec<PipeOutput<V>>) {
         let committed = self.log.committed();
-        let highest_seen = self.highest_seen();
-        let internal_gap = self
-            .log
-            .highest_recorded()
-            .is_some_and(|h| h.saturating_add(1) > committed);
-        let hard = internal_gap || highest_seen >= committed.saturating_add(self.cfg.window);
-        let soft = highest_seen > committed;
+        let reached = self.corroborated_slot();
+        let internal_gap = self.log.recorded_len() > committed;
+        let hard = internal_gap || reached >= committed.saturating_add(self.cfg.window);
+        let soft = reached > committed;
         if !hard && !soft {
             self.catchup_probe = None;
             return;
@@ -1151,12 +1102,12 @@ mod tests {
         pipe.on_message(t(0), NodeId::new(0), &msg, &mut out);
         assert_eq!(pipe.in_flight(), 0, "slot 7 is outside [0, 2)");
         assert_eq!(
-            pipe.highest_seen(),
+            pipe.corroborated_slot(),
             0,
             "one claim is not evidence — f peers can forge it"
         );
         pipe.on_message(t(0), NodeId::new(2), &msg, &mut out);
-        assert_eq!(pipe.highest_seen(), 7, "f + 1 claims record the lag");
+        assert_eq!(pipe.corroborated_slot(), 7, "f + 1 claims record the lag");
         // The next tick (past the catch-up interval) probes for it.
         pipe.on_tick(t(1), &mut out);
         assert!(
@@ -1184,7 +1135,7 @@ mod tests {
             },
         };
         pipe.on_message(t(0), NodeId::new(3), &forged, &mut out);
-        assert_eq!(pipe.highest_seen(), 0, "uncorroborated claim ignored");
+        assert_eq!(pipe.corroborated_slot(), 0, "uncorroborated claim ignored");
         // No tick — however far in the future — broadcasts a request.
         for step in 1..=10u64 {
             pipe.on_tick(t(step * 1_000_000_000), &mut out);
@@ -1472,7 +1423,7 @@ mod tests {
         let mut log: DecisionLog<u64> = DecisionLog::new();
         assert!(log.record(2, Arc::new(20)));
         assert_eq!(log.committed(), 0);
-        assert_eq!(log.highest_recorded(), Some(2));
+        assert_eq!(log.recorded_len(), 3);
         assert!(log.record(0, Arc::new(0)));
         assert_eq!(std::iter::from_fn(|| log.advance()).count(), 1);
         assert_eq!(log.committed(), 1);
@@ -1486,9 +1437,80 @@ mod tests {
         assert_eq!(log.committed(), 3);
     }
 
-    /// The O(n²) definition `highest_seen` replaced: the largest claim
-    /// that at least `f + 1` claims reach, over the peers that claimed.
-    fn highest_seen_oracle(claims: &BTreeMap<NodeId, u64>, f: usize) -> u64 {
+    /// Delivers `Heartbeat { committed }` from each of `peers`.
+    fn heartbeats_at(pipe: &mut SlotPipeline<u64>, peers: &[u32], committed: u64) {
+        let mut out = Vec::new();
+        for &peer in peers {
+            let hb = SlotMsg::Heartbeat { committed };
+            pipe.on_message(t(0), NodeId::new(peer), &hb, &mut out);
+        }
+    }
+
+    fn requests(out: &[PipeOutput<u64>]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|o| match o {
+                PipeOutput::Broadcast(SlotMsg::CatchUpRequest { from }) => Some(*from),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn heartbeats_one_slot_ahead_arm_catch_up() {
+        let p = params(); // f = 1
+        let cfg = PipelineConfig::new(NodeId::new(0), &p);
+        let interval = cfg.catchup_interval;
+        let mut pipe: SlotPipeline<u64> = SlotPipeline::new(NodeId::new(3), p, cfg);
+        let mut out = Vec::new();
+        for slot in 0..5 {
+            pipe.commit(slot, Arc::new(slot), &mut out);
+        }
+        heartbeats_at(&mut pipe, &[0, 1], 6);
+        assert_eq!(pipe.corroborated_slot(), 6);
+        pipe.on_tick(t(1), &mut out);
+        assert!(
+            requests(&out).is_empty(),
+            "the probe arms, it does not fire"
+        );
+        pipe.on_tick(t(1 + interval.as_nanos()), &mut out);
+        assert_eq!(requests(&out), vec![5], "asks for the one missing slot");
+    }
+
+    #[test]
+    fn f_heartbeats_never_arm_catch_up() {
+        let p = params(); // f = 1
+        let mut pipe: SlotPipeline<u64> =
+            SlotPipeline::new(NodeId::new(3), p, PipelineConfig::new(NodeId::new(0), &p));
+        let mut out = Vec::new();
+        heartbeats_at(&mut pipe, &[2], u64::MAX);
+        assert_eq!(pipe.corroborated_slot(), 0);
+        for step in 1..=10u64 {
+            pipe.on_tick(t(step * 1_000_000_000), &mut out);
+            assert!(
+                requests(&out).is_empty(),
+                "f forged heartbeats are no evidence"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_heartbeat_is_no_claim() {
+        let p = params();
+        let mut pipe: SlotPipeline<u64> =
+            SlotPipeline::new(NodeId::new(3), p, PipelineConfig::new(NodeId::new(0), &p));
+        heartbeats_at(&mut pipe, &[0, 1, 2], 0);
+        assert_eq!(pipe.corroborated_slot(), 0);
+        let mut out = Vec::new();
+        for step in 1..=10u64 {
+            pipe.on_tick(t(step * 1_000_000_000), &mut out);
+            assert!(requests(&out).is_empty(), "a prefix of 0 claims nothing");
+        }
+    }
+
+    /// The O(n²) definition `corroborated_slot` replaced: the largest
+    /// claim that at least `f + 1` claims reach, over the peers that
+    /// claimed.
+    fn corroborated_slot_oracle(claims: &BTreeMap<NodeId, u64>, f: usize) -> u64 {
         let all = || claims.values().copied();
         all()
             .filter(|&c| all().filter(|&x| x >= c).count() > f)
@@ -1501,7 +1523,7 @@ mod tests {
     /// ties, claims from outside the membership and from this node, and
     /// memberships up to 128.
     #[test]
-    fn highest_seen_matches_counting_oracle() {
+    fn corroborated_slot_matches_counting_oracle() {
         let mut e = crate::corrupt::xorshift(42);
         for case in 0..2_000 {
             let n = 4 + (e() % 125) as usize;
@@ -1527,8 +1549,8 @@ mod tests {
                 }
             }
             assert_eq!(
-                pipe.highest_seen(),
-                highest_seen_oracle(&oracle, f),
+                pipe.corroborated_slot(),
+                corroborated_slot_oracle(&oracle, f),
                 "n={n} f={f} claims={oracle:?}"
             );
         }

@@ -4,9 +4,11 @@
 //! held on this run. Checkers never panic — experiment drivers aggregate
 //! violations across hundreds of seeded runs.
 
+use std::cmp::Reverse;
+
 use ssbyz_types::{Duration, NodeId, RealTime};
 
-use crate::scenario::ScenarioResult;
+use crate::scenario::{ScenarioResult, Val};
 
 /// A (possibly empty) list of property violations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -340,6 +342,51 @@ pub fn containment_radius(res: &ScenarioResult, from: RealTime, to: RealTime) ->
     nodes.sort_unstable();
     nodes.dedup();
     (nodes.len(), leaked.len())
+}
+
+/// **Replicated log** (slot pipeline): over the committed logs of the
+/// `correct` nodes — `(slot, value)` pairs in commit order, indexed by
+/// node — once the last fault and the last submission have had time to
+/// settle:
+/// * each log is gap-free and in slot order (commit `#i` is slot `i`);
+/// * prefix agreement: each log is a prefix of the longest one (the
+///   first in `correct` order), so any two agree on their common prefix;
+/// * catch-up liveness: each log is as long as the longest one.
+///
+/// Each log reports its first violation in that order.
+#[must_use]
+pub fn check_pipeline_logs(logs: &[Vec<(u64, Val)>], correct: &[NodeId]) -> Violations {
+    let mut v = Violations::default();
+    let Some(&first) = correct
+        .iter()
+        .min_by_key(|n| Reverse(logs[n.index()].len()))
+    else {
+        return v;
+    };
+    let longest = &logs[first.index()];
+    for &node in correct {
+        let log = &logs[node.index()];
+        if let Some((i, (slot, _))) = log
+            .iter()
+            .enumerate()
+            .find(|(i, (slot, _))| *slot != *i as u64)
+        {
+            v.push(format!(
+                "{node:?}: commit #{i} is slot {slot} (slot skipped or reordered)"
+            ));
+        } else if log[..] != longest[..log.len()] {
+            v.push(format!(
+                "{node:?} and {first:?} diverge within their common prefix"
+            ));
+        } else if log.len() < longest.len() {
+            v.push(format!(
+                "{node:?} committed {} slots, {first:?} {} (never caught up)",
+                log.len(),
+                longest.len()
+            ));
+        }
+    }
+    v
 }
 
 /// Composite: the standard battery for a correct-General run.

@@ -10,7 +10,7 @@
 //!   drifting clocks, storms and planned initiations;
 //! * [`checks`] states the paper's properties (Agreement, Validity,
 //!   Timeliness 1–4, [IA-1]/[IA-4]) as machine-checked predicates over a
-//!   [`ScenarioResult`];
+//!   [`ScenarioResult`], and the slot pipeline's over committed logs;
 //! * [`experiments`] drives the E1–E11 reproduction experiments and
 //!   renders their tables, for the `experiments` example, the benchmark
 //!   and the integration tests;

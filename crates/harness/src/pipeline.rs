@@ -1,6 +1,7 @@
 //! The pipeline serving layer: a [`SlotPipeline`] per node inside the
 //! simulator, driven by a continuous client [`Workload`], with per-node
-//! committed-log extraction for replicated-state-machine checks.
+//! committed-log extraction for the replicated-log check
+//! ([`crate::checks::check_pipeline_logs`]).
 //!
 //! [`PipelineProcess`] is the same simulator [`Driver`] as
 //! [`EngineProcess`], around a [`SlotPipeline`] instead of an engine:
@@ -214,38 +215,5 @@ impl PipelineScenario {
     #[must_use]
     pub fn total_commits(&self) -> usize {
         self.committed_logs().iter().map(Vec::len).sum()
-    }
-
-    /// Checks the replicated-state-machine invariants over the
-    /// committed logs of `nodes`: each log is gap-free and in slot
-    /// order (no slot skipped), and any two logs agree on their common
-    /// prefix. Returns the violations found (empty = healthy).
-    #[must_use]
-    pub fn prefix_violations(&self, nodes: &[NodeId]) -> Vec<String> {
-        let logs = self.committed_logs();
-        let mut violations = Vec::new();
-        for &node in nodes {
-            let log = &logs[node.index()];
-            for (i, (slot, _)) in log.iter().enumerate() {
-                if *slot != i as u64 {
-                    violations.push(format!(
-                        "{node:?}: commit #{i} is slot {slot} (slot skipped or reordered)"
-                    ));
-                    break;
-                }
-            }
-        }
-        for w in nodes.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let la = &logs[a.index()];
-            let lb = &logs[b.index()];
-            let common = la.len().min(lb.len());
-            if la[..common] != lb[..common] {
-                violations.push(format!(
-                    "{a:?} and {b:?} diverge within their common prefix"
-                ));
-            }
-        }
-        violations
     }
 }

@@ -318,3 +318,29 @@ fn violations_helpers() {
     v.extend(Violations(vec!["boom".into()]));
     assert!(!v.is_ok());
 }
+
+#[test]
+fn pipeline_log_checker_flags_skips_divergence_and_laggards() {
+    let log = |values: &[u64]| -> Vec<(u64, u64)> {
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i as u64, v))
+            .collect()
+    };
+    let nodes: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+    let equal = vec![log(&[7, 8, 9]); 4];
+    assert!(checks::check_pipeline_logs(&equal, &nodes).is_ok());
+
+    let mut bad = equal.clone();
+    bad[1] = vec![(0, 7), (2, 9)]; // slot 1 skipped
+    bad[2] = log(&[7, 5, 9]); // as long as n0's log, and diverges
+    bad[3] = log(&[7, 8]); // a consistent prefix that never caught up
+    let v = checks::check_pipeline_logs(&bad, &nodes);
+    assert_eq!(v.0.len(), 3, "{v:?}");
+    assert!(v.0[0].starts_with("n1: commit #1 is slot 2"), "{v:?}");
+    assert!(v.0[1].starts_with("n2 and n0 diverge"), "{v:?}");
+    assert!(v.0[2].starts_with("n3 committed 2 slots, n0 3"), "{v:?}");
+    // A node outside `correct` is not judged.
+    assert!(checks::check_pipeline_logs(&bad, &nodes[..1]).is_ok());
+}

@@ -1,11 +1,14 @@
 //! Replicated-state-machine checks for the slot pipeline under a
 //! continuous value stream: every correct node's committed log must be
 //! gap-free (no slot skipped), in slot order, and prefix-consistent
-//! with every other correct node — including across a crash/recover of
-//! a follower mid-stream, after the [`campaign_settle`] stabilization
-//! span from the fault-campaign machinery.
+//! with every other correct node, and no correct node may stay short of
+//! the longest correct log ([`check_pipeline_logs`]) — including across
+//! a crash/recover of a follower mid-stream, after the
+//! [`campaign_settle`] stabilization span from the fault-campaign
+//! machinery, and across a crash that covers only the stream's last slot.
 
 use ssbyz_core::PipelineConfig;
+use ssbyz_harness::checks::check_pipeline_logs;
 use ssbyz_harness::faults::campaign_settle;
 use ssbyz_harness::{PipelineScenario, ScenarioConfig, Workload};
 use ssbyz_simnet::WaveMode;
@@ -46,7 +49,7 @@ fn continuous_stream_commits_everywhere_in_order() {
             assert_eq!(*got_val, 1000 + slot as u64, "node {i} wrong value order");
         }
     }
-    assert!(s.prefix_violations(&correct(7)).is_empty());
+    check_pipeline_logs(&logs, &correct(7)).assert_ok("fault-free stream");
 }
 
 /// Saturating stream: 12 values arrive in batches of 8 every 10 ms —
@@ -95,10 +98,38 @@ fn follower_crash_recover_catches_up_without_skipping_slots() {
                 );
             }
         }
-        let violations = s.prefix_violations(&correct(7));
+        check_pipeline_logs(&logs, &correct(7)).assert_ok(&format!("seed {seed}"));
+    }
+}
+
+/// A follower down for only the stream's last slot catches up: once it
+/// heals, heartbeats from its peers claim the slot it missed, which arms
+/// its catch-up probe. Six values, one every 200 ms from 20 ms, so the
+/// last is issued at 1.02 s; node 4 is down from 1.0 s to 1.3 s.
+#[test]
+fn follower_that_misses_only_the_last_slot_catches_up() {
+    let params = ScenarioConfig::new(7, 2).params().unwrap();
+    let workload = Workload::steady(6, 1, Duration::from_millis(200));
+    let lens =
+        |s: &PipelineScenario| -> Vec<usize> { s.committed_logs().iter().map(Vec::len).collect() };
+    for seed in 1..=5u64 {
+        let mut s = stream(seed, WaveMode::Coalesced, 4, workload);
+        s.run_until(RealTime::from_nanos(1_000_000_000));
+        assert_eq!(
+            lens(&s),
+            vec![5; 7],
+            "seed {seed}: five slots before the crash"
+        );
+        s.sim_mut()
+            .crash_node(NodeId::new(4), Duration::from_millis(300));
+        let heal = RealTime::from_nanos(1_300_000_000);
+        s.run_until(heal + params.delta_0() * 2u64 + params.d() * 4u64);
+        let violations = check_pipeline_logs(&s.committed_logs(), &correct(7));
         assert!(
-            violations.is_empty(),
-            "seed {seed}: log prefixes diverged: {violations:?}"
+            lens(&s) == vec![6; 7] && violations.is_ok(),
+            "seed {seed}: {:?}: {:?}",
+            lens(&s),
+            violations.0
         );
     }
 }

@@ -21,7 +21,8 @@
 //!
 //! * `experiment_tables` has one row per E1–E11 table section, folding
 //!   the section's markdown as `examples/experiments` prints it at the
-//!   default seed count ([`TABLE_SEEDS`]);
+//!   default seed count ([`TABLE_SEEDS`]), after asserting that no
+//!   section prints a `VIOLATION:` line;
 //! * `campaign_smoke` has one row per cell of
 //!   `fault_campaign -- --smoke` ([`CampaignSpec::smoke`]), asserting
 //!   the cell stabilizes and folding its report's `Debug` rendering,
@@ -479,8 +480,9 @@ fn campaign_bursts() {
 }
 
 /// Every E1–E11 table at the seed count `examples/experiments` renders
-/// by default, one row per section: its markdown, line by line, so a
-/// moved cell names its table and `target/trace-diff/experiments/<eN>.txt`
+/// by default, one row per section: no section may print a `VIOLATION:`
+/// line, and its markdown, line by line, folds to the recorded value, so
+/// a moved cell names its table and `target/trace-diff/experiments/<eN>.txt`
 /// holds the table as the example would print it.
 #[test]
 fn experiment_tables() {
@@ -497,13 +499,34 @@ fn experiment_tables() {
         0xead4_2696_540b_8838,
         0x1ba7_d8c9_729f_53c5,
     ];
-    let rows: Vec<(String, u64, Trace)> = TABLES
+    let rendered: Vec<(String, String)> = TABLES
         .iter()
-        .zip(RECORDED)
-        .map(|(table, recorded)| {
-            let trace = Trace::of_text(&table.render(TABLE_SEEDS));
-            (format!("experiments/{}", table.name), recorded, trace)
+        .map(|table| {
+            (
+                format!("experiments/{}", table.name),
+                table.render(TABLE_SEEDS),
+            )
         })
+        .collect();
+    // Meaning before bytes: a section that reports a property violation
+    // fails here, naming itself and quoting the line, whatever it folds to.
+    let violations: Vec<String> = rendered
+        .iter()
+        .flat_map(|(section, text)| {
+            text.lines()
+                .filter(|line| line.contains("VIOLATION:"))
+                .map(move |line| format!("{section}: {}", line.trim()))
+        })
+        .collect();
+    assert!(
+        violations.is_empty(),
+        "E-table sections print violations:\n{}",
+        violations.join("\n")
+    );
+    let rows: Vec<(String, u64, Trace)> = rendered
+        .into_iter()
+        .zip(RECORDED)
+        .map(|((section, text), recorded)| (section, recorded, Trace::of_text(&text)))
         .collect();
     check(&rows);
 }
