@@ -302,11 +302,12 @@ mod tests {
                 assert_eq!(**got_val, 900 + slot as u64, "node {i} wrong value");
             }
         }
-        // The reactor shares equal decoded values: every follower logs
-        // the one allocation of a slot's value.
+        // The reactor shares equal values, the sender's own included:
+        // every node, the proposer too, logs the one allocation of a
+        // slot's value.
         for slot in 0..STREAM as usize {
-            let (_, first) = &logs[1][slot];
-            for (i, log) in logs.iter().enumerate().skip(2) {
+            let (_, first) = &logs[0][slot];
+            for (i, log) in logs.iter().enumerate().skip(1) {
                 assert!(
                     Arc::ptr_eq(first, &log[slot].1),
                     "node {i} slot {slot} holds its own copy"

@@ -104,7 +104,7 @@ fn forged_mac_frames_bounce_before_parse() {
     };
     let mut payload = Vec::new();
     encode_slot_msg(&payload_msg, &mut payload);
-    let attacker_key = MacKey::from_bytes([0x5a; 32]);
+    let attacker_key = MacKey::from_bytes([0x5a; 16]);
     let mut frame = Vec::new();
     write_frame(&mut frame, &attacker_key, NodeId::new(2), &payload);
     for _ in 0..16 {

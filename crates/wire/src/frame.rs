@@ -178,7 +178,7 @@ mod tests {
     use super::*;
 
     fn key() -> MacKey {
-        MacKey::from_bytes([3u8; 32])
+        MacKey::from_bytes([3u8; 16])
     }
 
     #[test]

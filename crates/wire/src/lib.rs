@@ -5,8 +5,8 @@
 //! * [`codec`] — compact, versioned binary encoding of [`Msg`] /
 //!   [`SlotMsg`] (varint ids, length-prefixed blobs, a [`WireValue`]
 //!   payload trait) whose decoder never panics on garbage;
-//! * [`mac`] — per-link keyed MACs (hand-rolled HMAC-style
-//!   construction; this build has no registry access);
+//! * [`mac`] — per-link keyed MACs (SipHash-2-4 with 128-bit output,
+//!   implemented in-tree; this build has no registry access);
 //! * [`frame`] — length-prefixed frames enforcing reject-before-parse:
 //!   a frame's MAC is verified over the raw bytes before the payload
 //!   reaches the codec, so Byzantine byte-spam costs one MAC pass and

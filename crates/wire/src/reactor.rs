@@ -17,8 +17,9 @@
 //! reactor only queues ready bytes. The receive path stays on the
 //! reactor and is strictly **reject-before-parse** (see
 //! [`crate::frame`]); per-frame outcomes are tallied in [`WireStats`].
-//! Equal decoded values share one allocation (a small ring of recent
-//! values), so every node's log holds the same `Arc` for a slot.
+//! Equal values share one allocation (a small ring of recent values,
+//! fed each sender's own `Arc` before its own copy is decoded), so
+//! every node's log, the proposer's too, holds one `Arc` per slot.
 //!
 //! For the byte-level corruption adversary, the reactor can tamper with
 //! outbound frames as it queues them ([`CorruptConfig`]): bit flips,
@@ -28,7 +29,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -46,7 +46,7 @@ use crate::frame::{
     hello_payload, next_frame, parse_hello, verify_frame, write_frame, FrameReject, Framing,
     DEFAULT_MAX_FRAME, HEADER_LEN, HELLO_LEN, LEN_PREFIX,
 };
-use crate::mac::{hash, MacKey, KEY_LEN};
+use crate::mac::{mac, MacKey, KEY_LEN};
 use crate::transport::{Transport, TransportTx};
 
 /// How many recent outbound frames each link retains for the replay
@@ -74,11 +74,14 @@ pub struct WireConfig {
 }
 
 impl WireConfig {
-    /// Config with a master key derived from `seed` and no corruption.
+    /// Config with a master key derived from `seed` (the MAC under the
+    /// all-zero key, so anyone who knows the seed knows the key: seeded
+    /// configs are for tests and the benchmark) and no corruption.
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
+        let zero = MacKey::from_bytes([0; KEY_LEN]);
         WireConfig {
-            master_key: hash(&[b"ssbyz-wire-master", &seed.to_le_bytes()]),
+            master_key: mac(&zero, &[b"ssbyz-wire-master", &seed.to_le_bytes()]),
             poll_interval: std::time::Duration::from_micros(200),
             max_frame: DEFAULT_MAX_FRAME,
             corrupt: None,
@@ -181,9 +184,9 @@ pub struct WireStats {
 }
 
 /// Commands from node threads (and tests) to the reactor.
-enum ReactorCmd {
+enum ReactorCmd<V> {
     /// One message, already encoded and framed by its sender's thread.
-    Send(Outbound),
+    Send(Outbound<V>),
     /// Test hook: push arbitrary bytes onto the `from → to` stream.
     InjectRaw {
         from: NodeId,
@@ -194,10 +197,12 @@ enum ReactorCmd {
 }
 
 /// A message as [`TcpTx`] hands it to the reactor.
-struct Outbound {
+struct Outbound<V> {
     from: NodeId,
     /// `None`: every node, the sender's own copy included.
     to: Option<NodeId>,
+    /// The value the sender holds, if the message carries one.
+    value: Option<Arc<V>>,
     /// The codec bytes; the sender's own copy is decoded from these.
     payload: Vec<u8>,
     /// One authenticated frame per destination other than `from`, in
@@ -214,11 +219,10 @@ fn destinations(to: Option<NodeId>, n: usize) -> impl Iterator<Item = NodeId> + 
 /// The sending handle nodes hold into a [`TcpTransport`]. It encodes
 /// and MACs on the calling thread, then hands the reactor ready bytes.
 pub struct TcpTx<V> {
-    cmd_tx: Sender<ReactorCmd>,
+    cmd_tx: Sender<ReactorCmd<V>>,
     /// `k(from → to)` at `from · n + to`.
     keys: Arc<[MacKey]>,
     n: usize,
-    _marker: PhantomData<fn(V)>,
 }
 
 impl<V> Clone for TcpTx<V> {
@@ -227,7 +231,6 @@ impl<V> Clone for TcpTx<V> {
             cmd_tx: self.cmd_tx.clone(),
             keys: Arc::clone(&self.keys),
             n: self.n,
-            _marker: PhantomData,
         }
     }
 }
@@ -250,6 +253,7 @@ impl<V: Value + WireValue> TcpTx<V> {
         let out = Outbound {
             from,
             to,
+            value: value_of(msg).cloned(),
             payload,
             frames,
         };
@@ -309,7 +313,7 @@ impl<V: Value + WireValue> TcpTransport<V> {
             })
             .collect();
         let stats: Arc<Mutex<WireStats>> = Arc::new(Mutex::new(WireStats::default()));
-        let (cmd_tx, cmd_rx) = unbounded::<ReactorCmd>();
+        let (cmd_tx, cmd_rx) = unbounded::<ReactorCmd<V>>();
         let corrupt = cfg
             .corrupt
             .clone()
@@ -336,12 +340,7 @@ impl<V: Value + WireValue> TcpTransport<V> {
                 .run(&cmd_rx, poll);
             })?;
         Ok(TcpTransport {
-            tx: TcpTx {
-                cmd_tx,
-                keys,
-                n,
-                _marker: PhantomData,
-            },
+            tx: TcpTx { cmd_tx, keys, n },
             reactor,
             stats,
         })
@@ -522,8 +521,17 @@ impl<V: PartialEq> ValueRing<V> {
     }
 }
 
-/// The value handle a decoded message carries, if any.
-fn value_of<V>(msg: &mut SlotMsg<V>) -> Option<&mut Arc<V>> {
+/// The value handle a message carries, if any.
+fn value_of<V: Value>(msg: &SlotMsg<V>) -> Option<&Arc<V>> {
+    match msg {
+        SlotMsg::Slot { inner, .. } => Some(inner.value_shared()),
+        SlotMsg::CatchUpReply { value, .. } => Some(value),
+        SlotMsg::CatchUpRequest { .. } | SlotMsg::Heartbeat { .. } => None,
+    }
+}
+
+/// [`value_of`], for swapping a decoded message's handle.
+fn value_of_mut<V>(msg: &mut SlotMsg<V>) -> Option<&mut Arc<V>> {
     match msg {
         SlotMsg::Slot {
             inner: Msg::Initiator { value, .. } | Msg::Ia { value, .. } | Msg::Bcast { value, .. },
@@ -552,7 +560,7 @@ where
     fn deliver(&mut self, from: NodeId, to: NodeId, payload: &[u8]) {
         match decode_slot_msg::<V>(payload) {
             Ok(mut msg) => {
-                if let Some(value) = value_of(&mut msg) {
+                if let Some(value) = value_of_mut(&mut msg) {
                     self.values.share(value);
                 }
                 self.stats.lock().frames_delivered += 1;
@@ -578,7 +586,7 @@ where
     C: Send + 'static,
     F: Fn(NodeId, Arc<SlotMsg<V>>) -> C,
 {
-    fn run(mut self, cmd_rx: &Receiver<ReactorCmd>, poll: std::time::Duration) {
+    fn run(mut self, cmd_rx: &Receiver<ReactorCmd<V>>, poll: std::time::Duration) {
         let mut read_buf = vec![0u8; 64 * 1024];
         let mut next_sweep = Instant::now() + poll;
         loop {
@@ -631,10 +639,13 @@ where
     }
 
     /// Applies one command; returns `true` on shutdown.
-    fn handle(&mut self, cmd: ReactorCmd) -> bool {
+    fn handle(&mut self, cmd: ReactorCmd<V>) -> bool {
         match cmd {
             ReactorCmd::Send(out) => {
                 let n = self.inbox.delivery.len();
+                if let Some(mut value) = out.value {
+                    self.inbox.values.share(&mut value);
+                }
                 let mut frames = out
                     .frames
                     .chunks_exact(LEN_PREFIX + HEADER_LEN + out.payload.len());
