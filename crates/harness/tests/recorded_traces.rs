@@ -32,6 +32,15 @@
 //! rendered them: every table section's fold is that of the example's
 //! output there, byte for byte.
 //!
+//! Every fold also states what the run means before it pins its bytes:
+//! each agreement shape runs the property battery of [`checks`] that
+//! fits it, the pipeline shape its log check, and each campaign burst
+//! must stabilize with no violations. A shape whose battery fails names
+//! the violated property, whatever it folds to. The storm shapes run to
+//! 400 ms, far short of `Δ_stb` (about 4.6 s at n = 7), so they start no
+//! agreement after `Δ_stb` and the paper promises them nothing to check:
+//! they assert only that the storm bites.
+//!
 //! To re-record after an intended behaviour change: run
 //! `cargo test -p ssbyz-harness --test recorded_traces`,
 //! copy the `got` values, and say in the PR why each one moved.
@@ -47,11 +56,12 @@ use std::fmt::Debug;
 
 use ssbyz_adversary::EchoForger;
 use ssbyz_core::PipelineConfig;
-use ssbyz_harness::experiments::{TABLES, TABLE_SEEDS};
+use ssbyz_harness::checks;
+use ssbyz_harness::experiments::{slack, TABLES, TABLE_SEEDS};
 use ssbyz_harness::faults::{campaign_settle, run_campaign_spec, CampaignSpec};
 use ssbyz_harness::{
     run_campaign, CampaignFamily, Fault, FaultSchedule, NodeEvent, PipelineScenario,
-    RunningScenario, ScenarioBuilder, ScenarioConfig, Workload,
+    RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Workload,
 };
 use ssbyz_simnet::{Metrics, Observation, StormConfig, WaveMode};
 use ssbyz_types::{Duration, NodeId, RealTime};
@@ -101,6 +111,25 @@ fn fold<O: Debug>(observations: &[Observation<O>], metrics: &Metrics) -> Trace {
 
 fn fold_scenario(sc: &RunningScenario) -> Trace {
     fold(sc.sim().observations(), sc.sim().metrics())
+}
+
+/// Real time of node 0's initiation `offset` after its local start.
+fn initiation_real(sc: &RunningScenario, offset: Duration) -> RealTime {
+    let clock = sc.sim().clock(NodeId::new(0));
+    clock.real_of_local(clock.local_at(RealTime::ZERO) + offset)
+}
+
+/// The run's result without the nodes in `faulty`: out of the correct
+/// set, their returns and I-accepts dropped. A node that is crashed,
+/// cut off, scrambled or clock-jumped during the agreement is faulty in
+/// the paper's model, and the battery speaks only of the others.
+fn result_without(sc: &RunningScenario, faulty: &[u32]) -> ScenarioResult {
+    let is_faulty = |node: NodeId| faulty.contains(&(node.index() as u32));
+    let mut res = sc.result();
+    res.correct.retain(|node| !is_faulty(*node));
+    res.decisions.retain(|r| !is_faulty(r.node));
+    res.iaccepts.retain(|r| !is_faulty(r.node));
+    res
 }
 
 /// Writes a moved trace's lines to `target/trace-diff/<shape>.txt` (the
@@ -216,6 +245,12 @@ fn correct_general(seed: u64, links: Links) -> Trace {
             .any(|o| format!("{:?}", o.event).contains("Decided")),
         "seed {seed}: the scenario must actually decide"
     );
+    // Node 6 is down through the agreement, and the General's message to
+    // node 5 is dropped at send: a General that omits is not correct in
+    // the paper's model, so the Byzantine-General battery is the one
+    // that fits.
+    checks::check_byzantine_general_run(&result_without(&sc, &[6]), NodeId::new(0))
+        .assert_ok(&format!("correct-general seed {seed}"));
     fold_scenario(&sc)
 }
 
@@ -360,8 +395,19 @@ fn fault_burst(seed: u64, links: Links) -> Trace {
     let mut sc = seven_nodes(ScenarioBuilder::new(cfg), initiate_at, &[]);
     let burst_at = RealTime::ZERO + initiate_at + d * 2u64;
     let horizon = RealTime::ZERO + initiate_at + d * 40u64;
+    let t0 = initiation_real(&sc, initiate_at);
     sc.run_schedule(&burst(burst_at, d), horizon, seed);
     assert!(!sc.sim().observations().is_empty());
+    // The burst hits nodes 3–6; the General and nodes 1–2 ride it out,
+    // and their agreement keeps the correct-General battery.
+    checks::check_correct_general_run(
+        &result_without(&sc, &[3, 4, 5, 6]),
+        NodeId::new(0),
+        41,
+        t0,
+        slack(d),
+    )
+    .assert_ok(&format!("fault-burst seed {seed}"));
     fold_scenario(&sc)
 }
 
@@ -422,7 +468,11 @@ fn byzantine_fixed_delay() {
         .build();
     sc.sim_mut()
         .set_down_until(NodeId::new(4), RealTime::from_nanos(30_000_000));
+    let t0 = initiation_real(&sc, Duration::from_millis(50));
     sc.run_until(RealTime::from_nanos(400_000_000));
+    // Node 4 is back 20 ms before the initiation: all five are correct.
+    checks::check_correct_general_run(&sc.result(), NodeId::new(0), 13, t0, slack(d))
+        .assert_ok("byzantine seed 77");
     check(&[(
         "byzantine/fixed-700us/seed-77",
         0xdceb_aa61_9f54_c09b,
@@ -444,6 +494,8 @@ fn pipeline_crash_recover_stream() {
         .crash_node(NodeId::new(4), Duration::from_millis(1500));
     s.run_until(RealTime::from_nanos(8_000_000_000) + campaign_settle(&params));
     assert_eq!(s.total_commits(), 7 * 24, "the whole stream must commit");
+    let all: Vec<NodeId> = (0..7).map(NodeId::new).collect();
+    checks::check_pipeline_logs(&s.committed_logs(), &all).assert_ok("pipeline crash-recover");
     check(&[(
         "pipeline/crash-recover/seed-3",
         0x11ed_2fed_6a62_6a49,
@@ -451,9 +503,10 @@ fn pipeline_crash_recover_stream() {
     )]);
 }
 
-/// One burst of every campaign family: the fold is over the per-burst
-/// measurements the campaign reports, which is what `CAMPAIGN_stabilization`
-/// rows and the `sim-n31-faults` workload are made of.
+/// One burst of every campaign family: each must stabilize with no
+/// violations, and the fold is over the per-burst measurements the
+/// campaign reports, which is what `CAMPAIGN_stabilization` rows and the
+/// `sim-n31-faults` workload are made of.
 #[test]
 fn campaign_bursts() {
     const RECORDED: [u64; 4] = [
@@ -467,6 +520,12 @@ fn campaign_bursts() {
         .zip(RECORDED)
         .map(|(family, recorded)| {
             let report = run_campaign(7, 2, 5, *family, 1);
+            assert!(
+                report.stabilized(),
+                "campaign/{}: every burst must stabilize with no violations: {:?}",
+                family.name(),
+                report.violations()
+            );
             let mut trace = Trace::new();
             trace.line(&format!("{:?}", report.bursts));
             (
