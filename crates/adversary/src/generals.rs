@@ -6,14 +6,14 @@
 //! whichever nodes it chooses" (paper §4). The strategies here realize the
 //! classic attacks the proofs defend against.
 
+use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use ssbyz_core::{IaKind, Msg, Params};
-use ssbyz_simnet::{Ctx, Process};
-use ssbyz_types::{Duration, NodeId, Value};
+use ssbyz_core::{Effect, IaKind, Msg, Params, SansIo};
+use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
-/// Timer tokens used by the general strategies.
-const T_PHASE: u64 = 1;
+use crate::{Cadence, Out};
 
 /// A two-faced General: initiates value `value_a` toward one subset of the
 /// nodes and `value_b` toward the rest, then keeps feeding each side
@@ -22,30 +22,37 @@ const T_PHASE: u64 = 1;
 /// The Agreement property demands that despite this, either no correct
 /// node decides, or all correct nodes decide the *same* value.
 pub struct TwoFacedGeneral<V> {
+    me: NodeId,
+    n: usize,
     value_a: Arc<V>,
     value_b: Arc<V>,
     /// Nodes that receive the `value_a` face.
     side_a: Vec<NodeId>,
-    /// Local-time delay before striking.
-    strike_after: Duration,
-    /// How many reinforcement phases to run (spaced `phase_gap` apart).
-    phases: u32,
-    phase_gap: Duration,
+    /// The split initiation `2d` after boot, then five reinforcement
+    /// phases `d` apart.
+    cadence: Cadence,
     fired: u32,
 }
 
 impl<V: Value> TwoFacedGeneral<V> {
-    /// Creates the strategy. `side_a` receives `value_a`; everyone else
-    /// receives `value_b`.
+    /// Creates the strategy for node `me` of `n`. `side_a` receives
+    /// `value_a`; everyone else receives `value_b`.
     #[must_use]
-    pub fn new(value_a: V, value_b: V, side_a: Vec<NodeId>, params: &Params) -> Self {
+    pub fn new(
+        me: NodeId,
+        n: usize,
+        value_a: V,
+        value_b: V,
+        side_a: Vec<NodeId>,
+        params: &Params,
+    ) -> Self {
         TwoFacedGeneral {
+            me,
+            n,
             value_a: Arc::new(value_a),
             value_b: Arc::new(value_b),
             side_a,
-            strike_after: params.d() * 2u64,
-            phases: 6,
-            phase_gap: params.d(),
+            cadence: Cadence::new(params.d() * 2u64, params.d(), 6),
             fired: 0,
         }
     }
@@ -57,54 +64,29 @@ impl<V: Value> TwoFacedGeneral<V> {
             &self.value_b
         }
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for TwoFacedGeneral<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.strike_after, T_PHASE);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_PHASE {
-            return;
-        }
-        let me = ctx.me();
-        let n = ctx.n();
-        if self.fired == 0 {
-            // Split initiation.
-            for node in NodeId::all(n) {
-                ctx.send(
-                    node,
-                    Msg::Initiator {
-                        general: me,
-                        value: self.face_of(node).clone(),
-                    },
-                );
-            }
-        } else {
-            // Reinforce each side with equivocating stage messages.
-            let kind = match self.fired % 3 {
-                1 => IaKind::Support,
-                2 => IaKind::Approve,
-                _ => IaKind::Ready,
+    /// The split initiation first, then equivocating stage messages that
+    /// reinforce each side.
+    fn strike(&mut self, out: &mut Out<V>) {
+        let kind = match self.fired % 3 {
+            1 => IaKind::Support,
+            2 => IaKind::Approve,
+            _ => IaKind::Ready,
+        };
+        for node in NodeId::all(self.n) {
+            let (general, value) = (self.me, self.face_of(node).clone());
+            let msg = if self.fired == 0 {
+                Msg::Initiator { general, value }
+            } else {
+                Msg::Ia {
+                    kind,
+                    general,
+                    value,
+                }
             };
-            for node in NodeId::all(n) {
-                ctx.send(
-                    node,
-                    Msg::Ia {
-                        kind,
-                        general: me,
-                        value: self.face_of(node).clone(),
-                    },
-                );
-            }
+            out.push(Effect::Send(node, msg));
         }
         self.fired += 1;
-        if self.fired < self.phases {
-            ctx.set_timer_after(self.phase_gap, T_PHASE);
-        }
     }
 }
 
@@ -113,40 +95,33 @@ impl<V: Value, O> Process<Msg<V>, O> for TwoFacedGeneral<V> {
 /// property [IA-4] must still hold: any two I-accepted anchors for
 /// distinct values are more than `4d` apart.
 pub struct SpamGeneral<V> {
+    me: NodeId,
     values: Vec<Arc<V>>,
-    period: Duration,
+    cadence: Cadence,
     next: usize,
 }
 
 impl<V: Value> SpamGeneral<V> {
-    /// Spams `values` cyclically with the given local-time period.
+    /// Node `me` spams `values` cyclically with the given local-time
+    /// period.
     #[must_use]
-    pub fn new(values: Vec<V>, period: Duration) -> Self {
+    pub fn new(me: NodeId, values: Vec<V>, period: Duration) -> Self {
         assert!(!values.is_empty(), "need at least one value to spam");
         SpamGeneral {
+            me,
             values: values.into_iter().map(Arc::new).collect(),
-            period,
+            cadence: Cadence::endless(period, period),
             next: 0,
         }
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for SpamGeneral<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.period, T_PHASE);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_PHASE {
-            return;
-        }
+    fn strike(&mut self, out: &mut Out<V>) {
         let value = self.values[self.next % self.values.len()].clone();
         self.next += 1;
-        let me = ctx.me();
-        ctx.broadcast(Msg::Initiator { general: me, value });
-        ctx.set_timer_after(self.period, T_PHASE);
+        out.push(Effect::Broadcast(Msg::Initiator {
+            general: self.me,
+            value,
+        }));
     }
 }
 
@@ -155,65 +130,34 @@ impl<V: Value, O> Process<Msg<V>, O> for SpamGeneral<V> {
 /// blocks K/L. Correct nodes must still converge on anchors within the
 /// `6d` skew bound or not accept at all.
 pub struct StaggeredGeneral<V> {
+    me: NodeId,
     value: Arc<V>,
-    strike_after: Duration,
-    spread: Duration,
-    sent_to: usize,
+    cadence: Cadence,
+    sent_to: u32,
 }
 
 impl<V: Value> StaggeredGeneral<V> {
-    /// Sends `value` to node `i` at `strike_after + i·spread/n`.
+    /// Node `me` of `n` sends `value` to node `i` at
+    /// `strike_after + i·spread/n`.
     #[must_use]
-    pub fn new(value: V, strike_after: Duration, spread: Duration) -> Self {
+    pub fn new(me: NodeId, n: usize, value: V, strike_after: Duration, spread: Duration) -> Self {
+        let gap = Duration::from_nanos(spread.as_nanos() / n as u64);
         StaggeredGeneral {
+            me,
             value: Arc::new(value),
-            strike_after,
-            spread,
+            cadence: Cadence::new(strike_after, gap, n as u32),
             sent_to: 0,
         }
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for StaggeredGeneral<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.strike_after, T_PHASE);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_PHASE {
-            return;
-        }
-        let n = ctx.n();
-        if self.sent_to >= n {
-            return;
-        }
-        let me = ctx.me();
-        ctx.send(
-            NodeId::new(self.sent_to as u32),
-            Msg::Initiator {
-                general: me,
-                value: self.value.clone(),
-            },
-        );
+    fn strike(&mut self, out: &mut Out<V>) {
+        let msg = Msg::Initiator {
+            general: self.me,
+            value: self.value.clone(),
+        };
+        out.push(Effect::Send(NodeId::new(self.sent_to), msg));
         self.sent_to += 1;
-        if self.sent_to < n {
-            let gap = Duration::from_nanos(self.spread.as_nanos() / n as u64);
-            ctx.set_timer_after(gap, T_PHASE);
-        }
     }
-}
-
-/// A completely silent node (crashed, or a Byzantine node choosing to do
-/// nothing). Used to realize `f′ < f` actual-fault sweeps (experiment E4).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SilentNode;
-
-impl<M, O> Process<M, O> for SilentNode {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, M, O>) {}
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, M, O>, _from: NodeId, _msg: &M) {}
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M, O>, _token: u64) {}
 }
 
 /// A General that sends its initiation to only a subset of the nodes and
@@ -221,46 +165,62 @@ impl<M, O> Process<M, O> for SilentNode {
 /// fewer than `n − f` receivers no approve quorum can form and the
 /// initiation must fizzle everywhere; with at least `n − f` it completes.
 pub struct PartialGeneral<V> {
+    me: NodeId,
     value: Arc<V>,
     targets: Vec<NodeId>,
-    strike_after: Duration,
-    fired: bool,
+    cadence: Cadence,
 }
 
 impl<V: Value> PartialGeneral<V> {
-    /// Sends `value` to exactly `targets` after `strike_after`.
+    /// Node `me` sends `value` to exactly `targets` after `strike_after`.
     #[must_use]
-    pub fn new(value: V, targets: Vec<NodeId>, strike_after: Duration) -> Self {
+    pub fn new(me: NodeId, value: V, targets: Vec<NodeId>, strike_after: Duration) -> Self {
         PartialGeneral {
+            me,
             value: Arc::new(value),
             targets,
-            strike_after,
-            fired: false,
+            cadence: Cadence::new(strike_after, Duration::ZERO, 1),
+        }
+    }
+
+    fn strike(&mut self, out: &mut Out<V>) {
+        for target in &self.targets {
+            let msg = Msg::Initiator {
+                general: self.me,
+                value: self.value.clone(),
+            };
+            out.push(Effect::Send(*target, msg));
         }
     }
 }
 
-impl<V: Value, O> Process<Msg<V>, O> for PartialGeneral<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.strike_after, T_PHASE);
+striking!(
+    TwoFacedGeneral,
+    SpamGeneral,
+    StaggeredGeneral,
+    PartialGeneral
+);
+
+/// A completely silent node (crashed, or a Byzantine node choosing to do
+/// nothing). Used to realize `f′ < f` actual-fault sweeps (experiment E4).
+pub struct SilentNode<V>(PhantomData<fn() -> V>);
+
+impl<V> Default for SilentNode<V> {
+    fn default() -> Self {
+        SilentNode(PhantomData)
     }
+}
 
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
+impl<V: Value> SansIo for SilentNode<V> {
+    type Msg = Msg<V>;
+    type Event = Infallible;
+    type Buf = Out<V>;
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_PHASE || self.fired {
-            return;
-        }
-        self.fired = true;
-        let me = ctx.me();
-        for target in &self.targets {
-            ctx.send(
-                *target,
-                Msg::Initiator {
-                    general: me,
-                    value: self.value.clone(),
-                },
-            );
-        }
+    fn deliver(&mut self, _: LocalTime, _: NodeId, _: &Msg<V>, _: &mut Out<V>) {}
+
+    fn tick(&mut self, _: LocalTime, _: &mut Out<V>) {}
+
+    fn drain(out: &mut Out<V>) -> impl Iterator<Item = Effect<Msg<V>, Infallible>> + '_ {
+        out.drain(..)
     }
 }

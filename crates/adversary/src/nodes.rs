@@ -13,104 +13,99 @@
 //!   aims its forgeries at the quietest nodes, i.e. exactly the ones
 //!   recovering from a crash, partition or scramble.
 //!
-//! All strategies draw randomness from the simulator's seeded stream via
-//! [`Ctx`], so runs containing them stay reproducible.
+//! The two that draw randomness own a seeded [`StdRng`], so runs
+//! containing them stay reproducible on any host.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
-use ssbyz_core::{BcastKind, IaKind, Msg};
-use ssbyz_simnet::{Ctx, Process};
-use ssbyz_types::{Duration, NodeId, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use ssbyz_core::{BcastKind, Effect, IaKind, Msg, SansIo};
+use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
-const T_NOISE: u64 = 7;
+use crate::{Cadence, Out};
 
 /// Emits a stream of syntactically valid but semantically bogus protocol
 /// messages: random stages, random values, random broadcasters and rounds,
 /// addressed to random subsets. Exercises every "ignore garbage" path and
 /// the unforgeability properties ([IA-2], [TPS-2]).
 pub struct GarbageNode<V> {
-    period: Duration,
+    me: NodeId,
+    n: u64,
     values: Vec<Arc<V>>,
     max_round: u32,
+    cadence: Cadence,
+    rng: StdRng,
 }
 
 impl<V: Value> GarbageNode<V> {
-    /// Creates a garbage generator drawing payloads from `values`, firing
-    /// a burst of 1–4 messages every `period` (local time), with forged
-    /// rounds up to `max_round`, forever.
+    /// Creates a garbage generator for node `me` of `n`, drawing payloads
+    /// from `values`, firing a burst of 1–4 messages every `period` (local
+    /// time), with forged rounds up to `max_round`, forever. `seed` seeds
+    /// its draws.
     ///
     /// # Panics
     ///
     /// Panics if `values` is empty.
     #[must_use]
-    pub fn new(period: Duration, values: Vec<V>, max_round: u32) -> Self {
+    pub fn new(
+        me: NodeId,
+        n: usize,
+        period: Duration,
+        values: Vec<V>,
+        max_round: u32,
+        seed: u64,
+    ) -> Self {
         assert!(!values.is_empty());
         GarbageNode {
-            period,
+            me,
+            n: n as u64,
             values: values.into_iter().map(Arc::new).collect(),
             max_round: max_round.max(1),
+            cadence: Cadence::endless(period, period),
+            rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    fn random_msg<O>(&self, ctx: &mut Ctx<'_, Msg<V>, O>, n: usize) -> Msg<V> {
-        let me = ctx.me();
-        let value = self.values[ctx.rand_below(self.values.len() as u64) as usize].clone();
-        match ctx.rand_below(8) {
-            0 => Msg::Initiator { general: me, value },
+    fn node(&mut self) -> NodeId {
+        NodeId::new(self.rng.gen_range(0..self.n) as u32)
+    }
+
+    fn random_msg(&mut self) -> Msg<V> {
+        let value = self.values[self.rng.gen_range(0..self.values.len())].clone();
+        match self.rng.gen_range(0..8u32) {
+            0 => Msg::Initiator {
+                general: self.me,
+                value,
+            },
             1..=3 => {
-                let kind = match ctx.rand_below(3) {
-                    0 => IaKind::Support,
-                    1 => IaKind::Approve,
-                    _ => IaKind::Ready,
-                };
-                let general = NodeId::new(ctx.rand_below(n as u64) as u32);
+                let kind = IaKind::ALL[self.rng.gen_range(0..3usize)];
                 Msg::Ia {
                     kind,
-                    general,
+                    general: self.node(),
                     value,
                 }
             }
             _ => {
-                let kind = match ctx.rand_below(4) {
-                    0 => BcastKind::Init,
-                    1 => BcastKind::Echo,
-                    2 => BcastKind::InitPrime,
-                    _ => BcastKind::EchoPrime,
-                };
-                let general = NodeId::new(ctx.rand_below(n as u64) as u32);
-                let broadcaster = NodeId::new(ctx.rand_below(n as u64) as u32);
+                let kind = BcastKind::ALL[self.rng.gen_range(0..4usize)];
                 Msg::Bcast {
                     kind,
-                    general,
-                    broadcaster,
+                    general: self.node(),
+                    broadcaster: self.node(),
                     value,
-                    round: ctx.rand_below(u64::from(self.max_round)) as u32 + 1,
+                    round: self.rng.gen_range(0..self.max_round) + 1,
                 }
             }
         }
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for GarbageNode<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.period, T_NOISE);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_NOISE {
-            return;
+    /// A burst of up to 4 messages to random destinations.
+    fn strike(&mut self, out: &mut Out<V>) {
+        for _ in 0..self.rng.gen_range(1..=4u32) {
+            let msg = self.random_msg();
+            out.push(Effect::Send(self.node(), msg));
         }
-        let n = ctx.n();
-        // A burst of up to 4 messages to random destinations.
-        let burst = ctx.rand_below(4) + 1;
-        for _ in 0..burst {
-            let msg = self.random_msg(ctx, n);
-            let to = NodeId::new(ctx.rand_below(n as u64) as u32);
-            ctx.send(to, msg);
-        }
-        ctx.set_timer_after(self.period, T_NOISE);
     }
 }
 
@@ -124,9 +119,7 @@ pub struct EchoForger<V> {
     victim: NodeId,
     value: Arc<V>,
     round: u32,
-    period: Duration,
-    bursts: u32,
-    fired: u32,
+    cadence: Cadence,
 }
 
 impl<V: Value> EchoForger<V> {
@@ -141,36 +134,19 @@ impl<V: Value> EchoForger<V> {
             victim,
             value: Arc::new(value),
             round,
-            period,
-            bursts: 40,
-            fired: 0,
+            cadence: Cadence::new(period, period, 40),
         }
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for EchoForger<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.period, T_NOISE);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_NOISE {
-            return;
-        }
+    fn strike(&mut self, out: &mut Out<V>) {
         for kind in [BcastKind::Echo, BcastKind::InitPrime, BcastKind::EchoPrime] {
-            ctx.broadcast(Msg::Bcast {
+            out.push(Effect::Broadcast(Msg::Bcast {
                 kind,
                 general: self.general,
                 broadcaster: self.victim,
                 value: self.value.clone(),
                 round: self.round,
-            });
-        }
-        self.fired += 1;
-        if self.fired < self.bursts {
-            ctx.set_timer_after(self.period, T_NOISE);
+            }));
         }
     }
 }
@@ -180,9 +156,7 @@ impl<V: Value, O> Process<Msg<V>, O> for EchoForger<V> {
 pub struct IaForger<V> {
     general: NodeId,
     value: Arc<V>,
-    period: Duration,
-    bursts: u32,
-    fired: u32,
+    cadence: Cadence,
 }
 
 impl<V: Value> IaForger<V> {
@@ -195,34 +169,17 @@ impl<V: Value> IaForger<V> {
         IaForger {
             general,
             value: Arc::new(value),
-            period,
-            bursts: 40,
-            fired: 0,
+            cadence: Cadence::new(period, period, 40),
         }
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for IaForger<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.period, T_NOISE);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, _from: NodeId, _msg: &Msg<V>) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_NOISE {
-            return;
-        }
+    fn strike(&mut self, out: &mut Out<V>) {
         for kind in IaKind::ALL {
-            ctx.broadcast(Msg::Ia {
+            out.push(Effect::Broadcast(Msg::Ia {
                 kind,
                 general: self.general,
                 value: self.value.clone(),
-            });
-        }
-        self.fired += 1;
-        if self.fired < self.bursts {
-            ctx.set_timer_after(self.period, T_NOISE);
+            }));
         }
     }
 }
@@ -236,36 +193,49 @@ impl<V: Value, O> Process<Msg<V>, O> for IaForger<V> {
 /// a recent window rather than all of history; ties break towards lower
 /// ids, keeping runs deterministic.
 pub struct QuorumStalker<V> {
+    me: NodeId,
     values: Vec<Arc<V>>,
-    period: Duration,
     targets: usize,
     heard: Vec<u64>,
+    cadence: Cadence,
+    rng: StdRng,
 }
 
 impl<V: Value> QuorumStalker<V> {
-    /// Creates a stalker drawing payloads from `values`, re-aiming every
-    /// `period` (local time) at the `targets` quietest peers.
+    /// Creates a stalker for node `me` of `n`, drawing payloads from
+    /// `values`, re-aiming every `period` (local time) at the `targets`
+    /// quietest peers. `seed` seeds its draws.
     ///
     /// # Panics
     ///
     /// Panics if `values` is empty or `targets` is zero.
     #[must_use]
-    pub fn new(values: Vec<V>, period: Duration, targets: usize) -> Self {
+    pub fn new(
+        me: NodeId,
+        n: usize,
+        values: Vec<V>,
+        period: Duration,
+        targets: usize,
+        seed: u64,
+    ) -> Self {
         assert!(!values.is_empty());
         assert!(targets > 0, "a stalker needs at least one target");
         QuorumStalker {
+            me,
             values: values.into_iter().map(Arc::new).collect(),
-            period,
             targets,
-            heard: Vec::new(),
+            heard: vec![0; n],
+            cadence: Cadence::endless(period, period),
+            rng: StdRng::seed_from_u64(seed),
         }
     }
 
     /// The current weakest peers (quietest first), excluding `me`.
-    fn weakest(&self, me: NodeId, n: usize) -> Vec<NodeId> {
-        let mut ranked: Vec<(u64, u32)> = (0..n as u32)
-            .filter(|i| *i != me.index() as u32)
-            .map(|i| (self.heard.get(i as usize).copied().unwrap_or(0), i))
+    fn weakest(&self) -> Vec<NodeId> {
+        let mut ranked: Vec<(u64, u32)> = (0u32..)
+            .zip(&self.heard)
+            .filter(|(i, _)| *i as usize != self.me.index())
+            .map(|(i, heard)| (*heard, i))
             .collect();
         ranked.sort_unstable();
         ranked
@@ -274,54 +244,41 @@ impl<V: Value> QuorumStalker<V> {
             .map(|(_, i)| NodeId::new(i))
             .collect()
     }
-}
 
-impl<V: Value, O> Process<Msg<V>, O> for QuorumStalker<V> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>) {
-        ctx.set_timer_after(self.period, T_NOISE);
+    fn hear(&mut self, from: NodeId) {
+        if let Some(heard) = self.heard.get_mut(from.index()) {
+            *heard += 1;
+        }
     }
 
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg<V>, O>, from: NodeId, _msg: &Msg<V>) {
-        if self.heard.len() <= from.index() {
-            self.heard.resize(from.index() + 1, 0);
-        }
-        self.heard[from.index()] += 1;
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg<V>, O>, token: u64) {
-        if token != T_NOISE {
-            return;
-        }
-        let n = ctx.n();
-        for victim in self.weakest(ctx.me(), n) {
-            let value = self.values[ctx.rand_below(self.values.len() as u64) as usize].clone();
+    fn strike(&mut self, out: &mut Out<V>) {
+        for victim in self.weakest() {
+            let value = self.values[self.rng.gen_range(0..self.values.len())].clone();
             // Forged IA traffic for the victim's own instance, sent
             // straight at it: it must reject evidence it never produced.
             for kind in IaKind::ALL {
-                ctx.send(
-                    victim,
-                    Msg::Ia {
-                        kind,
-                        general: victim,
-                        value: value.clone(),
-                    },
-                );
+                let msg = Msg::Ia {
+                    kind,
+                    general: victim,
+                    value: value.clone(),
+                };
+                out.push(Effect::Send(victim, msg));
             }
             // Plus relay forgeries claiming the victim broadcast — aimed
             // at everyone, poisoning what peers believe about the victim
             // exactly while it is catching up.
-            let round = ctx.rand_below(3) as u32 + 1;
-            ctx.broadcast(Msg::Bcast {
+            out.push(Effect::Broadcast(Msg::Bcast {
                 kind: BcastKind::Echo,
                 general: victim,
                 broadcaster: victim,
                 value,
-                round,
-            });
+                round: self.rng.gen_range(1..=3),
+            }));
         }
         for h in &mut self.heard {
             *h /= 2;
         }
-        ctx.set_timer_after(self.period, T_NOISE);
     }
 }
+
+striking!(GarbageNode, EchoForger, IaForger, QuorumStalker(hear));

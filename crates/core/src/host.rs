@@ -2,10 +2,16 @@
 //! runtime thread — needs from a sans-io protocol machine.
 //!
 //! In the paper a node is driven only by message arrivals and local
-//! timeouts. [`SansIo`] names exactly that for [`Engine`] and
-//! [`SlotPipeline`], so each host loop is written once: deliver a
-//! message or a same-instant wave, tick, then drain the call's outputs
-//! as [`Effect`]s in emission order (each call clears the last call's).
+//! timeouts. [`SansIo`] names exactly that for [`Engine`],
+//! [`SlotPipeline`] and every other simulated node (the pulse layer, the
+//! Byzantine strategies, the lock-step baseline), so each host loop is
+//! written once: deliver a message or a same-instant wave, tick, then
+//! drain the call's outputs as [`Effect`]s in emission order (each call
+//! clears the last call's).
+//!
+//! Every host ticks each machine once at boot, before any delivery, and
+//! then periodically and at each [`Effect::WakeAt`]. A machine with a
+//! schedule of its own arms it from that boot tick.
 
 use std::sync::Arc;
 
@@ -23,7 +29,8 @@ pub enum Effect<M, E> {
     Broadcast(M),
     /// Send to one node.
     Send(NodeId, M),
-    /// Call [`SansIo::tick`] at this local time, besides the periodic tick.
+    /// Call [`SansIo::tick`] at this local time, besides the boot tick
+    /// and the periodic one.
     WakeAt(LocalTime),
     /// An observable event.
     Event(E),
@@ -42,12 +49,17 @@ pub trait SansIo {
     fn deliver(&mut self, now: LocalTime, from: NodeId, msg: &Self::Msg, buf: &mut Self::Buf);
 
     /// Feeds a wave: every message arrived at `now`, in arrival order.
+    /// The default delivers them one by one.
     fn deliver_wave(
         &mut self,
         now: LocalTime,
         wave: &[(NodeId, Arc<Self::Msg>)],
         buf: &mut Self::Buf,
-    );
+    ) {
+        for (from, msg) in wave {
+            self.deliver(now, *from, msg, buf);
+        }
+    }
 
     /// Runs the deadlines, cleanup and retries due by `now`.
     fn tick(&mut self, now: LocalTime, buf: &mut Self::Buf);

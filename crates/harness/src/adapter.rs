@@ -4,8 +4,11 @@
 //! routing for every machine, plus one [`Client`] timer chain.
 //! [`EngineProcess`] is that driver around an [`Engine`] with planned
 //! initiations; [`crate::PipelineProcess`] is the same driver around a
-//! slot pipeline with its client workload.
+//! slot pipeline with its client workload; [`Driver::bare`] hosts a
+//! Byzantine strategy or the lock-step baseline, which need no client.
 
+use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use ssbyz_core::{Effect, Engine, Event, InitiateError, Msg, Outbox, SansIo};
@@ -32,6 +35,13 @@ impl<V> From<Event<V>> for NodeEvent<V> {
     }
 }
 
+/// A Byzantine strategy observes nothing.
+impl<V> From<Infallible> for NodeEvent<V> {
+    fn from(never: Infallible) -> Self {
+        match never {}
+    }
+}
+
 /// Timer token: periodic machine tick.
 pub const TOKEN_TICK: u64 = 0;
 /// Timer token: precise machine wake-up (deadlines, retries).
@@ -44,19 +54,22 @@ pub trait Client<S: SansIo>: Send + 'static {
     /// What the node observes: the machine's events, and the client's.
     type Obs: From<S::Event>;
 
-    /// Arms the client's first timers, after the driver's tick.
-    fn start(&self, ctx: &mut Ctx<'_, S::Msg, Self::Obs>);
+    /// Arms the client's first timers, after the driver's tick. The
+    /// default arms none.
+    fn start(&self, _ctx: &mut Ctx<'_, S::Msg, Self::Obs>) {}
 
     /// A timer other than [`TOKEN_TICK`]/[`TOKEN_WAKE`] fired. The
     /// effects the call leaves in `buf` are routed next; a returned span
     /// then re-arms `token`.
     fn fire(
         &mut self,
-        machine: &mut S,
-        buf: &mut S::Buf,
-        ctx: &mut Ctx<'_, S::Msg, Self::Obs>,
-        token: u64,
-    ) -> Option<Duration>;
+        _machine: &mut S,
+        _buf: &mut S::Buf,
+        _ctx: &mut Ctx<'_, S::Msg, Self::Obs>,
+        _token: u64,
+    ) -> Option<Duration> {
+        None
+    }
 
     /// Re-arms the client's timers after a crash, after the driver's.
     fn recover(&self, _ctx: &mut Ctx<'_, S::Msg, Self::Obs>) {}
@@ -66,9 +79,10 @@ pub trait Client<S: SansIo>: Send + 'static {
 /// deliveries and timers into machine calls, and the machine's effects
 /// into sends, timers and observations.
 ///
-/// The driver keeps a periodic tick (every `tick`; scenarios default to
-/// 10 ms, just under their `d`) so cleanup and deadline blocks run even
-/// when no messages arrive, and honours each
+/// The driver ticks the machine once at boot, then keeps a periodic tick
+/// (every `tick`; scenarios default to 10 ms, just under their `d`) so
+/// cleanup and deadline blocks run even when no messages arrive, and
+/// honours each
 /// `WakeAt` with a [`TOKEN_WAKE`] timer. It owns one pooled output
 /// buffer for the life of the node, so a suppressed delivery under
 /// Byzantine spam performs zero heap allocations.
@@ -111,6 +125,8 @@ where
 {
     fn on_start(&mut self, ctx: &mut Ctx<'_, S::Msg, C::Obs>) {
         ctx.set_timer_after(self.tick, TOKEN_TICK);
+        self.machine.tick(ctx.now(), &mut self.buf);
+        self.apply(ctx);
         self.client.start(ctx);
     }
 
@@ -166,6 +182,23 @@ where
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
     }
+}
+
+/// A [`Driver`]'s client for a machine with no timers of its own beyond
+/// its wakes: a Byzantine strategy, or the lock-step baseline. `O` is
+/// what the node observes.
+pub struct Bare<O>(PhantomData<fn() -> O>);
+
+impl<S: SansIo, O> Driver<S, Bare<O>> {
+    /// Hosts `machine`, ticking every `tick`.
+    #[must_use]
+    pub fn bare(machine: S, tick: Duration) -> Self {
+        Driver::with_client(machine, tick, Bare(PhantomData))
+    }
+}
+
+impl<S: SansIo, O: From<S::Event> + 'static> Client<S> for Bare<O> {
+    type Obs = O;
 }
 
 /// Runs an [`Engine`] inside the simulator: the [`Driver`], plus

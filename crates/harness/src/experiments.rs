@@ -7,11 +7,11 @@
 //! renders them as the markdown `examples/experiments.rs` prints and
 //! `tests/recorded_traces.rs` folds.
 
-use ssbyz_baseline::run_baseline;
 use ssbyz_types::{Duration, NodeId, RealTime};
 
+use crate::baseline::run_baseline;
 use crate::checks;
-use crate::scenario::{ScenarioBuilder, ScenarioConfig, ScenarioResult};
+use crate::scenario::{self, ScenarioBuilder, ScenarioConfig, ScenarioResult};
 use crate::Violations;
 
 /// Margin added to paper bounds for simulation granularity (tick quanta,
@@ -153,7 +153,7 @@ pub fn e4_early_stopping(n: usize, f: usize, f_actual: usize, seeds: u64) -> E4R
         let mut b = ScenarioBuilder::new(cfg).correct_general(initiate_off, 7);
         for i in 1..n {
             if i >= n - f_actual {
-                b = b.byzantine(Box::new(SilentNode));
+                b = b.byzantine(scenario::strategy(SilentNode::default(), cfg.tick));
             } else {
                 b = b.correct();
             }
@@ -426,7 +426,7 @@ pub fn e2_byzantine_general(
     n: usize,
     f: usize,
     seeds: u64,
-    make: &dyn Fn(u64, &ssbyz_core::Params) -> crate::scenario::ScenarioProcess,
+    make: &dyn Fn(&ScenarioConfig, &ssbyz_core::Params) -> scenario::ScenarioProcess,
 ) -> E2Row {
     let mut decide_runs = 0usize;
     let mut quiet_runs = 0usize;
@@ -435,7 +435,7 @@ pub fn e2_byzantine_general(
     for seed in 0..seeds {
         let cfg = ScenarioConfig::new(n, f).with_seed(seed);
         let params = cfg.params().expect("valid");
-        let mut b = ScenarioBuilder::new(cfg).byzantine(make(seed, &params));
+        let mut b = ScenarioBuilder::new(cfg).byzantine(make(&cfg, &params));
         for _ in 1..n {
             b = b.correct();
         }
@@ -521,7 +521,7 @@ pub fn e3_termination(n: usize, f: usize, seeds: u64) -> Vec<E3Row> {
         let mut b = ScenarioBuilder::new(cfg).correct_general(off, 12);
         for i in 1..n {
             if i >= n - f {
-                b = b.byzantine(Box::new(SilentNode));
+                b = b.byzantine(scenario::strategy(SilentNode::default(), cfg.tick));
             } else {
                 b = b.correct();
             }
@@ -643,22 +643,15 @@ pub fn e8_unforgeability(n: usize, f: usize, seeds: u64) -> E8Row {
         let off = params.d() * 6u64;
         // Node 0: IA forger claiming General 1 initiated FORGED.
         // Node n−1 (if f ≥ 2): echo forger for a phantom broadcast.
-        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(IaForger::new(
-            NodeId::new(1),
-            FORGED,
-            params.d() / 2,
-        )));
+        let forger = IaForger::new(NodeId::new(1), FORGED, params.d() / 2);
+        let mut b = ScenarioBuilder::new(cfg).byzantine(scenario::strategy(forger, cfg.tick));
         for i in 1..n {
             if i == 1 {
                 b = b.correct_general(off, LEGIT);
             } else if i == n - 1 && f >= 2 {
-                b = b.byzantine(Box::new(EchoForger::new(
-                    NodeId::new(1),
-                    NodeId::new(2),
-                    FORGED,
-                    1,
-                    params.d() / 2,
-                )));
+                let forger =
+                    EchoForger::new(NodeId::new(1), NodeId::new(2), FORGED, 1, params.d() / 2);
+                b = b.byzantine(scenario::strategy(forger, cfg.tick));
             } else {
                 b = b.correct();
             }
@@ -712,10 +705,8 @@ pub fn e9_separation(n: usize, f: usize, seeds: u64) -> E9Row {
     for seed in 0..seeds {
         let cfg = ScenarioConfig::new(n, f).with_seed(seed);
         let params = cfg.params().expect("valid");
-        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(SpamGeneral::new(
-            vec![1, 2, 3, 4, 5, 6, 7, 8],
-            params.d() * 2u64,
-        )));
+        let spam = SpamGeneral::new(NodeId::new(0), (1..=8).collect(), params.d() * 2u64);
+        let mut b = ScenarioBuilder::new(cfg).byzantine(scenario::strategy(spam, cfg.tick));
         for _ in 1..n {
             b = b.correct();
         }
@@ -847,28 +838,35 @@ fn e1(seeds: u64) -> String {
 
 fn e2(seeds: u64) -> String {
     use ssbyz_adversary::{SpamGeneral, StaggeredGeneral, TwoFacedGeneral};
+    const G: NodeId = NodeId::new(0);
     let mut out = heading(
         "E2 — Agreement under a Byzantine General (n=7, f=2)",
         "strategy | runs | decide runs | quiet runs | max decide skew (≤3d) | violations",
     );
     let (n, f) = (7, 2);
     let rows = [
-        e2_byzantine_general("two-faced (split 3/3)", n, f, seeds, &|_, p| {
+        e2_byzantine_general("two-faced (split 3/3)", n, f, seeds, &|cfg, p| {
             let targets = (1..4).map(NodeId::new).collect();
-            Box::new(TwoFacedGeneral::new(100, 200, targets, p))
+            let general = TwoFacedGeneral::new(G, n, 100, 200, targets, p);
+            scenario::strategy(general, cfg.tick)
         }),
-        e2_byzantine_general("two-faced (split 1/5)", n, f, seeds, &|_, p| {
-            Box::new(TwoFacedGeneral::new(100, 200, vec![NodeId::new(1)], p))
+        e2_byzantine_general("two-faced (split 1/5)", n, f, seeds, &|cfg, p| {
+            let general = TwoFacedGeneral::new(G, n, 100, 200, vec![NodeId::new(1)], p);
+            scenario::strategy(general, cfg.tick)
         }),
         e2_byzantine_general(
             "staggered (same value, 10d spread)",
             n,
             f,
             seeds,
-            &|_, p| Box::new(StaggeredGeneral::new(300, p.d() * 2u64, p.d() * 10u64)),
+            &|cfg, p| {
+                let general = StaggeredGeneral::new(G, n, 300, p.d() * 2u64, p.d() * 10u64);
+                scenario::strategy(general, cfg.tick)
+            },
         ),
-        e2_byzantine_general("spam (5 values, every 2d)", n, f, seeds, &|_, p| {
-            Box::new(SpamGeneral::new(vec![1, 2, 3, 4, 5], p.d() * 2u64))
+        e2_byzantine_general("spam (5 values, every 2d)", n, f, seeds, &|cfg, p| {
+            let general = SpamGeneral::new(G, vec![1, 2, 3, 4, 5], p.d() * 2u64);
+            scenario::strategy(general, cfg.tick)
         }),
     ];
     let d = Duration::from_micros(10_001); // d of the default config

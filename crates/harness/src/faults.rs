@@ -32,7 +32,9 @@ use ssbyz_types::{Duration, NodeId, RealTime};
 use crate::adapter::{EngineProcess, TOKEN_WAKE};
 use crate::checks::{self, Violations};
 use crate::experiments::{filter_window, slack};
-use crate::scenario::{RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val};
+use crate::scenario::{
+    strategy, RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val,
+};
 
 /// One injectable fault. All node-targeting faults address nodes by id;
 /// real-time spans are measured from the moment the fault is applied.
@@ -654,11 +656,12 @@ pub fn run_campaign_spec(spec: &CampaignSpec) -> StabilizationReport {
     let mut b = ScenarioBuilder::new(cfg).correct_with_initiations(initiations);
     for i in 1..n {
         if stalker && i == n - 1 {
-            b = b.byzantine(Box::new(QuorumStalker::new(
-                vec![600, 601, 602],
-                d,
-                f.max(1),
-            )));
+            // Its draws get a stream of their own, apart from the
+            // simulator's, the clocks' and the faults'.
+            let me = NodeId::new(i as u32);
+            let node =
+                QuorumStalker::new(me, n, vec![600, 601, 602], d, f.max(1), seed ^ 0x57A1_CE55);
+            b = b.byzantine(strategy(node, cfg.tick));
         } else {
             b = b.correct();
         }

@@ -5,9 +5,11 @@
 //!
 //! * [`EngineProcess`], [`PipelineProcess`] and [`pulse::PulseNode`] run
 //!   an engine, a slot pipeline or the pulse construction inside the
-//!   simulator, through one driver;
+//!   simulator, through one driver, which also hosts every Byzantine
+//!   strategy ([`strategy`]) and the lock-step [`baseline`];
 //! * [`ScenarioBuilder`] wires correct / scrambled / Byzantine nodes with
-//!   drifting clocks, storms and planned initiations;
+//!   drifting clocks, storms (with the [`u64_corruptor`] and
+//!   [`u64_injector`]) and planned initiations;
 //! * [`checks`] states the paper's properties (Agreement, Validity,
 //!   Timeliness 1–4, [IA-1]/[IA-4]) as machine-checked predicates over a
 //!   [`ScenarioResult`], and the slot pipeline's over committed logs;
@@ -22,12 +24,14 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
+pub mod baseline;
 pub mod checks;
 pub mod experiments;
 pub mod faults;
 pub mod pipeline;
 pub mod pulse;
 pub mod scenario;
+mod storm;
 
 pub use adapter::{EngineProcess, NodeEvent, TOKEN_INITIATE_BASE, TOKEN_TICK, TOKEN_WAKE};
 pub use checks::Violations;
@@ -37,5 +41,7 @@ pub use faults::{
 };
 pub use pipeline::{PipelineProcess, PipelineScenario, Workload, PIPE_TOKEN_WORKLOAD};
 pub use scenario::{
-    DecisionRecord, IaRecord, RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val,
+    strategy, DecisionRecord, IaRecord, RunningScenario, ScenarioBuilder, ScenarioConfig,
+    ScenarioResult, Val,
 };
+pub use storm::{u64_corruptor, u64_injector};

@@ -39,7 +39,6 @@
 //! multiple of `d`) for the shapes that do synchronize.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use ssbyz_core::{Effect, Engine, Event, Msg, Outbox, Output, Params, SansIo};
 use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, Observation, SimBuilder, Simulation};
@@ -213,21 +212,11 @@ impl SansIo for Pulse {
     type Event = PulseEvent;
     type Buf = PulseBuf;
 
+    /// A wave takes the default, one message at a time: a pulse or a
+    /// hurry can land mid-wave.
     fn deliver(&mut self, now: LocalTime, from: NodeId, msg: &Msg<u64>, buf: &mut PulseBuf) {
         self.engine.on_message_ref(now, from, msg, &mut self.outbox);
         self.apply(now, buf);
-    }
-
-    /// One message at a time: a pulse or a hurry can land mid-wave.
-    fn deliver_wave(
-        &mut self,
-        now: LocalTime,
-        wave: &[(NodeId, Arc<Msg<u64>>)],
-        buf: &mut PulseBuf,
-    ) {
-        for (from, msg) in wave {
-            self.deliver(now, *from, msg, buf);
-        }
     }
 
     fn tick(&mut self, now: LocalTime, buf: &mut PulseBuf) {

@@ -8,14 +8,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use ssbyz_adversary::{u64_corruptor, u64_injector};
-use ssbyz_core::{Engine, Event, Msg, Params};
+use ssbyz_core::{Engine, Event, Msg, Params, SansIo};
 use ssbyz_simnet::{
     DriftClock, LinkConfig, Metrics, Process, SimBuilder, Simulation, StormConfig, WaveMode,
 };
 use ssbyz_types::{ConfigError, Duration, LocalTime, NodeId, RealTime};
 
-use crate::adapter::{EngineProcess, NodeEvent};
+use crate::adapter::{Driver, EngineProcess, NodeEvent};
+use crate::storm::{u64_corruptor, u64_injector};
 
 /// The concrete value type used by scenarios (the protocol itself is
 /// generic; the harness fixes `u64` for uniform tooling).
@@ -24,6 +24,18 @@ pub type Val = u64;
 pub type ScenarioMsg = Msg<Val>;
 /// The concrete process trait object of scenario simulations.
 pub type ScenarioProcess = Box<dyn Process<ScenarioMsg, NodeEvent<Val>>>;
+
+/// Hosts a Byzantine strategy (an `ssbyz-adversary` machine) on the
+/// simulator's [`Driver`], ticking every `tick` (the scenario's
+/// [`ScenarioConfig::tick`]), for [`ScenarioBuilder::byzantine`].
+pub fn strategy<S>(machine: S, tick: Duration) -> ScenarioProcess
+where
+    S: SansIo<Msg = ScenarioMsg> + Send + 'static,
+    S::Buf: Send,
+    NodeEvent<Val>: From<S::Event>,
+{
+    Box::new(Driver::bare(machine, tick))
+}
 
 /// Timing and membership configuration of a scenario.
 #[derive(Debug, Clone, Copy)]
@@ -123,11 +135,12 @@ impl ScenarioConfig {
 
 /// Per-node role in a scenario.
 enum Role {
-    /// A correct engine with planned initiations.
-    Correct { initiations: Vec<(Duration, Val)> },
-    /// A correct engine whose state is scrambled before start (transient
-    /// fault victim).
-    Scrambled { initiations: Vec<(Duration, Val)> },
+    /// A correct engine with planned initiations, its state scrambled
+    /// before start if `scrambled` (a transient fault victim).
+    Correct {
+        initiations: Vec<(Duration, Val)>,
+        scrambled: bool,
+    },
     /// A custom (usually Byzantine) process.
     Custom(ScenarioProcess),
 }
@@ -181,44 +194,39 @@ impl ScenarioBuilder {
 
     /// Adds a correct node.
     #[must_use]
-    pub fn correct(mut self) -> Self {
-        self.roles.push(Role::Correct {
-            initiations: Vec::new(),
-        });
-        self
+    pub fn correct(self) -> Self {
+        self.engine(Vec::new(), false)
     }
 
     /// Adds a correct node that will initiate `value` at local offset
     /// `offset` after start.
     #[must_use]
-    pub fn correct_general(mut self, offset: Duration, value: Val) -> Self {
-        self.roles.push(Role::Correct {
-            initiations: vec![(offset, value)],
-        });
-        self
+    pub fn correct_general(self, offset: Duration, value: Val) -> Self {
+        self.engine(vec![(offset, value)], false)
     }
 
     /// Adds a correct node with several planned initiations.
     #[must_use]
-    pub fn correct_with_initiations(mut self, initiations: Vec<(Duration, Val)>) -> Self {
-        self.roles.push(Role::Correct { initiations });
-        self
+    pub fn correct_with_initiations(self, initiations: Vec<(Duration, Val)>) -> Self {
+        self.engine(initiations, false)
     }
 
     /// Adds a correct node whose state is scrambled at boot.
     #[must_use]
-    pub fn scrambled(mut self) -> Self {
-        self.roles.push(Role::Scrambled {
-            initiations: Vec::new(),
-        });
-        self
+    pub fn scrambled(self) -> Self {
+        self.engine(Vec::new(), true)
     }
 
     /// Adds a scrambled node with planned initiations.
     #[must_use]
-    pub fn scrambled_general(mut self, offset: Duration, value: Val) -> Self {
-        self.roles.push(Role::Scrambled {
-            initiations: vec![(offset, value)],
+    pub fn scrambled_general(self, offset: Duration, value: Val) -> Self {
+        self.engine(vec![(offset, value)], true)
+    }
+
+    fn engine(mut self, initiations: Vec<(Duration, Val)>, scrambled: bool) -> Self {
+        self.roles.push(Role::Correct {
+            initiations,
+            scrambled,
         });
         self
     }
@@ -291,24 +299,21 @@ impl ScenarioBuilder {
                 self.cfg.drifting_clock(&mut rng, None)
             };
             let process: ScenarioProcess = match role {
-                Role::Correct { initiations } => {
+                Role::Correct {
+                    initiations,
+                    scrambled,
+                } => {
                     let mut p = EngineProcess::new(Engine::new(id, self.params), self.cfg.tick);
                     for (off, v) in initiations {
                         p = p.with_initiation(off, v);
                     }
-                    correct.push(id);
-                    Box::new(p)
-                }
-                Role::Scrambled { initiations } => {
-                    let mut p = EngineProcess::new(Engine::new(id, self.params), self.cfg.tick);
-                    for (off, v) in initiations {
-                        p = p.with_initiation(off, v);
+                    if scrambled {
+                        let boot_local = clock.local_at(RealTime::ZERO);
+                        p.engine_mut()
+                            .scramble(boot_local, &mut || rng.next_u64(), &mut |e| {
+                                e.next_u64() % 64
+                            });
                     }
-                    let boot_local = clock.local_at(RealTime::ZERO);
-                    p.engine_mut()
-                        .scramble(boot_local, &mut || rng.next_u64(), &mut |e| {
-                            e.next_u64() % 64
-                        });
                     correct.push(id);
                     Box::new(p)
                 }
@@ -456,11 +461,6 @@ impl RunningScenario {
     /// Runs until the given real time.
     pub fn run_until(&mut self, t: RealTime) {
         self.sim.run_until(t);
-    }
-
-    /// Runs for a real-time span.
-    pub fn run_for(&mut self, span: Duration) {
-        self.sim.run_for(span);
     }
 
     /// Extracts the distilled result (convert local times to real via each

@@ -1,5 +1,5 @@
-//! Transient-fault tooling: message corruptors and spurious-traffic
-//! generators backed by `rand`.
+//! The simulator's storm phase for `Msg<u64>`: a message corruptor and a
+//! spurious-traffic injector, both drawing from the simulator's RNG.
 
 use rand::rngs::StdRng;
 use rand::RngCore;

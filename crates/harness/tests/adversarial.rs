@@ -1,9 +1,9 @@
 //! Adversarial end-to-end scenarios: Byzantine Generals, early stopping,
 //! convergence from arbitrary state.
 
-use ssbyz_adversary::{SilentNode, SpamGeneral, TwoFacedGeneral};
+use ssbyz_adversary::{EchoForger, SilentNode, SpamGeneral, TwoFacedGeneral};
 use ssbyz_harness::experiments::{e4_early_stopping, e5_message_driven, e6_convergence};
-use ssbyz_harness::{checks, ScenarioBuilder, ScenarioConfig};
+use ssbyz_harness::{checks, strategy, ScenarioBuilder, ScenarioConfig};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
 #[test]
@@ -12,8 +12,8 @@ fn two_faced_general_never_splits_agreement() {
         let cfg = ScenarioConfig::new(7, 2).with_seed(seed);
         let params = cfg.params().unwrap();
         let side_a: Vec<NodeId> = (1..4).map(NodeId::new).collect();
-        let mut b = ScenarioBuilder::new(cfg)
-            .byzantine(Box::new(TwoFacedGeneral::new(100, 200, side_a, &params)));
+        let general = TwoFacedGeneral::new(NodeId::new(0), 7, 100, 200, side_a, &params);
+        let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
         for _ in 1..7 {
             b = b.correct();
         }
@@ -25,15 +25,44 @@ fn two_faced_general_never_splits_agreement() {
     }
 }
 
+/// A Byzantine node crashed across its strike instant strikes again once
+/// it is back: the driver re-ticks it on recovery, and its cadence runs
+/// on from there.
+#[test]
+fn crashed_strategy_resumes_its_cadence_after_recovery() {
+    let cfg = ScenarioConfig::new(4, 1).with_seed(1);
+    let period = Duration::from_millis(5);
+    let forger = EchoForger::new(NodeId::new(1), NodeId::new(2), 666, 1, period);
+    let mut b = ScenarioBuilder::new(cfg)
+        .ideal_clocks()
+        .byzantine(strategy(forger, cfg.tick));
+    for _ in 1..4 {
+        b = b.byzantine(strategy(SilentNode::default(), cfg.tick));
+    }
+    let mut sc = b.build();
+    let ms = |ms: u64| RealTime::ZERO + Duration::from_millis(ms);
+    sc.run_until(ms(2));
+    sc.sim_mut()
+        .crash_node(NodeId::new(0), Duration::from_millis(10));
+    sc.run_until(ms(11));
+    assert_eq!(sc.sim().metrics().sent, 0, "down across its 5 ms strike");
+    sc.run_until(ms(30));
+    // Strikes at 12 ms (the recovery tick), 17, 22 and 27 ms: three
+    // broadcasts to four nodes each.
+    assert_eq!(sc.sim().metrics().sent, 4 * 3 * 4);
+}
+
 #[test]
 fn spam_general_respects_separation() {
     for seed in 0..3 {
         let cfg = ScenarioConfig::new(7, 2).with_seed(seed);
         let params = cfg.params().unwrap();
-        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(SpamGeneral::new(
+        let general = SpamGeneral::new(
+            NodeId::new(0),
             vec![1, 2, 3, 4, 5],
             params.d() * 2u64, // way below Δ0 = 13d
-        )));
+        );
+        let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
         for _ in 1..7 {
             b = b.correct();
         }
@@ -98,7 +127,7 @@ fn silent_faults_still_decide() {
     let mut b = ScenarioBuilder::new(cfg).correct_general(off, 77);
     for i in 1..7 {
         if i >= 5 {
-            b = b.byzantine(Box::new(SilentNode));
+            b = b.byzantine(strategy(SilentNode::default(), cfg.tick));
         } else {
             b = b.correct();
         }

@@ -5,9 +5,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use ssbyz_adversary::{u64_corruptor, u64_injector};
 use ssbyz_core::{Engine, Msg, Outbox, Params};
-use ssbyz_harness::{EngineProcess, NodeEvent};
+use ssbyz_harness::{u64_corruptor, u64_injector, EngineProcess, NodeEvent};
 use ssbyz_simnet::{Ctx, DriftClock, LinkConfig, Process, SimBuilder, StormConfig};
 use ssbyz_types::{Duration, NodeId, RealTime};
 

@@ -341,8 +341,9 @@ impl<S: Hosted, T: Transport<S::Msg>> Host<S, T> {
     }
 }
 
-/// The node thread: hands each command to the machine, ticks it every
-/// `tick` and at each `WakeAt`, and routes its effects.
+/// The node thread: ticks the machine once at boot, hands it each
+/// command, ticks it every `tick` and at each `WakeAt`, and routes its
+/// effects.
 fn node_loop<S: Hosted, Tx: TransportTx<S::Msg>>(
     id: NodeId,
     mut machine: S,
@@ -355,7 +356,8 @@ fn node_loop<S: Hosted, Tx: TransportTx<S::Msg>>(
     // One pooled output buffer for the thread's lifetime.
     let mut buf = S::Buf::default();
     let tick: StdDuration = tick.into();
-    let mut next_tick = Instant::now() + tick;
+    // Due at once: the boot tick runs before any command.
+    let mut next_tick = Instant::now();
     loop {
         // A due tick goes before the next command: a timed receive hands
         // out a queued command even past its deadline, so a node whose
@@ -646,7 +648,6 @@ mod tests {
             std::thread::sleep(StdDuration::from_millis(1));
             self.0.lock().push('d');
         }
-        fn deliver_wave(&mut self, _: LocalTime, _: &[(NodeId, Arc<()>)], (): &mut ()) {}
         fn tick(&mut self, _: LocalTime, (): &mut ()) {
             self.0.lock().push('t');
         }
@@ -694,6 +695,7 @@ mod tests {
             Instant::now(),
         );
         let calls = calls.lock();
+        assert_eq!(calls.first(), Some(&'t'), "the boot tick comes first");
         let last = calls
             .iter()
             .rposition(|&c| c == 'd')

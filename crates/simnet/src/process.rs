@@ -91,7 +91,8 @@ impl<'a, M, O> Ctx<'a, M, O> {
         self.outbox.push(Effect::Observe(obs));
     }
 
-    /// Deterministic per-simulation entropy (used by Byzantine strategies).
+    /// Deterministic per-simulation entropy, for processes that have no
+    /// seeded RNG of their own.
     pub fn rand_u64(&mut self) -> u64 {
         (self.rng_words)()
     }
@@ -137,7 +138,8 @@ pub trait Process<M, O>: Send {
     /// Determinism contract: a handler reachable from this path must not
     /// draw `rand_u64`/`rand_below` — the simulator's coalescing gate
     /// assumes delivery handlers leave the seeded RNG stream untouched
-    /// (timers are where the adversary strategies draw).
+    /// (no shipped process draws from it at all: the strategies that
+    /// need randomness carry their own seeded RNG).
     fn on_message_batch(&mut self, ctx: &mut Ctx<'_, M, O>, batch: &[(NodeId, Arc<M>)]) {
         for (from, msg) in batch {
             self.on_message(ctx, *from, msg);

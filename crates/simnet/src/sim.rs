@@ -823,8 +823,8 @@ impl<M: Clone, O> Simulation<M, O> {
     /// stream: with a deterministic link delay routing draws nothing, and
     /// outside a storm window no drop/corrupt/duplicate draws occur.
     /// Delivery handlers themselves draw no randomness (the
-    /// [`Process::on_message_batch`] determinism contract; every shipped
-    /// adversary strategy draws in `on_timer` only), so reordering them
+    /// [`Process::on_message_batch`] determinism contract; no shipped
+    /// process draws from the simulator's stream), so reordering them
     /// within an instant leaves every downstream draw identical.
     fn draw_free_at(&self, at: RealTime) -> bool {
         self.link.delay_min == self.link.delay_max && !self.storm.is_some_and(|s| s.active_at(at))

@@ -7,7 +7,7 @@
 //! ```
 
 use ssbyz::adversary::TwoFacedGeneral;
-use ssbyz::harness::{checks, ScenarioBuilder, ScenarioConfig};
+use ssbyz::harness::{checks, strategy, ScenarioBuilder, ScenarioConfig};
 use ssbyz::{NodeId, RealTime};
 
 fn main() {
@@ -18,12 +18,15 @@ fn main() {
     ] {
         let cfg = ScenarioConfig::new(7, 2).with_seed(7);
         let params = cfg.params().expect("n > 3f");
-        let mut builder = ScenarioBuilder::new(cfg).byzantine(Box::new(TwoFacedGeneral::new(
+        let general = TwoFacedGeneral::new(
+            NodeId::new(0),
+            7,
             100, // value shown to side A
             200, // value shown to side B
             side_a.clone(),
             &params,
-        )));
+        );
+        let mut builder = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
         for _ in 1..7 {
             builder = builder.correct();
         }

@@ -13,12 +13,11 @@
 //! |---|---|---|
 //! | [`core`] | `ssbyz-core` | `Initiator-Accept`, `msgd-broadcast`, `ss-Byz-Agree`, the per-node [`Engine`], the slot pipeline, and the `SansIo` seam both present to a host |
 //! | [`simnet`] | `ssbyz-simnet` | deterministic simulator: drifting clocks, bounded-delay links, fault storms |
-//! | [`adversary`] | `ssbyz-adversary` | Byzantine strategies & transient-fault tooling |
-//! | [`baseline`] | `ssbyz-baseline` | time-driven lock-step comparator (TPS-87 style) |
+//! | [`adversary`] | `ssbyz-adversary` | Byzantine strategies, each a `SansIo` machine |
 //! | [`pulse`] | `ssbyz-harness` | pulse synchronization built atop the agreement: a `SansIo` machine on the harness driver |
 //! | [`runtime`] | `ssbyz-runtime` | one threaded wall-clock host for both machines: `Cluster` (engines) and `PipelineCluster` (slot pipelines) |
 //! | [`wire`] | `ssbyz-wire` | authenticated binary codec, MAC'd framing, TCP readiness-loop reactor, the payload-generic `Transport` seam |
-//! | [`harness`] | `ssbyz-harness` | the one simulator driver for both machines, scenarios, property checkers, experiment drivers |
+//! | [`harness`] | `ssbyz-harness` | the one simulator driver for every machine (engine, slot pipeline, pulse, strategies, the time-driven lock-step baseline in `harness::baseline`), scenarios, storms, property checkers, experiment drivers |
 //!
 //! ## Quickstart (deterministic simulation)
 //!
@@ -60,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub use ssbyz_adversary as adversary;
-pub use ssbyz_baseline as baseline;
 pub use ssbyz_core as core;
 pub use ssbyz_harness as harness;
 pub use ssbyz_harness::pulse;
