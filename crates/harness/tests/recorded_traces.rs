@@ -507,7 +507,7 @@ fn campaign_bursts() {
         0xbb0d_3bfa_38fa_2738,
         0x72de_5492_228d_d620,
         0x292f_fd9c_ce19_47e4,
-        0xde3a_63fd_0b14_5404,
+        0xa566_96dc_c99e_a3da,
     ];
     let rows: Vec<(String, u64, Trace)> = CampaignFamily::ALL
         .iter()
