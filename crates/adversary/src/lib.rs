@@ -32,11 +32,11 @@ use ssbyz_types::{Duration, LocalTime};
 /// an event.
 type Out<V> = Vec<Effect<Msg<V>, Infallible>>;
 
-/// Implements `SansIo` for strategies that strike: on every tick its
-/// cadence finds due, a strategy calls its own
-/// `strike(&mut self, out: &mut Out<V>)`, then arms the next wake. It
-/// ignores what it hears, unless named as `Name(method)`: then each
-/// delivery's sender goes to `method`.
+/// Implements `SansIo` for striking strategies: a tick that the
+/// strategy's `cadence` finds due calls its
+/// `strike(&mut self, out: &mut Out<V>)`, then arms the next wake.
+/// Deliveries are ignored, unless the strategy is named as
+/// `Name(method)`: then each sender goes to `method`.
 macro_rules! striking {
     ($($name:ident $(($hear:ident))?),+) => {$(
         impl<V: Value> SansIo for $name<V> {

@@ -9,6 +9,7 @@
 
 use ssbyz_types::{Duration, NodeId, RealTime};
 
+use crate::adapter::Driver;
 use crate::baseline::run_baseline;
 use crate::checks;
 use crate::scenario::{self, ScenarioBuilder, ScenarioConfig, ScenarioResult};
@@ -153,7 +154,7 @@ pub fn e4_early_stopping(n: usize, f: usize, f_actual: usize, seeds: u64) -> E4R
         let mut b = ScenarioBuilder::new(cfg).correct_general(initiate_off, 7);
         for i in 1..n {
             if i >= n - f_actual {
-                b = b.byzantine(scenario::strategy(SilentNode::default(), cfg.tick));
+                b = b.byzantine(Box::new(Driver::bare(SilentNode::default(), cfg.tick)));
             } else {
                 b = b.correct();
             }
@@ -521,7 +522,7 @@ pub fn e3_termination(n: usize, f: usize, seeds: u64) -> Vec<E3Row> {
         let mut b = ScenarioBuilder::new(cfg).correct_general(off, 12);
         for i in 1..n {
             if i >= n - f {
-                b = b.byzantine(scenario::strategy(SilentNode::default(), cfg.tick));
+                b = b.byzantine(Box::new(Driver::bare(SilentNode::default(), cfg.tick)));
             } else {
                 b = b.correct();
             }
@@ -644,14 +645,14 @@ pub fn e8_unforgeability(n: usize, f: usize, seeds: u64) -> E8Row {
         // Node 0: IA forger claiming General 1 initiated FORGED.
         // Node n−1 (if f ≥ 2): echo forger for a phantom broadcast.
         let forger = IaForger::new(NodeId::new(1), FORGED, params.d() / 2);
-        let mut b = ScenarioBuilder::new(cfg).byzantine(scenario::strategy(forger, cfg.tick));
+        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(forger, cfg.tick)));
         for i in 1..n {
             if i == 1 {
                 b = b.correct_general(off, LEGIT);
             } else if i == n - 1 && f >= 2 {
                 let forger =
                     EchoForger::new(NodeId::new(1), NodeId::new(2), FORGED, 1, params.d() / 2);
-                b = b.byzantine(scenario::strategy(forger, cfg.tick));
+                b = b.byzantine(Box::new(Driver::bare(forger, cfg.tick)));
             } else {
                 b = b.correct();
             }
@@ -706,7 +707,7 @@ pub fn e9_separation(n: usize, f: usize, seeds: u64) -> E9Row {
         let cfg = ScenarioConfig::new(n, f).with_seed(seed);
         let params = cfg.params().expect("valid");
         let spam = SpamGeneral::new(NodeId::new(0), (1..=8).collect(), params.d() * 2u64);
-        let mut b = ScenarioBuilder::new(cfg).byzantine(scenario::strategy(spam, cfg.tick));
+        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(spam, cfg.tick)));
         for _ in 1..n {
             b = b.correct();
         }
@@ -848,11 +849,11 @@ fn e2(seeds: u64) -> String {
         e2_byzantine_general("two-faced (split 3/3)", n, f, seeds, &|cfg, p| {
             let targets = (1..4).map(NodeId::new).collect();
             let general = TwoFacedGeneral::new(G, n, 100, 200, targets, p);
-            scenario::strategy(general, cfg.tick)
+            Box::new(Driver::bare(general, cfg.tick))
         }),
         e2_byzantine_general("two-faced (split 1/5)", n, f, seeds, &|cfg, p| {
             let general = TwoFacedGeneral::new(G, n, 100, 200, vec![NodeId::new(1)], p);
-            scenario::strategy(general, cfg.tick)
+            Box::new(Driver::bare(general, cfg.tick))
         }),
         e2_byzantine_general(
             "staggered (same value, 10d spread)",
@@ -861,12 +862,12 @@ fn e2(seeds: u64) -> String {
             seeds,
             &|cfg, p| {
                 let general = StaggeredGeneral::new(G, n, 300, p.d() * 2u64, p.d() * 10u64);
-                scenario::strategy(general, cfg.tick)
+                Box::new(Driver::bare(general, cfg.tick))
             },
         ),
         e2_byzantine_general("spam (5 values, every 2d)", n, f, seeds, &|cfg, p| {
             let general = SpamGeneral::new(G, vec![1, 2, 3, 4, 5], p.d() * 2u64);
-            scenario::strategy(general, cfg.tick)
+            Box::new(Driver::bare(general, cfg.tick))
         }),
     ];
     let d = Duration::from_micros(10_001); // d of the default config

@@ -29,12 +29,10 @@ use ssbyz_adversary::QuorumStalker;
 use ssbyz_simnet::Partition;
 use ssbyz_types::{Duration, NodeId, RealTime};
 
-use crate::adapter::{EngineProcess, TOKEN_WAKE};
+use crate::adapter::{Driver, EngineProcess, TOKEN_WAKE};
 use crate::checks::{self, Violations};
 use crate::experiments::{filter_window, slack};
-use crate::scenario::{
-    strategy, RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val,
-};
+use crate::scenario::{RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val};
 
 /// One injectable fault. All node-targeting faults address nodes by id;
 /// real-time spans are measured from the moment the fault is applied.
@@ -661,7 +659,7 @@ pub fn run_campaign_spec(spec: &CampaignSpec) -> StabilizationReport {
             let me = NodeId::new(i as u32);
             let node =
                 QuorumStalker::new(me, n, vec![600, 601, 602], d, f.max(1), seed ^ 0x57A1_CE55);
-            b = b.byzantine(strategy(node, cfg.tick));
+            b = b.byzantine(Box::new(Driver::bare(node, cfg.tick)));
         } else {
             b = b.correct();
         }

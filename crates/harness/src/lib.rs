@@ -5,8 +5,8 @@
 //!
 //! * [`EngineProcess`], [`PipelineProcess`] and [`pulse::PulseNode`] run
 //!   an engine, a slot pipeline or the pulse construction inside the
-//!   simulator, through one driver, which also hosts every Byzantine
-//!   strategy ([`strategy`]) and the lock-step [`baseline`];
+//!   simulator, through one [`Driver`], which also hosts every Byzantine
+//!   strategy and the lock-step [`baseline`] ([`Driver::bare`]);
 //! * [`ScenarioBuilder`] wires correct / scrambled / Byzantine nodes with
 //!   drifting clocks, storms (with the [`u64_corruptor`] and
 //!   [`u64_injector`]) and planned initiations;
@@ -33,7 +33,7 @@ pub mod pulse;
 pub mod scenario;
 mod storm;
 
-pub use adapter::{EngineProcess, NodeEvent, TOKEN_INITIATE_BASE, TOKEN_TICK, TOKEN_WAKE};
+pub use adapter::{Driver, EngineProcess, NodeEvent, TOKEN_INITIATE_BASE, TOKEN_TICK, TOKEN_WAKE};
 pub use checks::Violations;
 pub use faults::{
     run_campaign, BurstReport, CampaignFamily, Fault, FaultSchedule, StabilizationReport,
@@ -41,7 +41,6 @@ pub use faults::{
 };
 pub use pipeline::{PipelineProcess, PipelineScenario, Workload, PIPE_TOKEN_WORKLOAD};
 pub use scenario::{
-    strategy, DecisionRecord, IaRecord, RunningScenario, ScenarioBuilder, ScenarioConfig,
-    ScenarioResult, Val,
+    DecisionRecord, IaRecord, RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Val,
 };
 pub use storm::{u64_corruptor, u64_injector};

@@ -8,13 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use ssbyz_core::{Engine, Event, Msg, Params, SansIo};
+use ssbyz_core::{Engine, Event, Msg, Params};
 use ssbyz_simnet::{
     DriftClock, LinkConfig, Metrics, Process, SimBuilder, Simulation, StormConfig, WaveMode,
 };
 use ssbyz_types::{ConfigError, Duration, LocalTime, NodeId, RealTime};
 
-use crate::adapter::{Driver, EngineProcess, NodeEvent};
+use crate::adapter::{EngineProcess, NodeEvent};
 use crate::storm::{u64_corruptor, u64_injector};
 
 /// The concrete value type used by scenarios (the protocol itself is
@@ -24,18 +24,6 @@ pub type Val = u64;
 pub type ScenarioMsg = Msg<Val>;
 /// The concrete process trait object of scenario simulations.
 pub type ScenarioProcess = Box<dyn Process<ScenarioMsg, NodeEvent<Val>>>;
-
-/// Hosts a Byzantine strategy (an `ssbyz-adversary` machine) on the
-/// simulator's [`Driver`], ticking every `tick` (the scenario's
-/// [`ScenarioConfig::tick`]), for [`ScenarioBuilder::byzantine`].
-pub fn strategy<S>(machine: S, tick: Duration) -> ScenarioProcess
-where
-    S: SansIo<Msg = ScenarioMsg> + Send + 'static,
-    S::Buf: Send,
-    NodeEvent<Val>: From<S::Event>,
-{
-    Box::new(Driver::bare(machine, tick))
-}
 
 /// Timing and membership configuration of a scenario.
 #[derive(Debug, Clone, Copy)]
@@ -231,7 +219,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Adds a custom (Byzantine) process.
+    /// Adds a custom (Byzantine) process: an `ssbyz-adversary` strategy
+    /// goes in as `Box::new(Driver::bare(strategy, cfg.tick))`.
     #[must_use]
     pub fn byzantine(mut self, p: ScenarioProcess) -> Self {
         self.roles.push(Role::Custom(p));

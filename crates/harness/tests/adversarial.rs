@@ -3,7 +3,7 @@
 
 use ssbyz_adversary::{EchoForger, SilentNode, SpamGeneral, TwoFacedGeneral};
 use ssbyz_harness::experiments::{e4_early_stopping, e5_message_driven, e6_convergence};
-use ssbyz_harness::{checks, strategy, ScenarioBuilder, ScenarioConfig};
+use ssbyz_harness::{checks, Driver, ScenarioBuilder, ScenarioConfig};
 use ssbyz_types::{Duration, NodeId, RealTime};
 
 #[test]
@@ -13,7 +13,7 @@ fn two_faced_general_never_splits_agreement() {
         let params = cfg.params().unwrap();
         let side_a: Vec<NodeId> = (1..4).map(NodeId::new).collect();
         let general = TwoFacedGeneral::new(NodeId::new(0), 7, 100, 200, side_a, &params);
-        let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
+        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(general, cfg.tick)));
         for _ in 1..7 {
             b = b.correct();
         }
@@ -35,9 +35,9 @@ fn crashed_strategy_resumes_its_cadence_after_recovery() {
     let forger = EchoForger::new(NodeId::new(1), NodeId::new(2), 666, 1, period);
     let mut b = ScenarioBuilder::new(cfg)
         .ideal_clocks()
-        .byzantine(strategy(forger, cfg.tick));
+        .byzantine(Box::new(Driver::bare(forger, cfg.tick)));
     for _ in 1..4 {
-        b = b.byzantine(strategy(SilentNode::default(), cfg.tick));
+        b = b.byzantine(Box::new(Driver::bare(SilentNode::default(), cfg.tick)));
     }
     let mut sc = b.build();
     let ms = |ms: u64| RealTime::ZERO + Duration::from_millis(ms);
@@ -62,7 +62,7 @@ fn spam_general_respects_separation() {
             vec![1, 2, 3, 4, 5],
             params.d() * 2u64, // way below Δ0 = 13d
         );
-        let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
+        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(general, cfg.tick)));
         for _ in 1..7 {
             b = b.correct();
         }
@@ -127,7 +127,7 @@ fn silent_faults_still_decide() {
     let mut b = ScenarioBuilder::new(cfg).correct_general(off, 77);
     for i in 1..7 {
         if i >= 5 {
-            b = b.byzantine(strategy(SilentNode::default(), cfg.tick));
+            b = b.byzantine(Box::new(Driver::bare(SilentNode::default(), cfg.tick)));
         } else {
             b = b.correct();
         }

@@ -60,7 +60,7 @@ use ssbyz_harness::checks;
 use ssbyz_harness::experiments::{slack, TABLES, TABLE_SEEDS};
 use ssbyz_harness::faults::{campaign_settle, run_campaign_spec, CampaignSpec};
 use ssbyz_harness::{
-    run_campaign, strategy, CampaignFamily, Fault, FaultSchedule, NodeEvent, PipelineScenario,
+    run_campaign, CampaignFamily, Driver, Fault, FaultSchedule, NodeEvent, PipelineScenario,
     RunningScenario, ScenarioBuilder, ScenarioConfig, ScenarioResult, Workload,
 };
 use ssbyz_simnet::{Metrics, Observation, StormConfig, WaveMode};
@@ -451,14 +451,14 @@ fn byzantine_fixed_delay() {
         .correct()
         .correct()
         .correct()
-        .byzantine(strategy(
+        .byzantine(Box::new(Driver::bare(
             EchoForger::new(NodeId::new(0), NodeId::new(1), 666, 1, d / 2),
             cfg.tick,
-        ))
-        .byzantine(strategy(
+        )))
+        .byzantine(Box::new(Driver::bare(
             EchoForger::new(NodeId::new(0), NodeId::new(2), 667, 2, d / 3),
             cfg.tick,
-        ))
+        )))
         .build();
     sc.sim_mut()
         .set_down_until(NodeId::new(4), RealTime::from_nanos(30_000_000));

@@ -292,7 +292,7 @@ fn fault_schedule_fixed_delay_scenario_is_equivalent_across_wave_modes() {
 #[test]
 fn adversarial_fixed_delay_scenario_is_equivalent_across_wave_modes() {
     use ssbyz_adversary::EchoForger;
-    use ssbyz_harness::strategy;
+    use ssbyz_harness::Driver;
 
     let run_adv = |mode: WaveMode| {
         let cfg = ScenarioConfig::new(7, 2)
@@ -306,14 +306,14 @@ fn adversarial_fixed_delay_scenario_is_equivalent_across_wave_modes() {
             .correct()
             .correct()
             .correct()
-            .byzantine(strategy(
+            .byzantine(Box::new(Driver::bare(
                 EchoForger::new(NodeId::new(0), NodeId::new(1), 666, 1, params.d() / 2),
                 cfg.tick,
-            ))
-            .byzantine(strategy(
+            )))
+            .byzantine(Box::new(Driver::bare(
                 EchoForger::new(NodeId::new(0), NodeId::new(2), 667, 2, params.d() / 3),
                 cfg.tick,
-            ))
+            )))
             .build();
         // Node 4 rides out a crash before the initiation at 50ms: with
         // two Byzantine forgers the strong quorum needs all five correct

@@ -7,7 +7,7 @@
 //! ```
 
 use ssbyz::adversary::TwoFacedGeneral;
-use ssbyz::harness::{checks, strategy, ScenarioBuilder, ScenarioConfig};
+use ssbyz::harness::{checks, Driver, ScenarioBuilder, ScenarioConfig};
 use ssbyz::{NodeId, RealTime};
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
             side_a.clone(),
             &params,
         );
-        let mut builder = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
+        let mut builder =
+            ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(general, cfg.tick)));
         for _ in 1..7 {
             builder = builder.correct();
         }

@@ -3,7 +3,7 @@
 
 use ssbyz::adversary::{EchoForger, GarbageNode, IaForger, SilentNode, StaggeredGeneral};
 use ssbyz::harness::experiments::{e8_unforgeability, slack};
-use ssbyz::harness::{checks, strategy, ScenarioBuilder, ScenarioConfig};
+use ssbyz::harness::{checks, Driver, ScenarioBuilder, ScenarioConfig};
 use ssbyz::{NodeId, RealTime};
 
 /// f garbage-flooding nodes cannot stop a correct General's agreement.
@@ -20,7 +20,7 @@ fn garbage_flood_does_not_block_agreement() {
                 let values = vec![1, 2, 3, 31, 99];
                 let garbage =
                     GarbageNode::new(me, 7, params.d() / 4, values, params.max_round(), seed);
-                b = b.byzantine(strategy(garbage, cfg.tick));
+                b = b.byzantine(Box::new(Driver::bare(garbage, cfg.tick)));
             } else {
                 b = b.correct();
             }
@@ -66,7 +66,7 @@ fn staggered_general_consistent() {
             params.d() * 2u64,
             params.d() * spread_d,
         );
-        let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
+        let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(general, cfg.tick)));
         for _ in 1..7 {
             b = b.correct();
         }
@@ -92,13 +92,13 @@ fn combined_forgers_at_full_budget() {
     let off = params.d() * 6u64;
     // Node 0: forges IA stages for a phantom initiation by node 1.
     let forger = IaForger::new(NodeId::new(1), 666, params.d() / 2);
-    let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(forger, cfg.tick));
+    let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(forger, cfg.tick)));
     for i in 1..7 {
         if i == 1 {
             b = b.correct_general(off, 44);
         } else if i == 6 {
             let forger = EchoForger::new(NodeId::new(1), NodeId::new(2), 666, 1, params.d() / 2);
-            b = b.byzantine(strategy(forger, cfg.tick));
+            b = b.byzantine(Box::new(Driver::bare(forger, cfg.tick)));
         } else {
             b = b.correct();
         }
@@ -122,7 +122,7 @@ fn silent_budget_does_not_slow_validity_path() {
         let mut b = ScenarioBuilder::new(cfg).correct_general(off, 8);
         for i in 1..10 {
             if i >= 10 - silent {
-                b = b.byzantine(strategy(SilentNode::default(), cfg.tick));
+                b = b.byzantine(Box::new(Driver::bare(SilentNode::default(), cfg.tick)));
             } else {
                 b = b.correct();
             }

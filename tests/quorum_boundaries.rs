@@ -2,7 +2,7 @@
 //! the support/approve quorums flip from fizzle to completion.
 
 use ssbyz::adversary::PartialGeneral;
-use ssbyz::harness::{checks, strategy, ScenarioBuilder, ScenarioConfig};
+use ssbyz::harness::{checks, Driver, ScenarioBuilder, ScenarioConfig};
 use ssbyz::{NodeId, RealTime};
 
 fn run_partial(targets: usize, seed: u64) -> (Vec<u64>, usize) {
@@ -11,7 +11,7 @@ fn run_partial(targets: usize, seed: u64) -> (Vec<u64>, usize) {
     let params = cfg.params().unwrap();
     let recipients: Vec<NodeId> = (1..=targets as u32).map(NodeId::new).collect();
     let general = PartialGeneral::new(NodeId::new(0), 500, recipients, params.d() * 2u64);
-    let mut b = ScenarioBuilder::new(cfg).byzantine(strategy(general, cfg.tick));
+    let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(general, cfg.tick)));
     for _ in 1..n {
         b = b.correct();
     }
