@@ -35,20 +35,13 @@ pub struct TwoFacedGeneral<V> {
 }
 
 impl<V: Value> TwoFacedGeneral<V> {
-    /// Creates the strategy for node `me` of `n`. `side_a` receives
-    /// `value_a`; everyone else receives `value_b`.
+    /// Creates the strategy for node `me`. `side_a` receives `value_a`;
+    /// everyone else receives `value_b`.
     #[must_use]
-    pub fn new(
-        me: NodeId,
-        n: usize,
-        value_a: V,
-        value_b: V,
-        side_a: Vec<NodeId>,
-        params: &Params,
-    ) -> Self {
+    pub fn new(me: NodeId, value_a: V, value_b: V, side_a: Vec<NodeId>, params: &Params) -> Self {
         TwoFacedGeneral {
             me,
-            n,
+            n: params.n(),
             value_a: Arc::new(value_a),
             value_b: Arc::new(value_b),
             side_a,

@@ -61,7 +61,7 @@ fn two_faced_general_splits_then_reinforces_each_side() {
     let params = Params::from_d(4, 1, Duration::from_millis(10), 0).unwrap();
     let d = params.d();
     let me = NodeId::new(0);
-    let mut general = TwoFacedGeneral::new(me, 4, 100u64, 200, vec![NodeId::new(1)], &params);
+    let mut general = TwoFacedGeneral::new(me, 100u64, 200, vec![NodeId::new(1)], &params);
     assert_eq!(
         tick(&mut general, BOOT),
         vec![Effect::WakeAt(BOOT + d * 2u64)]

@@ -82,10 +82,9 @@ pub trait Client<S: SansIo>: Send + 'static {
 /// The driver ticks the machine once at boot, then keeps a periodic tick
 /// (every `tick`; scenarios default to 10 ms, just under their `d`) so
 /// cleanup and deadline blocks run even when no messages arrive, and
-/// honours each
-/// `WakeAt` with a [`TOKEN_WAKE`] timer. It owns one pooled output
-/// buffer for the life of the node, so a suppressed delivery under
-/// Byzantine spam performs zero heap allocations.
+/// honours each `WakeAt` with a [`TOKEN_WAKE`] timer. It owns one pooled
+/// output buffer for the life of the node, so a suppressed delivery
+/// under Byzantine spam performs zero heap allocations.
 pub struct Driver<S: SansIo, C> {
     pub(crate) machine: S,
     buf: S::Buf,

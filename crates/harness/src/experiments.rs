@@ -848,11 +848,11 @@ fn e2(seeds: u64) -> String {
     let rows = [
         e2_byzantine_general("two-faced (split 3/3)", n, f, seeds, &|cfg, p| {
             let targets = (1..4).map(NodeId::new).collect();
-            let general = TwoFacedGeneral::new(G, n, 100, 200, targets, p);
+            let general = TwoFacedGeneral::new(G, 100, 200, targets, p);
             Box::new(Driver::bare(general, cfg.tick))
         }),
         e2_byzantine_general("two-faced (split 1/5)", n, f, seeds, &|cfg, p| {
-            let general = TwoFacedGeneral::new(G, n, 100, 200, vec![NodeId::new(1)], p);
+            let general = TwoFacedGeneral::new(G, 100, 200, vec![NodeId::new(1)], p);
             Box::new(Driver::bare(general, cfg.tick))
         }),
         e2_byzantine_general(

@@ -12,7 +12,7 @@ fn two_faced_general_never_splits_agreement() {
         let cfg = ScenarioConfig::new(7, 2).with_seed(seed);
         let params = cfg.params().unwrap();
         let side_a: Vec<NodeId> = (1..4).map(NodeId::new).collect();
-        let general = TwoFacedGeneral::new(NodeId::new(0), 7, 100, 200, side_a, &params);
+        let general = TwoFacedGeneral::new(NodeId::new(0), 100, 200, side_a, &params);
         let mut b = ScenarioBuilder::new(cfg).byzantine(Box::new(Driver::bare(general, cfg.tick)));
         for _ in 1..7 {
             b = b.correct();

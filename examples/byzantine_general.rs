@@ -20,7 +20,6 @@ fn main() {
         let params = cfg.params().expect("n > 3f");
         let general = TwoFacedGeneral::new(
             NodeId::new(0),
-            7,
             100, // value shown to side A
             200, // value shown to side B
             side_a.clone(),
